@@ -32,18 +32,27 @@ from .bell import (
     singlet_state,
 )
 from .classical import ClassicalModel, ClassicalObservable, OutcomeSpace
-from .errors import QLogicError, ResourceLimitError
+from .errors import QLogicError
 from .formulas import ParseError, eval_formula, parse_formula
 from .hasse import export_dot, section_label
 from .quantum import QuantumModel, classical_bridge
 
 
+def _require(doc: dict, *keys: str) -> None:
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise QLogicError(f"model lacks {', '.join(map(repr, missing))}")
+
+
 def load_model(path: str):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise QLogicError("a model file must hold a JSON object")
     kind = doc.get("kind")
     options = doc.get("options", {})
     if kind == "classical":
+        _require(doc, "points", "observables")
         omega = OutcomeSpace(frozenset(str(p) for p in doc["points"]))
         observables = {
             name: ClassicalObservable.from_dict(
@@ -53,8 +62,11 @@ def load_model(path: str):
         }
         return ClassicalModel(omega, observables)
     if kind == "quantum":
+        _require(doc, "observables")
         observables = {}
         for name, rows in doc["observables"].items():
+            if len({len(row) for row in rows}) != 1:
+                raise QLogicError(f"observable {name!r} is not a rectangular matrix")
             mat = np.array(
                 [[complex(re, im) for re, im in row] for row in rows]
             )
@@ -227,7 +239,9 @@ def cmd_bell(args) -> int:
         )
         if not report.ok:
             return 1
-    if args.sweep:
+    if args.sweep is not None:
+        if args.sweep < 1:
+            raise QLogicError(f"--sweep needs N >= 1, got {args.sweep}")
         print("theta,lhs,rhs,violated")
         for k in range(args.sweep + 1):
             theta = 90.0 * k / args.sweep
@@ -330,9 +344,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, QLogicError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:  # pragma: no cover - subclass of QLogicError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

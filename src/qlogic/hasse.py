@@ -1,4 +1,8 @@
-"""Hasse-diagram export of a section frame as Graphviz DOT text."""
+"""Hasse-diagram export of a section frame as Graphviz DOT text.
+
+Sections are up-sets of the (context, atom) point poset, so a section
+covers another exactly when it holds one point more and lies above it.
+"""
 
 from __future__ import annotations
 
@@ -30,18 +34,20 @@ def _sort_key(s: Section):
 
 
 def hasse_edges(frame: Frame, sections: list[Section]) -> list[tuple[int, int]]:
-    """Transitive reduction of the section order (indices into sections)."""
-    n = len(sections)
-    below = [
-        [j for j in range(n) if i != j and frame.leq(sections[i], sections[j])]
-        for i in range(n)
+    """Covering pairs (i, j) of the section order, as indices into sections.
+
+    ``sections`` must be the full enumeration, as in :func:`export_dot`: a
+    cover adds exactly one (context, atom) point, so i is covered by j iff
+    s_i <= s_j and s_j has one point more.  In a partial list, covers
+    across a missing section would go unreported.
+    """
+    size = [sum(len(v) for _, v in s.items) for s in sections]
+    return [
+        (i, j)
+        for i, si in enumerate(sections)
+        for j, sj in enumerate(sections)
+        if size[j] == size[i] + 1 and frame.leq(si, sj)
     ]
-    edges = []
-    for i in range(n):
-        for j in below[i]:
-            if not any(j in below[k] for k in below[i] if k != j):
-                edges.append((i, j))
-    return edges
 
 
 def export_dot(frame: Frame, name: str = "sections", limit: int | None = None) -> str:

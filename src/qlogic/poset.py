@@ -34,15 +34,8 @@ class LocalAlgebra:
     def top(self) -> Element:
         return frozenset(self.atoms)
 
-    @property
-    def bottom(self) -> Element:
-        return frozenset()
-
     def contains(self, x: Element) -> bool:
         return x <= self.top
-
-    def complement(self, x: Element) -> Element:
-        return self.top - x
 
     def elements(self) -> Iterable[Element]:
         """All 2^n elements, bottom first, in a stable order."""
@@ -120,10 +113,6 @@ class ContextPoset:
     def upset(self, c: str) -> frozenset:
         self.algebra(c)
         return frozenset(d for d in self._contexts if self.leq(c, d))
-
-    def downset(self, c: str) -> frozenset:
-        self.algebra(c)
-        return frozenset(d for d in self._contexts if self.leq(d, c))
 
     def meet_contexts(self, c1: str, c2: str) -> str:
         """Greatest lower bound; always exists (worst case the least element)."""

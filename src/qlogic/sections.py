@@ -1,16 +1,22 @@
 """Heyting algebra of monotone sections over a context poset.
 
 A section assigns to every context an element of its local algebra,
-monotonically along the informativeness order.  Meets and joins are
-pointwise; the relative pseudo-complement is computed by the pointwise
-up-set atom rule, with a brute-force enumeration kept as an oracle.
+monotonically along the informativeness order.  Equivalently, a section
+is an up-set of the poset P of points (c, a), a an atom of context c,
+ordered by (c1, a1) <= (c2, a2) iff c1 <= c2 and a2 refines a1
+(Birkhoff's representation of a finite distributive lattice).  A frame
+compiles P once into bitmasks: meet, join and order are ``&``, ``|``
+and a subset test, U -> V is the set of points whose up-set misses
+U \\ V, and enumeration lists the up-sets of P, at most 2^|P| of them.
+:class:`Section` is the boundary type that callers see.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .poset import ContextPoset, Element
@@ -80,6 +86,15 @@ def _enum_guard(limit: int | None) -> int:
     return int(env) if env else DEFAULT_ENUM_GUARD
 
 
+class _PointTable(NamedTuple):
+    """The (context, atom) point poset, one bit per point."""
+
+    points: tuple[tuple[str, str], ...]  # bit -> (context, atom)
+    index: dict[tuple[str, str], int]  # (context, atom) -> bit
+    up: tuple[int, ...]  # bit -> mask of the point's up-set
+    top: int  # mask of every point
+
+
 class Frame:
     """Section frame (Heyting algebra) over a context poset."""
 
@@ -87,14 +102,38 @@ class Frame:
         self.poset = poset
         self._ids = poset.context_ids
 
+    @cached_property
+    def _table(self) -> _PointTable:
+        points = tuple((c, a) for c in self._ids for a in self.poset.algebra(c).atoms)
+        index = {p: i for i, p in enumerate(points)}
+        up = []
+        for c, a in points:
+            mask = 0
+            for d in self.poset.upset(c):
+                for b in self.poset.embed(c, d, frozenset({a})):
+                    mask |= 1 << index[(d, b)]
+            up.append(mask)
+        return _PointTable(points, index, tuple(up), (1 << len(points)) - 1)
+
+    def _mask(self, s: Section) -> int:
+        index = self._table.index
+        return sum(1 << index[(c, a)] for c, v in s.items for a in v)
+
+    def _section(self, mask: int) -> Section:
+        values: dict[str, list[str]] = {c: [] for c in self._ids}
+        for p, (c, a) in enumerate(self._table.points):
+            if mask >> p & 1:
+                values[c].append(a)
+        return Section(tuple((c, frozenset(v)) for c, v in values.items()))
+
     # -- construction ---------------------------------------------------
 
     def section(self, values: Mapping[str, Iterable[str]]) -> Section:
         """Build and validate a section from a context -> element mapping."""
-        d = {c: frozenset(values[c]) for c in self._ids}
         missing = set(self._ids) - set(values)
         if missing:
             raise DomainError(f"section misses contexts {sorted(missing)}")
+        d = {c: frozenset(values[c]) for c in self._ids}
         for c in self._ids:
             if not self.poset.algebra(c).contains(d[c]):
                 raise DomainError(f"value at {c!r} is not in its local algebra")
@@ -104,46 +143,31 @@ class Frame:
         return s
 
     def is_monotone(self, s: Section) -> bool:
-        d = s.as_dict()
-        for c1 in self._ids:
-            for c2 in self._ids:
-                if c1 != c2 and self.poset.leq(c1, c2):
-                    if not self.poset.embed(c1, c2, d[c1]) <= d[c2]:
-                        return False
-        return True
+        """True iff the section's points form an up-set."""
+        mask = self._mask(s)
+        up = self._table.up
+        return all(not up[p] & ~mask for p in range(len(up)) if mask >> p & 1)
 
     def top(self) -> Section:
-        return Section.from_dict(
-            {c: self.poset.algebra(c).top for c in self._ids}
-        )
+        return self._section(self._table.top)
 
     def bottom(self) -> Section:
-        return Section.from_dict({c: frozenset() for c in self._ids})
+        return self._section(0)
 
     # -- elementary propositions -----------------------------------------
 
     def embed_elementary(self, e: ElementaryProposition) -> Section:
-        if e.is_bottom:
-            return self.bottom()
-        alg = self.poset.algebra(e.context)
-        if not alg.contains(e.value):
+        """The up-set generated by the proposition's points."""
+        if not e.is_bottom and not self.poset.algebra(e.context).contains(e.value):
             raise DomainError(f"value not in local algebra of {e.context!r}")
-        d = {}
-        for c in self._ids:
-            if self.poset.leq(e.context, c):
-                d[c] = self.poset.embed(e.context, c, e.value)
-            else:
-                d[c] = frozenset()
-        return Section.from_dict(d)
+        t = self._table
+        mask = 0
+        for a in e.value:
+            mask |= t.up[t.index[(e.context, a)]]
+        return self._section(mask)
 
     def elementary_leq(self, e1: ElementaryProposition, e2: ElementaryProposition) -> bool:
-        if e1.is_bottom:
-            return True
-        if e2.is_bottom:
-            return False
-        if not self.poset.leq(e2.context, e1.context):
-            return False
-        return self.poset.embed(e2.context, e1.context, e2.value) >= e1.value
+        return self.leq(self.embed_elementary(e1), self.embed_elementary(e2))
 
     def elementary_meet(
         self, e1: ElementaryProposition, e2: ElementaryProposition
@@ -169,44 +193,27 @@ class Frame:
     # -- lattice operations ------------------------------------------------
 
     def meet(self, sections: Iterable[Section]) -> Section:
-        ss = list(sections)
-        if not ss:
-            return self.top()
-        d = ss[0].as_dict()
-        for s in ss[1:]:
-            for c, v in s.items:
-                d[c] = d[c] & v
-        return Section.from_dict(d)
+        mask = self._table.top
+        for s in sections:
+            mask &= self._mask(s)
+        return self._section(mask)
 
     def join(self, sections: Iterable[Section]) -> Section:
-        ss = list(sections)
-        if not ss:
-            return self.bottom()
-        d = ss[0].as_dict()
-        for s in ss[1:]:
-            for c, v in s.items:
-                d[c] = d[c] | v
-        return Section.from_dict(d)
+        mask = 0
+        for s in sections:
+            mask |= self._mask(s)
+        return self._section(mask)
 
     def leq(self, s1: Section, s2: Section) -> bool:
-        d2 = s2.as_dict()
-        return all(v <= d2[c] for c, v in s1.items)
+        return not self._mask(s1) & ~self._mask(s2)
+
+    def _implies(self, u: int, v: int) -> int:
+        bad = u & ~v
+        return sum(1 << p for p, up in enumerate(self._table.up) if not up & bad)
 
     def implies(self, s1: Section, s2: Section) -> Section:
-        """Relative pseudo-complement via the pointwise up-set atom rule."""
-        d1, d2 = s1.as_dict(), s2.as_dict()
-        out = {}
-        for c in self._ids:
-            ups = self.poset.upset(c)
-            good = []
-            for a in self.poset.algebra(c).atoms:
-                atom = frozenset({a})
-                if all(
-                    self.poset.embed(c, c2, atom) & d1[c2] <= d2[c2] for c2 in ups
-                ):
-                    good.append(a)
-            out[c] = frozenset(good)
-        return Section.from_dict(out)
+        """Relative pseudo-complement: the points whose up-set misses s1 \\ s2."""
+        return self._section(self._implies(self._mask(s1), self._mask(s2)))
 
     def neg(self, s: Section) -> Section:
         return self.implies(s, self.bottom())
@@ -237,66 +244,49 @@ class Frame:
         }
         return Frame(ContextPoset(contexts, order, embeddings))
 
-    def restrict_section(self, s: Section, sub: "Frame") -> Section:
-        keep = set(sub.poset.context_ids)
-        return Section(tuple(item for item in s.items if item[0] in keep))
-
     # -- enumeration and oracles ------------------------------------------
 
     def enumeration_bound(self) -> int:
-        bound = 1
-        for c in self._ids:
-            bound *= 1 << len(self.poset.algebra(c).atoms)
-        return bound
+        """2^|P|: the number of subsets of the (context, atom) points."""
+        return 1 << sum(len(self.poset.algebra(c).atoms) for c in self._ids)
+
+    def _upsets(self, limit: int | None) -> list[int]:
+        guard = _enum_guard(limit)
+        bound = self.enumeration_bound()
+        if bound > guard:
+            raise ResourceLimitError(f"enumeration bound {bound} exceeds guard {guard}")
+        up = self._table.up
+        # decide points from the top down (a higher point has a smaller
+        # up-set): p may join an up-set U of the points decided so far iff
+        # the rest of its up-set lies in U, so no choice is ever undone
+        masks = [0]
+        for p in sorted(range(len(up)), key=lambda p: up[p].bit_count()):
+            rest = up[p] & ~(1 << p)
+            masks += [m | 1 << p for m in masks if m & rest == rest]
+        return masks
 
     def enumerate_sections(self, limit: int | None = None) -> list[Section]:
         """All monotone sections, each exactly once (guarded)."""
-        guard = _enum_guard(limit)
-        if self.enumeration_bound() > guard:
-            raise ResourceLimitError(
-                f"enumeration bound {self.enumeration_bound()} exceeds guard {guard}"
-            )
-        # process contexts along a linear extension so monotonicity can be
-        # checked against already-assigned predecessors only
-        ids = sorted(self._ids, key=lambda c: (len(self.poset.downset(c)), c))
-        below = {
-            c: [d for d in ids if d != c and self.poset.leq(d, c)] for c in ids
-        }
-        out: list[Section] = []
-
-        def extend(i: int, partial: dict[str, Element]):
-            if i == len(ids):
-                out.append(Section.from_dict(partial))
-                return
-            c = ids[i]
-            for v in self.poset.algebra(c).elements():
-                if all(
-                    self.poset.embed(d, c, partial[d]) <= v for d in below[c]
-                ):
-                    partial[c] = v
-                    extend(i + 1, partial)
-                    del partial[c]
-
-        extend(0, {})
-        return out
+        return [self._section(m) for m in self._upsets(limit)]
 
     def brute_force_implies(
         self, s1: Section, s2: Section, limit: int | None = None
     ) -> Section:
-        """Definitional oracle: join of every S with S.meet(s1) <= s2."""
-        witnesses = [
-            s
-            for s in self.enumerate_sections(limit)
-            if self.leq(self.meet([s, s1]), s2)
-        ]
-        return self.join(witnesses)
+        """Definitional oracle: the join of every up-set W with W & s1 <= s2."""
+        bad = self._mask(s1) & ~self._mask(s2)
+        joined = 0
+        for m in self._upsets(limit):
+            if not m & bad:
+                joined |= m
+        return self._section(joined)
 
     def decidable_elements(self, limit: int | None = None) -> list[Section]:
-        top = self.top()
+        """Sections S with S v ~S = TOP."""
+        top = self._table.top
         return [
-            s
-            for s in self.enumerate_sections(limit)
-            if self.join([s, self.neg(s)]) == top
+            self._section(m)
+            for m in self._upsets(limit)
+            if m | self._implies(m, 0) == top
         ]
 
     def check_distributive(

@@ -43,6 +43,27 @@ def test_bad_model_kind(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "JSON object"),
+        ({"kind": "classical", "observables": {}}, "'points'"),
+        ({"kind": "quantum"}, "'observables'"),
+        (
+            {"kind": "quantum", "observables": {"A": [[[1, 0], [0, 0]], [[0, 0]]]}},
+            "not a rectangular matrix",
+        ),
+    ],
+)
+def test_malformed_model(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "build", str(path))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+
+
 def test_eval(capsys):
     code, out, _ = run(capsys, "eval", QUBIT, "-f", "M(Sz,{1}) | ~M(Sz,{1})")
     assert code == 0
@@ -76,6 +97,20 @@ def test_check_exhaustive_one_qubit(capsys):
     assert code == 0
     assert "adjunction: 4913/4913" in out
     assert "all checks passed" in out
+
+
+def test_check_crossing(capsys):
+    code, out, _ = run(capsys, "check", CROSS)
+    assert code == 0
+    assert "sections: 48" in out
+    assert "all checks passed" in out
+
+
+def test_check_over_guard(capsys, monkeypatch):
+    monkeypatch.setenv("QLOGIC_ENUM_GUARD", "3")
+    code, _, err = run(capsys, "check", QUBIT)
+    assert code == 2
+    assert "exceeds guard 3" in err
 
 
 def test_check_figure1(capsys):
@@ -124,6 +159,14 @@ def test_bell_sweep_csv(capsys):
     assert lines[0] == "theta,lhs,rhs,violated"
     assert len(lines) == 5
     assert all(line.count(",") == 3 for line in lines[1:])
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_bell_sweep_rejects_non_positive(capsys, n):
+    code, out, err = run(capsys, "bell", "--sweep", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --sweep needs N >= 1, got {n}\n"
 
 
 def test_bell_bad_angles(capsys):

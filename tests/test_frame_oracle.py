@@ -1,0 +1,159 @@
+"""The bitmask section frame against a pointwise oracle.
+
+The oracle sees a frame only through ``ContextPoset.leq``, ``embed`` and
+``algebra``: sections are the monotone members of the product of the
+local algebras, and implication is the pointwise join of its witnesses.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from qlogic import ClassicalModel, ClassicalObservable, OutcomeSpace, QuantumModel
+from qlogic.hasse import hasse_edges
+from qlogic.sections import ElementaryProposition, Section
+
+PAIR_SAMPLE = 150
+
+
+def oracle_sections(poset) -> list[dict]:
+    """Every monotone assignment, as a pruned walk over the product."""
+    ids = poset.context_ids
+    out = []
+
+    def extend(partial: dict):
+        if len(partial) == len(ids):
+            out.append(dict(partial))
+            return
+        c = ids[len(partial)]
+        for v in poset.algebra(c).elements():
+            if all(
+                (not poset.leq(d, c) or poset.embed(d, c, w) <= v)
+                and (not poset.leq(c, d) or poset.embed(c, d, v) <= w)
+                for d, w in partial.items()
+            ):
+                partial[c] = v
+                extend(partial)
+                del partial[c]
+
+    extend({})
+    return out
+
+
+def leq(d1: dict, d2: dict) -> bool:
+    return all(v <= d2[c] for c, v in d1.items())
+
+
+def join(poset, ds) -> dict:
+    out = {c: frozenset() for c in poset.context_ids}
+    for d in ds:
+        out = {c: out[c] | d[c] for c in out}
+    return out
+
+
+def implies(poset, sections, d1: dict, d2: dict) -> dict:
+    witnesses = [w for w in sections if leq({c: w[c] & d1[c] for c in w}, d2)]
+    return join(poset, witnesses)
+
+
+def embed(poset, c0: str, value) -> dict:
+    return {
+        c: poset.embed(c0, c, value) if poset.leq(c0, c) else frozenset()
+        for c in poset.context_ids
+    }
+
+
+def covers(ds: list[dict]) -> set:
+    """Naive transitive reduction of the pointwise order."""
+    n = len(ds)
+    above = [{j for j in range(n) if j != i and leq(ds[i], ds[j])} for i in range(n)]
+    return {
+        (i, j)
+        for i in range(n)
+        for j in above[i]
+        if not any(j in above[k] for k in above[i] if k != j)
+    }
+
+
+def check_frame(frame, pairs=None):
+    poset = frame.poset
+    sections = oracle_sections(poset)
+    as_section = [Section.from_dict(d) for d in sections]
+
+    enumerated = frame.enumerate_sections()
+    assert len(enumerated) == len(set(enumerated))
+    assert set(enumerated) == set(as_section)
+
+    if pairs is None:
+        pairs = list(itertools.product(range(len(sections)), repeat=2))
+        if len(pairs) > PAIR_SAMPLE:
+            pairs = random.Random(0).sample(pairs, PAIR_SAMPLE)
+    for i, j in pairs:
+        expected = implies(poset, sections, sections[i], sections[j])
+        assert frame.implies(as_section[i], as_section[j]) == Section.from_dict(expected)
+
+    bottom = {c: frozenset() for c in poset.context_ids}
+    top = {c: poset.algebra(c).top for c in poset.context_ids}
+    negs = [implies(poset, sections, d, bottom) for d in sections]
+    for s, n in zip(as_section, negs):
+        assert frame.neg(s) == Section.from_dict(n)
+    decidable = {
+        s for s, d, n in zip(as_section, sections, negs) if join(poset, [d, n]) == top
+    }
+    assert set(frame.decidable_elements()) == decidable
+
+    for c in poset.context_ids:
+        for value in poset.algebra(c).elements():
+            if value:
+                e = ElementaryProposition(c, value)
+                assert frame.embed_elementary(e) == Section.from_dict(embed(poset, c, value))
+
+    assert set(hasse_edges(frame, as_section)) == covers(sections)
+
+
+@pytest.mark.parametrize("name", ["figure1_model", "crossing_model", "one_qubit_model"])
+def test_fixtures_match_oracle(name, request):
+    check_frame(request.getfixturevalue(name).frame)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_random_classical_models_match_oracle(data):
+    n = data.draw(st.integers(3, 5))
+    k = data.draw(st.integers(2, 3))
+    points = [f"w{i}" for i in range(n)]
+    observables = {}
+    for j in range(k):
+        values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        observables[f"O{j}"] = ClassicalObservable.from_dict(
+            f"O{j}", dict(zip(points, values))
+        )
+    model = ClassicalModel(OutcomeSpace(frozenset(points)), observables)
+    poset = model.poset
+    assume(sum(len(poset.algebra(c).atoms) for c in poset.context_ids) <= 12)
+    check_frame(model.frame)
+
+
+SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    axes=st.lists(
+        st.tuples(st.integers(0, 180), st.integers(0, 359)), min_size=2, max_size=3
+    )
+)
+def test_random_qubit_axes_match_oracle(axes):
+    observables = {}
+    for k, (theta, phi) in enumerate(axes):
+        t, p = np.radians(theta), np.radians(phi)
+        n = (np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t))
+        observables[f"N{k}"] = sum(x * s for x, s in zip(n, SIGMA))
+    check_frame(QuantumModel(observables).frame)

@@ -106,6 +106,8 @@ def test_section_constructor_rejects_non_monotone(one_qubit_model):
         frame.section({"1": {"1"}, "Sz": set(), "Sx": set()})
     with pytest.raises(DomainError):
         frame.section({"1": set(), "Sz": {"nope"}, "Sx": set()})
+    with pytest.raises(DomainError, match="misses contexts"):
+        frame.section({"1": set()})
 
 
 # -- Heyting structure ----------------------------------------------------------
