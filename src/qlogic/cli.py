@@ -44,6 +44,13 @@ def _require(doc: dict, *keys: str) -> None:
         raise QLogicError(f"model lacks {', '.join(map(repr, missing))}")
 
 
+def _observables(doc: dict) -> dict:
+    observables = doc["observables"]
+    if not isinstance(observables, dict):
+        raise QLogicError("'observables' must be an object keyed by observable name")
+    return observables
+
+
 def load_model(path: str):
     with open(path) as fh:
         doc = json.load(fh)
@@ -54,23 +61,27 @@ def load_model(path: str):
     if kind == "classical":
         _require(doc, "points", "observables")
         omega = OutcomeSpace(frozenset(str(p) for p in doc["points"]))
-        observables = {
-            name: ClassicalObservable.from_dict(
+        observables = {}
+        for name, vm in _observables(doc).items():
+            if not isinstance(vm, dict):
+                raise QLogicError(f"observable {name!r} must map points to values")
+            observables[name] = ClassicalObservable.from_dict(
                 name, {str(k): v for k, v in vm.items()}
             )
-            for name, vm in doc["observables"].items()
-        }
         return ClassicalModel(omega, observables)
     if kind == "quantum":
         _require(doc, "observables")
         observables = {}
-        for name, rows in doc["observables"].items():
-            if len({len(row) for row in rows}) != 1:
+        for name, rows in _observables(doc).items():
+            try:
+                entries = [[complex(re, im) for re, im in row] for row in rows]
+            except (TypeError, ValueError):
+                raise QLogicError(
+                    f"observable {name!r} must be a list of rows of [re, im] pairs"
+                ) from None
+            if len({len(row) for row in entries}) != 1:
                 raise QLogicError(f"observable {name!r} is not a rectangular matrix")
-            mat = np.array(
-                [[complex(re, im) for re, im in row] for row in rows]
-            )
-            observables[name] = mat
+            observables[name] = np.array(entries)
         kwargs = {
             k: options[k] for k in ("tau_herm", "tau_proj", "tau_eig") if k in options
         }

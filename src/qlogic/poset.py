@@ -10,7 +10,7 @@ atoms refining it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import StructureError, UnknownContextError

@@ -5,12 +5,21 @@ projections.  A set of observables generates a context poset closed
 under pairwise meets (intersection of algebras) and commuting joins
 (products of atoms); the order is algebra inclusion, i.e. atom
 refinement.
+
+Every relation between two contexts is read from one overlap graph that
+links atoms p and q iff ||p q||_max > tau_proj, the single tolerance
+decision for meet, join, order and embedding: the meet's atoms are the
+sums over its connected components, the join of a pair that passes
+contexts_commute has the non-zero products p q as atoms, and c1 <= c2 iff
+every atom of c2 is linked to exactly one atom of c1, the one it embeds
+under.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,6 +78,29 @@ def spectral_decompose(
     return SpectralData(tuple(eigenvalues), tuple(projections))
 
 
+def _spectral_sum(
+    sd: SpectralData, delta: Iterable[float], tau_eig: float, what: str
+) -> np.ndarray:
+    """Sum of the spectral projections of the values in delta; each value
+    must lie within tau_eig * scale of exactly one eigenvalue cluster."""
+    scale = max(1.0, max(abs(e) for e in sd.eigenvalues))
+    out = np.zeros_like(sd.projections[0])
+    for x in delta:
+        matches = [
+            i
+            for i, e in enumerate(sd.eigenvalues)
+            if abs(e - float(x)) <= tau_eig * scale
+        ]
+        if not matches:
+            raise DomainError(f"value {x} not in the spectrum of {what}")
+        if len(matches) > 1:
+            raise DomainError(
+                f"value {x} matches {len(matches)} eigenvalue clusters of {what}"
+            )
+        out = out + sd.projections[matches[0]]
+    return out
+
+
 def spectral_projection(
     h: np.ndarray,
     delta: Iterable[float],
@@ -77,19 +109,7 @@ def spectral_projection(
 ) -> np.ndarray:
     """Spectral projection onto the eigenvalue clusters matching delta."""
     sd = spectral_decompose(h, tau_herm, tau_eig)
-    dim = sd.projections[0].shape[0]
-    scale = max(1.0, max(abs(e) for e in sd.eigenvalues))
-    out = np.zeros((dim, dim), dtype=complex)
-    for x in delta:
-        matches = [
-            i
-            for i, e in enumerate(sd.eigenvalues)
-            if abs(e - float(x)) <= tau_eig * scale
-        ]
-        if not matches:
-            raise DomainError(f"value {x} matches no eigenvalue cluster")
-        out = out + sd.projections[matches[0]]
-    return out
+    return _spectral_sum(sd, delta, tau_eig, "the matrix")
 
 
 # -- contexts ---------------------------------------------------------------
@@ -171,42 +191,6 @@ def generated_context(
     return QuantumContext(names, sd.projections)
 
 
-def _context_leq(c1: QuantumContext, c2: QuantumContext, tol: float = TAU_PROJ) -> bool:
-    """True iff the algebra of c1 is contained in that of c2, i.e. every
-    atom of c1 is a sum of atoms of c2."""
-    for p in c1.atoms:
-        below = [q for q in c2.atoms if _maxabs(p @ q - q) <= tol]
-        if _maxabs(sum(below) - p) > tol:
-            return False
-    return True
-
-
-def _meet_atoms(
-    c1: QuantumContext, c2: QuantumContext, tol: float = TAU_PROJ
-) -> list[np.ndarray]:
-    """Atoms of the intersection algebra: minimal non-zero projections that
-    are sums of atoms of both contexts (exhaustive over subsets)."""
-    n = len(c1.atoms)
-    dim = c1.atoms[0].shape[0]
-    common: list[np.ndarray] = []
-    for mask in range(1, 1 << n):
-        p = np.zeros((dim, dim), dtype=complex)
-        for i in range(n):
-            if mask >> i & 1:
-                p = p + c1.atoms[i]
-        below = [q for q in c2.atoms if _maxabs(p @ q - q) <= tol]
-        if _maxabs(sum(below) - p) <= tol:
-            common.append(p)
-    minimal = []
-    for p in common:
-        if any(
-            _maxabs(q @ p - q) <= tol and _maxabs(p - q) > tol for q in common
-        ):
-            continue
-        minimal.append(p)
-    return minimal
-
-
 def contexts_commute(
     c1: QuantumContext, c2: QuantumContext, tol: float = TAU_PROJ
 ) -> bool:
@@ -215,16 +199,25 @@ def contexts_commute(
     )
 
 
-def _join_atoms(
-    c1: QuantumContext, c2: QuantumContext, tol: float = TAU_PROJ
-) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for n1, p in zip(c1.atom_names, c1.atoms):
-        for n2, q in zip(c2.atom_names, c2.atoms):
-            prod = p @ q
-            if _maxabs(prod) > tol:
-                out.append((f"{n1}.{n2}", prod))
-    return out
+def _overlap(
+    c1: QuantumContext, c2: QuantumContext, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """All atom products prods[i, j] = p_i q_j of two contexts, and the
+    overlap graph edges[i, j] = ||p_i q_j||_max > tol."""
+    prods = np.matmul(np.stack(c1.atoms)[:, None], np.stack(c2.atoms)[None])
+    return prods, np.abs(prods).max(axis=(2, 3)) > tol
+
+
+def _components(edges: np.ndarray) -> set[tuple[int, ...]]:
+    """The c1-atom indices of each connected component of the overlap graph.
+    Exact for meets: a component's atoms on either side sum to the same
+    projection, and every common element is a union of components."""
+    reach = edges @ edges.T
+    while True:
+        grown = reach @ reach
+        if np.array_equal(grown, reach):
+            return {tuple(np.flatnonzero(row)) for row in reach}
+        reach = grown
 
 
 @dataclass
@@ -286,32 +279,35 @@ class QuantumModel:
                 self.observables[name], name, self.tau_herm, self.tau_eig
             )
             self.obs_context[name] = self._add(name, ctx)
-        # close under pairwise meets and commuting joins
-        changed = True
-        while changed:
-            changed = False
-            ids = sorted(self.contexts)
-            for i, a in enumerate(ids):
-                for b in ids[i + 1 :]:
-                    ca, cb = self.contexts[a], self.contexts[b]
-                    meet = _meet_atoms(ca, cb, self.tau_proj)
-                    matched = sorted(meet, key=_atom_sort_key)
-                    mctx = QuantumContext(
-                        tuple(f"m{k}" for k in range(len(matched))), tuple(matched)
+        # close under pairwise meets and commuting joins; a pair taken once
+        # yields no new context when taken again, so each pair is taken once
+        edges: dict[tuple[str, str], np.ndarray] = {}
+        while pairs := [
+            ab for ab in itertools.combinations(sorted(self.contexts), 2) if ab not in edges
+        ]:
+            for a, b in pairs:
+                ca, cb = self.contexts[a], self.contexts[b]
+                prods, e = _overlap(ca, cb, self.tau_proj)
+                edges[a, b] = e
+                meet = sorted(
+                    (sum(ca.atoms[i] for i in comp) for comp in _components(e)),
+                    key=_atom_sort_key,
+                )
+                self._add(
+                    f"({a}^{b})",
+                    QuantumContext(tuple(f"m{k}" for k in range(len(meet))), tuple(meet)),
+                )
+                if contexts_commute(ca, cb, self.tau_proj):
+                    self._add(
+                        f"{a}*{b}",
+                        QuantumContext(
+                            tuple(
+                                f"{ca.atom_names[i]}.{cb.atom_names[j]}"
+                                for i, j in zip(*np.nonzero(e))
+                            ),
+                            tuple(prods[e]),
+                        ),
                     )
-                    if self._find_equal(mctx) is None:
-                        self._add(f"({a}^{b})", mctx)
-                        changed = True
-                    if contexts_commute(ca, cb, self.tau_proj):
-                        joined = _join_atoms(ca, cb, self.tau_proj)
-                        jctx = QuantumContext(
-                            tuple(n for n, _ in joined),
-                            tuple(m for _, m in joined),
-                        )
-                        if self._find_equal(jctx) is None:
-                            self._add(f"{a}*{b}", jctx)
-                            changed = True
-        # order and embeddings by atom refinement
         contexts = {
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()
         }
@@ -319,16 +315,15 @@ class QuantumModel:
         embeddings = {}
         for a, ca in self.contexts.items():
             for b, cb in self.contexts.items():
-                if a == b or not _context_leq(ca, cb, self.tau_proj):
+                if a == b:
+                    continue
+                e = edges[a, b] if a < b else edges[b, a].T
+                if not np.all(e.sum(axis=0) == 1):
                     continue
                 order.append((a, b))
                 embeddings[(a, b)] = {
-                    n: frozenset(
-                        m
-                        for m, q in zip(cb.atom_names, cb.atoms)
-                        if _maxabs(p @ q - q) <= self.tau_proj
-                    )
-                    for n, p in zip(ca.atom_names, ca.atoms)
+                    n: frozenset(cb.atom_names[j] for j in np.flatnonzero(row))
+                    for n, row in zip(ca.atom_names, e)
                 }
         self.poset = ContextPoset(contexts, order, embeddings)
         self.frame = Frame(self.poset)
@@ -345,17 +340,7 @@ class QuantumModel:
         delta = list(delta)
         if not delta:
             return BOTTOM
-        scale = max(1.0, max(abs(e) for e in sd.eigenvalues))
-        proj = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in delta:
-            matches = [
-                i
-                for i, e in enumerate(sd.eigenvalues)
-                if abs(e - float(x)) <= self.tau_eig * scale
-            ]
-            if not matches:
-                raise DomainError(f"value {x} not in the spectrum of {name!r}")
-            proj = proj + sd.projections[matches[0]]
+        proj = _spectral_sum(sd, delta, self.tau_eig, repr(name))
         atoms = frozenset(
             n
             for n, q in zip(ctx.atom_names, ctx.atoms)
@@ -390,7 +375,7 @@ def classical_bridge(model, limit: int | None = None) -> tuple[QuantumModel, Bri
     Coordinates are indexed by the cells of the finest partition; every
     partition becomes a diagonal observable constant on its cells.
     """
-    from .classical import cell_id, partition_id, partition_meet
+    from .classical import cell_id, partition_meet
 
     finest = None
     for p in model.family:

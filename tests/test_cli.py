@@ -53,6 +53,18 @@ def test_bad_model_kind(tmp_path, capsys):
             {"kind": "quantum", "observables": {"A": [[[1, 0], [0, 0]], [[0, 0]]]}},
             "not a rectangular matrix",
         ),
+        ({"kind": "quantum", "observables": [1]}, "'observables' must be an object"),
+        (
+            {"kind": "classical", "points": ["a"], "observables": [1]},
+            "'observables' must be an object",
+        ),
+        (
+            {"kind": "classical", "points": ["a", "b"], "observables": {"A": [0, 1]}},
+            "must map points to values",
+        ),
+        ({"kind": "quantum", "observables": {"A": [[1, 0], [0, 1]]}}, "[re, im] pairs"),
+        ({"kind": "quantum", "observables": {"A": [[[1, 0, 0]]]}}, "[re, im] pairs"),
+        ({"kind": "quantum", "observables": {"A": 5}}, "[re, im] pairs"),
     ],
 )
 def test_malformed_model(tmp_path, capsys, doc, message):

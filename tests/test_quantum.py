@@ -55,6 +55,19 @@ def test_spectral_projection():
         spectral_projection(SZ, [0.5])
 
 
+def test_value_between_two_clusters_is_rejected():
+    # clusters 0 and 1.5e-6 lie within 2 * tau_eig: 0.75e-6 matches both
+    h = np.diag([0.0, 1.5e-6, 1.0]).astype(complex)
+    assert len(spectral_decompose(h).eigenvalues) == 3
+    with pytest.raises(DomainError, match="matches 2 eigenvalue clusters"):
+        spectral_projection(h, [0.75e-6])
+    m = QuantumModel({"H": h})
+    with pytest.raises(DomainError, match="matches 2 eigenvalue clusters of 'H'"):
+        m.elementary("H", [0.75e-6])
+    assert np.allclose(spectral_projection(h, [1.5e-6]), np.diag([0, 1, 0]))
+    assert m.elementary("H", [1.5e-6]).value == frozenset({"H=1.5e-06"})
+
+
 def test_generated_context_recalibration_invariant():
     c1 = generated_context(SZ, "A")
     c2 = generated_context(5 * SZ + 2 * np.eye(2), "B")
