@@ -9,6 +9,7 @@ cells of a partition are the atoms of its local algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Hashable, Iterable, Mapping
 
 from .errors import DomainError, StructureError
@@ -70,24 +71,13 @@ def partition_meet(p1: Partition, p2: Partition) -> Partition:
 
 
 def partition_join(p1: Partition, p2: Partition) -> Partition:
-    """Finest common coarsening (connected components of overlapping cells)."""
-    cells = list(p1 | p2)
-    parent = list(range(len(cells)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if cells[i] & cells[j]:
-                parent[find(i)] = find(j)
-    groups: dict = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(find(i), set()).update(cell)
-    return frozenset(frozenset(g) for g in groups.values())
+    """Finest common coarsening: merge the blocks of p1 each cell of p2 touches."""
+    block = {x: c1 for c1 in p1 for x in c1}
+    for c2 in p2:
+        merged = frozenset([x for y in c2 for x in block[y]])
+        for x in merged:
+            block[x] = merged
+    return frozenset(block.values())
 
 
 def partition_join_in(family: Iterable[Partition], p1: Partition, p2: Partition) -> Partition:
@@ -106,17 +96,14 @@ def close_partition_family(
 ) -> frozenset:
     """Smallest family containing the inputs and {Omega}, closed under
     pairwise meet and finest-common-coarsening join."""
-    family = set(partitions)
-    family.add(frozenset({frozenset(omega.points)}))
-    changed = True
-    while changed:
-        changed = False
-        for p1 in list(family):
-            for p2 in list(family):
-                for q in (partition_meet(p1, p2), partition_join(p1, p2)):
-                    if q not in family:
-                        family.add(q)
-                        changed = True
+    family = list(dict.fromkeys([*partitions, frozenset({frozenset(omega.points)})]))
+    seen = set(family)
+    for k, p1 in enumerate(family):  # the list grows while it is walked
+        for p2 in family[:k]:
+            for q in (partition_meet(p1, p2), partition_join(p1, p2)):
+                if q not in seen:
+                    family.append(q)
+                    seen.add(q)
     return frozenset(family)
 
 
@@ -138,32 +125,26 @@ def build_classical_frame(family: Iterable[Partition]) -> tuple[ContextPoset, di
     reverse refinement: a finer partition is the more informative context.
     """
     parts = {partition_id(p): p for p in family}
-    # closure check
-    for p1 in parts.values():
-        for p2 in parts.values():
-            if partition_id(partition_meet(p1, p2)) not in parts:
-                raise StructureError("family not closed under meets")
-            if partition_id(partition_join(p1, p2)) not in parts:
-                raise StructureError("family not closed under joins")
+    closed = set(parts.values())
+    for p1, p2 in combinations(closed, 2):
+        if partition_meet(p1, p2) not in closed:
+            raise StructureError("family not closed under meets")
+        if partition_join(p1, p2) not in closed:
+            raise StructureError("family not closed under joins")
     contexts = {
         cid: LocalAlgebra(tuple(sorted(cell_id(c) for c in p)))
         for cid, p in parts.items()
     }
-    order = []
-    embeddings = {}
-    for c1, p1 in parts.items():
-        for c2, p2 in parts.items():
-            if c1 == c2 or not refines(p2, p1):
-                continue
-            # p2 finer: context c2 is more informative
-            order.append((c1, c2))
-            embeddings[(c1, c2)] = {
-                cell_id(coarse): frozenset(
-                    cell_id(fine) for fine in p2 if fine <= coarse
-                )
-                for coarse in p1
-            }
-    return ContextPoset(contexts, order, embeddings), parts
+    embeddings = {  # p2 finer: context c2 is more informative
+        (c1, c2): {
+            cell_id(coarse): frozenset(cell_id(fine) for fine in p2 if fine <= coarse)
+            for coarse in p1
+        }
+        for c1, p1 in parts.items()
+        for c2, p2 in parts.items()
+        if c1 != c2 and refines(p2, p1)
+    }
+    return ContextPoset(contexts, list(embeddings), embeddings), parts
 
 
 @dataclass

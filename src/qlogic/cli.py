@@ -57,14 +57,17 @@ def load_model(path: str):
     if not isinstance(doc, dict):
         raise QLogicError("a model file must hold a JSON object")
     kind = doc.get("kind")
-    options = doc.get("options", {})
     if kind == "classical":
         _require(doc, "points", "observables")
+        if not isinstance(doc["points"], list):
+            raise QLogicError("'points' must be a list of point names")
         omega = OutcomeSpace(frozenset(str(p) for p in doc["points"]))
         observables = {}
         for name, vm in _observables(doc).items():
             if not isinstance(vm, dict):
                 raise QLogicError(f"observable {name!r} must map points to values")
+            if any(isinstance(v, (list, dict)) for v in vm.values()):
+                raise QLogicError(f"observable {name!r} must map points to scalar values")
             observables[name] = ClassicalObservable.from_dict(
                 name, {str(k): v for k, v in vm.items()}
             )
@@ -82,9 +85,15 @@ def load_model(path: str):
             if len({len(row) for row in entries}) != 1:
                 raise QLogicError(f"observable {name!r} is not a rectangular matrix")
             observables[name] = np.array(entries)
+        options = doc.get("options", {})
+        if not isinstance(options, dict):
+            raise QLogicError("'options' must be an object")
         kwargs = {
             k: options[k] for k in ("tau_herm", "tau_proj", "tau_eig") if k in options
         }
+        for k, v in kwargs.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise QLogicError(f"option {k!r} must be a number, got {v!r}")
         return QuantumModel(observables, **kwargs)
     raise QLogicError(f"model kind must be 'classical' or 'quantum', got {kind!r}")
 
@@ -101,17 +110,8 @@ def cmd_build(args) -> int:
         atoms = poset.algebra(c).atoms
         print(f"  {c}: atoms {list(atoms)}")
     print("cover relations:")
-    for c1 in poset.context_ids:
-        for c2 in poset.context_ids:
-            if c1 == c2 or not poset.leq(c1, c2):
-                continue
-            between = [
-                d
-                for d in poset.context_ids
-                if d not in (c1, c2) and poset.leq(c1, d) and poset.leq(d, c2)
-            ]
-            if not between:
-                print(f"  {c1} < {c2}")
+    for c1, c2 in poset.covers():
+        print(f"  {c1} < {c2}")
     if issues:
         print("violations:")
         for issue in issues:

@@ -11,7 +11,7 @@ atoms refining it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import StructureError, UnknownContextError
 
@@ -44,6 +44,19 @@ class LocalAlgebra:
             yield frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _extreme(mask: int, masks: list[int]) -> int | None:
+    """The member g of mask whose masks[g] holds all of mask, or None."""
+    return next((g for g in _bits(mask) if masks[g] & mask == mask), None)
+
+
 class ContextPoset:
     """Immutable poset of contexts with local algebras and embeddings.
 
@@ -52,11 +65,16 @@ class ContextPoset:
     contexts:
         mapping id -> LocalAlgebra.
     order:
-        iterable of (lower, upper) pairs; closed reflexively and
-        transitively on construction.
+        iterable of (lower, upper) pairs of known ids.  The relation is
+        stored as given plus reflexivity and is not closed transitively:
+        validate() reports a missing transitive pair.
     embeddings:
         (lower, upper) -> {coarse atom -> frozenset of fine atoms} for
         every strict pair of the order.  Identity pairs are implied.
+
+    The i-th id of ``context_ids`` (sorted) is bit i of two masks per
+    context: ``_up[i]`` holds the contexts above i, ``_down[i]`` those
+    below it, both including i.
     """
 
     def __init__(
@@ -66,69 +84,75 @@ class ContextPoset:
         embeddings: Mapping[tuple[str, str], Mapping[str, frozenset]],
     ):
         self._contexts = dict(contexts)
-        rel = {(c, c) for c in self._contexts}
-        rel.update((a, b) for a, b in order)
-        # the relation is stored as given (plus reflexivity); validate()
-        # reports missing transitive edges instead of papering over them
-        self._order = frozenset(rel)
+        self._ids = tuple(sorted(self._contexts))
+        self._bit = {c: i for i, c in enumerate(self._ids)}
+        self._up = [1 << i for i in range(len(self._ids))]
+        self._down = list(self._up)
+        for a, b in order:
+            i, j = self._index(a), self._index(b)
+            self._up[i] |= 1 << j
+            self._down[j] |= 1 << i
         self._embeddings = {
             pair: {k: frozenset(v) for k, v in emb.items()}
             for pair, emb in embeddings.items()
         }
-        self._least = self._find_least()
+        everything = (1 << len(self._ids)) - 1
+        minima = [c for c, up in zip(self._ids, self._up) if up == everything]
+        if len(minima) != 1:
+            raise StructureError(f"poset must have a unique least element, got {minima}")
+        self._least = minima[0]
 
     # -- basic access ---------------------------------------------------
 
     @property
     def context_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._contexts))
+        return self._ids
 
-    def algebra(self, c: str) -> LocalAlgebra:
+    def _index(self, c: str) -> int:
         try:
-            return self._contexts[c]
+            return self._bit[c]
         except KeyError:
             raise UnknownContextError(c) from None
+
+    def algebra(self, c: str) -> LocalAlgebra:
+        self._index(c)
+        return self._contexts[c]
 
     @property
     def least(self) -> str:
         return self._least
 
-    def _find_least(self) -> str:
-        minima = [
-            c
-            for c in self._contexts
-            if all((c, d) in self._order for d in self._contexts)
-        ]
-        if len(minima) != 1:
-            raise StructureError(f"poset must have a unique least element, got {minima}")
-        return minima[0]
-
     # -- order ----------------------------------------------------------
 
     def leq(self, c1: str, c2: str) -> bool:
         """True iff c2 is at least as informative as c1."""
-        self.algebra(c1), self.algebra(c2)
-        return (c1, c2) in self._order
+        return bool(self._up[self._index(c1)] >> self._index(c2) & 1)
 
     def upset(self, c: str) -> frozenset:
-        self.algebra(c)
-        return frozenset(d for d in self._contexts if self.leq(c, d))
+        return frozenset(self._ids[i] for i in _bits(self._up[self._index(c)]))
 
     def meet_contexts(self, c1: str, c2: str) -> str:
         """Greatest lower bound; always exists (worst case the least element)."""
-        lower = [c for c in self._contexts if self.leq(c, c1) and self.leq(c, c2)]
-        for c in lower:
-            if all(self.leq(d, c) for d in lower):
-                return c
-        raise StructureError(f"no greatest lower bound for {c1!r}, {c2!r}")
+        lower = self._down[self._index(c1)] & self._down[self._index(c2)]
+        g = _extreme(lower, self._down)
+        if g is None:
+            raise StructureError(f"no greatest lower bound for {c1!r}, {c2!r}")
+        return self._ids[g]
 
     def try_join_contexts(self, c1: str, c2: str) -> str | None:
         """Least upper bound, or None when the pair is incompatible."""
-        upper = [c for c in self._contexts if self.leq(c1, c) and self.leq(c2, c)]
-        for c in upper:
-            if all(self.leq(c, d) for d in upper):
-                return c
-        return None
+        upper = self._up[self._index(c1)] & self._up[self._index(c2)]
+        g = _extreme(upper, self._up)
+        return None if g is None else self._ids[g]
+
+    def covers(self) -> list[tuple[str, str]]:
+        """Pairs a < b with no context strictly between, in sorted-id order."""
+        return [
+            (self._ids[i], self._ids[j])
+            for i, up in enumerate(self._up)
+            for j in _bits(up & ~(1 << i))
+            if up & self._down[j] == 1 << i | 1 << j
+        ]
 
     # -- embeddings -----------------------------------------------------
 
@@ -147,62 +171,56 @@ class ContextPoset:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check every structural invariant; return a list of violations."""
+        """Check every structural invariant; return a list of violations,
+        in sorted-id order."""
         issues: list[str] = []
-        ids = self.context_ids
-        # partial order: antisymmetry and transitivity (reflexivity by build)
-        for a, b in self._order:
-            if a != b and (b, a) in self._order:
-                issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
-        for a, b in self._order:
-            for b2, c in self._order:
-                if b2 == b and (a, c) not in self._order:
-                    issues.append(f"order not transitive at {a!r} <= {b!r} <= {c!r}")
-        # embeddings present and well formed for each strict pair
-        for a, b in self._order:
-            if a == b:
-                continue
-            emb = self._embeddings.get((a, b))
-            if emb is None:
-                issues.append(f"missing embedding {a!r} -> {b!r}")
-                continue
-            alg_a, alg_b = self._contexts[a], self._contexts[b]
-            if set(emb) != set(alg_a.atoms):
-                issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
-                continue
-            images = [emb[x] for x in alg_a.atoms]
-            if any(not img for img in images):
-                issues.append(f"embedding {a!r} -> {b!r} drops an atom")
-            seen: set = set()
-            for img in images:
-                if img & seen:
-                    issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
-                    break
-                seen |= img
-            if seen != set(alg_b.atoms):
-                issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
-        # composition along chains
-        for a in ids:
-            for b in ids:
-                for c in ids:
-                    if a == b or b == c or not (self.leq(a, b) and self.leq(b, c)):
-                        continue
-                    if not self.leq(a, c):
-                        continue  # already reported as a transitivity violation
-                    for atom in self._contexts[a].atoms:
-                        direct = self.embed(a, c, frozenset({atom}))
-                        via = self.embed(b, c, self.embed(a, b, frozenset({atom})))
-                        if direct != via:
-                            issues.append(
-                                f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}"
-                            )
+        ids, up, down = self._ids, self._up, self._down
+        # per strict pair: antisymmetry, transitivity (reflexivity by build),
+        # and an embedding that is present and well formed
+        for i, a in enumerate(ids):
+            for j in _bits(up[i] & ~(1 << i)):
+                b = ids[j]
+                if up[j] >> i & 1:
+                    issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
+                for k in _bits(up[j] & ~up[i]):
+                    issues.append(f"order not transitive at {a!r} <= {b!r} <= {ids[k]!r}")
+                emb = self._embeddings.get((a, b))
+                if emb is None:
+                    issues.append(f"missing embedding {a!r} -> {b!r}")
+                    continue
+                alg_a, alg_b = self._contexts[a], self._contexts[b]
+                if set(emb) != set(alg_a.atoms):
+                    issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
+                    continue
+                images = [emb[x] for x in alg_a.atoms]
+                if any(not img for img in images):
+                    issues.append(f"embedding {a!r} -> {b!r} drops an atom")
+                seen: set = set()
+                for img in images:
+                    if img & seen:
+                        issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
+                        break
+                    seen |= img
+                if seen != set(alg_b.atoms):
+                    issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
+        # composition along chains a <. b < c: on a partial order this
+        # covers every chain, by induction on the interval from a to b
+        for a, b in self.covers():
+            i, j = self._bit[a], self._bit[b]
+            for k in _bits(up[i] & up[j] & ~(1 << j)):
+                c = ids[k]
+                for atom in self._contexts[a].atoms:
+                    direct = self.embed(a, c, frozenset({atom}))
+                    via = self.embed(b, c, self.embed(a, b, frozenset({atom})))
+                    if direct != via:
+                        issues.append(
+                            f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}"
+                        )
         # closure under pairwise meets
-        for a in ids:
-            for b in ids:
-                try:
-                    self.meet_contexts(a, b)
-                except StructureError:
-                    issues.append(f"no meet for {a!r}, {b!r}")
+        for i in range(len(ids)):
+            for j in range(len(ids)):
+                if _extreme(down[i] & down[j], down) is None:
+                    issues.append(f"no meet for {ids[i]!r}, {ids[j]!r}")
         return issues
 
     def __repr__(self):

@@ -311,7 +311,6 @@ class QuantumModel:
         contexts = {
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()
         }
-        order = []
         embeddings = {}
         for a, ca in self.contexts.items():
             for b, cb in self.contexts.items():
@@ -320,12 +319,11 @@ class QuantumModel:
                 e = edges[a, b] if a < b else edges[b, a].T
                 if not np.all(e.sum(axis=0) == 1):
                     continue
-                order.append((a, b))
                 embeddings[(a, b)] = {
                     n: frozenset(cb.atom_names[j] for j in np.flatnonzero(row))
                     for n, row in zip(ca.atom_names, e)
                 }
-        self.poset = ContextPoset(contexts, order, embeddings)
+        self.poset = ContextPoset(contexts, list(embeddings), embeddings)
         self.frame = Frame(self.poset)
 
     # -- propositions -------------------------------------------------------

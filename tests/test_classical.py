@@ -7,13 +7,14 @@ from qlogic import (
     ClassicalObservable,
     DomainError,
     OutcomeSpace,
+    StructureError,
     close_partition_family,
     partition_join,
     partition_join_in,
     partition_meet,
     partition_of_observable,
 )
-from qlogic.classical import partition_id, refines
+from qlogic.classical import build_classical_frame, partition_id, refines
 
 
 def P(*cells):
@@ -103,6 +104,67 @@ def test_meet_join_properties_random(vm1, vm2):
     assert refines(p1, join) and refines(p2, join)
     assert partition_meet(p1, p1) == p1
     assert partition_join(p1, p1) == p1
+
+
+def components_join(p1, p2):
+    """Oracle join: connected components of the overlapping cells."""
+    groups = [set(c) for c in p1 | p2]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i] & groups[j]:
+                    groups[i] |= groups.pop(j)
+                    merged = True
+                    break
+            if merged:
+                break
+    return frozenset(frozenset(g) for g in groups)
+
+
+def rerun_closure(partitions, omega):
+    """Oracle closure: every ordered pair again until nothing is added."""
+    family = set(partitions) | {frozenset({frozenset(omega.points)})}
+    changed = True
+    while changed:
+        changed = False
+        for p1 in list(family):
+            for p2 in list(family):
+                for q in (partition_meet(p1, p2), components_join(p1, p2)):
+                    if q not in family:
+                        family.add(q)
+                        changed = True
+    return frozenset(family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closure_matches_rerun_oracle(data):
+    n = data.draw(st.integers(1, 6))
+    points = [f"w{i}" for i in range(n)]
+    omega = OutcomeSpace(frozenset(points))
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    base = [
+        partition_of_observable(
+            ClassicalObservable.from_dict(f"O{j}", dict(zip(points, data.draw(labels)))),
+            omega,
+        )
+        for j in range(data.draw(st.integers(0, 4)))
+    ]
+    for p1 in base:
+        for p2 in base:
+            assert partition_join(p1, p2) == components_join(p1, p2)
+    assert close_partition_family(base, omega) == rerun_closure(base, omega)
+
+
+def test_frame_of_unclosed_family_rejected():
+    p1, p2 = P({"1", "2"}, {"3", "4"}), P({"1", "3"}, {"2", "4"})
+    top, discrete = P({"1", "2", "3", "4"}), P({"1"}, {"2"}, {"3"}, {"4"})
+    with pytest.raises(StructureError, match="meets"):
+        build_classical_frame([p1, p2, top])
+    with pytest.raises(StructureError, match="joins"):
+        build_classical_frame([p1, p2, discrete])
 
 
 def test_classical_elementary(figure1_model):

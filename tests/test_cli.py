@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qlogic.cli import main
+from qlogic.cli import load_model, main
 
 from conftest import FIXTURES
 
@@ -28,6 +28,26 @@ def test_build_quantum(capsys):
     code, out, _ = run(capsys, "build", QUBIT)
     assert code == 0
     assert "Sz" in out and "Sx" in out
+
+
+@pytest.mark.parametrize("path", [FIG1, CROSS, QUBIT])
+def test_build_covers_are_transitive_reduction(capsys, path):
+    code, out, _ = run(capsys, "build", path)
+    assert code == 0
+    lines = out.splitlines()
+    start, end = lines.index("cover relations:"), lines.index("poset valid")
+    poset = load_model(path).poset
+    ids = poset.context_ids
+    naive = [
+        f"  {a} < {b}"
+        for a in ids
+        for b in ids
+        if a != b
+        and poset.leq(a, b)
+        and not any(d not in (a, b) and poset.leq(a, d) and poset.leq(d, b) for d in ids)
+    ]
+    assert lines[start + 1 : end] == naive
+    assert naive
 
 
 def test_build_missing_file(capsys):
@@ -65,6 +85,19 @@ def test_bad_model_kind(tmp_path, capsys):
         ({"kind": "quantum", "observables": {"A": [[1, 0], [0, 1]]}}, "[re, im] pairs"),
         ({"kind": "quantum", "observables": {"A": [[[1, 0, 0]]]}}, "[re, im] pairs"),
         ({"kind": "quantum", "observables": {"A": 5}}, "[re, im] pairs"),
+        ({"kind": "classical", "points": 5, "observables": {}}, "'points' must be a list"),
+        (
+            {"kind": "classical", "points": ["a"], "observables": {"A": {"a": [1]}}},
+            "scalar values",
+        ),
+        (
+            {
+                "kind": "quantum",
+                "observables": {"A": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+                "options": {"tau_proj": "x"},
+            },
+            "'tau_proj' must be a number",
+        ),
     ],
 )
 def test_malformed_model(tmp_path, capsys, doc, message):

@@ -1,6 +1,15 @@
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlogic import LocalAlgebra, ContextPoset, StructureError, UnknownContextError
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def simple_poset():
@@ -137,3 +146,257 @@ def test_no_least_element_rejected():
     }
     with pytest.raises(StructureError):
         ContextPoset(contexts, [], {})
+
+
+def test_unknown_context_in_order_rejected():
+    contexts = {"t": LocalAlgebra(("*",))}
+    with pytest.raises(UnknownContextError):
+        ContextPoset(contexts, [("t", "nope")], {})
+
+
+def test_covers():
+    assert simple_poset().covers() == [("t", "a"), ("t", "b")]
+    chain = chain_poset([("t", "a"), ("a", "b"), ("t", "b")])
+    assert chain.covers() == [("a", "b"), ("t", "a")]
+
+
+def test_missing_meet_reported():
+    # x and y are both maximal lower bounds of a and b
+    contexts = {c: LocalAlgebra((c + "0",)) for c in "abtxy"}
+    order = [("t", c) for c in "abxy"] + [(l, u) for l in "xy" for u in "ab"]
+    embeddings = {(l, u): {l + "0": frozenset({u + "0"})} for l, u in order}
+    p = ContextPoset(contexts, order, embeddings)
+    with pytest.raises(StructureError):
+        p.meet_contexts("a", "b")
+    assert p.try_join_contexts("x", "y") is None
+    assert p.validate() == ["no meet for 'a', 'b'", "no meet for 'b', 'a'"]
+
+
+def test_validate_order_independent_of_hash_seed():
+    # a relation whose violations the old pair-set loops listed in hash order
+    script = (
+        "from qlogic import ContextPoset, LocalAlgebra\n"
+        "ids = 'tabcdefg'\n"
+        "contexts = {c: LocalAlgebra((c + '0',)) for c in ids}\n"
+        "order = [('t', c) for c in ids[1:]] + list(zip(ids[1:], ids[2:]))\n"
+        "order += [(b, a) for a, b in zip(ids[1:], ids[2:])]\n"
+        "embeddings = {(a, b): {a + '0': {b + '0'}} for a, b in order}\n"
+        "print(ContextPoset(contexts, order, embeddings).validate())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1", "2")
+    }
+    assert len(outputs) == 1
+
+
+# -- the mask poset against the pair-set algorithms it replaced ------------
+
+
+class PairPoset:
+    """Oracle: the order as a set of (lower, upper) pairs, every query a scan."""
+
+    def __init__(self, contexts, order, embeddings):
+        self.contexts = dict(contexts)
+        self.order = {(c, c) for c in self.contexts} | set(order)
+        self.embeddings = embeddings
+        minima = [
+            c for c in self.contexts if all((c, d) in self.order for d in self.contexts)
+        ]
+        if len(minima) != 1:
+            raise StructureError(f"no unique least element: {minima}")
+        self.least = minima[0]
+
+    def leq(self, c1, c2):
+        return (c1, c2) in self.order
+
+    def upset(self, c):
+        return frozenset(d for d in self.contexts if self.leq(c, d))
+
+    def meet_contexts(self, c1, c2):
+        lower = [c for c in self.contexts if self.leq(c, c1) and self.leq(c, c2)]
+        for c in lower:
+            if all(self.leq(d, c) for d in lower):
+                return c
+        raise StructureError(f"no greatest lower bound for {c1!r}, {c2!r}")
+
+    def try_join_contexts(self, c1, c2):
+        upper = [c for c in self.contexts if self.leq(c1, c) and self.leq(c2, c)]
+        for c in upper:
+            if all(self.leq(c, d) for d in upper):
+                return c
+        return None
+
+    def covers(self):
+        ids = sorted(self.contexts)
+        return [
+            (a, b)
+            for a in ids
+            for b in ids
+            if a != b
+            and self.leq(a, b)
+            and not any(d not in (a, b) and self.leq(a, d) and self.leq(d, b) for d in ids)
+        ]
+
+    def embed(self, c1, c2, x):
+        if c1 == c2:
+            return x
+        return frozenset().union(*(self.embeddings[(c1, c2)][a] for a in x))
+
+    def validate(self):
+        issues = []
+        for a, b in self.order:
+            if a != b and (b, a) in self.order:
+                issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
+            for b2, c in self.order:
+                if b2 == b and (a, c) not in self.order:
+                    issues.append(f"order not transitive at {a!r} <= {b!r} <= {c!r}")
+        for a, b in self.order:
+            if a == b:
+                continue
+            emb = self.embeddings.get((a, b))
+            if emb is None:
+                issues.append(f"missing embedding {a!r} -> {b!r}")
+                continue
+            if set(emb) != set(self.contexts[a].atoms):
+                issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
+                continue
+            images = [emb[x] for x in self.contexts[a].atoms]
+            if any(not img for img in images):
+                issues.append(f"embedding {a!r} -> {b!r} drops an atom")
+            seen = set()
+            for img in images:
+                if img & seen:
+                    issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
+                    break
+                seen |= img
+            if seen != set(self.contexts[b].atoms):
+                issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
+        ids = sorted(self.contexts)
+        for a, b, c in itertools.product(ids, repeat=3):
+            if a == b or b == c or not (self.leq(a, b) and self.leq(b, c) and self.leq(a, c)):
+                continue
+            for atom in self.contexts[a].atoms:
+                direct = self.embed(a, c, frozenset({atom}))
+                via = self.embed(b, c, self.embed(a, b, frozenset({atom})))
+                if direct != via:
+                    issues.append(f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}")
+        for a in ids:
+            for b in ids:
+                try:
+                    self.meet_contexts(a, b)
+                except StructureError:
+                    issues.append(f"no meet for {a!r}, {b!r}")
+        return issues
+
+
+def _partition(labels) -> frozenset:
+    cells = {}
+    for x, label in enumerate(labels):
+        cells.setdefault(label, set()).add(x)
+    return frozenset(frozenset(c) for c in cells.values())
+
+
+def _cell(cell) -> str:
+    return "".join(map(str, sorted(cell)))
+
+
+@st.composite
+def drawn_posets(draw):
+    """A random DAG over 1-6 contexts whose first node lies below every other,
+    optionally closed transitively, given a back edge, or missing a root
+    edge.  Context c is the common refinement of random partitions of
+    {0..m-1} drawn for each node that reaches c, so every embedding is well
+    formed and composes; one embedding may then be perturbed."""
+    n = draw(st.integers(1, 6))
+    names = draw(st.permutations("abcdefgh"))[:n]  # topological order
+    m = draw(st.integers(1, 4))
+    gens = [_partition(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))) for _ in names]
+    edges = {(0, j) for j in range(1, n)}
+    edges |= {(i, j) for i in range(1, n) for j in range(i + 1, n) if draw(st.booleans())}
+    if n > 2 and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True)))
+        edges.add((j, i))
+    reach = {(i, i) for i in range(n)} | edges
+    for k in range(n):
+        reach |= {(i, j) for i, kk in reach if kk == k for kk2, j in reach if kk2 == k}
+    if draw(st.booleans()):
+        edges = {(i, j) for i, j in reach if i != j}
+    if n > 1 and draw(st.integers(0, 5)) == 5:
+        edges.discard((0, draw(st.integers(1, n - 1))))
+    parts = []
+    for j in range(n):
+        cells = frozenset({frozenset(range(m))})
+        for i in range(n):
+            if (i, j) in reach:
+                cells = frozenset(a & b for a in cells for b in gens[i] if a & b)
+        parts.append(cells)
+    contexts = {
+        names[i]: LocalAlgebra(tuple(sorted(_cell(c) for c in parts[i])))
+        for i in sorted(range(n), key=lambda i: names[i])
+    }
+    embeddings = {
+        (names[i], names[j]): {
+            _cell(coarse): frozenset(_cell(f) for f in parts[j] if f <= coarse)
+            for coarse in parts[i]
+        }
+        for i, j in edges
+    }
+    wide = [pair for pair in embeddings if len(embeddings[pair]) > 1]
+    if wide and draw(st.booleans()):
+        pair = draw(st.sampled_from(sorted(wide)))
+        emb = dict(embeddings[pair])
+        x, y = draw(st.lists(st.sampled_from(sorted(emb)), min_size=2, max_size=2, unique=True))
+        if draw(st.booleans()):  # swap two images: well formed, breaks composition
+            emb[x], emb[y] = emb[y], emb[x]
+        else:  # move one fine atom: may drop an atom
+            moved = min(emb[x])
+            emb[x], emb[y] = emb[x] - {moved}, emb[y] | {moved}
+        embeddings[pair] = emb
+    order = [(names[i], names[j]) for i, j in sorted(edges)]
+    return contexts, order, embeddings
+
+
+def _composition(issues) -> set:
+    return {v for v in issues if v.startswith("embedding composition")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=drawn_posets())
+def test_mask_poset_matches_pair_oracle(drawn):
+    contexts, order, embeddings = drawn
+    try:
+        oracle = PairPoset(contexts, order, embeddings)
+    except StructureError:
+        with pytest.raises(StructureError):
+            ContextPoset(contexts, order, embeddings)
+        return
+    poset = ContextPoset(contexts, order, embeddings)
+    ids = poset.context_ids
+    assert ids == tuple(sorted(contexts))
+    assert poset.least == oracle.least
+    assert poset.covers() == oracle.covers()
+    for c1 in ids:
+        assert poset.upset(c1) == oracle.upset(c1)
+        for c2 in ids:
+            assert poset.leq(c1, c2) == oracle.leq(c1, c2)
+            assert poset.try_join_contexts(c1, c2) == oracle.try_join_contexts(c1, c2)
+            try:
+                want = oracle.meet_contexts(c1, c2)
+            except StructureError:
+                with pytest.raises(StructureError):
+                    poset.meet_contexts(c1, c2)
+            else:
+                assert poset.meet_contexts(c1, c2) == want
+    got, want = poset.validate(), oracle.validate()
+    assert set(got) - _composition(got) == set(want) - _composition(want)
+    assert _composition(got) <= _composition(want)
+    if not any("antisymmetric" in v or "transitive" in v for v in want):
+        assert bool(_composition(got)) == bool(_composition(want))
