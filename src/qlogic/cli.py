@@ -159,39 +159,20 @@ def cmd_check(args) -> int:
     print(f"poset invariants: {'ok' if not issues else f'{len(issues)} violations'}")
     failures += len(issues)
 
-    sections = frame.enumerate_sections()
-    n = len(sections)
+    counts = frame.check_laws(exhaustive=args.exhaustive)
+    n = counts.sections
     print(f"sections: {n}")
-
-    bad = sum(not frame.is_monotone(s) for s in sections)
-    print(f"monotonicity: {n - bad}/{n}")
-    failures += bad
-
-    implies_bad = 0
-    for s1 in sections:
-        for s2 in sections:
-            if frame.implies(s1, s2) != frame.brute_force_implies(s1, s2):
-                implies_bad += 1
-    print(f"implies vs brute force: {n * n - implies_bad}/{n * n}")
-    failures += implies_bad
-
-    adj_bad = 0
-    triples = 0
-    for s1 in sections:
-        for s2 in sections:
-            imp = frame.implies(s1, s2)
-            lowered = [frame.meet([s, s1]) for s in sections]
-            for s, low in zip(sections, lowered):
-                triples += 1
-                if frame.leq(s, imp) != frame.leq(low, s2):
-                    adj_bad += 1
-    print(f"adjunction: {triples - adj_bad}/{triples}")
-    failures += adj_bad
-
+    for suite, ok, total in (
+        ("monotonicity", counts.monotone, n),
+        ("implies vs brute force", counts.implies, n * n),
+        ("adjunction", counts.adjunction, n**3),
+    ):
+        print(f"{suite}: {ok}/{total}")
+        failures += total - ok
     if args.exhaustive:
-        dist = frame.check_distributive(exhaustive=True)
-        print(f"distributivity: {'ok' if not dist else f'{len(dist)} violations'}")
-        failures += len(dist)
+        dist = n**3 - counts.distributive
+        print(f"distributivity: {'ok' if not dist else f'{dist} violations'}")
+        failures += dist
 
     if failures:
         print(f"FAILED ({failures} violations)")

@@ -42,11 +42,12 @@ def hasse_edges(frame: Frame, sections: list[Section]) -> list[tuple[int, int]]:
     across a missing section would go unreported.
     """
     size = [sum(len(v) for _, v in s.items) for s in sections]
+    rows = frame.leq_rows(sections)
     return [
         (i, j)
-        for i, si in enumerate(sections)
-        for j, sj in enumerate(sections)
-        if size[j] == size[i] + 1 and frame.leq(si, sj)
+        for i, row in enumerate(rows)
+        for j in range(len(sections))
+        if size[j] == size[i] + 1 and row >> j & 1
     ]
 
 

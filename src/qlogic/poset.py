@@ -175,6 +175,7 @@ class ContextPoset:
         in sorted-id order."""
         issues: list[str] = []
         ids, up, down = self._ids, self._up, self._down
+        unusable: set[tuple[str, str]] = set()  # embeddings that cannot be applied
         # per strict pair: antisymmetry, transitivity (reflexivity by build),
         # and an embedding that is present and well formed
         for i, a in enumerate(ids):
@@ -187,10 +188,12 @@ class ContextPoset:
                 emb = self._embeddings.get((a, b))
                 if emb is None:
                     issues.append(f"missing embedding {a!r} -> {b!r}")
+                    unusable.add((a, b))
                     continue
                 alg_a, alg_b = self._contexts[a], self._contexts[b]
                 if set(emb) != set(alg_a.atoms):
                     issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
+                    unusable.add((a, b))
                     continue
                 images = [emb[x] for x in alg_a.atoms]
                 if any(not img for img in images):
@@ -201,14 +204,21 @@ class ContextPoset:
                         issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
                         break
                     seen |= img
-                if seen != set(alg_b.atoms):
+                target = set(alg_b.atoms)
+                if seen != target:
                     issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
+                    if not seen <= target:
+                        unusable.add((a, b))
         # composition along chains a <. b < c: on a partial order this
-        # covers every chain, by induction on the interval from a to b
+        # covers every chain, by induction on the interval from a to b.  A
+        # chain through an embedding that is missing, partial or names atoms
+        # its target lacks (each reported above) cannot be composed.
         for a, b in self.covers():
             i, j = self._bit[a], self._bit[b]
             for k in _bits(up[i] & up[j] & ~(1 << j)):
                 c = ids[k]
+                if unusable and not unusable.isdisjoint([(a, b), (a, c), (b, c)]):
+                    continue
                 for atom in self._contexts[a].atoms:
                     direct = self.embed(a, c, frozenset({atom}))
                     via = self.embed(b, c, self.embed(a, b, frozenset({atom})))

@@ -72,6 +72,12 @@ def spectral_decompose(
     eigenvalues = []
     projections = []
     for idx in clusters:
+        spread = w[idx[-1]] - w[idx[0]]
+        if spread > tau_eig * scale:
+            raise DomainError(
+                f"eigenvalue cluster spreads {spread:.3g} across {len(idx)} "
+                f"eigenvalues, more than tau_eig * scale = {tau_eig * scale:.3g}"
+            )
         cols = v[:, idx]
         eigenvalues.append(float(np.mean(w[idx])))
         projections.append(cols @ cols.conj().T)
@@ -447,15 +453,8 @@ def classical_bridge(model, limit: int | None = None) -> tuple[QuantumModel, Bri
     ok = (
         len(set(mapped)) == len(classical_sections)
         and set(mapped) == set(quantum_sections)
+        and model.frame.leq_rows(classical_sections) == qmodel.frame.leq_rows(mapped)
     )
-    if ok:
-        for s1, m1 in zip(classical_sections, mapped):
-            for s2, m2 in zip(classical_sections, mapped):
-                if model.frame.leq(s1, s2) != qmodel.frame.leq(m1, m2):
-                    ok = False
-                    break
-            if not ok:
-                break
     detail = "order isomorphism verified exhaustively" if ok else "section order mismatch"
     return qmodel, BridgeReport(
         ctx_map, len(classical_sections), len(quantum_sections), ok, detail

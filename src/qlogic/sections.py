@@ -13,10 +13,11 @@ U \\ V, and enumeration lists the up-sets of P, at most 2^|P| of them.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .poset import ContextPoset, Element
@@ -93,6 +94,16 @@ class _PointTable(NamedTuple):
     index: dict[tuple[str, str], int]  # (context, atom) -> bit
     up: tuple[int, ...]  # bit -> mask of the point's up-set
     top: int  # mask of every point
+
+
+class LawCounts(NamedTuple):
+    """Passing counts of :meth:`Frame.check_laws` over n sections."""
+
+    sections: int  # n
+    monotone: int  # of n sections
+    implies: int  # of n^2 pairs
+    adjunction: int  # of n^3 triples
+    distributive: int | None  # of n^3 triples, None unless exhaustive
 
 
 class Frame:
@@ -274,11 +285,7 @@ class Frame:
     ) -> Section:
         """Definitional oracle: the join of every up-set W with W & s1 <= s2."""
         bad = self._mask(s1) & ~self._mask(s2)
-        joined = 0
-        for m in self._upsets(limit):
-            if not m & bad:
-                joined |= m
-        return self._section(joined)
+        return self._section(_join_witnesses(self._upsets(limit), bad))
 
     def decidable_elements(self, limit: int | None = None) -> list[Section]:
         """Sections S with S v ~S = TOP."""
@@ -295,16 +302,66 @@ class Frame:
     ) -> list[str]:
         """Verify S1 /\\ (S2 \\/ S3) == (S1 /\\ S2) \\/ (S1 /\\ S3)."""
         if exhaustive:
-            ss = self.enumerate_sections(limit)
-            triples: Iterator = (
-                (a, b, c) for a in ss for b in ss for c in ss
-            )
+            triples: Iterable = itertools.product(self._upsets(limit), repeat=3)
         else:
-            triples = iter(sample)
-        issues = []
-        for s1, s2, s3 in triples:
-            lhs = self.meet([s1, self.join([s2, s3])])
-            rhs = self.join([self.meet([s1, s2]), self.meet([s1, s3])])
-            if lhs != rhs:
-                issues.append(f"distributivity fails on {s1!r}, {s2!r}, {s3!r}")
-        return issues
+            triples = (tuple(map(self._mask, t)) for t in sample)
+        return [
+            "distributivity fails on " + ", ".join(repr(self._section(u)) for u in t)
+            for t in triples
+            if not _distributes(*t)
+        ]
+
+    def check_laws(self, exhaustive: bool = False) -> LawCounts:
+        """Run the Heyting law suites on the masks of one enumeration.
+
+        A section passes monotonicity when its up-set comes back from the
+        boundary type as a monotone Section with the same points.  For each
+        pair (U1, U2), U1 -> U2 is compared with the join of its witnesses,
+        the up-sets W with W & U1 <= U2; for each up-set U the
+        adjunction U <= (U1 -> U2) iff U & U1 <= U2 is compared with that
+        same witness test.  ``exhaustive`` adds distributivity on every
+        triple.  The guard fails before any of this work.
+        """
+        ups = self._upsets(None)
+        n = len(ups)
+        monotone = 0
+        for m in ups:
+            s = self._section(m)
+            monotone += self._mask(s) == m and self.is_monotone(s)
+        implies_ok = adjunction_ok = 0
+        for u1 in ups:
+            for u2 in ups:
+                bad = u1 & ~u2
+                imp = self._implies(u1, u2)
+                implies_ok += imp == _join_witnesses(ups, bad)
+                adjunction_ok += sum(
+                    (not u & ~imp) == (not u & bad) for u in ups
+                )
+        distributive = None
+        if exhaustive:
+            distributive = sum(
+                _distributes(*t) for t in itertools.product(ups, repeat=3)
+            )
+        return LawCounts(n, monotone, implies_ok, adjunction_ok, distributive)
+
+    def leq_rows(self, sections: Sequence[Section]) -> list[int]:
+        """The order on a list of sections: bit j of row i is set iff
+        sections[i] <= sections[j].  Each section is converted once."""
+        masks = [self._mask(s) for s in sections]
+        return [
+            sum(1 << j for j, v in enumerate(masks) if not u & ~v) for u in masks
+        ]
+
+
+def _join_witnesses(ups: Iterable[int], bad: int) -> int:
+    """The join of the up-sets W that miss bad = U \\ V: W & U <= V."""
+    joined = 0
+    for w in ups:
+        if not w & bad:
+            joined |= w
+    return joined
+
+
+def _distributes(u1: int, u2: int, u3: int) -> bool:
+    """U1 /\\ (U2 \\/ U3) == (U1 /\\ U2) \\/ (U1 /\\ U3) on up-set masks."""
+    return u1 & (u2 | u3) == (u1 & u2) | (u1 & u3)

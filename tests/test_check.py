@@ -1,0 +1,153 @@
+"""`qlogic check` on masks: pinned output, injected faults, Section oracles.
+
+The law suites run on the int masks of one enumeration
+(`Frame.check_laws`).  The oracles below are the Section-level loops the
+command used to run; they must count the same, also when a fault is
+injected into the frame.
+"""
+
+import pytest
+
+from qlogic.cli import main
+from qlogic.sections import Frame
+
+from conftest import FIXTURES
+
+HEAD = "poset invariants: ok\n"
+PASSED = "all checks passed\n"
+LAWS = {
+    "figure1": "sections: 5\nmonotonicity: 5/5\nimplies vs brute force: 25/25\n"
+    "adjunction: 125/125\n",
+    "crossing": "sections: 48\nmonotonicity: 48/48\nimplies vs brute force: 2304/2304\n"
+    "adjunction: 110592/110592\n",
+    "one_qubit": "sections: 17\nmonotonicity: 17/17\nimplies vs brute force: 289/289\n"
+    "adjunction: 4913/4913\n",
+}
+MODELS = {"figure1": "figure1_model", "crossing": "crossing_model", "one_qubit": "one_qubit_model"}
+
+
+def check(capsys, name, *flags):
+    code = main(["check", str(FIXTURES / f"{name}.json"), *flags])
+    out = capsys.readouterr().out
+    return code, out
+
+
+def counts(out: str) -> dict:
+    """suite -> (passed, total) from the `name: k/n` lines."""
+    pairs = (line.rsplit(": ", 1) for line in out.splitlines() if ": " in line)
+    return {
+        k: tuple(map(int, v.split("/"))) for k, v in pairs if "/" in v
+    }
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_check_stdout_pinned(capsys, name, exhaustive):
+    flags = ["--exhaustive"] if exhaustive else []
+    code, out = check(capsys, name, *flags)
+    assert code == 0
+    dist = "distributivity: ok\n" if exhaustive else ""
+    assert out == HEAD + LAWS[name] + dist + PASSED
+
+
+def drop_top(mask: int) -> int:
+    """The mask without its highest point."""
+    return mask & ~(1 << mask.bit_length() - 1) if mask else mask
+
+
+def drop_a_point(original):
+    def _implies(self, u, v):
+        return drop_top(original(self, u, v))
+
+    return _implies
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_check_catches_a_dropped_implies_point(capsys, monkeypatch, name):
+    monkeypatch.setattr(Frame, "_implies", drop_a_point(Frame._implies))
+    code, out = check(capsys, name)
+    assert code == 1
+    got = counts(out)
+    for suite in ("implies vs brute force", "adjunction"):
+        passed, total = got[suite]
+        assert passed < total
+    assert got["monotonicity"][0] == got["monotonicity"][1]
+    assert out.splitlines()[-1].startswith("FAILED (")
+
+
+# a mask that becomes the top stays monotone: only the round trip sees it
+@pytest.mark.parametrize("method", ["_mask", "_section"])
+@pytest.mark.parametrize("fault", ["drops a point", "becomes the top"])
+def test_check_catches_a_broken_round_trip(capsys, monkeypatch, method, fault):
+    original = getattr(Frame, method)
+
+    def corrupt(self, m):
+        return drop_top(m) if fault == "drops a point" else self._table.top
+
+    if method == "_mask":
+
+        def broken(self, s):
+            return corrupt(self, original(self, s))
+
+    else:
+
+        def broken(self, m):
+            return original(self, corrupt(self, m))
+
+    monkeypatch.setattr(Frame, method, broken)
+    code, out = check(capsys, "one_qubit")
+    assert code == 1
+    passed, total = counts(out)["monotonicity"]
+    assert passed < total
+
+
+# -- the Section-level loops, as oracles -------------------------------------------
+
+
+def section_adjunction(frame) -> int:
+    """Triples (S, S1, S2) with S <= (S1 -> S2) iff S /\\ S1 <= S2."""
+    sections = frame.enumerate_sections()
+    ok = 0
+    for s1 in sections:
+        for s2 in sections:
+            imp = frame.implies(s1, s2)
+            lowered = [frame.meet([s, s1]) for s in sections]
+            for s, low in zip(sections, lowered):
+                ok += frame.leq(s, imp) == frame.leq(low, s2)
+    return ok
+
+
+def section_distributivity(frame) -> int:
+    """Triples with S1 /\\ (S2 \\/ S3) == (S1 /\\ S2) \\/ (S1 /\\ S3)."""
+    ss = frame.enumerate_sections()
+    return sum(
+        frame.meet([a, frame.join([b, c])])
+        == frame.join([frame.meet([a, b]), frame.meet([a, c])])
+        for a in ss
+        for b in ss
+        for c in ss
+    )
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_mask_adjunction_matches_section_loop(request, name):
+    frame = request.getfixturevalue(MODELS[name]).frame
+    laws = frame.check_laws()
+    assert laws.adjunction == section_adjunction(frame) == laws.sections**3
+
+
+# the Section-level distributivity loop takes about 6 s on crossing's 48^3 triples
+@pytest.mark.parametrize("name", ["figure1", "one_qubit"])
+def test_mask_distributivity_matches_section_loop(request, name):
+    frame = request.getfixturevalue(MODELS[name]).frame
+    laws = frame.check_laws(exhaustive=True)
+    assert laws.distributive == section_distributivity(frame) == laws.sections**3
+    assert frame.check_distributive(exhaustive=True) == []
+
+
+@pytest.mark.parametrize("name", ["figure1", "one_qubit"])
+def test_mask_adjunction_matches_section_loop_on_a_fault(request, monkeypatch, name):
+    frame = request.getfixturevalue(MODELS[name]).frame
+    monkeypatch.setattr(Frame, "_implies", drop_a_point(Frame._implies))
+    laws = frame.check_laws()
+    assert laws.adjunction == section_adjunction(frame) < laws.sections**3

@@ -98,6 +98,18 @@ def test_bad_model_kind(tmp_path, capsys):
             },
             "'tau_proj' must be a number",
         ),
+        (
+            {
+                "kind": "quantum",
+                "observables": {
+                    "H": [
+                        [[x if i == j else 0.0, 0.0] for j in range(4)]
+                        for i, x in enumerate([0.0, 0.8e-6, 1.6e-6, 1.0])
+                    ]
+                },
+            },
+            "eigenvalue cluster spreads",
+        ),
     ],
 )
 def test_malformed_model(tmp_path, capsys, doc, message):

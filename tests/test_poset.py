@@ -72,19 +72,21 @@ def test_validate_clean():
     assert simple_poset().validate() == []
 
 
+CHAIN_EMBEDDINGS = {
+    ("t", "a"): {"*": frozenset({"a0", "a1"})},
+    ("t", "b"): {"*": frozenset({"b0", "b1", "b2", "b3"})},
+    ("a", "b"): {"a0": frozenset({"b0", "b1"}), "a1": frozenset({"b2", "b3"})},
+}
+
+
 def chain_poset(order, embeddings=None):
     contexts = {
         "t": LocalAlgebra(("*",)),
         "a": LocalAlgebra(("a0", "a1")),
         "b": LocalAlgebra(("b0", "b1", "b2", "b3")),
     }
-    full_embeddings = {
-        ("t", "a"): {"*": frozenset({"a0", "a1"})},
-        ("t", "b"): {"*": frozenset({"b0", "b1", "b2", "b3"})},
-        ("a", "b"): {"a0": frozenset({"b0", "b1"}), "a1": frozenset({"b2", "b3"})},
-    }
     if embeddings is None:
-        embeddings = {k: full_embeddings[k] for k in order}
+        embeddings = {k: CHAIN_EMBEDDINGS[k] for k in order}
     return ContextPoset(contexts, order, embeddings)
 
 
@@ -137,6 +139,22 @@ def test_validate_dropped_atom_in_embedding():
         {("t", "a"): {"*": frozenset({"a0"})}},  # misses a1: not covering
     )
     assert any("cover" in v for v in bad.validate())
+
+
+@pytest.mark.parametrize("missing", [("t", "a"), ("a", "b"), ("t", "b")])
+def test_validate_reports_missing_chain_embedding(missing):
+    # t < a < b given without one embedding: reported, not a KeyError
+    embeddings = {k: v for k, v in CHAIN_EMBEDDINGS.items() if k != missing}
+    p = chain_poset(list(CHAIN_EMBEDDINGS), embeddings)
+    assert p.validate() == [f"missing embedding {missing[0]!r} -> {missing[1]!r}"]
+
+
+def test_validate_reports_image_outside_target():
+    # the image of t's atom names a9, which a lacks: the chain t < a < b
+    # cannot be composed through it, so only the image is reported
+    embeddings = {**CHAIN_EMBEDDINGS, ("t", "a"): {"*": frozenset({"a0", "a1", "a9"})}}
+    p = chain_poset(list(CHAIN_EMBEDDINGS), embeddings)
+    assert p.validate() == ["embedding 't' -> 'a' does not cover the target top"]
 
 
 def test_no_least_element_rejected():

@@ -3,6 +3,7 @@ import pytest
 
 from qlogic import BOTTOM, DomainError, QuantumModel, classical_bridge
 from qlogic.quantum import (
+    TAU_EIG,
     generated_context,
     is_projection,
     same_atoms,
@@ -53,6 +54,18 @@ def test_spectral_projection():
     assert np.allclose(spectral_projection(SX, [-1.0]), PXM)
     with pytest.raises(DomainError):
         spectral_projection(SZ, [0.5])
+
+
+def test_chained_eigenvalue_cluster_is_rejected():
+    # neighbours 0.8 tau_eig apart would chain into one cluster 1.6 tau_eig wide
+    h = np.diag([0.0, 0.8 * TAU_EIG, 1.6 * TAU_EIG, 1.0]).astype(complex)
+    with pytest.raises(DomainError, match="cluster spreads 1.6e-06 across 3 eigenvalues"):
+        spectral_decompose(h)
+    with pytest.raises(DomainError):
+        QuantumModel({"H": h})
+    # a cluster exactly tau_eig wide is still one cluster
+    h = np.diag([0.0, 0.5 * TAU_EIG, TAU_EIG, 1.0]).astype(complex)
+    assert len(spectral_decompose(h).eigenvalues) == 2
 
 
 def test_value_between_two_clusters_is_rejected():
