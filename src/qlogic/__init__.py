@@ -15,7 +15,6 @@ from .classical import (
     build_classical_frame,
     close_partition_family,
     partition_join,
-    partition_join_in,
     partition_meet,
     partition_of_observable,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "close_partition_family",
     "generated_context",
     "partition_join",
-    "partition_join_in",
     "partition_meet",
     "partition_of_observable",
     "spectral_decompose",

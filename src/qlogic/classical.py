@@ -9,10 +9,9 @@ cells of a partition are the atoms of its local algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Hashable, Iterable, Mapping
 
-from .errors import DomainError, StructureError
+from .errors import DomainError
 from .poset import ContextPoset, LocalAlgebra
 from .sections import BOTTOM, ElementaryProposition, Frame
 
@@ -80,17 +79,6 @@ def partition_join(p1: Partition, p2: Partition) -> Partition:
     return frozenset(block.values())
 
 
-def partition_join_in(family: Iterable[Partition], p1: Partition, p2: Partition) -> Partition:
-    """Meet of all common upper bounds (coarsenings) within the family."""
-    uppers = [p for p in family if refines(p1, p) and refines(p2, p)]
-    if not uppers:
-        raise StructureError("family contains no common coarsening")
-    out = uppers[0]
-    for p in uppers[1:]:
-        out = partition_meet(out, p)
-    return out
-
-
 def close_partition_family(
     partitions: Iterable[Partition], omega: OutcomeSpace
 ) -> frozenset:
@@ -118,19 +106,15 @@ def partition_id(p: Partition) -> str:
     return "/".join(sorted(cell_id(c) for c in p))
 
 
-def build_classical_frame(family: Iterable[Partition]) -> tuple[ContextPoset, dict]:
-    """Context poset of a closed partition family.
+def build_classical_frame(
+    partitions: Iterable[Partition], omega: OutcomeSpace
+) -> tuple[ContextPoset, dict]:
+    """Context poset of the closure of the partitions (close_partition_family).
 
     Returns the poset and a mapping context id -> partition.  The order is
     reverse refinement: a finer partition is the more informative context.
     """
-    parts = {partition_id(p): p for p in family}
-    closed = set(parts.values())
-    for p1, p2 in combinations(closed, 2):
-        if partition_meet(p1, p2) not in closed:
-            raise StructureError("family not closed under meets")
-        if partition_join(p1, p2) not in closed:
-            raise StructureError("family not closed under joins")
+    parts = {partition_id(p): p for p in close_partition_family(partitions, omega)}
     contexts = {
         cid: LocalAlgebra(tuple(sorted(cell_id(c) for c in p)))
         for cid, p in parts.items()
@@ -149,12 +133,11 @@ def build_classical_frame(family: Iterable[Partition]) -> tuple[ContextPoset, di
 
 @dataclass
 class ClassicalModel:
-    """A finite outcome space with observables, its closed partition family,
-    and the section frame built on top."""
+    """A finite outcome space with observables, the partitions of their
+    closed family keyed by context id, and the section frame built on top."""
 
     omega: OutcomeSpace
     observables: dict[str, ClassicalObservable]
-    family: frozenset = field(init=False)
     poset: ContextPoset = field(init=False)
     frame: Frame = field(init=False)
     partitions: dict = field(init=False)
@@ -164,9 +147,16 @@ class ClassicalModel:
             partition_of_observable(obs, self.omega)
             for obs in self.observables.values()
         ]
-        self.family = close_partition_family(base, self.omega)
-        self.poset, self.partitions = build_classical_frame(self.family)
+        self.poset, self.partitions = build_classical_frame(base, self.omega)
         self.frame = Frame(self.poset)
+
+    def coerce(self, name: str, tokens: Iterable[str]) -> list:
+        """The outcome values of the named observable that the textual tokens
+        spell; other tokens, and those of an unknown name, pass unchanged for
+        elementary to reject."""
+        obs = self.observables.get(name)
+        by_text = {str(v): v for v in obs.range()} if obs else {}
+        return [by_text.get(t, t) for t in tokens]
 
     def elementary(self, name: str, delta_values: Iterable) -> ElementaryProposition:
         """The proposition that a measurement of the named observable gave a

@@ -33,7 +33,7 @@ from .bell import (
 )
 from .classical import ClassicalModel, ClassicalObservable, OutcomeSpace
 from .errors import QLogicError
-from .formulas import ParseError, eval_formula, parse_formula
+from .formulas import eval_formula, parse_formula
 from .hasse import export_dot, section_label
 from .quantum import QuantumModel, classical_bridge
 
@@ -52,7 +52,7 @@ def _observables(doc: dict) -> dict:
 
 
 def load_model(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise QLogicError("a model file must hold a JSON object")
@@ -219,10 +219,11 @@ def cmd_decidable(args) -> int:
 def cmd_bell(args) -> int:
     angles = DEFAULT_ANGLES
     if args.angles:
-        parts = [float(x) for x in args.angles.split(",")]
-        if len(parts) != 4:
-            raise QLogicError("--angles needs four comma-separated degrees")
-        angles = tuple(parts)
+        try:
+            a1, a2, b1, b2 = map(float, args.angles.split(","))
+        except ValueError:
+            raise QLogicError("--angles needs four comma-separated degrees") from None
+        angles = (a1, a2, b1, b2)
     if args.vertices:
         report = classical_vertex_check()
         print(
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, QLogicError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (QLogicError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,8 @@ class QLogicError(Exception):
 class UnknownContextError(QLogicError, KeyError):
     """A context id was not found in the poset."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 class DomainError(QLogicError, ValueError):
     """An argument lies outside the domain of the operation."""

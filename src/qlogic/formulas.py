@@ -235,8 +235,9 @@ def _wrap(node, allowed) -> str:
 def eval_formula(model, node) -> Section:
     """Evaluate a formula to a section of the model's frame.
 
-    The model must expose ``frame`` and ``elementary(name, values)``;
-    both the classical and the quantum model qualify.
+    The model must expose ``frame``, ``coerce(name, tokens)`` and
+    ``elementary(name, values)``; both the classical and the quantum model
+    qualify.
     """
     frame = model.frame
     if isinstance(node, Top):
@@ -245,7 +246,7 @@ def eval_formula(model, node) -> Section:
         return frame.bottom()
     if isinstance(node, Atom):
         return frame.embed_elementary(
-            model.elementary(node.name, _coerce_values(model, node.name, node.values))
+            model.elementary(node.name, model.coerce(node.name, node.values))
         )
     if isinstance(node, Not):
         return frame.neg(eval_formula(model, node.arg))
@@ -258,16 +259,3 @@ def eval_formula(model, node) -> Section:
             eval_formula(model, node.left), eval_formula(model, node.right)
         )
     raise TypeError(f"not a formula node: {node!r}")
-
-
-def _coerce_values(model, name: str, values: tuple[str, ...]):
-    """Match textual outcome tokens against the model's outcome values."""
-    from .classical import ClassicalModel
-
-    if isinstance(model, ClassicalModel):
-        if name not in model.observables:
-            return list(values)
-        rng = model.observables[name].range()
-        by_text = {str(v): v for v in rng}
-        return [by_text.get(v, v) for v in values]
-    return [float(v) for v in values]

@@ -51,9 +51,9 @@ def hasse_edges(frame: Frame, sections: list[Section]) -> list[tuple[int, int]]:
     ]
 
 
-def export_dot(frame: Frame, name: str = "sections", limit: int | None = None) -> str:
+def export_dot(frame: Frame, name: str = "sections") -> str:
     """Deterministic DOT digraph of the frame's Hasse diagram."""
-    sections = sorted(frame.enumerate_sections(limit), key=_sort_key)
+    sections = sorted(frame.enumerate_sections(), key=_sort_key)
     edges = hasse_edges(frame, sections)
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i, s in enumerate(sections):

@@ -112,7 +112,7 @@ class ContextPoset:
         try:
             return self._bit[c]
         except KeyError:
-            raise UnknownContextError(c) from None
+            raise UnknownContextError(f"unknown context {c!r}") from None
 
     def algebra(self, c: str) -> LocalAlgebra:
         self._index(c)

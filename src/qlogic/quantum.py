@@ -182,19 +182,27 @@ class QuantumContext:
         return out
 
 
+def _trivial_context(dim: int) -> QuantumContext:
+    return QuantumContext((TRIVIAL_ATOM,), (np.eye(dim, dtype=complex),))
+
+
+def _spectral_context(sd: SpectralData, name: str, dim: int) -> QuantumContext:
+    """The context of a spectral decomposition: its projections, named after
+    the clustered eigenvalues; one cluster gives the trivial context."""
+    if len(sd.projections) == 1:
+        return _trivial_context(dim)
+    names = tuple(f"{name}={e:g}" for e in sd.eigenvalues)
+    return QuantumContext(names, sd.projections)
+
+
 def generated_context(
     h: np.ndarray,
     name: str = "A",
     tau_herm: float = TAU_HERM,
     tau_eig: float = TAU_EIG,
 ) -> QuantumContext:
-    """The context generated by one observable: its spectral projections,
-    named after the clustered eigenvalues."""
-    sd = spectral_decompose(h, tau_herm, tau_eig)
-    if len(sd.projections) == 1:
-        return QuantumContext((TRIVIAL_ATOM,), (np.eye(h.shape[0], dtype=complex),))
-    names = tuple(f"{name}={e:g}" for e in sd.eigenvalues)
-    return QuantumContext(names, sd.projections)
+    """The context generated by one observable."""
+    return _spectral_context(spectral_decompose(h, tau_herm, tau_eig), name, h.shape[0])
 
 
 def contexts_commute(
@@ -276,14 +284,9 @@ class QuantumModel:
     def _build(self):
         self.contexts = {}
         self.obs_context = {}
-        trivial = QuantumContext(
-            (TRIVIAL_ATOM,), (np.eye(self.dim, dtype=complex),)
-        )
-        self._add(TRIVIAL_ID, trivial)
+        self._add(TRIVIAL_ID, _trivial_context(self.dim))
         for name in sorted(self.observables):
-            ctx = generated_context(
-                self.observables[name], name, self.tau_herm, self.tau_eig
-            )
+            ctx = _spectral_context(self.spectra[name], name, self.dim)
             self.obs_context[name] = self._add(name, ctx)
         # close under pairwise meets and commuting joins; a pair taken once
         # yields no new context when taken again, so each pair is taken once
@@ -334,6 +337,16 @@ class QuantumModel:
 
     # -- propositions -------------------------------------------------------
 
+    def coerce(self, name: str, tokens: Iterable[str]) -> list[float]:
+        """The numbers that the textual outcome tokens of the named observable
+        spell; elementary matches them against its spectrum."""
+        if name not in self.observables:
+            raise DomainError(f"unknown observable {name!r}")
+        try:
+            return [float(t) for t in tokens]
+        except ValueError as exc:
+            raise DomainError(f"outcomes of {name!r} must be numbers: {exc}") from None
+
     def elementary(self, name: str, delta: Iterable[float]) -> ElementaryProposition:
         """(generated context, atom subset) for 'measured name, result in delta'."""
         if name not in self.observables:
@@ -356,9 +369,6 @@ class QuantumModel:
             )
         return ElementaryProposition(cid, atoms)
 
-    def projection_of(self, cid: str, element: frozenset) -> np.ndarray:
-        return self.contexts[cid].projection_of(element)
-
 
 # -- classical/commutative bridge -------------------------------------------
 
@@ -372,7 +382,7 @@ class BridgeReport:
     detail: str
 
 
-def classical_bridge(model, limit: int | None = None) -> tuple[QuantumModel, BridgeReport]:
+def classical_bridge(model) -> tuple[QuantumModel, BridgeReport]:
     """Build the diagonal (commutative) quantum model of a classical model
     and check that the two section frames are order-isomorphic.
 
@@ -382,7 +392,7 @@ def classical_bridge(model, limit: int | None = None) -> tuple[QuantumModel, Bri
     from .classical import cell_id, partition_meet
 
     finest = None
-    for p in model.family:
+    for p in model.partitions.values():
         finest = p if finest is None else partition_meet(finest, p)
     coords = sorted(cell_id(c) for c in finest)
     index = {c: i for i, c in enumerate(coords)}
@@ -447,8 +457,8 @@ def classical_bridge(model, limit: int | None = None) -> tuple[QuantumModel, Bri
             }
         )
 
-    classical_sections = model.frame.enumerate_sections(limit)
-    quantum_sections = qmodel.frame.enumerate_sections(limit)
+    classical_sections = model.frame.enumerate_sections()
+    quantum_sections = qmodel.frame.enumerate_sections()
     mapped = [map_section(s) for s in classical_sections]
     ok = (
         len(set(mapped)) == len(classical_sections)

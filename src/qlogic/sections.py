@@ -80,13 +80,6 @@ class ElementaryProposition:
 BOTTOM = ElementaryProposition(None, frozenset())
 
 
-def _enum_guard(limit: int | None) -> int:
-    if limit is not None:
-        return limit
-    env = os.environ.get(ENUM_GUARD_ENV)
-    return int(env) if env else DEFAULT_ENUM_GUARD
-
-
 class _PointTable(NamedTuple):
     """The (context, atom) point poset, one bit per point."""
 
@@ -255,14 +248,14 @@ class Frame:
         }
         return Frame(ContextPoset(contexts, order, embeddings))
 
-    # -- enumeration and oracles ------------------------------------------
+    # -- enumeration and law suites -----------------------------------------
 
     def enumeration_bound(self) -> int:
         """2^|P|: the number of subsets of the (context, atom) points."""
         return 1 << sum(len(self.poset.algebra(c).atoms) for c in self._ids)
 
-    def _upsets(self, limit: int | None) -> list[int]:
-        guard = _enum_guard(limit)
+    def _upsets(self) -> list[int]:
+        guard = int(os.environ.get(ENUM_GUARD_ENV) or DEFAULT_ENUM_GUARD)
         bound = self.enumeration_bound()
         if bound > guard:
             raise ResourceLimitError(f"enumeration bound {bound} exceeds guard {guard}")
@@ -276,39 +269,17 @@ class Frame:
             masks += [m | 1 << p for m in masks if m & rest == rest]
         return masks
 
-    def enumerate_sections(self, limit: int | None = None) -> list[Section]:
+    def enumerate_sections(self) -> list[Section]:
         """All monotone sections, each exactly once (guarded)."""
-        return [self._section(m) for m in self._upsets(limit)]
+        return [self._section(m) for m in self._upsets()]
 
-    def brute_force_implies(
-        self, s1: Section, s2: Section, limit: int | None = None
-    ) -> Section:
-        """Definitional oracle: the join of every up-set W with W & s1 <= s2."""
-        bad = self._mask(s1) & ~self._mask(s2)
-        return self._section(_join_witnesses(self._upsets(limit), bad))
-
-    def decidable_elements(self, limit: int | None = None) -> list[Section]:
+    def decidable_elements(self) -> list[Section]:
         """Sections S with S v ~S = TOP."""
         top = self._table.top
         return [
             self._section(m)
-            for m in self._upsets(limit)
+            for m in self._upsets()
             if m | self._implies(m, 0) == top
-        ]
-
-    def check_distributive(
-        self, exhaustive: bool = True, sample: Iterable[tuple[Section, Section, Section]] = (),
-        limit: int | None = None,
-    ) -> list[str]:
-        """Verify S1 /\\ (S2 \\/ S3) == (S1 /\\ S2) \\/ (S1 /\\ S3)."""
-        if exhaustive:
-            triples: Iterable = itertools.product(self._upsets(limit), repeat=3)
-        else:
-            triples = (tuple(map(self._mask, t)) for t in sample)
-        return [
-            "distributivity fails on " + ", ".join(repr(self._section(u)) for u in t)
-            for t in triples
-            if not _distributes(*t)
         ]
 
     def check_laws(self, exhaustive: bool = False) -> LawCounts:
@@ -322,7 +293,7 @@ class Frame:
         same witness test.  ``exhaustive`` adds distributivity on every
         triple.  The guard fails before any of this work.
         """
-        ups = self._upsets(None)
+        ups = self._upsets()
         n = len(ups)
         monotone = 0
         for m in ups:

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +9,8 @@ from qlogic import (
     ClassicalObservable,
     DomainError,
     OutcomeSpace,
-    StructureError,
     close_partition_family,
     partition_join,
-    partition_join_in,
     partition_meet,
     partition_of_observable,
 )
@@ -45,6 +45,12 @@ def test_partition_meet_and_join():
     assert partition_meet(p1, p2) == P({"1"}, {"2"}, {"3"}, {"4"})
     assert partition_join(p1, p2) == P({"1", "2", "3", "4"})
     assert partition_meet(p1, P({"1", "2", "3", "4"})) == p1
+
+
+def partition_join_in(family, p1, p2):
+    """Oracle join: the meet of every common coarsening within the family."""
+    uppers = [p for p in family if refines(p1, p) and refines(p2, p)]
+    return functools.reduce(partition_meet, uppers)
 
 
 def test_partition_join_in_family():
@@ -158,13 +164,30 @@ def test_closure_matches_rerun_oracle(data):
     assert close_partition_family(base, omega) == rerun_closure(base, omega)
 
 
-def test_frame_of_unclosed_family_rejected():
+def test_frame_closes_its_partitions():
     p1, p2 = P({"1", "2"}, {"3", "4"}), P({"1", "3"}, {"2", "4"})
-    top, discrete = P({"1", "2", "3", "4"}), P({"1"}, {"2"}, {"3"}, {"4"})
-    with pytest.raises(StructureError, match="meets"):
-        build_classical_frame([p1, p2, top])
-    with pytest.raises(StructureError, match="joins"):
-        build_classical_frame([p1, p2, discrete])
+    poset, parts = build_classical_frame([p1, p2], OMEGA4)
+    assert set(parts.values()) == close_partition_family([p1, p2], OMEGA4)
+    assert set(poset.context_ids) == set(parts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_model_partitions_closed_random(data):
+    n = data.draw(st.integers(1, 6))
+    points = [f"w{i}" for i in range(n)]
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    observables = {
+        f"O{j}": ClassicalObservable.from_dict(f"O{j}", dict(zip(points, data.draw(labels))))
+        for j in range(data.draw(st.integers(0, 4)))
+    }
+    model = ClassicalModel(OutcomeSpace(frozenset(points)), observables)
+    assert all(partition_id(p) == cid for cid, p in model.partitions.items())
+    contexts = set(model.partitions.values())
+    for p1 in contexts:
+        for p2 in contexts:
+            assert partition_meet(p1, p2) in contexts
+            assert partition_join(p1, p2) in contexts
 
 
 def test_classical_elementary(figure1_model):

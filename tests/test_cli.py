@@ -245,3 +245,42 @@ def test_bridge_rejects_quantum(capsys):
 
 def test_usage_error(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def _model_file(tmp_path, content: bytes) -> str:
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    return str(path)
+
+
+# argv per case, given a scratch directory
+MALFORMED = {
+    "missing file": lambda tmp: ["build", "no_such_model.json"],
+    "directory as model": lambda tmp: ["build", str(tmp)],
+    "model not utf-8": lambda tmp: [
+        "build", _model_file(tmp, b'{"kind": "classical", "points": ["\xe9"], "observables": {}}')
+    ],
+    "model not json": lambda tmp: ["build", _model_file(tmp, b"{")],
+    "model kind unknown": lambda tmp: ["build", _model_file(tmp, b'{"kind": "alien"}')],
+    "hasse out is a directory": lambda tmp: ["hasse", FIG1, "--out", str(tmp)],
+    "quantum outcome not a number": lambda tmp: ["eval", QUBIT, "-f", "M(Sz,{up})"],
+    "unknown quantum observable": lambda tmp: ["eval", QUBIT, "-f", "M(Foo,{x})"],
+    "unknown classical observable": lambda tmp: ["eval", FIG1, "-f", "M(Foo,{x})"],
+    "classical value not in range": lambda tmp: ["eval", FIG1, "-f", "M(A,{x})"],
+    "value not in spectrum": lambda tmp: ["eval", QUBIT, "-f", "M(Sz,{3})"],
+    "formula parse error": lambda tmp: ["eval", QUBIT, "-f", "M(Sz,{1}) &"],
+    "unknown context": lambda tmp: ["quotient", FIG1, "--context", "nope"],
+    "unknown refined context": lambda tmp: ["quotient", QUBIT, "--context", "nope", "--refined"],
+    "angles not numbers": lambda tmp: ["bell", "--angles", "1,2,x,4"],
+    "too few angles": lambda tmp: ["bell", "--angles", "1,2"],
+    "sweep not positive": lambda tmp: ["bell", "--sweep", "0"],
+    "bridge on quantum": lambda tmp: ["bridge", QUBIT],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_invocation(tmp_path, capsys, case):
+    code, _, err = run(capsys, *MALFORMED[case](tmp_path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -37,8 +37,13 @@ def test_leq_reflexive_and_least():
 
 def test_leq_unknown_context():
     p = simple_poset()
-    with pytest.raises(UnknownContextError):
+    with pytest.raises(UnknownContextError) as info:
         p.leq("t", "nope")
+    assert str(info.value) == "unknown context 'nope'"
+    assert isinstance(info.value, KeyError)
+    with pytest.raises(UnknownContextError) as info:
+        p.embed("a", "b", frozenset())
+    assert str(info.value) == "'a' is not below 'b'"
 
 
 def test_meet_contexts():

@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlogic import BOTTOM, DomainError, ElementaryProposition, ResourceLimitError
+from qlogic.hasse import export_dot
+from qlogic.quantum import classical_bridge
 from qlogic.sections import Section
+
+from test_check import section_distributivity
+from test_frame_oracle import implies as oracle_implies
 
 
 def elem(model, name, values):
@@ -157,9 +162,11 @@ def test_excluded_middle_fails(one_qubit_model):
 def test_implies_equals_brute_force(one_qubit_model):
     frame = one_qubit_model.frame
     sections = frame.enumerate_sections()
-    for s1 in sections:
-        for s2 in sections:
-            assert frame.implies(s1, s2) == frame.brute_force_implies(s1, s2)
+    dicts = [s.as_dict() for s in sections]
+    for s1, d1 in zip(sections, dicts):
+        for s2, d2 in zip(sections, dicts):
+            expected = oracle_implies(frame.poset, dicts, d1, d2)
+            assert frame.implies(s1, s2) == Section.from_dict(expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,15 +207,18 @@ def test_enumerate_unique(one_qubit_model):
     assert all(frame.is_monotone(s) for s in sections)
 
 
-def test_enumeration_guard(one_qubit_model):
-    with pytest.raises(ResourceLimitError):
-        one_qubit_model.frame.enumerate_sections(limit=3)
-
-
-def test_enumeration_guard_env(one_qubit_model, monkeypatch):
+def test_enumeration_guard_env(one_qubit_model, figure1_model, monkeypatch):
     monkeypatch.setenv("QLOGIC_ENUM_GUARD", "3")
-    with pytest.raises(ResourceLimitError):
-        one_qubit_model.frame.enumerate_sections()
+    frame = one_qubit_model.frame
+    for enumerate_all in (
+        frame.enumerate_sections,
+        frame.decidable_elements,
+        frame.check_laws,
+        lambda: export_dot(frame),
+        lambda: classical_bridge(figure1_model),
+    ):
+        with pytest.raises(ResourceLimitError, match="exceeds guard 3"):
+            enumerate_all()
     monkeypatch.setenv("QLOGIC_ENUM_GUARD", "100000")
     assert len(one_qubit_model.frame.enumerate_sections()) == 17
 
@@ -260,4 +270,5 @@ def test_decompose_roundtrip(one_qubit_model):
 
 
 def test_check_distributive(one_qubit_model):
-    assert one_qubit_model.frame.check_distributive(exhaustive=True) == []
+    laws = one_qubit_model.frame.check_laws(exhaustive=True)
+    assert laws.distributive == section_distributivity(one_qubit_model.frame) == 17**3
