@@ -207,7 +207,8 @@ def test_enumerate_unique(one_qubit_model):
     assert all(frame.is_monotone(s) for s in sections)
 
 
-def test_enumeration_guard_env(one_qubit_model, figure1_model, monkeypatch):
+def test_enumeration_guard(one_qubit_model, figure1_model, monkeypatch):
+    # every enumerating entry point stops at the guard
     monkeypatch.setenv("QLOGIC_ENUM_GUARD", "3")
     frame = one_qubit_model.frame
     for enumerate_all in (
@@ -219,6 +220,12 @@ def test_enumeration_guard_env(one_qubit_model, figure1_model, monkeypatch):
     ):
         with pytest.raises(ResourceLimitError, match="exceeds guard 3"):
             enumerate_all()
+
+
+def test_enumeration_guard_env(one_qubit_model, monkeypatch):
+    monkeypatch.setenv("QLOGIC_ENUM_GUARD", "3")
+    with pytest.raises(ResourceLimitError):
+        one_qubit_model.frame.enumerate_sections()
     monkeypatch.setenv("QLOGIC_ENUM_GUARD", "100000")
     assert len(one_qubit_model.frame.enumerate_sections()) == 17
 
