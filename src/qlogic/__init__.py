@@ -8,6 +8,7 @@ elementary proposition, conjunction of incompatible measurements is a
 contradiction, and excluded middle holds only inside a fixed context.
 """
 
+from .bridge import classical_bridge
 from .classical import (
     ClassicalModel,
     ClassicalObservable,
@@ -28,7 +29,6 @@ from .errors import (
 from .poset import ContextPoset, LocalAlgebra
 from .quantum import (
     QuantumModel,
-    classical_bridge,
     generated_context,
     spectral_decompose,
     spectral_projection,

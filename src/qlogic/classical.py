@@ -134,20 +134,23 @@ def build_classical_frame(
 @dataclass
 class ClassicalModel:
     """A finite outcome space with observables, the partitions of their
-    closed family keyed by context id, and the section frame built on top."""
+    closed family keyed by context id, each observable's context id, and
+    the section frame built on top."""
 
     omega: OutcomeSpace
     observables: dict[str, ClassicalObservable]
     poset: ContextPoset = field(init=False)
     frame: Frame = field(init=False)
     partitions: dict = field(init=False)
+    obs_context: dict[str, str] = field(init=False)
 
     def __post_init__(self):
-        base = [
-            partition_of_observable(obs, self.omega)
-            for obs in self.observables.values()
-        ]
-        self.poset, self.partitions = build_classical_frame(base, self.omega)
+        base = {
+            name: partition_of_observable(obs, self.omega)
+            for name, obs in self.observables.items()
+        }
+        self.poset, self.partitions = build_classical_frame(base.values(), self.omega)
+        self.obs_context = {name: partition_id(p) for name, p in base.items()}
         self.frame = Frame(self.poset)
 
     def coerce(self, name: str, tokens: Iterable[str]) -> list:
@@ -174,7 +177,6 @@ class ClassicalModel:
         if not delta:
             return BOTTOM
         preimage = {pt for pt, v in obs.value_map if v in delta}
-        partition = partition_of_observable(obs, self.omega)
-        ctx = partition_id(partition)
-        value = frozenset(cell_id(c) for c in partition if c <= preimage)
+        ctx = self.obs_context[name]
+        value = frozenset(cell_id(c) for c in self.partitions[ctx] if c <= preimage)
         return ElementaryProposition(ctx, value)

@@ -9,7 +9,8 @@ Subcommands:
     quotient  show the quotient logic at a context (coarse or refined)
     decidable list the decidable sections of the frame
     bell      CHSH demo: Born-rule terms vs the classical bound
-    bridge    classical model vs its diagonal commutative quantum twin
+    bridge    classical model vs its diagonal commutative quantum twin:
+              an isomorphism of the (context, atom) point posets
 
 Exit codes: 0 success, 1 check failure, 2 usage/parse error.
 """
@@ -17,6 +18,7 @@ Exit codes: 0 success, 1 check failure, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,11 +33,12 @@ from .bell import (
     orthodox_distributivity_witness,
     singlet_state,
 )
+from .bridge import classical_bridge
 from .classical import ClassicalModel, ClassicalObservable, OutcomeSpace
 from .errors import QLogicError
 from .formulas import eval_formula, parse_formula
 from .hasse import export_dot, section_label
-from .quantum import QuantumModel, classical_bridge
+from .quantum import QuantumModel
 
 
 def _require(doc: dict, *keys: str) -> None:
@@ -187,7 +190,8 @@ def cmd_quotient(args) -> int:
     if args.refined:
         sub = frame.restrict_upset(args.context)
         sections = sub.enumerate_sections()
-        decidable = sub.decidable_elements()
+        top = sub.top()
+        decidable = [s for s in sections if sub.join([s, sub.neg(s)]) == top]
         print(
             f"refined quotient at {args.context}: frame over "
             f"{list(sub.poset.context_ids)}"
@@ -288,54 +292,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="load and validate a model")
     p.add_argument("model")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("eval", help="evaluate a formula")
     p.add_argument("model")
     p.add_argument("-f", "--formula", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("hasse", help="export the Hasse diagram as DOT")
     p.add_argument("model")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("check", help="run the invariant suites")
     p.add_argument("model")
     p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("quotient", help="quotient logic at a context")
     p.add_argument("model")
     p.add_argument("--context", required=True)
     p.add_argument("--refined", action="store_true")
-    p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("decidable", help="list decidable sections")
     p.add_argument("model")
-    p.set_defaults(func=cmd_decidable)
 
     p = sub.add_parser("bell", help="CHSH demo")
     p.add_argument("--angles", help="a1,a2,b1,b2 in degrees")
     p.add_argument("--vertices", action="store_true")
     p.add_argument("--sweep", type=int, metavar="N", help="CSV sweep over N steps")
-    p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("bridge", help="classical vs commutative-quantum frames")
     p.add_argument("model")
-    p.set_defaults(func=cmd_bridge)
 
     return ap
 
 
+# parse_args leaves the parser as it was, so one serves every call; each
+# subcommand runs cmd_<name>, looked up by name when it runs
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (QLogicError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,9 @@
 """Hasse-diagram export of a section frame as Graphviz DOT text.
 
-Sections are up-sets of the (context, atom) point poset, so a section
-covers another exactly when it holds one point more and lies above it.
+Sections are up-sets of the (context, atom) point poset, so the covers
+of an up-set U are generated, not searched for: U is covered by U | {p}
+for each point p outside U such that U | {p} is again an up-set, that is,
+the rest of p's up-set lies in U.
 """
 
 from __future__ import annotations
@@ -36,18 +38,19 @@ def _sort_key(s: Section):
 def hasse_edges(frame: Frame, sections: list[Section]) -> list[tuple[int, int]]:
     """Covering pairs (i, j) of the section order, as indices into sections.
 
-    ``sections`` must be the full enumeration, as in :func:`export_dot`: a
-    cover adds exactly one (context, atom) point, so i is covered by j iff
-    s_i <= s_j and s_j has one point more.  In a partial list, covers
-    across a missing section would go unreported.
+    ``sections`` must be the full enumeration, as in :func:`export_dot`:
+    each candidate U | {p} of a listed up-set U is looked up among the
+    listed sections, which holds exactly the up-sets, so in a partial list
+    a cover that is missing goes unreported.
     """
-    size = [sum(len(v) for _, v in s.items) for s in sections]
-    rows = frame.leq_rows(sections)
+    points = range(len(frame._table.points))
+    masks = [frame._mask(s) for s in sections]
+    position = {m: i for i, m in enumerate(masks)}
     return [
-        (i, j)
-        for i, row in enumerate(rows)
-        for j in range(len(sections))
-        if size[j] == size[i] + 1 and row >> j & 1
+        (i, position[u | 1 << p])
+        for i, u in enumerate(masks)
+        for p in points
+        if not u >> p & 1 and u | 1 << p in position
     ]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .poset import ContextPoset, LocalAlgebra
-from .sections import BOTTOM, ElementaryProposition, Frame, Section
+from .sections import BOTTOM, ElementaryProposition, Frame
 
 TAU_HERM = 1e-8
 TAU_PROJ = 1e-8
@@ -369,103 +369,3 @@ class QuantumModel:
             )
         return ElementaryProposition(cid, atoms)
 
-
-# -- classical/commutative bridge -------------------------------------------
-
-
-@dataclass(frozen=True)
-class BridgeReport:
-    context_map: dict
-    section_count_classical: int
-    section_count_quantum: int
-    isomorphic: bool
-    detail: str
-
-
-def classical_bridge(model) -> tuple[QuantumModel, BridgeReport]:
-    """Build the diagonal (commutative) quantum model of a classical model
-    and check that the two section frames are order-isomorphic.
-
-    Coordinates are indexed by the cells of the finest partition; every
-    partition becomes a diagonal observable constant on its cells.
-    """
-    from .classical import cell_id, partition_meet
-
-    finest = None
-    for p in model.partitions.values():
-        finest = p if finest is None else partition_meet(finest, p)
-    coords = sorted(cell_id(c) for c in finest)
-    index = {c: i for i, c in enumerate(coords)}
-    dim = len(coords)
-
-    obs = {}
-    names = {}
-    for k, (cid, p) in enumerate(sorted(model.partitions.items())):
-        diag = np.zeros(dim)
-        for v, cell in enumerate(sorted(p, key=cell_id)):
-            for fine in finest:
-                if fine <= cell:
-                    diag[index[cell_id(fine)]] = v
-        name = f"D{k}"
-        obs[name] = np.diag(diag).astype(complex)
-        names[cid] = name
-
-    qmodel = QuantumModel(obs)
-
-    # canonical context map: classical partition -> generated diagonal context
-    ctx_map = {cid: qmodel.obs_context[names[cid]] for cid in model.partitions}
-    # atom map per context: a cell corresponds to the diagonal atom with the
-    # same coordinate support
-    atom_maps: dict[str, dict[str, str]] = {}
-    for cid, p in model.partitions.items():
-        qctx = qmodel.contexts[ctx_map[cid]]
-        amap = {}
-        for cell in p:
-            support = {index[cell_id(f)] for f in finest if f <= cell}
-            for n, q in zip(qctx.atom_names, qctx.atoms):
-                qsupport = {
-                    i for i in range(dim) if abs(q[i, i]) > 0.5
-                }
-                if qsupport == support:
-                    amap[cell_id(cell)] = n
-                    break
-            else:
-                return qmodel, BridgeReport(
-                    ctx_map, -1, -1, False, f"no atom match for cell in {cid!r}"
-                )
-        atom_maps[cid] = amap
-
-    if len(set(ctx_map.values())) != len(ctx_map) or set(ctx_map.values()) != set(
-        qmodel.contexts
-    ):
-        return qmodel, BridgeReport(
-            ctx_map, -1, -1, False, "context sets do not biject"
-        )
-    # order preserved both ways
-    for a in ctx_map:
-        for b in ctx_map:
-            if model.poset.leq(a, b) != qmodel.poset.leq(ctx_map[a], ctx_map[b]):
-                return qmodel, BridgeReport(
-                    ctx_map, -1, -1, False, f"order differs at ({a!r}, {b!r})"
-                )
-
-    def map_section(s: Section) -> Section:
-        return Section.from_dict(
-            {
-                ctx_map[c]: frozenset(atom_maps[c][a] for a in v)
-                for c, v in s.items
-            }
-        )
-
-    classical_sections = model.frame.enumerate_sections()
-    quantum_sections = qmodel.frame.enumerate_sections()
-    mapped = [map_section(s) for s in classical_sections]
-    ok = (
-        len(set(mapped)) == len(classical_sections)
-        and set(mapped) == set(quantum_sections)
-        and model.frame.leq_rows(classical_sections) == qmodel.frame.leq_rows(mapped)
-    )
-    detail = "order isomorphism verified exhaustively" if ok else "section order mismatch"
-    return qmodel, BridgeReport(
-        ctx_map, len(classical_sections), len(quantum_sections), ok, detail
-    )

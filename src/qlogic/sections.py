@@ -17,7 +17,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .poset import ContextPoset, Element
@@ -314,14 +314,6 @@ class Frame:
                 _distributes(*t) for t in itertools.product(ups, repeat=3)
             )
         return LawCounts(n, monotone, implies_ok, adjunction_ok, distributive)
-
-    def leq_rows(self, sections: Sequence[Section]) -> list[int]:
-        """The order on a list of sections: bit j of row i is set iff
-        sections[i] <= sections[j].  Each section is converted once."""
-        masks = [self._mask(s) for s in sections]
-        return [
-            sum(1 << j for j, v in enumerate(masks) if not u & ~v) for u in masks
-        ]
 
 
 def _join_witnesses(ups: Iterable[int], bad: int) -> int:

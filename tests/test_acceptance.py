@@ -19,9 +19,9 @@ from qlogic.bell import (
     singlet_state,
     theorem1_slack,
 )
+from qlogic.bridge import classical_bridge
 from qlogic.hasse import export_dot, hasse_edges, section_label
 from qlogic.quantum import (
-    classical_bridge,
     generated_context,
     same_atoms,
     spectral_decompose,

@@ -183,6 +183,10 @@ def test_model_partitions_closed_random(data):
     }
     model = ClassicalModel(OutcomeSpace(frozenset(points)), observables)
     assert all(partition_id(p) == cid for cid, p in model.partitions.items())
+    assert model.obs_context == {
+        name: partition_id(partition_of_observable(obs, model.omega))
+        for name, obs in observables.items()
+    }
     contexts = set(model.partitions.values())
     for p1 in contexts:
         for p2 in contexts:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qlogic import cli
 from qlogic.cli import load_model, main
+from qlogic.sections import Frame
 
 from conftest import FIXTURES
 
@@ -182,10 +184,14 @@ def test_quotient_coarse(capsys):
     assert "4 elements" in out
 
 
-def test_quotient_refined(capsys):
+def test_quotient_refined(capsys, monkeypatch):
+    calls = []
+    upsets = Frame._upsets
+    monkeypatch.setattr(Frame, "_upsets", lambda self: calls.append(self) or upsets(self))
     code, out, _ = run(capsys, "quotient", QUBIT, "--context", "Sz", "--refined")
     assert code == 0
     assert "sections: 4, decidable: 4" in out
+    assert len(calls) == 1  # one enumeration lists the sections and the decidables
 
 
 def test_decidable(capsys):
@@ -245,6 +251,20 @@ def test_bridge_rejects_quantum(capsys):
 
 def test_usage_error(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def test_parser_reused_across_calls(capsys, monkeypatch):
+    # main keeps one parser per process; a failed parse must not taint it,
+    # and a handler replaced on the module after the first call still runs
+    first = run(capsys, "quotient", QUBIT, "--context", "Sz", "--refined")
+    assert run(capsys, "quotient", QUBIT, "--refined")[0] == 2
+    assert run(capsys, "quotient", QUBIT, "--context", "Sz", "--refined") == first
+    assert first[0] == 0
+    calls = []
+    handler = cli.cmd_quotient
+    monkeypatch.setattr(cli, "cmd_quotient", lambda args: calls.append(args) or handler(args))
+    assert run(capsys, "quotient", QUBIT, "--context", "Sz", "--refined") == first
+    assert len(calls) == 1
 
 
 def _model_file(tmp_path, content: bytes) -> str:

@@ -22,6 +22,8 @@ from qlogic import (
 from qlogic.bell import BellScenario, build_chsh_frame
 from qlogic.quantum import TAU_PROJ, _maxabs, contexts_commute, same_atoms
 
+from test_bridge import oracle_isomorphic
+
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -210,11 +212,14 @@ def test_classical_bridge_twins_match_oracle(data):
     assume(sum(len(poset.algebra(c).atoms) for c in poset.context_ids) <= 12)
     qmodel, report = classical_bridge(model)
     assert report.isomorphic
+    assert oracle_isomorphic(model, qmodel, report.context_map)
     check_closure(qmodel)
 
 
 @pytest.mark.parametrize("name", ["figure1_model", "crossing_model"])
 def test_fixture_bridge_twins_match_oracle(name, request):
-    qmodel, report = classical_bridge(request.getfixturevalue(name))
+    model = request.getfixturevalue(name)
+    qmodel, report = classical_bridge(model)
     assert report.isomorphic
+    assert oracle_isomorphic(model, qmodel, report.context_map)
     check_closure(qmodel)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlogic import BOTTOM, DomainError, ElementaryProposition, ResourceLimitError
+from qlogic.bridge import classical_bridge
 from qlogic.hasse import export_dot
-from qlogic.quantum import classical_bridge
 from qlogic.sections import Section
 
 from test_check import section_distributivity
