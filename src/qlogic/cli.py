@@ -173,7 +173,7 @@ def cmd_check(args) -> int:
         print(f"{suite}: {ok}/{total}")
         failures += total - ok
     if args.exhaustive:
-        dist = n**3 - counts.distributive
+        dist = n**2 - counts.distributive
         print(f"distributivity: {'ok' if not dist else f'{dist} violations'}")
         failures += dist
 

@@ -8,17 +8,27 @@ refinement.
 
 Every relation between two contexts is read from one overlap graph that
 links atoms p and q iff ||p q||_max > tau_proj, the single tolerance
-decision for meet, join, order and embedding: the meet's atoms are the
-sums over its connected components, the join of a pair that passes
-contexts_commute has the non-zero products p q as atoms, and c1 <= c2 iff
-every atom of c2 is linked to exactly one atom of c1, the one it embeds
-under.
+decision for meet, join, order and embedding: c1 <= c2 iff every atom of
+c2 is linked to exactly one atom of c1, the one it embeds under; a
+comparable pair is skipped, as its meet and join are the pair itself;
+otherwise the meet's atoms are the sums over the graph's connected
+components, and the join of a commuting pair has the non-zero products
+p q as atoms.  The products p q that make the graph also decide
+commutation: for Hermitian p and q, (p q)^dagger = q p.
+
+A new context with n atoms p_k is looked up among the stored ones in a
+grid hash on (n, f // w) with f = sum_k <v, p_k v>^2 for a fixed unit
+probe v and a cell width w = 4 n dim tau_proj, wide enough that every
+stored context with the same atoms within tau_proj lies in the context's
+cell or a neighbour (see QuantumModel._find_equal).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -121,12 +131,19 @@ def spectral_projection(
 # -- contexts ---------------------------------------------------------------
 
 
-def _atom_sort_key(p: np.ndarray) -> tuple:
-    rank = int(round(float(np.real(np.trace(p)))))
-    pos = np.arange(p.shape[0])
-    moment = float(np.real(np.sum(np.diag(p) * pos)))
-    flat = np.round(p, 6)
-    return (rank, round(moment, 6), tuple(flat.real.ravel()), tuple(flat.imag.ravel()))
+def _atom_order(stack: np.ndarray) -> list[int]:
+    """Indices that sort a stack of atoms by rank, then by the moment
+    sum_i i p_ii rounded to 6 digits, then by the entries rounded to 6
+    digits, real parts before imaginary parts."""
+    n, dim, _ = stack.shape
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    ranks = np.rint(np.sum(diag, axis=1).real).astype(int).tolist()
+    moments = np.sum(diag * np.arange(dim), axis=1).real.tolist()
+    flat = np.round(stack, 6).reshape(n, -1)
+    keys = list(
+        zip(ranks, (round(m, 6) for m in moments), flat.real.tolist(), flat.imag.tolist())
+    )
+    return sorted(range(n), key=keys.__getitem__)
 
 
 def same_atoms(
@@ -171,6 +188,11 @@ class QuantumContext:
     atom_names: tuple[str, ...]
     atoms: tuple[np.ndarray, ...]
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The atoms as one (atoms, dim, dim) array."""
+        return np.stack(self.atoms)
+
     def atom(self, name: str) -> np.ndarray:
         return self.atoms[self.atom_names.index(name)]
 
@@ -205,21 +227,19 @@ def generated_context(
     return _spectral_context(spectral_decompose(h, tau_herm, tau_eig), name, h.shape[0])
 
 
-def contexts_commute(
-    c1: QuantumContext, c2: QuantumContext, tol: float = TAU_PROJ
-) -> bool:
-    return all(
-        _maxabs(p @ q - q @ p) <= tol for p in c1.atoms for q in c2.atoms
-    )
-
-
 def _overlap(
     c1: QuantumContext, c2: QuantumContext, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """All atom products prods[i, j] = p_i q_j of two contexts, and the
     overlap graph edges[i, j] = ||p_i q_j||_max > tol."""
-    prods = np.matmul(np.stack(c1.atoms)[:, None], np.stack(c2.atoms)[None])
+    prods = np.matmul(c1.stack[:, None], c2.stack[None])
     return prods, np.abs(prods).max(axis=(2, 3)) > tol
+
+
+def _commute(prods: np.ndarray, tol: float) -> bool:
+    """Whether the atoms whose products _overlap returned commute within tol:
+    p q - q p = p q - (p q)^dagger for Hermitian p and q."""
+    return _maxabs(prods - prods.conj().swapaxes(-1, -2)) <= tol
 
 
 def _components(edges: np.ndarray) -> set[tuple[int, ...]]:
@@ -248,6 +268,11 @@ class QuantumModel:
     spectra: dict[str, SpectralData] = field(init=False)
     poset: ContextPoset = field(init=False)
     frame: Frame = field(init=False)
+    _probe: np.ndarray = field(init=False, repr=False, compare=False)
+    # (number of atoms, cell) -> [(insertion index, context id)], see _key
+    _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         mats = {k: np.asarray(v, dtype=complex) for k, v in self.observables.items()}
@@ -266,47 +291,84 @@ class QuantumModel:
 
     # -- poset construction ------------------------------------------------
 
-    def _find_equal(self, ctx: QuantumContext) -> str | None:
-        for cid, existing in self.contexts.items():
-            if same_atoms(ctx.atoms, existing.atoms, self.tau_proj):
+    def _find_equal(self, ctx: QuantumContext, key: tuple[int, int]) -> str | None:
+        """The earliest stored context whose atoms match ctx's within tau_proj.
+
+        A match has the same number n of atoms and pairs each atom p_k of
+        ctx with an atom q_k, max|p_k - q_k| <= tau, so |<v, p_k v> -
+        <v, q_k v>| <= ||p_k - q_k||_2 <= dim tau for the unit probe v.
+        Clipped to [0, 1], which moves no two values apart, each square
+        moves by at most 2 dim tau, and f by at most 2 n dim tau, half the
+        cell width: every match lies in ctx's cell or a neighbour, and the
+        earliest of those is the earliest of all.
+        """
+        n, cell = key
+        for _, cid in sorted(
+            entry for c in (cell - 1, cell, cell + 1) for entry in self._cells.get((n, c), ())
+        ):
+            if same_atoms(ctx.atoms, self.contexts[cid].atoms, self.tau_proj):
                 return cid
         return None
 
+    def _key(self, ctx: QuantumContext) -> tuple[int, int]:
+        """(n, f // (4 n dim tau_proj)) for the n atoms p_k of ctx and
+        f = sum_k <v, p_k v>^2, each <v, p_k v> clipped to [0, 1]; the width
+        has 1e-12 more for the rounding of f, and is that alone for a
+        negative or NaN tau_proj, under which same_atoms matches nothing."""
+        x = np.clip((ctx.stack @ self._probe).dot(self._probe.conj()).real, 0.0, 1.0)
+        n = len(ctx.atoms)
+        width = 4 * n * self.dim * self.tau_proj
+        width = width + 1e-12 if width >= 0 else 1e-12
+        return n, math.floor(float(x @ x) / width)
+
     def _add(self, cid: str, ctx: QuantumContext) -> str:
-        found = self._find_equal(ctx)
+        key = self._key(ctx)
+        found = self._find_equal(ctx, key)
         if found is not None:
             return found
         for issue in validate_resolution(ctx.atoms, self.tau_proj):
             raise StructureError(f"context {cid!r}: {issue}")
+        self._cells.setdefault(key, []).append((len(self.contexts), cid))
         self.contexts[cid] = ctx
         return cid
 
     def _build(self):
         self.contexts = {}
         self.obs_context = {}
+        # the probe of the dedup grid (_key), in closed form
+        idx = np.arange(1, self.dim + 1)
+        probe = np.sqrt(idx) * np.exp(1j * idx * 0.6180339887498949)
+        self._probe = probe / np.linalg.norm(probe)
+        self._cells = {}
         self._add(TRIVIAL_ID, _trivial_context(self.dim))
         for name in sorted(self.observables):
             ctx = _spectral_context(self.spectra[name], name, self.dim)
             self.obs_context[name] = self._add(name, ctx)
         # close under pairwise meets and commuting joins; a pair taken once
-        # yields no new context when taken again, so each pair is taken once
-        edges: dict[tuple[str, str], np.ndarray] = {}
+        # yields no new context when taken again, so each pair is taken once.
+        # order[a, b] = (edges, a <= b, b <= a); a comparable pair has the
+        # pair itself as meet and join, both stored already
+        order: dict[tuple[str, str], tuple[np.ndarray, bool, bool]] = {}
         while pairs := [
-            ab for ab in itertools.combinations(sorted(self.contexts), 2) if ab not in edges
+            ab for ab in itertools.combinations(sorted(self.contexts), 2) if ab not in order
         ]:
             for a, b in pairs:
                 ca, cb = self.contexts[a], self.contexts[b]
                 prods, e = _overlap(ca, cb, self.tau_proj)
-                edges[a, b] = e
-                meet = sorted(
-                    (sum(ca.atoms[i] for i in comp) for comp in _components(e)),
-                    key=_atom_sort_key,
-                )
+                a_le_b = bool(np.all(e.sum(axis=0) == 1))
+                b_le_a = bool(np.all(e.sum(axis=1) == 1))
+                order[a, b] = e, a_le_b, b_le_a
+                if a_le_b or b_le_a:
+                    continue
+                meet = np.stack([sum(ca.atoms[i] for i in comp) for comp in _components(e)])
                 self._add(
                     f"({a}^{b})",
-                    QuantumContext(tuple(f"m{k}" for k in range(len(meet))), tuple(meet)),
+                    QuantumContext(
+                        tuple(f"m{k}" for k in range(len(meet))),
+                        tuple(meet[_atom_order(meet)]),
+                    ),
                 )
-                if contexts_commute(ca, cb, self.tau_proj):
+                if _commute(prods, self.tau_proj):
                     self._add(
                         f"{a}*{b}",
                         QuantumContext(
@@ -325,13 +387,16 @@ class QuantumModel:
             for b, cb in self.contexts.items():
                 if a == b:
                     continue
-                e = edges[a, b] if a < b else edges[b, a].T
-                if not np.all(e.sum(axis=0) == 1):
-                    continue
-                embeddings[(a, b)] = {
-                    n: frozenset(cb.atom_names[j] for j in np.flatnonzero(row))
-                    for n, row in zip(ca.atom_names, e)
-                }
+                if a < b:
+                    e, leq, _ = order[a, b]
+                else:
+                    e, _, leq = order[b, a]
+                    e = e.T
+                if leq:
+                    embeddings[(a, b)] = {
+                        n: frozenset(cb.atom_names[j] for j in np.flatnonzero(row))
+                        for n, row in zip(ca.atom_names, e)
+                    }
         self.poset = ContextPoset(contexts, list(embeddings), embeddings)
         self.frame = Frame(self.poset)
 

@@ -136,12 +136,45 @@ def test_mask_adjunction_matches_section_loop(request, name):
     assert laws.adjunction == section_adjunction(frame) == laws.sections**3
 
 
+def mask_distributivity(ups) -> int:
+    """Triples of up-set masks with U1 & (U2 | U3) == (U1 & U2) | (U1 & U3):
+    always all n^3, whatever the frame's meet and join do."""
+    return sum(
+        u1 & (u2 | u3) == (u1 & u2) | (u1 & u3) for u1 in ups for u2 in ups for u3 in ups
+    )
+
+
 # the Section-level distributivity loop takes about 6 s on crossing's 48^3 triples
 @pytest.mark.parametrize("name", ["figure1", "one_qubit"])
 def test_mask_distributivity_matches_section_loop(request, name):
     frame = request.getfixturevalue(MODELS[name]).frame
     laws = frame.check_laws(exhaustive=True)
-    assert laws.distributive == section_distributivity(frame) == laws.sections**3
+    assert laws.distributive == laws.sections**2
+    assert section_distributivity(frame) == laws.sections**3
+
+
+def drop_a_meet_point(original):
+    def meet(self, sections):
+        return self._section(drop_top(self._mask(original(self, sections))))
+
+    return meet
+
+
+@pytest.mark.parametrize("name", ["figure1", "one_qubit"])
+def test_distributivity_catches_a_faulty_meet(capsys, request, monkeypatch, name):
+    """A meet that drops a point fails the pairwise suite and the
+    Section-level loop; the old suite on masks alone passed it."""
+    frame = request.getfixturevalue(MODELS[name]).frame
+    ups = frame._upsets()
+    monkeypatch.setattr(Frame, "meet", drop_a_meet_point(Frame.meet))
+    laws = frame.check_laws(exhaustive=True)
+    assert laws.distributive < laws.sections**2
+    assert section_distributivity(frame) < laws.sections**3
+    assert mask_distributivity(ups) == len(ups) ** 3
+    code, out = check(capsys, name, "--exhaustive")
+    assert code == 1
+    assert f"distributivity: {laws.sections**2 - laws.distributive} violations" in out
+    assert out.endswith(f"FAILED ({laws.sections**2 - laws.distributive} violations)\n")
 
 
 @pytest.mark.parametrize("name", ["figure1", "one_qubit"])

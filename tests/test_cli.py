@@ -6,7 +6,7 @@ from qlogic import cli
 from qlogic.cli import load_model, main
 from qlogic.sections import Frame
 
-from conftest import FIXTURES
+from conftest import FIXTURES, GOLDEN
 
 FIG1 = str(FIXTURES / "figure1.json")
 QUBIT = str(FIXTURES / "one_qubit.json")
@@ -30,6 +30,15 @@ def test_build_quantum(capsys):
     code, out, _ = run(capsys, "build", QUBIT)
     assert code == 0
     assert "Sz" in out and "Sx" in out
+
+
+def test_build_xz3_matches_golden(capsys):
+    """3-qubit local X/Z observables, each qubit turned by a unitary drawn
+    from default_rng(0): 27 contexts, whose ids, atoms, covers and validity
+    `build` must print byte for byte as in tests/golden."""
+    code, out, err = run(capsys, "build", str(GOLDEN / "xz3_seed0.json"))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "xz3_seed0.build.txt").read_text()
 
 
 @pytest.mark.parametrize("path", [FIG1, CROSS, QUBIT])

@@ -5,7 +5,12 @@ definition: the meet's atoms are the minimal non-zero projections that
 are sums of atoms of both contexts (exhaustive over the subsets of the
 first context's atoms), c1 <= c2 iff every atom of c1 is the sum of the
 atoms of c2 below it, an atom of c1 embeds as the atoms of c2 below it,
-and the join of a commuting pair has the non-zero atom products as atoms.
+two contexts commute iff p q = q p for every pair of atoms, and the join
+of a commuting pair has the non-zero atom products as atoms.  The closure's
+fast paths are checked against oracles of their own: the hashed dedup
+against a scan of every stored context, the commutation read from the
+overlap products against the pairwise commutators, and the vectorised meet
+atom order against a per-atom sort key.
 """
 
 import numpy as np
@@ -20,7 +25,15 @@ from qlogic import (
     classical_bridge,
 )
 from qlogic.bell import BellScenario, build_chsh_frame
-from qlogic.quantum import TAU_PROJ, _maxabs, contexts_commute, same_atoms
+from qlogic.quantum import (
+    TAU_PROJ,
+    QuantumContext,
+    _atom_order,
+    _commute,
+    _maxabs,
+    _overlap,
+    same_atoms,
+)
 
 from test_bridge import oracle_isomorphic
 
@@ -63,6 +76,10 @@ def oracle_meet_atoms(c1, c2, tol=TAU_PROJ) -> list:
     ]
 
 
+def contexts_commute(c1, c2, tol=TAU_PROJ) -> bool:
+    return all(_maxabs(p @ q - q @ p) <= tol for p in c1.atoms for q in c2.atoms)
+
+
 def oracle_join_atoms(c1, c2, tol=TAU_PROJ) -> list:
     return [p @ q for p in c1.atoms for q in c2.atoms if _maxabs(p @ q) > tol]
 
@@ -84,7 +101,9 @@ def check_closure(model: QuantumModel):
             if a < b:
                 meet = model.contexts[poset.meet_contexts(a, b)]
                 assert same_atoms(meet.atoms, oracle_meet_atoms(ca, cb)), (a, b)
-                if contexts_commute(ca, cb):
+                commute = contexts_commute(ca, cb)
+                assert _commute(_overlap(ca, cb, TAU_PROJ)[0], TAU_PROJ) == commute, (a, b)
+                if commute:
                     join = model.contexts[poset.try_join_contexts(a, b)]
                     assert same_atoms(join.atoms, oracle_join_atoms(ca, cb)), (a, b)
     assert poset.validate() == []
@@ -223,3 +242,182 @@ def test_fixture_bridge_twins_match_oracle(name, request):
     assert report.isomorphic
     assert oracle_isomorphic(model, qmodel, report.context_map)
     check_closure(qmodel)
+
+
+# -- the closure's fast paths against their oracles -----------------------------------
+
+
+def oracle_find_equal(model: QuantumModel, ctx) -> str | None:
+    """The earliest stored context with the same atoms: a scan of all."""
+    for cid, existing in model.contexts.items():
+        if same_atoms(ctx.atoms, existing.atoms, model.tau_proj):
+            return cid
+    return None
+
+
+def rotation(ctx, g: np.random.Generator):
+    """size -> ctx conjugated by exp(i t H) for one random Hermitian H, with
+    t such that the atoms move by about `size` in max-abs (to first order)."""
+    dim = ctx.atoms[0].shape[0]
+    a = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
+    w, v = np.linalg.eigh(a + a.conj().T)
+
+    def conjugate(t):
+        u = (v * np.exp(1j * t * w)) @ v.conj().T
+        return tuple(u @ p @ u.conj().T for p in ctx.atoms)
+
+    unit = max(_maxabs(q - p) for p, q in zip(ctx.atoms, conjugate(1e-6))) / 1e-6
+    return lambda size: QuantumContext(ctx.atom_names, conjugate(size / unit))
+
+
+def across_a_wall(model: QuantumModel, ctx, g: np.random.Generator):
+    """Two copies of ctx, turned along one direction to either side of a wall
+    between two cells of the dedup grid, about 0.1 tau_proj apart."""
+    tau, key = model.tau_proj, model._key(ctx)
+    for _ in range(10):
+        turn = rotation(ctx, g)
+        lo, hi = 0.0, tau
+        while model._key(turn(hi)) == key and hi < 0.5:
+            lo, hi = hi, 2 * hi
+        if hi < 0.5:
+            break
+    else:
+        raise AssertionError("no turn reaches a wall")
+    while hi - lo > 0.01 * tau:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if model._key(turn(mid)) == key else (lo, mid)
+    return turn(lo - 0.05 * tau), turn(hi + 0.05 * tau)
+
+
+def shared_blocks_model(seed: int) -> QuantumModel:
+    """Three degenerate observables on C^4, two diagonal in one random basis
+    and one in that basis with its middle two vectors turned."""
+    g = np.random.default_rng(seed)
+    u = haar_unitary(g, 4)
+    v = u.copy()
+    v[:, 1:3] = v[:, 1:3] @ haar_unitary(g, 2)
+    return QuantumModel(
+        {
+            f"O{k}": w @ np.diag(g.integers(0, 3, size=4)) @ w.conj().T
+            for k, w in enumerate([u, v, u])
+        }
+    )
+
+
+DEDUP_MODELS = {
+    "xyz2": lambda: local_pauli_model(2, "XYZ", 11),
+    "xz3": lambda: local_pauli_model(3, "XZ", 12),
+    **{f"blocks{k}": lambda k=k: shared_blocks_model(13 + k) for k in range(3)},
+    # tau_proj = 1e-3 makes the cells coarse
+    "chsh_tau_1e-3": lambda: QuantumModel(
+        build_chsh_frame(BellScenario.from_angles(0, 45, 22.5, 67.5)).model.observables,
+        tau_proj=1e-3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEDUP_MODELS))
+def test_find_equal_matches_a_scan_of_every_context(monkeypatch, name):
+    model = DEDUP_MODELS[name]()
+    g = np.random.default_rng(len(model.contexts))
+    tau = model.tau_proj
+    for cid, ctx in model.contexts.items():
+        assert model._find_equal(ctx, model._key(ctx)) == cid
+    # every rotation fixes the identity: turn the other contexts
+    stored = [(cid, ctx) for cid, ctx in model.contexts.items() if len(ctx.atoms) > 1]
+    queries = []
+    for cid, ctx in stored:
+        turn = rotation(ctx, g)
+        near, far = turn(0.1 * tau), turn(10 * tau)
+        assert model._find_equal(near, model._key(near)) == oracle_find_equal(model, near) == cid
+        assert model._find_equal(far, model._key(far)) is oracle_find_equal(model, far) is None
+        queries += [turn(0.6 * tau), turn(1.4 * tau)]
+    # store copies past the dedup, so that a query may match several contexts
+    # in several cells (the earliest must come back), and copies next to a
+    # cell wall, each queried from the far side of the wall
+    walls = []
+    with monkeypatch.context() as m:
+        m.setattr(QuantumModel, "_find_equal", lambda self, ctx, key: None)
+        for cid, ctx in stored:
+            model._add(f"{cid}#copy", rotation(ctx, g)(0.6 * tau))
+            inside, outside = across_a_wall(model, ctx, g)
+            walls.append((model._add(f"{cid}#wall", inside), outside))
+    for q in queries:
+        assert model._find_equal(q, model._key(q)) == oracle_find_equal(model, q)
+    for cid, q in walls:
+        assert model._key(q) != model._key(model.contexts[cid])
+        assert model._find_equal(q, model._key(q)) == oracle_find_equal(model, q) == cid
+
+
+def oracle_atom_sort_key(p: np.ndarray) -> tuple:
+    """Rank, moment sum_i i p_ii and entries, rounded to 6 digits."""
+    rank = int(round(float(np.real(np.trace(p)))))
+    pos = np.arange(p.shape[0])
+    moment = float(np.real(np.sum(np.diag(p) * pos)))
+    flat = np.round(p, 6)
+    return (rank, round(moment, 6), tuple(flat.real.ravel()), tuple(flat.imag.ravel()))
+
+
+def atom_basis(g: np.random.Generator, dim: int, kind: str) -> np.ndarray:
+    """A Haar-random basis, or a flat one (|u_ij|^2 = 1/dim, so that atoms of
+    one rank tie on the moment), or a flat one turned by about 1e-4 (the
+    moments then differ past the third digit)."""
+    if kind == "haar":
+        return haar_unitary(g, dim)
+    k = np.arange(dim)
+    u = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
+    u = np.exp(1j * g.uniform(0, 2 * np.pi, (dim, 1))) * u * np.exp(1j * g.uniform(0, 2 * np.pi, dim))
+    if kind == "nudged":
+        a = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
+        w, v = np.linalg.eigh(a + a.conj().T)
+        u = (v * np.exp(1e-4j * w)) @ v.conj().T @ u
+    return u
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3, 4, 8, 16]),
+    kind=st.sampled_from(["haar", "flat", "nudged"]),
+)
+def test_atom_order_matches_the_per_atom_sort_key(seed, dim, kind):
+    """Sums of the projections onto blocks of basis vectors, in the order
+    of the per-atom key."""
+    g = np.random.default_rng(seed)
+    u = atom_basis(g, dim, kind)
+    cuts = np.sort(g.choice(np.arange(1, dim), min(dim - 1, 4), replace=False))
+    atoms = [u[:, b] @ u[:, b].conj().T for b in np.split(g.permutation(dim), cuts)]
+    want = sorted(range(len(atoms)), key=lambda i: oracle_atom_sort_key(atoms[i]))
+    assert _atom_order(np.stack(atoms)) == want
+
+
+def conjugated(observables: dict, u: np.ndarray) -> dict:
+    return {k: u @ m @ u.conj().T for k, m in observables.items()}
+
+
+def shape(model: QuantumModel):
+    poset = model.poset
+    ids = poset.context_ids
+    return (
+        [(c, model.contexts[c].atom_names) for c in ids],
+        [(a, b) for a in ids for b in ids if poset.leq(a, b)],
+        poset.covers(),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: local_pauli_model(2, "XZ", 21),
+        lambda: local_pauli_model(2, "XYZ", 22),
+        lambda: local_pauli_model(3, "XZ", 23),
+        lambda: build_chsh_frame(BellScenario.from_angles(10, 55, 30, 100)).model,
+    ],
+    ids=["xz2", "xyz2", "xz3", "chsh"],
+)
+def test_build_is_invariant_under_a_global_unitary(make):
+    model = make()
+    g = np.random.default_rng(24)
+    for _ in range(3):
+        u = haar_unitary(g, model.dim)
+        assert shape(QuantumModel(conjugated(model.observables, u))) == shape(model)
