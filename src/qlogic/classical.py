@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
 from .errors import DomainError
-from .poset import ContextPoset, LocalAlgebra
+from .poset import ContextPoset, LocalAlgebra, _bits
 from .sections import BOTTOM, ElementaryProposition, Frame
 
 Cell = frozenset
@@ -79,20 +79,105 @@ def partition_join(p1: Partition, p2: Partition) -> Partition:
     return frozenset(block.values())
 
 
+class _Points:
+    """The outcome space's points indexed in sorted-name order.
+
+    A partition of the n points is held as its rows, ``rows[x]`` the mask
+    of x's block, packed into one int of n*n bits with row x at bit x*n:
+    points x and y share a block iff bit x*n + y is set.  Meet is ``&``, p
+    refines q iff ``p & ~q == 0``, and join merges blocks on the rows.
+    """
+
+    def __init__(self, omega: OutcomeSpace):
+        self.names = tuple(sorted(omega.points, key=str))
+        self.n = len(self.names)
+        self._index = {x: i for i, x in enumerate(self.names)}
+        self._cells: dict[int, tuple[Cell, str]] = {}
+        self._diagonals: dict[int, int] = {}
+
+    def pack(self, rows) -> int:
+        n = self.n
+        return sum(row << x * n for x, row in enumerate(rows))
+
+    def rows(self, packed: int) -> tuple[int, ...]:
+        n, full = self.n, (1 << self.n) - 1
+        return tuple(packed >> x * n & full for x in range(n))
+
+    def encode(self, p: Partition) -> int:
+        rows = [0] * self.n
+        for cell in p:
+            block = sum(1 << self._index[x] for x in cell)
+            for x in cell:
+                rows[self._index[x]] = block
+        return self.pack(rows)
+
+    def cell(self, block: int) -> tuple[Cell, str]:
+        """The cell of a block mask and its id, built once per mask."""
+        got = self._cells.get(block)
+        if got is None:
+            c = frozenset(self.names[x] for x in _bits(block))
+            got = self._cells[block] = (c, cell_id(c))
+        return got
+
+    def decode(self, packed: int) -> Partition:
+        return frozenset(self.cell(block)[0] for block in set(self.rows(packed)))
+
+    def blocks(self, packed: int) -> tuple[int, ...]:
+        """The blocks of two or more points."""
+        return tuple({row for row in self.rows(packed) if row & row - 1})
+
+    def join(self, packed: int, blocks: Iterable[int]) -> int:
+        """Finest common coarsening of a packed partition and the partition
+        with the given blocks of two or more points: per block, the blocks
+        it touches merge.  A merged block m only grows, so it is or-ed into
+        all its rows at once, as m times the int with bit x*n set for each
+        point x of m."""
+        n, full = self.n, (1 << self.n) - 1
+        for b in blocks:
+            m = packed >> ((b & -b).bit_length() - 1) * n & full
+            rest = b & ~m
+            if not rest:
+                continue
+            while rest:
+                m |= packed >> ((rest & -rest).bit_length() - 1) * n & full
+                rest &= ~m
+            diagonal = self._diagonals.get(m)
+            if diagonal is None:
+                diagonal = self._diagonals[m] = sum(1 << x * n for x in _bits(m))
+            packed |= m * diagonal
+        return packed
+
+
+def _close(points: _Points, family: list[int]) -> list[int]:
+    """The packed partitions, {Omega} added, closed under meet and join.
+
+    Each pair is taken once, when the later of the two is walked; a
+    comparable pair is skipped, since its meet and join are the pair."""
+    family = list(dict.fromkeys([*family, points.pack([(1 << points.n) - 1] * points.n)]))
+    blocks = [points.blocks(e) for e in family]
+    seen = set(family)
+    for k, e1 in enumerate(family):  # the list grows while it is walked
+        for i in range(k):
+            e2 = family[i]
+            meet = e1 & e2
+            if meet == e1 or meet == e2:
+                continue
+            for q in (meet, points.join(e1, blocks[i])):
+                if q not in seen:
+                    seen.add(q)
+                    family.append(q)
+                    blocks.append(points.blocks(q))
+    return family
+
+
 def close_partition_family(
     partitions: Iterable[Partition], omega: OutcomeSpace
 ) -> frozenset:
     """Smallest family containing the inputs and {Omega}, closed under
     pairwise meet and finest-common-coarsening join."""
-    family = list(dict.fromkeys([*partitions, frozenset({frozenset(omega.points)})]))
-    seen = set(family)
-    for k, p1 in enumerate(family):  # the list grows while it is walked
-        for p2 in family[:k]:
-            for q in (partition_meet(p1, p2), partition_join(p1, p2)):
-                if q not in seen:
-                    family.append(q)
-                    seen.add(q)
-    return frozenset(family)
+    points = _Points(omega)
+    family = _close(points, [points.encode(p) for p in partitions])
+    return frozenset(points.decode(e) for e in family)
 
 
 # -- context poset construction ------------------------------------------
@@ -113,21 +198,34 @@ def build_classical_frame(
 
     Returns the poset and a mapping context id -> partition.  The order is
     reverse refinement: a finer partition is the more informative context.
+    An embedding sends each coarse cell to the fine cells whose lowest
+    point it holds.
     """
-    parts = {partition_id(p): p for p in close_partition_family(partitions, omega)}
-    contexts = {
-        cid: LocalAlgebra(tuple(sorted(cell_id(c) for c in p)))
-        for cid, p in parts.items()
-    }
-    embeddings = {  # p2 finer: context c2 is more informative
-        (c1, c2): {
-            cell_id(coarse): frozenset(cell_id(fine) for fine in p2 if fine <= coarse)
-            for coarse in p1
-        }
-        for c1, p1 in parts.items()
-        for c2, p2 in parts.items()
-        if c1 != c2 and refines(p2, p1)
-    }
+    points = _Points(omega)
+    family = _close(points, [points.encode(p) for p in partitions])
+    ids, parts, contexts = [], {}, {}
+    coarse = []  # per partition: point -> id of its cell
+    fine = []  # per partition: (lowest point, id) of each cell
+    for e in family:
+        rows = points.rows(e)
+        cells = {block: points.cell(block) for block in rows}
+        atoms = tuple(sorted(name for _, name in cells.values()))
+        cid = "/".join(atoms)
+        ids.append(cid)
+        parts[cid] = frozenset(c for c, _ in cells.values())
+        contexts[cid] = LocalAlgebra(atoms)
+        coarse.append([cells[block][1] for block in rows])
+        fine.append([((b & -b).bit_length() - 1, name) for b, (_, name) in cells.items()])
+    embeddings = {}
+    for i, e1 in enumerate(family):
+        outside = ~e1
+        for j, e2 in enumerate(family):
+            if e2 & outside or i == j:
+                continue
+            groups: dict[str, list[str]] = {}
+            for low, name in fine[j]:
+                groups.setdefault(coarse[i][low], []).append(name)
+            embeddings[ids[i], ids[j]] = {a: frozenset(v) for a, v in groups.items()}
     return ContextPoset(contexts, list(embeddings), embeddings), parts
 
 
@@ -156,10 +254,22 @@ class ClassicalModel:
     def coerce(self, name: str, tokens: Iterable[str]) -> list:
         """The outcome values of the named observable that the textual tokens
         spell; other tokens, and those of an unknown name, pass unchanged for
-        elementary to reject."""
+        elementary to reject.  A token that spells two values (0 and "0")
+        raises DomainError."""
         obs = self.observables.get(name)
-        by_text = {str(v): v for v in obs.range()} if obs else {}
-        return [by_text.get(t, t) for t in tokens]
+        by_text: dict[str, list] = {}
+        for v in obs.range() if obs else ():
+            by_text.setdefault(str(v), []).append(v)
+        values = []
+        for t in tokens:
+            spelled = by_text.get(t, [t])
+            if len(spelled) > 1:
+                raise DomainError(
+                    f"outcome {t!r} of {name!r} is ambiguous: values "
+                    + ", ".join(sorted(map(repr, spelled)))
+                )
+            values.append(spelled[0])
+        return values
 
     def elementary(self, name: str, delta_values: Iterable) -> ElementaryProposition:
         """The proposition that a measurement of the named observable gave a

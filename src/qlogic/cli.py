@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 check failure, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import sys
@@ -64,7 +65,11 @@ def load_model(path: str):
         _require(doc, "points", "observables")
         if not isinstance(doc["points"], list):
             raise QLogicError("'points' must be a list of point names")
-        omega = OutcomeSpace(frozenset(str(p) for p in doc["points"]))
+        names = [str(p) for p in doc["points"]]
+        for k, count in collections.Counter(names).items():
+            if count > 1:
+                raise QLogicError(f"duplicate point {k!r}")
+        omega = OutcomeSpace(frozenset(names))
         observables = {}
         for name, vm in _observables(doc).items():
             if not isinstance(vm, dict):

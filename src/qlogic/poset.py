@@ -54,7 +54,13 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _extreme(mask: int, masks: list[int]) -> int | None:
     """The member g of mask whose masks[g] holds all of mask, or None."""
-    return next((g for g in _bits(mask) if masks[g] & mask == mask), None)
+    rest = mask
+    while rest:
+        g = (rest & -rest).bit_length() - 1
+        if masks[g] & mask == mask:
+            return g
+        rest &= rest - 1
+    return None
 
 
 class ContextPoset:
@@ -176,6 +182,7 @@ class ContextPoset:
         issues: list[str] = []
         ids, up, down = self._ids, self._up, self._down
         unusable: set[tuple[str, str]] = set()  # embeddings that cannot be applied
+        atom_set = {c: frozenset(alg.atoms) for c, alg in self._contexts.items()}
         # per strict pair: antisymmetry, transitivity (reflexivity by build),
         # and an embedding that is present and well formed
         for i, a in enumerate(ids):
@@ -190,13 +197,13 @@ class ContextPoset:
                     issues.append(f"missing embedding {a!r} -> {b!r}")
                     unusable.add((a, b))
                     continue
-                alg_a, alg_b = self._contexts[a], self._contexts[b]
-                if set(emb) != set(alg_a.atoms):
+                atoms = self._contexts[a].atoms
+                if emb.keys() != atom_set[a]:
                     issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
                     unusable.add((a, b))
                     continue
-                images = [emb[x] for x in alg_a.atoms]
-                if any(not img for img in images):
+                images = [emb[x] for x in atoms]
+                if not all(images):
                     issues.append(f"embedding {a!r} -> {b!r} drops an atom")
                 seen: set = set()
                 for img in images:
@@ -204,33 +211,75 @@ class ContextPoset:
                         issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
                         break
                     seen |= img
-                target = set(alg_b.atoms)
+                target = atom_set[b]
                 if seen != target:
                     issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
-                    if not seen <= target:
-                        unusable.add((a, b))
+                if not target.issuperset(set().union(*images)):
+                    unusable.add((a, b))
         # composition along chains a <. b < c: on a partial order this
         # covers every chain, by induction on the interval from a to b.  A
         # chain through an embedding that is missing, partial or names atoms
-        # its target lacks (each reported above) cannot be composed.
+        # its target lacks (each reported above) cannot be composed.  Atom t
+        # of a composes iff its image in c is the union of the images in c
+        # of the atoms of b it maps to, compared as masks over c's atoms.
+        bit: dict[str, dict[str, int]] = {}  # context -> atom -> its bit
+        masks: dict[tuple[str, str], list[int]] = {}
+
+        def images_of(a: str, c: str) -> list[int]:
+            got = masks.get((a, c))
+            if got is None:
+                atoms = self._contexts[a].atoms
+                if a == c:  # on a cycle of the order
+                    got = [1 << t for t in range(len(atoms))]
+                else:
+                    one = bit.get(c)
+                    if one is None:
+                        one = bit[c] = {x: 1 << s for s, x in enumerate(self._contexts[c].atoms)}
+                    emb = self._embeddings[(a, c)]
+                    got = [sum(map(one.__getitem__, emb[x])) for x in atoms]
+                masks[a, c] = got
+            return got
+
         for a, b in self.covers():
             i, j = self._bit[a], self._bit[b]
+            ab = None  # (t, s) for each atom s of b in the image of atom t of a
             for k in _bits(up[i] & up[j] & ~(1 << j)):
                 c = ids[k]
                 if unusable and not unusable.isdisjoint([(a, b), (a, c), (b, c)]):
                     continue
-                for atom in self._contexts[a].atoms:
-                    direct = self.embed(a, c, frozenset({atom}))
-                    via = self.embed(b, c, self.embed(a, b, frozenset({atom})))
-                    if direct != via:
-                        issues.append(
-                            f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}"
-                        )
-        # closure under pairwise meets
+                if ab is None:
+                    ab = [(t, s) for t, m in enumerate(images_of(a, b)) for s in _bits(m)]
+                bc, ac = images_of(b, c), images_of(a, c)
+                via = [0] * len(ac)
+                for t, s in ab:
+                    via[t] |= bc[s]
+                if via != ac:
+                    issues += [
+                        f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}"
+                        for atom, direct, composed in zip(self._contexts[a].atoms, ac, via)
+                        if direct != composed
+                    ]
+        # closure under pairwise meets: a comparable pair has one, its
+        # lower member, so only incomparable pairs i < j are searched and
+        # each missing meet is reported for both orders of the pair.  The
+        # down-sets are also kept with the contexts renumbered by down-set
+        # size: in a partial order a meet has the largest down-set of the
+        # lower bounds (the least context is always one), so the highest
+        # of them is tried first, and the scan of every lower bound runs
+        # only when it fails.
+        rank = sorted(range(len(ids)), key=lambda g: (down[g].bit_count(), g))
+        position = {g: r for r, g in enumerate(rank)}
+        ranked = [sum(1 << position[x] for x in _bits(down[g])) for g in range(len(ids))]
+        by_rank = [ranked[g] for g in rank]
+        missing = []
         for i in range(len(ids)):
-            for j in range(len(ids)):
+            for j in _bits(~(up[i] | down[i]) & ~((2 << i) - 1) & (1 << len(ids)) - 1):
+                lower = ranked[i] & ranked[j]
+                if by_rank[lower.bit_length() - 1] & lower == lower:
+                    continue
                 if _extreme(down[i] & down[j], down) is None:
-                    issues.append(f"no meet for {ids[i]!r}, {ids[j]!r}")
+                    missing += [(i, j), (j, i)]
+        issues += [f"no meet for {ids[i]!r}, {ids[j]!r}" for i, j in sorted(missing)]
         return issues
 
     def __repr__(self):

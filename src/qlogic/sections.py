@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
-from .poset import ContextPoset, Element
+from .poset import ContextPoset, Element, _bits
 
 DEFAULT_ENUM_GUARD = 10**6
 ENUM_GUARD_ENV = "QLOGIC_ENUM_GUARD"
@@ -86,6 +86,10 @@ class _PointTable(NamedTuple):
     index: dict[tuple[str, str], int]  # (context, atom) -> bit
     up: tuple[int, ...]  # bit -> mask of the point's up-set
     top: int  # mask of every point
+    # per context, its points being consecutive bits: (context, first bit,
+    # mask of as many low bits as it has atoms, atoms, and a cache of the
+    # elements decoded so far, keyed by those bits)
+    contexts: tuple[tuple[str, int, int, tuple[str, ...], dict[int, Element]], ...]
 
 
 class LawCounts(NamedTuple):
@@ -116,18 +120,25 @@ class Frame:
                 for b in self.poset.embed(c, d, frozenset({a})):
                     mask |= 1 << index[(d, b)]
             up.append(mask)
-        return _PointTable(points, index, tuple(up), (1 << len(points)) - 1)
+        contexts = []
+        for c in self._ids:
+            atoms = self.poset.algebra(c).atoms
+            contexts.append((c, index[c, atoms[0]], (1 << len(atoms)) - 1, atoms, {}))
+        return _PointTable(points, index, tuple(up), (1 << len(points)) - 1, tuple(contexts))
 
     def _mask(self, s: Section) -> int:
         index = self._table.index
         return sum(1 << index[(c, a)] for c, v in s.items for a in v)
 
     def _section(self, mask: int) -> Section:
-        values: dict[str, list[str]] = {c: [] for c in self._ids}
-        for p, (c, a) in enumerate(self._table.points):
-            if mask >> p & 1:
-                values[c].append(a)
-        return Section(tuple((c, frozenset(v)) for c, v in values.items()))
+        items = []
+        for c, first, width, atoms, decoded in self._table.contexts:
+            chunk = mask >> first & width
+            value = decoded.get(chunk)
+            if value is None:
+                value = decoded[chunk] = frozenset(atoms[k] for k in _bits(chunk))
+            items.append((c, value))
+        return Section(tuple(items))
 
     # -- construction ---------------------------------------------------
 

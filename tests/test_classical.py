@@ -14,7 +14,7 @@ from qlogic import (
     partition_meet,
     partition_of_observable,
 )
-from qlogic.classical import build_classical_frame, partition_id, refines
+from qlogic.classical import build_classical_frame, cell_id, partition_id, refines
 
 
 def P(*cells):
@@ -267,3 +267,118 @@ def test_classical_sandwich_property(crossing_model):
     )
     assert f.leq(lower, s) and lower != s
     assert f.leq(s, upper) and s != upper
+
+
+# -- the mask closure and frame against the frozenset algorithms they replaced --
+
+
+def frozenset_closure(partitions, omega):
+    """Oracle closure on frozensets of cells: each pair once, when the later
+    of the two is walked, meet then join."""
+    family = list(dict.fromkeys([*partitions, frozenset({frozenset(omega.points)})]))
+    seen = set(family)
+    for k, p1 in enumerate(family):
+        for p2 in family[:k]:
+            for q in (partition_meet(p1, p2), partition_join(p1, p2)):
+                if q not in seen:
+                    family.append(q)
+                    seen.add(q)
+    return frozenset(family)
+
+
+def frozenset_frame(partitions, omega):
+    """Oracle frame: contexts (id -> atoms), order pairs and embeddings from
+    string ids, every pair tested with `refines`."""
+    parts = {partition_id(p): p for p in frozenset_closure(partitions, omega)}
+    contexts = {cid: tuple(sorted(cell_id(c) for c in p)) for cid, p in parts.items()}
+    embeddings = {
+        (c1, c2): {
+            cell_id(coarse): frozenset(cell_id(fine) for fine in p2 if fine <= coarse)
+            for coarse in p1
+        }
+        for c1, p1 in parts.items()
+        for c2, p2 in parts.items()
+        if c1 != c2 and refines(p2, p1)
+    }
+    return contexts, embeddings, parts
+
+
+# names whose string order differs from their list order
+NAMES = ["q10", "q2", "p", "Z", "b7", "0", "zz", "a"]
+
+
+@st.composite
+def classical_models(draw, names=NAMES):
+    """3-8 named points and up to 3 observables of up to 3 values (4 on at
+    most 6 points, which keeps every closed family to a few hundred)."""
+    n = draw(st.integers(3, 8))
+    points = draw(st.permutations(names))[:n]
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    k = draw(st.integers(0, 4 if n <= 6 else 3))
+    return points, {f"O{j}": dict(zip(points, draw(labels))) for j in range(k)}
+
+
+def _model(points, observables):
+    return ClassicalModel(
+        OutcomeSpace(frozenset(points)),
+        {name: ClassicalObservable.from_dict(name, vm) for name, vm in observables.items()},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=classical_models())
+def test_mask_closure_and_frame_match_frozenset_oracle(drawn):
+    points, observables = drawn
+    omega = OutcomeSpace(frozenset(points))
+    base = [
+        partition_of_observable(ClassicalObservable.from_dict(name, vm), omega)
+        for name, vm in observables.items()
+    ]
+    assert close_partition_family(base, omega) == frozenset_closure(base, omega)
+    contexts, embeddings, parts = frozenset_frame(base, omega)
+    poset, got_parts = build_classical_frame(base, omega)
+    assert got_parts == parts
+    assert {c: poset.algebra(c).atoms for c in poset.context_ids} == contexts
+    assert poset._embeddings == embeddings
+    ids = poset.context_ids
+    assert [(a, b) for a in ids for b in ids if a != b and poset.leq(a, b)] == sorted(embeddings)
+    assert poset.validate() == []
+
+
+def _relabel_id(cid: str, new: dict) -> str:
+    """A context id with every point renamed, cells and partition re-sorted."""
+    cells = [c[1:-1].split(",") for c in cid.split("/")]
+    return "/".join(sorted("{" + ",".join(sorted(new[x] for x in c)) + "}" for c in cells))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    drawn=classical_models(),
+    renamed=st.permutations(["x3", "x20", "Y", "c", "k1", "9", "m", "B"]),
+)
+def test_build_is_invariant_under_relabelling_points(drawn, renamed):
+    """Renaming the points gives the same model with renamed ids: the same
+    contexts, atoms, order, embeddings, observable contexts and validity."""
+    points, observables = drawn
+    new = dict(zip(points, renamed))
+    m1 = _model(points, observables)
+    m2 = _model(
+        [new[x] for x in points],
+        {name: {new[x]: v for x, v in vm.items()} for name, vm in observables.items()},
+    )
+    rename = functools.partial(_relabel_id, new=new)
+    assert sorted(map(rename, m1.poset.context_ids)) == list(m2.poset.context_ids)
+    for c in m1.poset.context_ids:
+        atoms = m2.poset.algebra(rename(c)).atoms
+        assert sorted(map(rename, m1.poset.algebra(c).atoms)) == list(atoms)
+        for d in m1.poset.context_ids:
+            assert m1.poset.leq(c, d) == m2.poset.leq(rename(c), rename(d))
+            if c != d and m1.poset.leq(c, d):
+                for a in m1.poset.algebra(c).atoms:
+                    image = m1.poset.embed(c, d, frozenset({a}))
+                    assert m2.poset.embed(rename(c), rename(d), frozenset({rename(a)})) == {
+                        rename(x) for x in image
+                    }
+    assert sorted((rename(a), rename(b)) for a, b in m1.poset.covers()) == m2.poset.covers()
+    assert {name: rename(c) for name, c in m1.obs_context.items()} == m2.obs_context
+    assert m1.poset.validate() == m2.poset.validate() == []

@@ -41,6 +41,16 @@ def test_build_xz3_matches_golden(capsys):
     assert out == (GOLDEN / "xz3_seed0.build.txt").read_text()
 
 
+def test_build_classical8_matches_golden(capsys):
+    """8 points, five observables of 2-3 values drawn from random.Random(0)
+    until the closed family held 201-260 partitions: 230 contexts, whose
+    ids, atoms, covers and validity `build` must print byte for byte as in
+    tests/golden."""
+    code, out, err = run(capsys, "build", str(GOLDEN / "classical8_seed0.json"))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "classical8_seed0.build.txt").read_text()
+
+
 @pytest.mark.parametrize("path", [FIG1, CROSS, QUBIT])
 def test_build_covers_are_transitive_reduction(capsys, path):
     code, out, _ = run(capsys, "build", path)
@@ -304,6 +314,20 @@ MALFORMED = {
     "too few angles": lambda tmp: ["bell", "--angles", "1,2"],
     "sweep not positive": lambda tmp: ["bell", "--sweep", "0"],
     "bridge on quantum": lambda tmp: ["bridge", QUBIT],
+    "duplicate point": lambda tmp: [
+        "build", _model_file(tmp, b'{"kind": "classical", "points": ["a", "a", "b"], "observables": {}}')
+    ],
+    "duplicate point after str()": lambda tmp: [
+        "build", _model_file(tmp, b'{"kind": "classical", "points": [1, "1"], "observables": {}}')
+    ],
+    "ambiguous outcome token": lambda tmp: [
+        "eval",
+        _model_file(
+            tmp, b'{"kind": "classical", "points": ["a", "b"], "observables": {"A": {"a": 0, "b": "0"}}}'
+        ),
+        "-f",
+        "M(A,{0})",
+    ],
 }
 
 
@@ -313,3 +337,5 @@ def test_malformed_invocation(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    if case.startswith("duplicate point"):
+        assert err.startswith("error: duplicate point ")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlogic import LocalAlgebra, ContextPoset, StructureError, UnknownContextError
+from qlogic.poset import _bits
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -423,3 +424,127 @@ def test_mask_poset_matches_pair_oracle(drawn):
     assert _composition(got) <= _composition(want)
     if not any("antisymmetric" in v or "transitive" in v for v in want):
         assert bool(_composition(got)) == bool(_composition(want))
+
+
+# -- validate on atom masks against the string-embedding loops it replaced --
+
+
+def embed_validate(poset):
+    """Oracle: validate() with every embedding applied to atom names by
+    `embed`, and the meet searched for every ordered pair.  A chain through
+    an embedding whose images name atoms its target lacks is not composed."""
+    issues = []
+    ids, up, down = poset._ids, poset._up, poset._down
+    contexts, embeddings = poset._contexts, poset._embeddings
+    unusable = set()
+    for i, a in enumerate(ids):
+        for j in _bits(up[i] & ~(1 << i)):
+            b = ids[j]
+            if up[j] >> i & 1:
+                issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
+            for k in _bits(up[j] & ~up[i]):
+                issues.append(f"order not transitive at {a!r} <= {b!r} <= {ids[k]!r}")
+            emb = embeddings.get((a, b))
+            if emb is None:
+                issues.append(f"missing embedding {a!r} -> {b!r}")
+                unusable.add((a, b))
+                continue
+            if set(emb) != set(contexts[a].atoms):
+                issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
+                unusable.add((a, b))
+                continue
+            images = [emb[x] for x in contexts[a].atoms]
+            if any(not img for img in images):
+                issues.append(f"embedding {a!r} -> {b!r} drops an atom")
+            seen = set()
+            for img in images:
+                if img & seen:
+                    issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
+                    break
+                seen |= img
+            target = set(contexts[b].atoms)
+            if seen != target:
+                issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
+            if not set().union(*images) <= target:
+                unusable.add((a, b))
+    for a, b in poset.covers():
+        i, j = ids.index(a), ids.index(b)
+        for k in _bits(up[i] & up[j] & ~(1 << j)):
+            c = ids[k]
+            if not unusable.isdisjoint([(a, b), (a, c), (b, c)]):
+                continue
+            for atom in contexts[a].atoms:
+                direct = poset.embed(a, c, frozenset({atom}))
+                via = poset.embed(b, c, poset.embed(a, b, frozenset({atom})))
+                if direct != via:
+                    issues.append(f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}")
+    for i in range(len(ids)):
+        for j in range(len(ids)):
+            lower = down[i] & down[j]
+            if not any(down[g] & lower == lower for g in _bits(lower)):
+                issues.append(f"no meet for {ids[i]!r}, {ids[j]!r}")
+    return issues
+
+
+@st.composite
+def drawn_orders(draw):
+    """2-8 one-atom contexts above a root t with random further pairs, in
+    topological order or either way round, so that pairs with two greatest
+    lower bounds, and cycles, are common; optionally closed transitively, or
+    one embedding left out."""
+    n = draw(st.integers(2, 8))
+    names = "tabcdefg"[:n]
+    acyclic = draw(st.booleans())
+    pairs = {(0, j) for j in range(1, n)}
+    pairs |= {
+        (i, j)
+        for i in range(1, n)
+        for j in range(1, n)
+        if (i < j if acyclic else i != j) and draw(st.integers(0, 2)) == 0
+    }
+    if draw(st.booleans()):
+        for k in range(n):
+            into, out = [i for i, kk in pairs if kk == k], [j for kk, j in pairs if kk == k]
+            pairs |= {(i, j) for i in into for j in out if i != j}
+    order = [(names[i], names[j]) for i, j in sorted(pairs)]
+    embeddings = {(a, b): {a + "0": frozenset({b + "0"})} for a, b in order}
+    if draw(st.integers(0, 3)) == 0:
+        del embeddings[draw(st.sampled_from(order))]
+    return {c: LocalAlgebra((c + "0",)) for c in names}, order, embeddings
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.one_of(drawn_posets(), drawn_orders()))
+def test_validate_matches_embed_oracle(drawn):
+    """The same issues in the same order: broken, dropped and swapped
+    embeddings, cycles, missing transitive pairs and missing meets."""
+    try:
+        poset = ContextPoset(*drawn)
+    except StructureError:
+        return
+    assert poset.validate() == embed_validate(poset)
+
+
+def test_validate_skips_a_chain_through_an_image_outside_its_target():
+    # a's images overlap, and the second names b9, which b lacks: the
+    # overlap and the cover are reported, and no chain through a -> b is
+    # composed (applying it to b -> c would look b9 up)
+    emb = {
+        ("t", "a"): {"*": {"a0", "a1"}},
+        ("t", "b"): {"*": {"b0", "b1", "b2", "b3"}},
+        ("t", "c"): {"*": {"c0", "c1", "c2", "c3"}},
+        ("a", "b"): {"a0": {"b0", "b1"}, "a1": {"b1", "b9"}},
+        ("a", "c"): {"a0": {"c0", "c1"}, "a1": {"c2", "c3"}},
+        ("b", "c"): {f"b{i}": {f"c{i}"} for i in range(4)},
+    }
+    contexts = {
+        "t": LocalAlgebra(("*",)),
+        "a": LocalAlgebra(("a0", "a1")),
+        "b": LocalAlgebra(("b0", "b1", "b2", "b3")),
+        "c": LocalAlgebra(("c0", "c1", "c2", "c3")),
+    }
+    poset = ContextPoset(contexts, list(emb), emb)
+    assert poset.validate() == embed_validate(poset) == [
+        "embedding 'a' -> 'b' atom images overlap",
+        "embedding 'a' -> 'b' does not cover the target top",
+    ]
