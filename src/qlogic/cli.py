@@ -42,6 +42,43 @@ from .hasse import export_dot, section_label
 from .quantum import QuantumModel
 
 
+# the top-level keys of a model file, per kind, and the options of a quantum one
+MODEL_KEYS = {
+    "classical": ("kind", "points", "observables"),
+    "quantum": ("kind", "observables", "options", "dim"),
+}
+OPTIONS = ("tau_herm", "tau_proj", "tau_eig")
+
+
+def _check_keys(doc: dict, kind: str) -> None:
+    other = "quantum" if kind == "classical" else "classical"
+    for key in doc:
+        if key in MODEL_KEYS[other] and key not in MODEL_KEYS[kind]:
+            raise QLogicError(f"{key!r} applies to {other} models only")
+        if key not in MODEL_KEYS[kind]:
+            raise QLogicError(
+                f"unknown key {key!r}; a {kind} model takes {', '.join(MODEL_KEYS[kind])}"
+            )
+
+
+def _check_text(doc) -> None:
+    """Refuse a lone surrogate (a JSON escape such as \\ud800) in any key or
+    string of the document: no output encoding can write it, so a name
+    holding one would end the first print of it in a traceback."""
+    todo = [doc]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            todo += [*node.keys(), *node.values()]
+        elif isinstance(node, list):
+            todo += node
+        elif isinstance(node, str):
+            try:
+                node.encode("utf-8")
+            except UnicodeEncodeError:
+                raise QLogicError(f"model text {node!r} holds a lone surrogate") from None
+
+
 def _require(doc: dict, *keys: str) -> None:
     missing = [k for k in keys if k not in doc]
     if missing:
@@ -57,11 +94,15 @@ def _observables(doc: dict) -> dict:
 
 def load_model(path: str):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise QLogicError("a model file must hold a JSON object")
+    if "\\u" in text:  # only a \u escape spells a surrogate
+        _check_text(doc)
     kind = doc.get("kind")
     if kind == "classical":
+        _check_keys(doc, kind)
         _require(doc, "points", "observables")
         if not isinstance(doc["points"], list):
             raise QLogicError("'points' must be a list of point names")
@@ -81,7 +122,11 @@ def load_model(path: str):
             )
         return ClassicalModel(omega, observables)
     if kind == "quantum":
+        _check_keys(doc, kind)
         _require(doc, "observables")
+        dim = doc.get("dim")
+        if "dim" in doc and (isinstance(dim, bool) or not isinstance(dim, int)):
+            raise QLogicError(f"'dim' must be an integer, got {dim!r}")
         observables = {}
         for name, rows in _observables(doc).items():
             try:
@@ -93,16 +138,18 @@ def load_model(path: str):
             if len({len(row) for row in entries}) != 1:
                 raise QLogicError(f"observable {name!r} is not a rectangular matrix")
             observables[name] = np.array(entries)
+            if dim is not None and observables[name].shape != (dim, dim):
+                shape = "x".join(map(str, observables[name].shape))
+                raise QLogicError(f"observable {name!r} is {shape}, but 'dim' is {dim}")
         options = doc.get("options", {})
         if not isinstance(options, dict):
             raise QLogicError("'options' must be an object")
-        kwargs = {
-            k: options[k] for k in ("tau_herm", "tau_proj", "tau_eig") if k in options
-        }
-        for k, v in kwargs.items():
+        for k, v in options.items():
+            if k not in OPTIONS:
+                raise QLogicError(f"unknown option {k!r}; options are {', '.join(OPTIONS)}")
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise QLogicError(f"option {k!r} must be a number, got {v!r}")
-        return QuantumModel(observables, **kwargs)
+        return QuantumModel(observables, **options)
     raise QLogicError(f"model kind must be 'classical' or 'quantum', got {kind!r}")
 
 

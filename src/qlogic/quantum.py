@@ -16,11 +16,19 @@ components, and the join of a commuting pair has the non-zero products
 p q as atoms.  The products p q that make the graph also decide
 commutation: for Hermitian p and q, (p q)^dagger = q p.
 
-A new context with n atoms p_k is looked up among the stored ones in a
-grid hash on (n, f // w) with f = sum_k <v, p_k v>^2 for a fixed unit
-probe v and a cell width w = 4 n dim tau_proj, wide enough that every
-stored context with the same atoms within tau_proj lies in the context's
-cell or a neighbour (see QuantumModel._find_equal).
+A context with n atoms p_k is looked up among the stored ones in a grid
+hash on (n, f // w) with f = sum_k <v, p_k v>^2 for a fixed unit probe v
+and a cell width w = 4 n dim tau_proj, wide enough that every stored
+context with the same atoms within tau_proj lies in the context's cell or
+a neighbour (see QuantumModel._find_equal).  The closure settles a
+candidate's duplicate before it builds the candidate as a context: each
+stored context keeps its probe values <v, p_k v>, a meet's are sums of
+them over the components, and a join's come from its products, so the key
+is known first; stored contexts in its cells are compared with the
+candidate's atoms, and only a candidate that matches none is sorted, named,
+checked as a resolution of the identity and stored.  Rounding is all that
+separates a probe-sum key from one computed on the summed atoms, and the
+cell width has room for it (see QuantumModel._add_meet).
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -149,14 +156,18 @@ def _atom_order(stack: np.ndarray) -> list[int]:
 def same_atoms(
     atoms1: Sequence[np.ndarray], atoms2: Sequence[np.ndarray], tol: float = TAU_PROJ
 ) -> bool:
-    """Greedy matching of two resolutions of identity within tolerance."""
+    """Greedy matching of two resolutions of identity within tolerance: each
+    atom of atoms1 in turn takes the first remaining atom of atoms2 within
+    tol in max-abs, read off one table of all the pairs' distances."""
     if len(atoms1) != len(atoms2):
         return False
-    remaining = list(atoms2)
-    for p in atoms1:
-        for i, q in enumerate(remaining):
-            if _maxabs(p - q) <= tol:
-                del remaining[i]
+    a, b = np.asarray(atoms1), np.asarray(atoms2)
+    close = (np.abs(a[:, None] - b[None]).max(axis=(2, 3)) <= tol).tolist()
+    remaining = list(range(len(b)))
+    for row in close:
+        for k, j in enumerate(remaining):
+            if row[j]:
+                del remaining[k]
                 break
         else:
             return False
@@ -164,34 +175,44 @@ def same_atoms(
 
 
 def validate_resolution(atoms: Sequence[np.ndarray], tol: float = TAU_PROJ) -> list[str]:
+    """What keeps the atoms from being non-zero, pairwise orthogonal
+    projections that sum to the identity, each within tol in max-abs;
+    all pairwise products come from one batched matmul."""
+    a = np.asarray(atoms)
+    n, dim = len(a), a.shape[1]
+    prods = np.matmul(a[:, None], a[None])
+    herm = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= tol
+    idem = np.abs(prods[np.arange(n), np.arange(n)] - a).max(axis=(1, 2)) <= tol
+    zero = np.abs(a).max(axis=(1, 2)) <= tol
+    apart = (np.abs(prods).max(axis=(2, 3)) > tol).tolist()
     issues = []
-    dim = atoms[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for i, p in enumerate(atoms):
-        if not is_projection(p, tol):
+    for i in range(n):
+        if not (herm[i] and idem[i]):
             issues.append(f"atom {i} is not a projection")
-        if _maxabs(p) <= tol:
+        if zero[i]:
             issues.append(f"atom {i} is zero")
-        total = total + p
-        for j in range(i + 1, len(atoms)):
-            if _maxabs(p @ atoms[j]) > tol:
-                issues.append(f"atoms {i},{j} are not orthogonal")
-    if _maxabs(total - np.eye(dim)) > tol:
+        issues += [f"atoms {i},{j} are not orthogonal" for j in range(i + 1, n) if apart[i][j]]
+    if _maxabs(a.sum(axis=0) - np.eye(dim)) > tol:
         issues.append("atoms do not sum to the identity")
     return issues
 
 
 @dataclass(frozen=True)
 class QuantumContext:
-    """An abelian context: named atomic projections resolving the identity."""
+    """An abelian context: named atomic projections resolving the identity.
+
+    The atoms are held once, as the rows of `stack`, one (atoms, dim, dim)
+    array; `atoms` are views of its rows.  Given as one such array, the
+    atoms are kept as the stack without a copy."""
 
     atom_names: tuple[str, ...]
     atoms: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The atoms as one (atoms, dim, dim) array."""
-        return np.stack(self.atoms)
+    def __post_init__(self):
+        stack = self.atoms if isinstance(self.atoms, np.ndarray) else np.stack(self.atoms)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "atoms", tuple(stack))
 
     def atom(self, name: str) -> np.ndarray:
         return self.atoms[self.atom_names.index(name)]
@@ -238,20 +259,41 @@ def _overlap(
 
 def _commute(prods: np.ndarray, tol: float) -> bool:
     """Whether the atoms whose products _overlap returned commute within tol:
-    p q - q p = p q - (p q)^dagger for Hermitian p and q."""
-    return _maxabs(prods - prods.conj().swapaxes(-1, -2)) <= tol
+    p q - q p = p q - (p q)^dagger for Hermitian p and q.  A pair that does
+    not commute mostly shows it in the first atom's products, so those are
+    tested alone first.  The adjoints are copied out contiguous, which a
+    subtraction of the strided view makes several times slower at dim 16."""
+    first = prods[:1]
+    if _maxabs(first - first.conj().swapaxes(-1, -2)) > tol:
+        return False
+    d = np.ascontiguousarray(prods.swapaxes(-1, -2))
+    np.conjugate(d, out=d)
+    np.subtract(prods, d, out=d)
+    return _maxabs(d) <= tol
 
 
-def _components(edges: np.ndarray) -> set[tuple[int, ...]]:
-    """The c1-atom indices of each connected component of the overlap graph.
-    Exact for meets: a component's atoms on either side sum to the same
-    projection, and every common element is a union of components."""
-    reach = edges @ edges.T
-    while True:
-        grown = reach @ reach
-        if np.array_equal(grown, reach):
-            return {tuple(np.flatnonzero(row)) for row in reach}
-        reach = grown
+def _components(edges: np.ndarray) -> list[tuple[int, ...]]:
+    """The c1-atom indices of each connected component of the overlap graph,
+    in order of their least index; union-find over the edges, with c1's atoms
+    as nodes 0..n1-1 and c2's after them.  Exact for meets: a component's
+    atoms on either side sum to the same projection, and every common
+    element is a union of components."""
+    n1 = len(edges)
+    root = list(range(n1 + edges.shape[1]))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for i, row in enumerate(edges.tolist()):
+        for j, linked in enumerate(row):
+            if linked:
+                root[find(i)] = find(n1 + j)
+    comps: dict[int, list[int]] = {}
+    for i in range(n1):
+        comps.setdefault(find(i), []).append(i)
+    return [tuple(c) for c in comps.values()]
 
 
 @dataclass
@@ -269,7 +311,9 @@ class QuantumModel:
     poset: ContextPoset = field(init=False)
     frame: Frame = field(init=False)
     _probe: np.ndarray = field(init=False, repr=False, compare=False)
-    # (number of atoms, cell) -> [(insertion index, context id)], see _key
+    # context id -> [<v, p_k v> for its atoms p_k], the probe values of _cell
+    _x: dict[str, list[float]] = field(init=False, repr=False, compare=False)
+    # (number of atoms, cell) -> [(insertion index, context id)], see _cell
     _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(
         init=False, repr=False, compare=False
     )
@@ -291,54 +335,109 @@ class QuantumModel:
 
     # -- poset construction ------------------------------------------------
 
-    def _find_equal(self, ctx: QuantumContext, key: tuple[int, int]) -> str | None:
-        """The earliest stored context whose atoms match ctx's within tau_proj.
+    def _find_equal(self, atoms: Sequence[np.ndarray], key: tuple[int, int]) -> str | None:
+        """The earliest stored context whose atoms match `atoms` within tau_proj.
 
-        A match has the same number n of atoms and pairs each atom p_k of
-        ctx with an atom q_k, max|p_k - q_k| <= tau, so |<v, p_k v> -
-        <v, q_k v>| <= ||p_k - q_k||_2 <= dim tau for the unit probe v.
-        Clipped to [0, 1], which moves no two values apart, each square
-        moves by at most 2 dim tau, and f by at most 2 n dim tau, half the
-        cell width: every match lies in ctx's cell or a neighbour, and the
-        earliest of those is the earliest of all.
+        A match has the same number n of atoms and pairs each atom p_k with
+        an atom q_k, max|p_k - q_k| <= tau, so |<v, p_k v> - <v, q_k v>| <=
+        ||p_k - q_k||_2 <= dim tau for the unit probe v.  Clipped to [0, 1],
+        which moves no two values apart, each square moves by at most
+        2 dim tau, and f by at most 2 n dim tau, half the cell width: every
+        match lies in the key's cell or a neighbour, and the earliest of
+        those is the earliest of all.
         """
         n, cell = key
         for _, cid in sorted(
             entry for c in (cell - 1, cell, cell + 1) for entry in self._cells.get((n, c), ())
         ):
-            if same_atoms(ctx.atoms, self.contexts[cid].atoms, self.tau_proj):
+            if same_atoms(atoms, self.contexts[cid].stack, self.tau_proj):
                 return cid
         return None
 
-    def _key(self, ctx: QuantumContext) -> tuple[int, int]:
-        """(n, f // (4 n dim tau_proj)) for the n atoms p_k of ctx and
-        f = sum_k <v, p_k v>^2, each <v, p_k v> clipped to [0, 1]; the width
-        has 1e-12 more for the rounding of f, and is that alone for a
-        negative or NaN tau_proj, under which same_atoms matches nothing."""
-        x = np.clip((ctx.stack @ self._probe).dot(self._probe.conj()).real, 0.0, 1.0)
-        n = len(ctx.atoms)
+    def _probe_values(self, stack: np.ndarray) -> list[float]:
+        """<v, p_k v> for the atoms p_k of a stack and the probe v."""
+        return (stack @ self._probe).dot(self._probe.conj()).real.tolist()
+
+    def _cell(self, x: Sequence[float]) -> tuple[int, int]:
+        """(n, f // (4 n dim tau_proj)) for the probe values x_k of n atoms
+        and f = sum_k x_k^2, each x_k clipped to [0, 1]; the width has 1e-12
+        more for the rounding of f, and is that alone for a negative or NaN
+        tau_proj, under which same_atoms matches nothing."""
+        n = len(x)
+        f = sum(min(max(xk, 0.0), 1.0) ** 2 for xk in x)
         width = 4 * n * self.dim * self.tau_proj
         width = width + 1e-12 if width >= 0 else 1e-12
-        return n, math.floor(float(x @ x) / width)
+        return n, math.floor(f / width)
 
-    def _add(self, cid: str, ctx: QuantumContext) -> str:
-        key = self._key(ctx)
-        found = self._find_equal(ctx, key)
-        if found is not None:
-            return found
-        for issue in validate_resolution(ctx.atoms, self.tau_proj):
+    def _store(self, cid: str, ctx: QuantumContext, key: tuple[int, int], x: list[float]) -> str:
+        for issue in validate_resolution(ctx.stack, self.tau_proj):
             raise StructureError(f"context {cid!r}: {issue}")
         self._cells.setdefault(key, []).append((len(self.contexts), cid))
         self.contexts[cid] = ctx
+        self._x[cid] = x
         return cid
+
+    def _add(self, cid: str, ctx: QuantumContext) -> str:
+        x = self._probe_values(ctx.stack)
+        key = self._cell(x)
+        found = self._find_equal(ctx.stack, key)
+        return found if found is not None else self._store(cid, ctx, key, x)
+
+    def _add_meet(self, a: str, b: str, edges: np.ndarray) -> str:
+        """The id of the meet of contexts a and b, whose overlap graph is
+        `edges`: the earliest stored context with its atoms, else the meet
+        stored as a new context.
+
+        The meet's atoms are sums of a's atoms over the components, so its
+        probe values are the same sums of a's stored ones, and its key comes
+        without a matmul; the atom order, the names and the resolution check
+        are for a new context only.  This key differs from the one of the
+        summed atoms' own probe values by rounding alone.  Either way, the
+        value x_c of a component of rank r_c is within (4 dim + 4) u r_c of
+        the exact probe value (u = 2^-53: a probe <v, p v> of a projection
+        p is off by at most (2 dim + 4) u |v|^T |p| |v| <= (2 dim + 4) u
+        ||p||_F, ||p||_F = sqrt(rank p), and the sums add at most r_c
+        roundings of numbers <= 1).  As the ranks sum to dim, f is within
+        eps = 2 (4 dim + 4) u dim of exact, 2.4e-13 at dim 16.  A candidate
+        and its match then have computed f at most 2 n dim tau + 2 eps
+        apart; _find_equal's argument leaves 2 n dim tau + 1e-12 of the cell
+        width for that, and the 1e-12 alone covers 2 eps up to dim 23 at
+        any tau_proj >= 0.
+        """
+        comps = _components(edges)
+        xa, ca = self._x[a], self.contexts[a]
+        x = [sum(xa[i] for i in comp) for comp in comps]
+        key = self._cell(x)
+        meet = np.stack([sum(ca.atoms[i] for i in comp) for comp in comps])
+        found = self._find_equal(meet, key)
+        if found is not None:
+            return found
+        k = _atom_order(meet)
+        names = tuple(f"m{i}" for i in range(len(k)))
+        return self._store(f"({a}^{b})", QuantumContext(names, meet[k]), key, [x[i] for i in k])
+
+    def _add_join(self, a: str, b: str, prods: np.ndarray, edges: np.ndarray) -> str:
+        """The id of the join of commuting contexts a and b, the non-zero
+        products prods[edges]: the earliest stored context with its atoms,
+        else the join stored as a new context."""
+        atoms = prods[edges]
+        x = self._probe_values(atoms)
+        key = self._cell(x)
+        found = self._find_equal(atoms, key)
+        if found is not None:
+            return found
+        na, nb = self.contexts[a].atom_names, self.contexts[b].atom_names
+        names = tuple(f"{na[i]}.{nb[j]}" for i, j in np.argwhere(edges).tolist())
+        return self._store(f"{a}*{b}", QuantumContext(names, atoms), key, x)
 
     def _build(self):
         self.contexts = {}
         self.obs_context = {}
-        # the probe of the dedup grid (_key), in closed form
+        # the probe of the dedup grid (_cell), in closed form
         idx = np.arange(1, self.dim + 1)
         probe = np.sqrt(idx) * np.exp(1j * idx * 0.6180339887498949)
         self._probe = probe / np.linalg.norm(probe)
+        self._x = {}
         self._cells = {}
         self._add(TRIVIAL_ID, _trivial_context(self.dim))
         for name in sorted(self.observables):
@@ -360,25 +459,9 @@ class QuantumModel:
                 order[a, b] = e, a_le_b, b_le_a
                 if a_le_b or b_le_a:
                     continue
-                meet = np.stack([sum(ca.atoms[i] for i in comp) for comp in _components(e)])
-                self._add(
-                    f"({a}^{b})",
-                    QuantumContext(
-                        tuple(f"m{k}" for k in range(len(meet))),
-                        tuple(meet[_atom_order(meet)]),
-                    ),
-                )
+                self._add_meet(a, b, e)
                 if _commute(prods, self.tau_proj):
-                    self._add(
-                        f"{a}*{b}",
-                        QuantumContext(
-                            tuple(
-                                f"{ca.atom_names[i]}.{cb.atom_names[j]}"
-                                for i, j in zip(*np.nonzero(e))
-                            ),
-                            tuple(prods[e]),
-                        ),
-                    )
+                    self._add_join(a, b, prods, e)
         contexts = {
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()
         }

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qlogic import cli
 from qlogic.cli import load_model, main
@@ -27,6 +28,8 @@ def test_build_classical(capsys):
 
 
 def test_build_quantum(capsys):
+    """one_qubit.json carries "dim": 2, which matches its matrices."""
+    assert json.loads(open(QUBIT).read())["dim"] == 2
     code, out, _ = run(capsys, "build", QUBIT)
     assert code == 0
     assert "Sz" in out and "Sx" in out
@@ -39,6 +42,15 @@ def test_build_xz3_matches_golden(capsys):
     code, out, err = run(capsys, "build", str(GOLDEN / "xz3_seed0.json"))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "xz3_seed0.build.txt").read_text()
+
+
+def test_build_xyz2_matches_golden(capsys):
+    """2-qubit local X/Y/Z observables, each qubit turned by a unitary drawn
+    from default_rng(0), so that the matrices have complex entries: 16
+    contexts, printed byte for byte as in tests/golden."""
+    code, out, err = run(capsys, "build", str(GOLDEN / "xyz2_seed0.json"))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "xyz2_seed0.build.txt").read_text()
 
 
 def test_build_classical8_matches_golden(capsys):
@@ -328,6 +340,41 @@ MALFORMED = {
         "-f",
         "M(A,{0})",
     ],
+    "unknown top-level key": lambda tmp: [
+        "build", _model_file(tmp, b'{"kind": "classical", "points": ["a"], "observables": {}, "note": 1}')
+    ],
+    "dim in a classical model": lambda tmp: [
+        "build", _model_file(tmp, b'{"kind": "classical", "points": ["a"], "observables": {}, "dim": 1}')
+    ],
+    "points in a quantum model": lambda tmp: [
+        "build", _model_file(tmp, b'{"kind": "quantum", "points": ["a"], "observables": {"A": [[[1, 0]]]}}')
+    ],
+    "dim not the matrix size": lambda tmp: [
+        "build", _model_file(tmp, b'{"kind": "quantum", "dim": 3, "observables": {"A": [[[1, 0]]]}}')
+    ],
+    "dim not an integer": lambda tmp: [
+        "build", _model_file(tmp, b'{"kind": "quantum", "dim": "1", "observables": {"A": [[[1, 0]]]}}')
+    ],
+    "unknown option": lambda tmp: [
+        "build",
+        _model_file(
+            tmp, b'{"kind": "quantum", "observables": {"A": [[[1, 0]]]}, "options": {"tau": 1e-3}}'
+        ),
+    ],
+    "lone surrogate in a name": lambda tmp: [
+        "build",
+        _model_file(tmp, b'{"kind": "classical", "points": ["\\ud800"], "observables": {"A": {"\\ud800": 0}}}'),
+    ],
+}
+# the message a case's error line must carry
+MALFORMED_MESSAGES = {
+    "unknown top-level key": "error: unknown key 'note'; a classical model takes kind, points, observables",
+    "dim in a classical model": "error: 'dim' applies to quantum models only",
+    "points in a quantum model": "error: 'points' applies to classical models only",
+    "dim not the matrix size": "error: observable 'A' is 1x1, but 'dim' is 3",
+    "dim not an integer": "error: 'dim' must be an integer, got '1'",
+    "unknown option": "error: unknown option 'tau'; options are tau_herm, tau_proj, tau_eig",
+    "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",
 }
 
 
@@ -339,3 +386,90 @@ def test_malformed_invocation(tmp_path, capsys, case):
     assert "Traceback" not in err
     if case.startswith("duplicate point"):
         assert err.startswith("error: duplicate point ")
+    if case in MALFORMED_MESSAGES:
+        assert err == MALFORMED_MESSAGES[case] + "\n"
+
+
+# -- the loader under generated documents -------------------------------------------
+
+JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+    | st.sampled_from(["\ud800", "a\udfff"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def hermitian(draw, k: int) -> list:
+    """A k x k Hermitian matrix of small integers, as rows of [re, im] pairs."""
+    m = [[0j] * k for _ in range(k)]
+    for i in range(k):
+        m[i][i] = complex(draw(st.integers(-2, 2)))
+        for j in range(i + 1, k):
+            m[i][j] = complex(draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+            m[j][i] = m[i][j].conjugate()
+    return [[[z.real, z.imag] for z in row] for row in m]
+
+
+@st.composite
+def model_documents(draw):
+    """A small well-formed classical or quantum model, then, half the time,
+    one value anywhere in it replaced by junk (a point, an outcome, a matrix
+    entry, a tolerance, a whole field...), or plain junk one time in eight."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(JUNK)
+    # a JSON escape such as \ud800 spells a lone surrogate, which no output encodes
+    names = st.lists(st.sampled_from(["A", "B", "C", "\udfff"]), min_size=1, max_size=3, unique=True)
+    if draw(st.booleans()):
+        points = draw(
+            st.lists(st.sampled_from(["a", "b", "c", "d", "\ud800"]), min_size=1, max_size=4, unique=True)
+        )
+        doc = {
+            "kind": "classical",
+            "points": points,
+            "observables": {
+                name: {p: draw(st.integers(0, 2)) for p in points} for name in draw(names)
+            },
+        }
+    else:
+        k = draw(st.integers(1, 3))
+        doc = {"kind": "quantum", "observables": {name: draw(hermitian(k)) for name in draw(names)}}
+        if draw(st.booleans()):
+            option = st.sampled_from(["tau_herm", "tau_proj", "tau_eig"])
+            tau = st.sampled_from([0, 1e-12, 1e-8, 1e-3, 0.5, 10.0])
+            doc["options"] = draw(st.dictionaries(option, tau, max_size=3))
+        if draw(st.booleans()):
+            doc["dim"] = k
+    if draw(st.booleans()):
+        node = doc
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if isinstance(node, dict) and draw(st.booleans()):
+                key = draw(st.sampled_from(["kind", "points", "observables", "options", "dim", "x", "a", "tau"]))
+            node[key] = draw(JUNK)
+            break
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=model_documents())
+def test_build_on_generated_documents_never_raises(tmp_path, capsys, doc):
+    """Every document gives exit 0, 1 or 2, output that a UTF-8 stream can
+    write, and an error as one line."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "build", str(path))
+    assert code in (0, 1, 2)
+    out.encode("utf-8"), err.encode("utf-8")
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -4,6 +4,7 @@ import pytest
 from qlogic import BOTTOM, DomainError, QuantumModel, classical_bridge
 from qlogic.quantum import (
     TAU_EIG,
+    QuantumContext,
     generated_context,
     is_projection,
     same_atoms,
@@ -103,6 +104,20 @@ def test_generated_context_nondegenerate():
     assert len(c.atoms) == 3
     assert validate_resolution(c.atoms) == []
     assert all(abs(np.trace(p).real - 1) < 1e-8 for p in c.atoms)
+
+
+def test_context_atoms_are_views_of_one_stack(one_qubit_model):
+    """A context holds its atoms once: as rows of its stack, which is the
+    array it was given, or one stack of the atoms it was given."""
+    stack = np.stack([PXP, PXM])
+    ctx = QuantumContext(("+", "-"), stack)
+    assert ctx.stack is stack
+    assert all(p.base is stack for p in ctx.atoms)
+    ctx = QuantumContext(("0", "1"), (PZ0, PZ1))
+    assert np.array_equal(ctx.stack, [PZ0, PZ1])
+    assert all(p.base is ctx.stack for p in ctx.atoms)
+    for c in one_qubit_model.contexts.values():
+        assert all(np.shares_memory(p, c.stack) for p in c.atoms)
 
 
 def test_one_qubit_poset(one_qubit_model):

@@ -9,9 +9,15 @@ two contexts commute iff p q = q p for every pair of atoms, and the join
 of a commuting pair has the non-zero atom products as atoms.  The closure's
 fast paths are checked against oracles of their own: the hashed dedup
 against a scan of every stored context, the commutation read from the
-overlap products against the pairwise commutators, and the vectorised meet
-atom order against a per-atom sort key.
+overlap products against the pairwise commutators, the vectorised meet
+atom order against a per-atom sort key, the meet and join dedup, which
+settles a candidate before building it, against the scan, the union-find
+components against a reachability closure, and the tabled same_atoms and
+batched validate_resolution against their pairwise loops.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,9 +36,12 @@ from qlogic.quantum import (
     QuantumContext,
     _atom_order,
     _commute,
+    _components,
     _maxabs,
     _overlap,
+    is_projection,
     same_atoms,
+    validate_resolution,
 )
 
 from test_bridge import oracle_isomorphic
@@ -183,34 +192,29 @@ def test_meet_component_spans_a_chain_of_overlaps():
     check_closure(model)
 
 
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(3, 5),
-    spectra=st.lists(
-        st.tuples(
-            st.lists(st.integers(0, 2), min_size=5, max_size=5),
-            st.lists(st.integers(0, 3), max_size=2),
-        ),
-        min_size=2,
-        max_size=3,
-    ),
-)
-def test_families_sharing_degenerate_blocks_match_oracle(seed, dim, spectra):
+@st.composite
+def degenerate_families(draw) -> dict:
     """Degenerate observables diagonal in one random basis, some with a few
     pairs of neighbouring basis vectors rotated, so that they share the
     other blocks only."""
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(3, 5))
     u = haar_unitary(g, dim)
     observables = {}
-    for k, (values, rotations) in enumerate(spectra):
+    for k in range(draw(st.integers(2, 3))):
+        values = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
         v = u
-        for i in rotations:
-            i = min(i, dim - 2)
+        for i in draw(st.lists(st.integers(0, dim - 2), max_size=2)):
             w = np.eye(dim, dtype=complex)
             w[i : i + 2, i : i + 2] = haar_unitary(g, 2)
             v = v @ w
-        observables[f"O{k}"] = v @ np.diag(np.array(values[:dim], float)) @ v.conj().T
+        observables[f"O{k}"] = v @ np.diag(np.array(values, float)) @ v.conj().T
+    return observables
+
+
+@settings(max_examples=8, deadline=None)
+@given(observables=degenerate_families())
+def test_families_sharing_degenerate_blocks_match_oracle(observables):
     check_closure(QuantumModel(observables))
 
 
@@ -255,6 +259,11 @@ def oracle_find_equal(model: QuantumModel, ctx) -> str | None:
     return None
 
 
+def key_of(model: QuantumModel, ctx) -> tuple[int, int]:
+    """The dedup grid key of a context, from the probe values of its atoms."""
+    return model._cell(model._probe_values(ctx.stack))
+
+
 def rotation(ctx, g: np.random.Generator):
     """size -> ctx conjugated by exp(i t H) for one random Hermitian H, with
     t such that the atoms move by about `size` in max-abs (to first order)."""
@@ -273,11 +282,11 @@ def rotation(ctx, g: np.random.Generator):
 def across_a_wall(model: QuantumModel, ctx, g: np.random.Generator):
     """Two copies of ctx, turned along one direction to either side of a wall
     between two cells of the dedup grid, about 0.1 tau_proj apart."""
-    tau, key = model.tau_proj, model._key(ctx)
+    tau, key = model.tau_proj, key_of(model, ctx)
     for _ in range(10):
         turn = rotation(ctx, g)
         lo, hi = 0.0, tau
-        while model._key(turn(hi)) == key and hi < 0.5:
+        while key_of(model, turn(hi)) == key and hi < 0.5:
             lo, hi = hi, 2 * hi
         if hi < 0.5:
             break
@@ -285,7 +294,7 @@ def across_a_wall(model: QuantumModel, ctx, g: np.random.Generator):
         raise AssertionError("no turn reaches a wall")
     while hi - lo > 0.01 * tau:
         mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if model._key(turn(mid)) == key else (lo, mid)
+        lo, hi = (mid, hi) if key_of(model, turn(mid)) == key else (lo, mid)
     return turn(lo - 0.05 * tau), turn(hi + 0.05 * tau)
 
 
@@ -322,31 +331,31 @@ def test_find_equal_matches_a_scan_of_every_context(monkeypatch, name):
     g = np.random.default_rng(len(model.contexts))
     tau = model.tau_proj
     for cid, ctx in model.contexts.items():
-        assert model._find_equal(ctx, model._key(ctx)) == cid
+        assert model._find_equal(ctx.atoms, key_of(model, ctx)) == cid
     # every rotation fixes the identity: turn the other contexts
     stored = [(cid, ctx) for cid, ctx in model.contexts.items() if len(ctx.atoms) > 1]
     queries = []
     for cid, ctx in stored:
         turn = rotation(ctx, g)
         near, far = turn(0.1 * tau), turn(10 * tau)
-        assert model._find_equal(near, model._key(near)) == oracle_find_equal(model, near) == cid
-        assert model._find_equal(far, model._key(far)) is oracle_find_equal(model, far) is None
+        assert model._find_equal(near.atoms, key_of(model, near)) == oracle_find_equal(model, near) == cid
+        assert model._find_equal(far.atoms, key_of(model, far)) is oracle_find_equal(model, far) is None
         queries += [turn(0.6 * tau), turn(1.4 * tau)]
     # store copies past the dedup, so that a query may match several contexts
     # in several cells (the earliest must come back), and copies next to a
     # cell wall, each queried from the far side of the wall
     walls = []
     with monkeypatch.context() as m:
-        m.setattr(QuantumModel, "_find_equal", lambda self, ctx, key: None)
+        m.setattr(QuantumModel, "_find_equal", lambda self, atoms, key: None)
         for cid, ctx in stored:
             model._add(f"{cid}#copy", rotation(ctx, g)(0.6 * tau))
             inside, outside = across_a_wall(model, ctx, g)
             walls.append((model._add(f"{cid}#wall", inside), outside))
     for q in queries:
-        assert model._find_equal(q, model._key(q)) == oracle_find_equal(model, q)
+        assert model._find_equal(q.atoms, key_of(model, q)) == oracle_find_equal(model, q)
     for cid, q in walls:
-        assert model._key(q) != model._key(model.contexts[cid])
-        assert model._find_equal(q, model._key(q)) == oracle_find_equal(model, q) == cid
+        assert key_of(model, q) != key_of(model, model.contexts[cid])
+        assert model._find_equal(q.atoms, key_of(model, q)) == oracle_find_equal(model, q) == cid
 
 
 def oracle_atom_sort_key(p: np.ndarray) -> tuple:
@@ -421,3 +430,206 @@ def test_build_is_invariant_under_a_global_unitary(make):
     for _ in range(3):
         u = haar_unitary(g, model.dim)
         assert shape(QuantumModel(conjugated(model.observables, u))) == shape(model)
+
+
+# -- dedup before build, components, and the tabled resolution checks -------------
+
+
+def closure_components(edges: np.ndarray) -> set:
+    """The c1-atom indices of each component of an overlap graph, from its
+    reachability matrix squared until it stops growing."""
+    reach = edges @ edges.T
+    while True:
+        grown = reach @ reach
+        if np.array_equal(grown, reach):
+            return {tuple(np.flatnonzero(row).tolist()) for row in reach}
+        reach = grown
+
+
+@st.composite
+def overlap_graphs(draw):
+    """n1 x n2 boolean graphs in which every row and column has an edge, as
+    in an overlap graph: random ones, or disjoint chains p - q - p - q ...
+    with their rows and columns shuffled."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        edges = g.random((n1, n2)) < draw(st.floats(0.0, 0.6))
+        edges[np.arange(n1), g.integers(0, n2, n1)] = True
+        edges[g.integers(0, n1, n2), np.arange(n2)] = True
+        return edges
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    n1 = sum(lengths)
+    edges = np.zeros((n1, n1), dtype=bool)
+    start = 0
+    for length in lengths:
+        for i in range(start, start + length):
+            edges[i, i] = True
+            if i > start:
+                edges[i, i - 1] = True
+        start += length
+    return edges[g.permutation(n1)][:, g.permutation(n1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(edges=overlap_graphs())
+def test_components_match_the_reachability_closure(edges):
+    assert _components(edges) == sorted(closure_components(edges))
+
+
+def incomparable_pairs(model):
+    """(a, b, prods, edges) for each pair of stored contexts that the closure
+    takes a meet of: neither below the other."""
+    for a, b in itertools.combinations(sorted(model.contexts), 2):
+        prods, e = _overlap(model.contexts[a], model.contexts[b], model.tau_proj)
+        if not (np.all(e.sum(axis=0) == 1) or np.all(e.sum(axis=1) == 1)):
+            yield a, b, prods, e
+
+
+def probe_f(model, atoms) -> float:
+    x = [float(np.real(model._probe.conj() @ p @ model._probe)) for p in atoms]
+    return sum(min(max(v, 0.0), 1.0) ** 2 for v in x)
+
+
+def check_dedup_before_build(model):
+    """Each meet and join candidate of a closed model is stored already: the
+    dedup from probe sums must return what a scan of every context does,
+    store nothing, and key the meet within the documented rounding of the
+    summed atoms' own key."""
+    ids = list(model.contexts)
+    u = 2.0**-53
+    for a, b, prods, e in incomparable_pairs(model):
+        ca = model.contexts[a]
+        atoms = [sum(ca.atoms[i] for i in comp) for comp in closure_components(e)]
+        meet = QuantumContext(tuple(f"m{i}" for i in range(len(atoms))), atoms)
+        want = oracle_find_equal(model, meet)
+        assert want is not None
+        assert model._add_meet(a, b, e) == want, (a, b)
+        xa = model._x[a]
+        f = sum(min(max(sum(xa[i] for i in c), 0.0), 1.0) ** 2 for c in _components(e))
+        assert abs(f - probe_f(model, atoms)) <= 4 * (4 * model.dim + 4) * u * model.dim
+        if _commute(prods, model.tau_proj):
+            join = QuantumContext(tuple(map(str, range(e.sum()))), prods[e])
+            assert model._add_join(a, b, prods, e) == oracle_find_equal(model, join), (a, b)
+    assert list(model.contexts) == ids
+
+
+@pytest.mark.parametrize("name", sorted(DEDUP_MODELS))
+def test_dedup_before_build_matches_a_scan(name):
+    check_dedup_before_build(DEDUP_MODELS[name]())
+
+
+@settings(max_examples=8, deadline=None)
+@given(observables=degenerate_families())
+def test_dedup_before_build_matches_a_scan_on_random_families(observables):
+    """At tau_proj = 1e-3, whose coarse cells hold more contexts each."""
+    check_dedup_before_build(QuantumModel(observables, tau_proj=1e-3))
+
+
+def test_meet_dedup_finds_its_match_across_a_cell_wall():
+    """The meet of O0 and O1 is keyed from probe sums just above a cell wall
+    (tau_proj is set so), and an extra observable W generates that meet
+    turned by at most 0.9 tau_proj to just below the wall: the closure must
+    take W, from the neighbouring cell, as the meet and store nothing new."""
+    for seed in range(13, 60):
+        obs = {k: m for k, m in shared_blocks_model(seed).observables.items() if k != "O2"}
+        model = QuantumModel(obs, tau_proj=1e-3)
+        if "(O0^O1)" in model.contexts:
+            break
+    else:
+        raise AssertionError("no seed gives a new meet of O0 and O1")
+    n, f = len(model.contexts["(O0^O1)"].atoms), probe_f(model, model.contexts["(O0^O1)"].atoms)
+    below = math.floor(f / (4 * n * model.dim * 1e-3))
+    tau = (f / (below + 0.02) - 1e-12) / (4 * n * model.dim)
+    model = QuantumModel(obs, tau_proj=tau)
+    meet = model.contexts["(O0^O1)"]
+    key = model._cell(model._x["(O0^O1)"])
+    assert key == (n, below)
+    g = np.random.default_rng(seed)
+    for _ in range(200):
+        turned = rotation(meet, g)(g.uniform(0.3, 0.9) * tau)
+        if key_of(model, turned) == (n, below - 1) and same_atoms(turned.atoms, meet.atoms, tau):
+            break
+    else:
+        raise AssertionError("no turn crosses the wall")
+    w = sum((k + 1) * p for k, p in enumerate(turned.atoms))
+    walled = QuantumModel({**obs, "W": w}, tau_proj=tau)
+    assert key_of(walled, walled.contexts["W"]) == (n, below - 1)
+    assert oracle_find_equal(walled, meet) == "W"
+    assert walled.poset.meet_contexts("O0", "O1") == "W"
+    assert "(O0^O1)" not in walled.contexts
+
+
+def loop_same_atoms(atoms1, atoms2, tol=TAU_PROJ) -> bool:
+    """Greedy matching, one max-abs difference at a time."""
+    if len(atoms1) != len(atoms2):
+        return False
+    remaining = list(atoms2)
+    for p in atoms1:
+        for i, q in enumerate(remaining):
+            if _maxabs(p - q) <= tol:
+                del remaining[i]
+                break
+        else:
+            return False
+    return True
+
+
+def loop_validate_resolution(atoms, tol=TAU_PROJ) -> list:
+    """The issues of a resolution of the identity, one atom and pair at a time."""
+    issues = []
+    dim = atoms[0].shape[0]
+    total = np.zeros((dim, dim), dtype=complex)
+    for i, p in enumerate(atoms):
+        if not is_projection(p, tol):
+            issues.append(f"atom {i} is not a projection")
+        if _maxabs(p) <= tol:
+            issues.append(f"atom {i} is zero")
+        total = total + p
+        for j in range(i + 1, len(atoms)):
+            if _maxabs(p @ atoms[j]) > tol:
+                issues.append(f"atoms {i},{j} are not orthogonal")
+    if _maxabs(total - np.eye(dim)) > tol:
+        issues.append("atoms do not sum to the identity")
+    return issues
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3, 4, 8]),
+    fault=st.sampled_from(
+        ["none", "turn", "scale", "zero", "merge", "repeat", "drop", "swap", "noise"]
+    ),
+    tol=st.sampled_from([TAU_PROJ, 1e-3, 0.3, 0.0, -1.0]),
+)
+def test_tabled_checks_match_their_loops(seed, dim, fault, tol):
+    """Resolutions into blocks of a random basis, one of them faulted: an
+    atom turned, scaled or zeroed, two atoms overlapped, an atom in place of
+    another, an atom dropped, the atoms reversed, or noise of about 1e-4 on
+    all."""
+    g = np.random.default_rng(seed)
+    u = haar_unitary(g, dim)
+    cuts = np.sort(g.choice(np.arange(1, dim), g.integers(1, dim), replace=False))
+    atoms = [u[:, b] @ u[:, b].conj().T for b in np.split(g.permutation(dim), cuts)]
+    other = list(atoms)
+    k = int(g.integers(len(atoms)))
+    if fault == "turn":
+        other[k] = rotation(QuantumContext(("a",), (atoms[k],)), g)(10 ** g.uniform(-9, -1)).atoms[0]
+    elif fault == "scale":
+        other[k] = atoms[k] * g.uniform(0.5, 1.5)
+    elif fault == "zero":
+        other[k] = np.zeros_like(atoms[k])
+    elif fault == "merge":
+        other[k] = atoms[k] + atoms[(k + 1) % len(atoms)]
+    elif fault == "repeat":
+        other[k] = atoms[(k + 1) % len(atoms)]
+    elif fault == "drop" and len(atoms) > 1:
+        del other[k]
+    elif fault == "swap":
+        other.reverse()
+    elif fault == "noise":
+        other = [p + 1e-4 * g.normal(size=p.shape) for p in atoms]
+    assert validate_resolution(other, tol) == loop_validate_resolution(other, tol)
+    assert same_atoms(other, atoms, tol) == loop_same_atoms(other, atoms, tol)
+    assert same_atoms(atoms, other, tol) == loop_same_atoms(atoms, other, tol)
