@@ -37,7 +37,7 @@ def classical_bridge(model: ClassicalModel) -> tuple[QuantumModel, BridgeReport]
     first, so the enumeration guard fails before the twin is built.
     """
     classical_count = len(model.frame._upsets())
-    classical = model.frame._table
+    classical = model.poset.point_table
     finest = functools.reduce(partition_meet, model.partitions.values())
     index = {c: i for i, c in enumerate(sorted(cell_id(c) for c in finest))}
     support = {}  # (context, cell) -> the cell's coordinates
@@ -54,7 +54,7 @@ def classical_bridge(model: ClassicalModel) -> tuple[QuantumModel, BridgeReport]
 
     qmodel = QuantumModel(obs)
     ctx_map = {cid: qmodel.obs_context[names[cid]] for cid in model.partitions}
-    twin = qmodel.frame._table
+    twin = qmodel.poset.point_table
     twin_point = {}  # (context, atom coordinates) -> twin point bit
     for d in set(ctx_map.values()):
         ctx = qmodel.contexts[d]

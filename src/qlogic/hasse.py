@@ -43,7 +43,7 @@ def hasse_edges(frame: Frame, sections: list[Section]) -> list[tuple[int, int]]:
     listed sections, which holds exactly the up-sets, so in a partial list
     a cover that is missing goes unreported.
     """
-    points = range(len(frame._table.points))
+    points = range(len(frame.poset.point_table.points))
     masks = [frame._mask(s) for s in sections]
     position = {m: i for i, m in enumerate(masks)}
     return [

@@ -6,16 +6,37 @@ atom names.  Contexts are ordered by informativeness: ``c1 <= c2`` means
 a measurement in ``c2`` settles every question ``c1`` can answer.  For
 every ordered pair an embedding maps each coarse atom to the set of fine
 atoms refining it.
+
+Each embedding is stored once, as int masks over atom indices (see
+ContextPoset); validate(), embed() and the (context, atom) point poset,
+whose up-sets are the sections (Birkhoff), are all read from them.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import StructureError, UnknownContextError
+from .errors import QLogicError, ResourceLimitError, StructureError, UnknownContextError
 
 Element = frozenset  # subset of a context's atoms
+
+DEFAULT_ENUM_GUARD = 10**6
+ENUM_GUARD_ENV = "QLOGIC_ENUM_GUARD"
+
+
+def check_enumeration(bound: int) -> None:
+    """Refuse, before any work, an enumeration of up to bound items over
+    the guard read from QLOGIC_ENUM_GUARD (default 10**6)."""
+    text = os.environ.get(ENUM_GUARD_ENV)
+    try:
+        guard = int(text) if text else DEFAULT_ENUM_GUARD
+    except ValueError:
+        raise QLogicError(f"{ENUM_GUARD_ENV} must be an integer, got {text!r}") from None
+    if bound > guard:
+        raise ResourceLimitError(f"enumeration bound {bound} exceeds guard {guard}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +59,9 @@ class LocalAlgebra:
         return x <= self.top
 
     def elements(self) -> Iterable[Element]:
-        """All 2^n elements, bottom first, in a stable order."""
+        """All 2^n elements, bottom first, in a stable order (guarded)."""
         n = len(self.atoms)
+        check_enumeration(1 << n)
         for mask in range(1 << n):
             yield frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
 
@@ -63,6 +85,17 @@ def _extreme(mask: int, masks: list[int]) -> int | None:
     return None
 
 
+class PointTable(NamedTuple):
+    """The (context, atom) point poset, one bit per point, a context's
+    points consecutive: (c1, a1) <= (c2, a2) iff c1 <= c2, a2 refines a1."""
+
+    points: tuple[tuple[str, str], ...]  # bit -> (context, atom)
+    index: dict[tuple[str, str], int]  # (context, atom) -> bit
+    up: tuple[int, ...]  # bit -> mask of the point's up-set
+    top: int  # mask of every point
+    spans: tuple[tuple[str, int], ...]  # per context: (context, mask of its points)
+
+
 class ContextPoset:
     """Immutable poset of contexts with local algebras and embeddings.
 
@@ -75,19 +108,24 @@ class ContextPoset:
         stored as given plus reflexivity and is not closed transitively:
         validate() reports a missing transitive pair.
     embeddings:
-        (lower, upper) -> {coarse atom -> frozenset of fine atoms} for
-        every strict pair of the order.  Identity pairs are implied.
+        (lower, upper) -> {coarse atom -> set of fine atoms} for every
+        strict pair of the order.  Identity pairs are implied; an entry
+        for a pair outside the order is ignored.
 
     The i-th id of ``context_ids`` (sorted) is bit i of two masks per
     context: ``_up[i]`` holds the contexts above i, ``_down[i]`` those
-    below it, both including i.
+    below it, both including i.  ``_images[i, j]`` holds the embedding of
+    i into j for i <= j (the identity for i == j): per atom of i, the mask
+    of the indices of j's atoms it maps to.  A name that j lacks gets a
+    bit above them; an embedding not total on i's atoms is None, and a
+    missing one has no entry.
     """
 
     def __init__(
         self,
         contexts: Mapping[str, LocalAlgebra],
         order: Iterable[tuple[str, str]],
-        embeddings: Mapping[tuple[str, str], Mapping[str, frozenset]],
+        embeddings: Mapping[tuple[str, str], Mapping[str, Iterable[str]]],
     ):
         self._contexts = dict(contexts)
         self._ids = tuple(sorted(self._contexts))
@@ -98,15 +136,29 @@ class ContextPoset:
             i, j = self._index(a), self._index(b)
             self._up[i] |= 1 << j
             self._down[j] |= 1 << i
-        self._embeddings = {
-            pair: {k: frozenset(v) for k, v in emb.items()}
-            for pair, emb in embeddings.items()
-        }
         everything = (1 << len(self._ids)) - 1
         minima = [c for c, up in zip(self._ids, self._up) if up == everything]
         if len(minima) != 1:
             raise StructureError(f"poset must have a unique least element, got {minima}")
         self._least = minima[0]
+        atoms = [self._contexts[c].atoms for c in self._ids]
+        self._images = {(i, i): tuple(1 << t for t in range(len(a))) for i, a in enumerate(atoms)}
+        bit = [{x: 1 << s for s, x in enumerate(a)} for a in atoms]  # grows past a's atoms
+        for i, a in enumerate(self._ids):
+            for j in _bits(self._up[i] & ~(1 << i)):
+                emb = embeddings.get((a, self._ids[j]))
+                if emb is None:
+                    continue
+                if emb.keys() != set(atoms[i]):
+                    self._images[i, j] = None
+                    continue
+                one, images = bit[j], []
+                for x in atoms[i]:
+                    m = 0
+                    for y in emb[x]:
+                        m |= one.setdefault(y, 1 << len(one))
+                    images.append(m)
+                self._images[i, j] = tuple(images)
 
     # -- basic access ---------------------------------------------------
 
@@ -164,15 +216,34 @@ class ContextPoset:
 
     def embed(self, c1: str, c2: str, x: Element) -> Element:
         """Image of an element of c1 inside c2 (requires c1 <= c2)."""
-        if c1 == c2:
-            return x
         if not self.leq(c1, c2):
             raise UnknownContextError(f"{c1!r} is not below {c2!r}")
-        emb = self._embeddings[(c1, c2)]
-        out: set = set()
+        images, atoms = self._images[self._bit[c1], self._bit[c2]], self._contexts[c1].atoms
+        m = 0
         for a in x:
-            out |= emb[a]
-        return frozenset(out)
+            m |= images[atoms.index(a)]
+        return frozenset(self._contexts[c2].atoms[s] for s in _bits(m))
+
+    @cached_property
+    def point_table(self) -> PointTable:
+        """The (context, atom) point poset, built on first use from the
+        embeddings, each of which must be present, total and inside its
+        target (validate() reports one that is not)."""
+        atoms = [self._contexts[c].atoms for c in self._ids]
+        points = [(c, x) for c, a in zip(self._ids, atoms) for x in a]
+        index = {p: b for b, p in enumerate(points)}
+        first = [index[c, a[0]] for c, a in zip(self._ids, atoms)]
+        up = []
+        for i, c in enumerate(self._ids):
+            rows = []  # (first bit of j, images of i's atoms in j) for each j above i
+            for j in _bits(self._up[i]):
+                images = self._images.get((i, j))
+                if images is None or max(images) >> len(atoms[j]):
+                    raise StructureError(f"embedding {c!r} -> {self._ids[j]!r} cannot be applied")
+                rows.append((first[j], images))
+            up += [sum(images[t] << f for f, images in rows) for t in range(len(atoms[i]))]
+        spans = [(c, (1 << f + len(a)) - (1 << f)) for c, f, a in zip(self._ids, first, atoms)]
+        return PointTable(tuple(points), index, tuple(up), (1 << len(points)) - 1, tuple(spans))
 
     # -- validation -----------------------------------------------------
 
@@ -180,9 +251,8 @@ class ContextPoset:
         """Check every structural invariant; return a list of violations,
         in sorted-id order."""
         issues: list[str] = []
-        ids, up, down = self._ids, self._up, self._down
+        ids, up, down, images = self._ids, self._up, self._down, self._images
         unusable: set[tuple[str, str]] = set()  # embeddings that cannot be applied
-        atom_set = {c: frozenset(alg.atoms) for c, alg in self._contexts.items()}
         # per strict pair: antisymmetry, transitivity (reflexivity by build),
         # and an embedding that is present and well formed
         for i, a in enumerate(ids):
@@ -192,54 +262,34 @@ class ContextPoset:
                     issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
                 for k in _bits(up[j] & ~up[i]):
                     issues.append(f"order not transitive at {a!r} <= {b!r} <= {ids[k]!r}")
-                emb = self._embeddings.get((a, b))
-                if emb is None:
+                if (i, j) not in images:
                     issues.append(f"missing embedding {a!r} -> {b!r}")
                     unusable.add((a, b))
                     continue
-                atoms = self._contexts[a].atoms
-                if emb.keys() != atom_set[a]:
+                got = images[i, j]
+                if got is None:
                     issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
                     unusable.add((a, b))
                     continue
-                images = [emb[x] for x in atoms]
-                if not all(images):
+                if not all(got):
                     issues.append(f"embedding {a!r} -> {b!r} drops an atom")
-                seen: set = set()
-                for img in images:
-                    if img & seen:
+                seen = 0
+                for m in got:
+                    if m & seen:
                         issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
                         break
-                    seen |= img
-                target = atom_set[b]
-                if seen != target:
+                    seen |= m
+                width = len(self._contexts[b].atoms)
+                if seen != (1 << width) - 1:
                     issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
-                if not target.issuperset(set().union(*images)):
+                if max(got) >> width:
                     unusable.add((a, b))
         # composition along chains a <. b < c: on a partial order this
         # covers every chain, by induction on the interval from a to b.  A
         # chain through an embedding that is missing, partial or names atoms
         # its target lacks (each reported above) cannot be composed.  Atom t
         # of a composes iff its image in c is the union of the images in c
-        # of the atoms of b it maps to, compared as masks over c's atoms.
-        bit: dict[str, dict[str, int]] = {}  # context -> atom -> its bit
-        masks: dict[tuple[str, str], list[int]] = {}
-
-        def images_of(a: str, c: str) -> list[int]:
-            got = masks.get((a, c))
-            if got is None:
-                atoms = self._contexts[a].atoms
-                if a == c:  # on a cycle of the order
-                    got = [1 << t for t in range(len(atoms))]
-                else:
-                    one = bit.get(c)
-                    if one is None:
-                        one = bit[c] = {x: 1 << s for s, x in enumerate(self._contexts[c].atoms)}
-                    emb = self._embeddings[(a, c)]
-                    got = [sum(map(one.__getitem__, emb[x])) for x in atoms]
-                masks[a, c] = got
-            return got
-
+        # of the atoms of b it maps to.  On a cycle of the order c may be a.
         for a, b in self.covers():
             i, j = self._bit[a], self._bit[b]
             ab = None  # (t, s) for each atom s of b in the image of atom t of a
@@ -248,12 +298,12 @@ class ContextPoset:
                 if unusable and not unusable.isdisjoint([(a, b), (a, c), (b, c)]):
                     continue
                 if ab is None:
-                    ab = [(t, s) for t, m in enumerate(images_of(a, b)) for s in _bits(m)]
-                bc, ac = images_of(b, c), images_of(a, c)
+                    ab = [(t, s) for t, m in enumerate(images[i, j]) for s in _bits(m)]
+                bc, ac = images[j, k], images[i, k]
                 via = [0] * len(ac)
                 for t, s in ab:
                     via[t] |= bc[s]
-                if via != ac:
+                if tuple(via) != ac:
                     issues += [
                         f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}"
                         for atom, direct, composed in zip(self._contexts[a].atoms, ac, via)

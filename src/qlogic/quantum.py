@@ -69,7 +69,7 @@ class SpectralData:
     """Clustered eigenvalues with matching spectral projections."""
 
     eigenvalues: tuple[float, ...]
-    projections: tuple[np.ndarray, ...]
+    projections: np.ndarray  # (clusters, dim, dim): row k belongs to eigenvalue k
 
 
 def spectral_decompose(
@@ -98,7 +98,7 @@ def spectral_decompose(
         cols = v[:, idx]
         eigenvalues.append(float(np.mean(w[idx])))
         projections.append(cols @ cols.conj().T)
-    return SpectralData(tuple(eigenvalues), tuple(projections))
+    return SpectralData(tuple(eigenvalues), np.stack(projections))
 
 
 def _spectral_sum(

@@ -4,8 +4,9 @@ A section assigns to every context an element of its local algebra,
 monotonically along the informativeness order.  Equivalently, a section
 is an up-set of the poset P of points (c, a), a an atom of context c,
 ordered by (c1, a1) <= (c2, a2) iff c1 <= c2 and a2 refines a1
-(Birkhoff's representation of a finite distributive lattice).  A frame
-compiles P once into bitmasks: meet, join and order are ``&``, ``|``
+(Birkhoff's representation of a finite distributive lattice).  The
+context poset compiles P once into bitmasks (``ContextPoset.point_table``),
+and a frame works on them: meet, join and order are ``&``, ``|``
 and a subset test, U -> V is the set of points whose up-set misses
 U \\ V, and enumeration lists the up-sets of P, at most 2^|P| of them.
 :class:`Section` is the boundary type that callers see.
@@ -13,16 +14,11 @@ U \\ V, and enumeration lists the up-sets of P, at most 2^|P| of them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DomainError, ResourceLimitError
-from .poset import ContextPoset, Element, _bits
-
-DEFAULT_ENUM_GUARD = 10**6
-ENUM_GUARD_ENV = "QLOGIC_ENUM_GUARD"
+from .errors import DomainError
+from .poset import ContextPoset, Element, _bits, check_enumeration
 
 
 @dataclass(frozen=True)
@@ -79,19 +75,6 @@ class ElementaryProposition:
 BOTTOM = ElementaryProposition(None, frozenset())
 
 
-class _PointTable(NamedTuple):
-    """The (context, atom) point poset, one bit per point."""
-
-    points: tuple[tuple[str, str], ...]  # bit -> (context, atom)
-    index: dict[tuple[str, str], int]  # (context, atom) -> bit
-    up: tuple[int, ...]  # bit -> mask of the point's up-set
-    top: int  # mask of every point
-    # per context, its points being consecutive bits: (context, first bit,
-    # mask of as many low bits as it has atoms, atoms, and a cache of the
-    # elements decoded so far, keyed by those bits)
-    contexts: tuple[tuple[str, int, int, tuple[str, ...], dict[int, Element]], ...]
-
-
 class LawCounts(NamedTuple):
     """Passing counts of :meth:`Frame.check_laws` over n sections."""
 
@@ -108,35 +91,22 @@ class Frame:
     def __init__(self, poset: ContextPoset):
         self.poset = poset
         self._ids = poset.context_ids
-
-    @cached_property
-    def _table(self) -> _PointTable:
-        points = tuple((c, a) for c in self._ids for a in self.poset.algebra(c).atoms)
-        index = {p: i for i, p in enumerate(points)}
-        up = []
-        for c, a in points:
-            mask = 0
-            for d in self.poset.upset(c):
-                for b in self.poset.embed(c, d, frozenset({a})):
-                    mask |= 1 << index[(d, b)]
-            up.append(mask)
-        contexts = []
-        for c in self._ids:
-            atoms = self.poset.algebra(c).atoms
-            contexts.append((c, index[c, atoms[0]], (1 << len(atoms)) - 1, atoms, {}))
-        return _PointTable(points, index, tuple(up), (1 << len(points)) - 1, tuple(contexts))
+        # the bits of one context's points in a mask -> their atoms; contexts
+        # hold disjoint bits, and 0 decodes to the empty set in every one
+        self._decoded: dict[int, Element] = {}
 
     def _mask(self, s: Section) -> int:
-        index = self._table.index
+        index = self.poset.point_table.index
         return sum(1 << index[(c, a)] for c, v in s.items for a in v)
 
     def _section(self, mask: int) -> Section:
+        t = self.poset.point_table
         items = []
-        for c, first, width, atoms, decoded in self._table.contexts:
-            chunk = mask >> first & width
-            value = decoded.get(chunk)
+        for c, span in t.spans:
+            chunk = mask & span
+            value = self._decoded.get(chunk)
             if value is None:
-                value = decoded[chunk] = frozenset(atoms[k] for k in _bits(chunk))
+                value = self._decoded[chunk] = frozenset(t.points[p][1] for p in _bits(chunk))
             items.append((c, value))
         return Section(tuple(items))
 
@@ -159,11 +129,11 @@ class Frame:
     def is_monotone(self, s: Section) -> bool:
         """True iff the section's points form an up-set."""
         mask = self._mask(s)
-        up = self._table.up
+        up = self.poset.point_table.up
         return all(not up[p] & ~mask for p in range(len(up)) if mask >> p & 1)
 
     def top(self) -> Section:
-        return self._section(self._table.top)
+        return self._section(self.poset.point_table.top)
 
     def bottom(self) -> Section:
         return self._section(0)
@@ -174,7 +144,7 @@ class Frame:
         """The up-set generated by the proposition's points."""
         if not e.is_bottom and not self.poset.algebra(e.context).contains(e.value):
             raise DomainError(f"value not in local algebra of {e.context!r}")
-        t = self._table
+        t = self.poset.point_table
         mask = 0
         for a in e.value:
             mask |= t.up[t.index[(e.context, a)]]
@@ -207,7 +177,7 @@ class Frame:
     # -- lattice operations ------------------------------------------------
 
     def meet(self, sections: Iterable[Section]) -> Section:
-        mask = self._table.top
+        mask = self.poset.point_table.top
         for s in sections:
             mask &= self._mask(s)
         return self._section(mask)
@@ -223,7 +193,7 @@ class Frame:
 
     def _implies(self, u: int, v: int) -> int:
         bad = u & ~v
-        return sum(1 << p for p, up in enumerate(self._table.up) if not up & bad)
+        return sum(1 << p for p, up in enumerate(self.poset.point_table.up) if not up & bad)
 
     def implies(self, s1: Section, s2: Section) -> Section:
         """Relative pseudo-complement: the points whose up-set misses s1 \\ s2."""
@@ -265,11 +235,8 @@ class Frame:
         return 1 << sum(len(self.poset.algebra(c).atoms) for c in self._ids)
 
     def _upsets(self) -> list[int]:
-        guard = int(os.environ.get(ENUM_GUARD_ENV) or DEFAULT_ENUM_GUARD)
-        bound = self.enumeration_bound()
-        if bound > guard:
-            raise ResourceLimitError(f"enumeration bound {bound} exceeds guard {guard}")
-        up = self._table.up
+        check_enumeration(self.enumeration_bound())
+        up = self.poset.point_table.up
         # decide points from the top down (a higher point has a smaller
         # up-set): p may join an up-set U of the points decided so far iff
         # the rest of its up-set lies in U, so no choice is ever undone
@@ -285,7 +252,7 @@ class Frame:
 
     def decidable_elements(self) -> list[Section]:
         """Sections S with S v ~S = TOP."""
-        top = self._table.top
+        top = self.poset.point_table.top
         return [
             self._section(m)
             for m in self._upsets()

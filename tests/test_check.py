@@ -82,7 +82,7 @@ def test_check_catches_a_broken_round_trip(capsys, monkeypatch, method, fault):
     original = getattr(Frame, method)
 
     def corrupt(self, m):
-        return drop_top(m) if fault == "drops a point" else self._table.top
+        return drop_top(m) if fault == "drops a point" else self.poset.point_table.top
 
     if method == "_mask":
 

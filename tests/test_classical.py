@@ -339,9 +339,13 @@ def test_mask_closure_and_frame_match_frozenset_oracle(drawn):
     poset, got_parts = build_classical_frame(base, omega)
     assert got_parts == parts
     assert {c: poset.algebra(c).atoms for c in poset.context_ids} == contexts
-    assert poset._embeddings == embeddings
     ids = poset.context_ids
-    assert [(a, b) for a in ids for b in ids if a != b and poset.leq(a, b)] == sorted(embeddings)
+    pairs = [(a, b) for a in ids for b in ids if a != b and poset.leq(a, b)]
+    assert pairs == sorted(embeddings)
+    assert {
+        (a, b): {x: poset.embed(a, b, frozenset({x})) for x in poset.algebra(a).atoms}
+        for a, b in pairs
+    } == embeddings
     assert poset.validate() == []
 
 

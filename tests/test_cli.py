@@ -53,6 +53,15 @@ def test_build_xyz2_matches_golden(capsys):
     assert out == (GOLDEN / "xyz2_seed0.build.txt").read_text()
 
 
+def test_build_xz4_matches_golden(capsys):
+    """4-qubit local X/Z observables, each qubit turned by a unitary drawn
+    from default_rng(0): 81 contexts on C^16, whose ids, atoms, covers and
+    validity `build` must print byte for byte as in tests/golden."""
+    code, out, err = run(capsys, "build", str(GOLDEN / "xz4_seed0.json"))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "xz4_seed0.build.txt").read_text()
+
+
 def test_build_classical8_matches_golden(capsys):
     """8 points, five observables of 2-3 values drawn from random.Random(0)
     until the closed family held 201-260 partitions: 230 contexts, whose
@@ -201,6 +210,14 @@ def test_check_over_guard(capsys, monkeypatch):
     code, _, err = run(capsys, "check", QUBIT)
     assert code == 2
     assert "exceeds guard 3" in err
+
+
+def test_quotient_over_guard(capsys, monkeypatch):
+    # the coarse quotient lists 2^|atoms| elements: 4 at Sz, over a guard of 3
+    monkeypatch.setenv("QLOGIC_ENUM_GUARD", "3")
+    assert run(capsys, "quotient", QUBIT, "--context", "Sz") == (
+        2, "", "error: enumeration bound 4 exceeds guard 3\n"
+    )
 
 
 def test_check_figure1(capsys):
@@ -361,6 +378,7 @@ MALFORMED = {
             tmp, b'{"kind": "quantum", "observables": {"A": [[[1, 0]]]}, "options": {"tau": 1e-3}}'
         ),
     ],
+    "enumeration guard not an integer": lambda tmp: ["decidable", QUBIT],
     "lone surrogate in a name": lambda tmp: [
         "build",
         _model_file(tmp, b'{"kind": "classical", "points": ["\\ud800"], "observables": {"A": {"\\ud800": 0}}}'),
@@ -375,11 +393,16 @@ MALFORMED_MESSAGES = {
     "dim not an integer": "error: 'dim' must be an integer, got '1'",
     "unknown option": "error: unknown option 'tau'; options are tau_herm, tau_proj, tau_eig",
     "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",
+    "enumeration guard not an integer": "error: QLOGIC_ENUM_GUARD must be an integer, got 'abc'",
 }
+# the environment a case runs in
+MALFORMED_ENV = {"enumeration guard not an integer": {"QLOGIC_ENUM_GUARD": "abc"}}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_invocation(tmp_path, capsys, case):
+def test_malformed_invocation(tmp_path, capsys, monkeypatch, case):
+    for name, value in MALFORMED_ENV.get(case, {}).items():
+        monkeypatch.setenv(name, value)
     code, _, err = run(capsys, *MALFORMED[case](tmp_path))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1

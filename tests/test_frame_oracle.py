@@ -3,6 +3,8 @@
 The oracle sees a frame only through ``ContextPoset.leq``, ``embed`` and
 ``algebra``: sections are the monotone members of the product of the
 local algebras, and implication is the pointwise join of its witnesses.
+The point poset the frame works on is checked against one read through
+``upset`` and ``embed``, one atom at a time.
 """
 
 import itertools
@@ -13,8 +15,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qlogic import ClassicalModel, ClassicalObservable, OutcomeSpace, QuantumModel
+from qlogic.cli import load_model
 from qlogic.hasse import hasse_edges
+from qlogic.poset import PointTable
 from qlogic.sections import ElementaryProposition, Section
+
+from conftest import FIXTURES, GOLDEN
+from test_classical import _model, classical_models
 
 PAIR_SAMPLE = 150
 
@@ -114,9 +121,44 @@ def check_frame(frame, pairs=None):
     assert set(hasse_edges(frame, as_section)) == covers(sections)
 
 
+def oracle_point_table(poset) -> PointTable:
+    """The (context, atom) point poset with the up-set of each point read
+    through upset and embed, one atom at a time."""
+    ids = poset.context_ids
+    points = tuple((c, a) for c in ids for a in poset.algebra(c).atoms)
+    index = {p: i for i, p in enumerate(points)}
+    up = []
+    for c, a in points:
+        mask = 0
+        for d in poset.upset(c):
+            for b in poset.embed(c, d, frozenset({a})):
+                mask |= 1 << index[(d, b)]
+        up.append(mask)
+    spans = tuple((c, sum(1 << index[c, a] for a in poset.algebra(c).atoms)) for c in ids)
+    return PointTable(points, index, tuple(up), (1 << len(points)) - 1, spans)
+
+
 @pytest.mark.parametrize("name", ["figure1_model", "crossing_model", "one_qubit_model"])
 def test_fixtures_match_oracle(name, request):
     check_frame(request.getfixturevalue(name).frame)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [FIXTURES / f"{n}.json" for n in ("figure1", "crossing", "one_qubit")]
+    + [GOLDEN / f"{n}.json" for n in ("xz3_seed0", "xyz2_seed0", "classical8_seed0", "xz4_seed0")],
+    ids=lambda path: path.stem,
+)
+def test_point_table_matches_upset_embed_oracle(path):
+    poset = load_model(str(path)).poset
+    assert poset.point_table == oracle_point_table(poset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=classical_models())
+def test_classical_point_table_matches_upset_embed_oracle(drawn):
+    poset = _model(*drawn).poset
+    assert poset.point_table == oracle_point_table(poset)
 
 
 @settings(max_examples=15, deadline=None)
@@ -156,4 +198,6 @@ def test_random_qubit_axes_match_oracle(axes):
         t, p = np.radians(theta), np.radians(phi)
         n = (np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t))
         observables[f"N{k}"] = sum(x * s for x, s in zip(n, SIGMA))
-    check_frame(QuantumModel(observables).frame)
+    model = QuantumModel(observables)
+    assert model.poset.point_table == oracle_point_table(model.poset)
+    check_frame(model.frame)

@@ -429,13 +429,18 @@ def test_mask_poset_matches_pair_oracle(drawn):
 # -- validate on atom masks against the string-embedding loops it replaced --
 
 
-def embed_validate(poset):
-    """Oracle: validate() with every embedding applied to atom names by
-    `embed`, and the meet searched for every ordered pair.  A chain through
-    an embedding whose images name atoms its target lacks is not composed."""
+def name_embed(embeddings, a, b, x):
+    """The image of x under the name-keyed embedding a -> b (x for a == b)."""
+    return x if a == b else frozenset().union(*(embeddings[a, b][y] for y in x))
+
+
+def embed_validate(poset, embeddings):
+    """Oracle: validate() with every embedding of the name-keyed
+    `embeddings` the poset was built from applied to atom names, and the
+    meet searched for every ordered pair.  A chain through an embedding
+    whose images name atoms its target lacks is not composed."""
     issues = []
-    ids, up, down = poset._ids, poset._up, poset._down
-    contexts, embeddings = poset._contexts, poset._embeddings
+    ids, up, down, contexts = poset._ids, poset._up, poset._down, poset._contexts
     unusable = set()
     for i, a in enumerate(ids):
         for j in _bits(up[i] & ~(1 << i)):
@@ -474,8 +479,8 @@ def embed_validate(poset):
             if not unusable.isdisjoint([(a, b), (a, c), (b, c)]):
                 continue
             for atom in contexts[a].atoms:
-                direct = poset.embed(a, c, frozenset({atom}))
-                via = poset.embed(b, c, poset.embed(a, b, frozenset({atom})))
+                direct = name_embed(embeddings, a, c, frozenset({atom}))
+                via = name_embed(embeddings, b, c, name_embed(embeddings, a, b, frozenset({atom})))
                 if direct != via:
                     issues.append(f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}")
     for i in range(len(ids)):
@@ -522,7 +527,35 @@ def test_validate_matches_embed_oracle(drawn):
         poset = ContextPoset(*drawn)
     except StructureError:
         return
-    assert poset.validate() == embed_validate(poset)
+    assert poset.validate() == embed_validate(poset, drawn[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.one_of(drawn_posets(), drawn_orders()))
+def test_embed_matches_the_drawn_names(drawn):
+    """embed, decoded from the stored masks, sends every subset of a
+    context's atoms (the empty set and the top included) where the drawn
+    name-keyed embedding does, the identity pair to itself; a pair of the
+    order given no embedding has none to apply."""
+    contexts, order, embeddings = drawn
+    try:
+        poset = ContextPoset(contexts, order, embeddings)
+    except StructureError:
+        return
+    ids = poset.context_ids
+    for a, b in itertools.product(ids, repeat=2):
+        if not poset.leq(a, b):
+            continue
+        atoms = contexts[a].atoms
+        subsets = [
+            frozenset(x) for k in range(len(atoms) + 1) for x in itertools.combinations(atoms, k)
+        ]
+        if a != b and (a, b) not in embeddings:
+            with pytest.raises(KeyError):
+                poset.embed(a, b, subsets[-1])
+            continue
+        for x in subsets:
+            assert poset.embed(a, b, x) == name_embed(embeddings, a, b, x)
 
 
 def test_validate_skips_a_chain_through_an_image_outside_its_target():
@@ -544,7 +577,26 @@ def test_validate_skips_a_chain_through_an_image_outside_its_target():
         "c": LocalAlgebra(("c0", "c1", "c2", "c3")),
     }
     poset = ContextPoset(contexts, list(emb), emb)
-    assert poset.validate() == embed_validate(poset) == [
+    assert poset.validate() == embed_validate(poset, emb) == [
         "embedding 'a' -> 'b' atom images overlap",
         "embedding 'a' -> 'b' does not cover the target top",
     ]
+    with pytest.raises(StructureError, match="'a' -> 'b' cannot be applied"):
+        poset.point_table
+
+
+@pytest.mark.parametrize(
+    "images",
+    [{"a0": {"b0", "b1"}}, {"a0": {"b0", "b1"}, "a1": {"b2", "b3"}, "a9": {"b2"}}],
+    ids=["atom left out", "name a lacks"],
+)
+def test_validate_reports_an_embedding_not_total_on_atoms(images):
+    # t < a < b with a -> b keyed by other names than a's atoms: reported,
+    # and no chain is composed through it, nor the point poset built
+    embeddings = {**CHAIN_EMBEDDINGS, ("a", "b"): images}
+    p = chain_poset(list(CHAIN_EMBEDDINGS), embeddings)
+    assert p.validate() == embed_validate(p, embeddings) == [
+        "embedding 'a' -> 'b' not total on atoms"
+    ]
+    with pytest.raises(StructureError, match="'a' -> 'b' cannot be applied"):
+        p.point_table

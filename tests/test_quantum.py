@@ -108,7 +108,8 @@ def test_generated_context_nondegenerate():
 
 def test_context_atoms_are_views_of_one_stack(one_qubit_model):
     """A context holds its atoms once: as rows of its stack, which is the
-    array it was given, or one stack of the atoms it was given."""
+    array it was given, or one stack of the atoms it was given; the
+    context of an observable is given its spectral projections' stack."""
     stack = np.stack([PXP, PXM])
     ctx = QuantumContext(("+", "-"), stack)
     assert ctx.stack is stack
@@ -118,6 +119,9 @@ def test_context_atoms_are_views_of_one_stack(one_qubit_model):
     assert all(p.base is ctx.stack for p in ctx.atoms)
     for c in one_qubit_model.contexts.values():
         assert all(np.shares_memory(p, c.stack) for p in c.atoms)
+    # an observable's context holds its spectral projections as its stack
+    for name, sd in one_qubit_model.spectra.items():
+        assert one_qubit_model.contexts[one_qubit_model.obs_context[name]].stack is sd.projections
 
 
 def test_one_qubit_poset(one_qubit_model):

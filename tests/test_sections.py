@@ -217,6 +217,7 @@ def test_enumeration_guard(one_qubit_model, figure1_model, monkeypatch):
         frame.check_laws,
         lambda: export_dot(frame),
         lambda: classical_bridge(figure1_model),
+        lambda: list(one_qubit_model.poset.algebra("Sz").elements()),
     ):
         with pytest.raises(ResourceLimitError, match="exceeds guard 3"):
             enumerate_all()
