@@ -204,29 +204,30 @@ def build_classical_frame(
     points = _Points(omega)
     family = _close(points, [points.encode(p) for p in partitions])
     ids, parts, contexts = [], {}, {}
-    coarse = []  # per partition: point -> id of its cell
-    fine = []  # per partition: (lowest point, id) of each cell
+    where = []  # per partition: point -> index of its cell among the atoms
+    lows = []  # per partition: the lowest point of each atom
     for e in family:
         rows = points.rows(e)
-        cells = {block: points.cell(block) for block in rows}
-        atoms = tuple(sorted(name for _, name in cells.values()))
+        blocks = sorted(set(rows), key=lambda block: points.cell(block)[1])
+        atoms = tuple(points.cell(block)[1] for block in blocks)
         cid = "/".join(atoms)
         ids.append(cid)
-        parts[cid] = frozenset(c for c, _ in cells.values())
+        parts[cid] = frozenset(points.cell(block)[0] for block in blocks)
         contexts[cid] = LocalAlgebra(atoms)
-        coarse.append([cells[block][1] for block in rows])
-        fine.append([((b & -b).bit_length() - 1, name) for b, (_, name) in cells.items()])
-    embeddings = {}
+        slot = {block: s for s, block in enumerate(blocks)}
+        where.append([slot[block] for block in rows])
+        lows.append([(block & -block).bit_length() - 1 for block in blocks])
+    images = {}
     for i, e1 in enumerate(family):
         outside = ~e1
         for j, e2 in enumerate(family):
             if e2 & outside or i == j:
                 continue
-            groups: dict[str, list[str]] = {}
-            for low, name in fine[j]:
-                groups.setdefault(coarse[i][low], []).append(name)
-            embeddings[ids[i], ids[j]] = {a: frozenset(v) for a, v in groups.items()}
-    return ContextPoset(contexts, list(embeddings), embeddings), parts
+            masks = [0] * len(lows[i])
+            for s, low in enumerate(lows[j]):
+                masks[where[i][low]] |= 1 << s
+            images[ids[i], ids[j]] = masks
+    return ContextPoset(contexts, list(images), images), parts
 
 
 @dataclass

@@ -4,12 +4,12 @@ A context is identified by a string id and carries a finite Boolean
 algebra given by its atoms; elements of the algebra are frozensets of
 atom names.  Contexts are ordered by informativeness: ``c1 <= c2`` means
 a measurement in ``c2`` settles every question ``c1`` can answer.  For
-every ordered pair an embedding maps each coarse atom to the set of fine
-atoms refining it.
-
-Each embedding is stored once, as int masks over atom indices (see
-ContextPoset); validate(), embed() and the (context, atom) point poset,
-whose up-sets are the sections (Birkhoff), are all read from them.
+every ordered pair an embedding maps each coarse atom to the fine atoms
+refining it, in one format, in and out: per atom of the lower context, in
+its ``LocalAlgebra.atoms`` order, an int whose bit s is the upper
+context's atom s (one of the wrong length is stored as None).  validate(),
+embed() and the (context, atom) point poset, whose up-sets are the
+sections (Birkhoff), are all read from these masks.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import QLogicError, ResourceLimitError, StructureError, UnknownContextError
+from .errors import (
+    DomainError, QLogicError, ResourceLimitError, StructureError, UnknownContextError
+)
 
 Element = frozenset  # subset of a context's atoms
 
@@ -107,25 +109,25 @@ class ContextPoset:
         iterable of (lower, upper) pairs of known ids.  The relation is
         stored as given plus reflexivity and is not closed transitively:
         validate() reports a missing transitive pair.
-    embeddings:
-        (lower, upper) -> {coarse atom -> set of fine atoms} for every
-        strict pair of the order.  Identity pairs are implied; an entry
-        for a pair outside the order is ignored.
+    images:
+        (lower, upper) -> per atom of lower, in its atoms order, the int
+        mask of upper's atom indices it maps to, for every strict pair of
+        the order.  Identity pairs are implied; an entry for a pair outside
+        the order is ignored, and one whose length is not lower's atom count
+        is stored as None (not total on atoms).
 
     The i-th id of ``context_ids`` (sorted) is bit i of two masks per
     context: ``_up[i]`` holds the contexts above i, ``_down[i]`` those
     below it, both including i.  ``_images[i, j]`` holds the embedding of
-    i into j for i <= j (the identity for i == j): per atom of i, the mask
-    of the indices of j's atoms it maps to.  A name that j lacks gets a
-    bit above them; an embedding not total on i's atoms is None, and a
-    missing one has no entry.
+    i into j for i <= j as given (the identity for i == j), None when not
+    total on i's atoms; a missing one has no entry.
     """
 
     def __init__(
         self,
         contexts: Mapping[str, LocalAlgebra],
         order: Iterable[tuple[str, str]],
-        embeddings: Mapping[tuple[str, str], Mapping[str, Iterable[str]]],
+        images: Mapping[tuple[str, str], Sequence[int]],
     ):
         self._contexts = dict(contexts)
         self._ids = tuple(sorted(self._contexts))
@@ -141,24 +143,13 @@ class ContextPoset:
         if len(minima) != 1:
             raise StructureError(f"poset must have a unique least element, got {minima}")
         self._least = minima[0]
-        atoms = [self._contexts[c].atoms for c in self._ids]
-        self._images = {(i, i): tuple(1 << t for t in range(len(a))) for i, a in enumerate(atoms)}
-        bit = [{x: 1 << s for s, x in enumerate(a)} for a in atoms]  # grows past a's atoms
+        widths = [len(self._contexts[c].atoms) for c in self._ids]
+        self._images = {(i, i): tuple(1 << t for t in range(n)) for i, n in enumerate(widths)}
         for i, a in enumerate(self._ids):
             for j in _bits(self._up[i] & ~(1 << i)):
-                emb = embeddings.get((a, self._ids[j]))
-                if emb is None:
-                    continue
-                if emb.keys() != set(atoms[i]):
-                    self._images[i, j] = None
-                    continue
-                one, images = bit[j], []
-                for x in atoms[i]:
-                    m = 0
-                    for y in emb[x]:
-                        m |= one.setdefault(y, 1 << len(one))
-                    images.append(m)
-                self._images[i, j] = tuple(images)
+                got = images.get((a, self._ids[j]))
+                if got is not None:
+                    self._images[i, j] = tuple(got) if len(got) == widths[i] else None
 
     # -- basic access ---------------------------------------------------
 
@@ -214,14 +205,30 @@ class ContextPoset:
 
     # -- embeddings -----------------------------------------------------
 
-    def embed(self, c1: str, c2: str, x: Element) -> Element:
-        """Image of an element of c1 inside c2 (requires c1 <= c2)."""
+    def _applied(self, i: int, j: int) -> tuple[int, ...]:
+        """The stored embedding of context i into j, refused unless it is
+        present, total on i's atoms and inside j's atoms."""
+        images = self._images.get((i, j))
+        if images is None or max(images) >> len(self._contexts[self._ids[j]].atoms):
+            a, b = self._ids[i], self._ids[j]
+            raise StructureError(f"embedding {a!r} -> {b!r} cannot be applied")
+        return images
+
+    def images(self, c1: str, c2: str) -> tuple[int, ...]:
+        """The embedding of c1 into c2 (requires c1 <= c2) as stored: per atom
+        of c1, the mask of c2's atom indices it maps to."""
         if not self.leq(c1, c2):
             raise UnknownContextError(f"{c1!r} is not below {c2!r}")
-        images, atoms = self._images[self._bit[c1], self._bit[c2]], self._contexts[c1].atoms
+        return self._applied(self._bit[c1], self._bit[c2])
+
+    def embed(self, c1: str, c2: str, x: Element) -> Element:
+        """Image of an element of c1 inside c2 (requires c1 <= c2)."""
+        images, algebra = self.images(c1, c2), self._contexts[c1]
+        if not algebra.contains(x):
+            raise DomainError(f"value not in the local algebra of {c1!r}")
         m = 0
         for a in x:
-            m |= images[atoms.index(a)]
+            m |= images[algebra.atoms.index(a)]
         return frozenset(self._contexts[c2].atoms[s] for s in _bits(m))
 
     @cached_property
@@ -234,13 +241,9 @@ class ContextPoset:
         index = {p: b for b, p in enumerate(points)}
         first = [index[c, a[0]] for c, a in zip(self._ids, atoms)]
         up = []
-        for i, c in enumerate(self._ids):
-            rows = []  # (first bit of j, images of i's atoms in j) for each j above i
-            for j in _bits(self._up[i]):
-                images = self._images.get((i, j))
-                if images is None or max(images) >> len(atoms[j]):
-                    raise StructureError(f"embedding {c!r} -> {self._ids[j]!r} cannot be applied")
-                rows.append((first[j], images))
+        for i in range(len(self._ids)):
+            # (first bit of j, images of i's atoms in j) for each j above i
+            rows = [(first[j], self._applied(i, j)) for j in _bits(self._up[i])]
             up += [sum(images[t] << f for f, images in rows) for t in range(len(atoms[i]))]
         spans = [(c, (1 << f + len(a)) - (1 << f)) for c, f, a in zip(self._ids, first, atoms)]
         return PointTable(tuple(points), index, tuple(up), (1 << len(points)) - 1, tuple(spans))

@@ -296,6 +296,12 @@ def _components(edges: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(c) for c in comps.values()]
 
 
+def _row_masks(edges: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, bit j for column j (a Python
+    int, so a context of more than 63 atoms fits)."""
+    return [sum(1 << j for j, linked in enumerate(row) if linked) for row in edges.tolist()]
+
+
 @dataclass
 class QuantumModel:
     """Observables, their generated context poset, and the section frame."""
@@ -465,22 +471,15 @@ class QuantumModel:
         contexts = {
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()
         }
-        embeddings = {}
-        for a, ca in self.contexts.items():
-            for b, cb in self.contexts.items():
-                if a == b:
-                    continue
-                if a < b:
-                    e, leq, _ = order[a, b]
-                else:
-                    e, _, leq = order[b, a]
-                    e = e.T
-                if leq:
-                    embeddings[(a, b)] = {
-                        n: frozenset(cb.atom_names[j] for j in np.flatnonzero(row))
-                        for n, row in zip(ca.atom_names, e)
-                    }
-        self.poset = ContextPoset(contexts, list(embeddings), embeddings)
+        # an embedding is the overlap graph read by rows: per atom of the
+        # lower context, the mask of the upper atoms it is linked to
+        images = {}
+        for (a, b), (e, a_le_b, b_le_a) in order.items():
+            if a_le_b:
+                images[a, b] = _row_masks(e)
+            if b_le_a:
+                images[b, a] = _row_masks(e.T)
+        self.poset = ContextPoset(contexts, list(images), images)
         self.frame = Frame(self.poset)
 
     # -- propositions -------------------------------------------------------

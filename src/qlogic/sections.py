@@ -213,20 +213,13 @@ class Frame:
         """The refined conditional logic: the frame over the up-set of c."""
         ups = self.poset.upset(c)
         contexts = {d: self.poset.algebra(d) for d in ups}
-        order = [
-            (a, b)
+        images = {
+            (a, b): self.poset.images(a, b)
             for a in ups
             for b in ups
             if a != b and self.poset.leq(a, b)
-        ]
-        embeddings = {
-            (a, b): {
-                atom: self.poset.embed(a, b, frozenset({atom}))
-                for atom in contexts[a].atoms
-            }
-            for a, b in order
         }
-        return Frame(ContextPoset(contexts, order, embeddings))
+        return Frame(ContextPoset(contexts, list(images), images))
 
     # -- enumeration and law suites -----------------------------------------
 

@@ -3,8 +3,9 @@
 The oracle sees a frame only through ``ContextPoset.leq``, ``embed`` and
 ``algebra``: sections are the monotone members of the product of the
 local algebras, and implication is the pointwise join of its witnesses.
-The point poset the frame works on is checked against one read through
-``upset`` and ``embed``, one atom at a time.
+The point poset the frame works on, and the one of each context's
+``restrict_upset`` frame, is checked against one read through ``upset``
+and ``embed``, one atom at a time.
 """
 
 import itertools
@@ -121,10 +122,11 @@ def check_frame(frame, pairs=None):
     assert set(hasse_edges(frame, as_section)) == covers(sections)
 
 
-def oracle_point_table(poset) -> PointTable:
+def oracle_point_table(poset, within=None) -> PointTable:
     """The (context, atom) point poset with the up-set of each point read
-    through upset and embed, one atom at a time."""
-    ids = poset.context_ids
+    through upset and embed, one atom at a time; on the contexts of the
+    up-set `within` alone, if given."""
+    ids = poset.context_ids if within is None else tuple(sorted(within))
     points = tuple((c, a) for c in ids for a in poset.algebra(c).atoms)
     index = {p: i for i, p in enumerate(points)}
     up = []
@@ -152,6 +154,21 @@ def test_fixtures_match_oracle(name, request):
 def test_point_table_matches_upset_embed_oracle(path):
     poset = load_model(str(path)).poset
     assert poset.point_table == oracle_point_table(poset)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [FIXTURES / f"{n}.json" for n in ("figure1", "crossing", "one_qubit")]
+    + [GOLDEN / f"{n}.json" for n in ("xz3_seed0", "xyz2_seed0", "classical8_seed0")],
+    ids=lambda path: path.stem,
+)
+def test_restrict_upset_matches_upset_embed_oracle(path):
+    """The frame over each context's up-set has the point poset of the
+    parent's contexts there, read through the parent's upset and embed."""
+    frame = load_model(str(path)).frame
+    for c in frame.poset.context_ids:
+        want = oracle_point_table(frame.poset, frame.poset.upset(c))
+        assert frame.restrict_upset(c).poset.point_table == want, c
 
 
 @settings(max_examples=40, deadline=None)

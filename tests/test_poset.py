@@ -7,10 +7,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlogic import LocalAlgebra, ContextPoset, StructureError, UnknownContextError
+from qlogic import ContextPoset, DomainError, LocalAlgebra, StructureError, UnknownContextError
 from qlogic.poset import _bits
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+from named_embeddings import encode
+
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def simple_poset():
@@ -25,7 +28,7 @@ def simple_poset():
         ("t", "a"): {"*": frozenset({"a0", "a1"})},
         ("t", "b"): {"*": frozenset({"b0", "b1"})},
     }
-    return ContextPoset(contexts, order, embeddings)
+    return ContextPoset(contexts, order, encode(contexts, embeddings))
 
 
 def test_leq_reflexive_and_least():
@@ -78,6 +81,11 @@ def test_validate_clean():
     assert simple_poset().validate() == []
 
 
+CHAIN_CONTEXTS = {
+    "t": LocalAlgebra(("*",)),
+    "a": LocalAlgebra(("a0", "a1")),
+    "b": LocalAlgebra(("b0", "b1", "b2", "b3")),
+}
 CHAIN_EMBEDDINGS = {
     ("t", "a"): {"*": frozenset({"a0", "a1"})},
     ("t", "b"): {"*": frozenset({"b0", "b1", "b2", "b3"})},
@@ -86,14 +94,18 @@ CHAIN_EMBEDDINGS = {
 
 
 def chain_poset(order, embeddings=None):
-    contexts = {
-        "t": LocalAlgebra(("*",)),
-        "a": LocalAlgebra(("a0", "a1")),
-        "b": LocalAlgebra(("b0", "b1", "b2", "b3")),
-    }
     if embeddings is None:
         embeddings = {k: CHAIN_EMBEDDINGS[k] for k in order}
-    return ContextPoset(contexts, order, embeddings)
+    return ContextPoset(CHAIN_CONTEXTS, order, encode(CHAIN_CONTEXTS, embeddings))
+
+
+def chain_masks(pair, images):
+    """The chain t < a < b from its masks, with those of pair replaced, or
+    left out for None."""
+    masks = {k: v for k, v in encode(CHAIN_CONTEXTS, CHAIN_EMBEDDINGS).items() if k != pair}
+    if images is not None:
+        masks[pair] = images
+    return ContextPoset(CHAIN_CONTEXTS, list(CHAIN_EMBEDDINGS), masks)
 
 
 def test_validate_clean_chain():
@@ -117,19 +129,22 @@ def test_validate_missing_transitive_edge():
         ("a", "b"): {"a0": frozenset({"b0", "b1"}), "a1": frozenset({"b2", "b3"})},
         ("b", "c"): {f"b{i}": frozenset({f"c{i}"}) for i in range(4)},
     }
-    broken = ContextPoset(contexts, order, embeddings)
+    broken = ContextPoset(contexts, order, encode(contexts, embeddings))
     assert any("not transitive" in v for v in broken.validate())
 
     fixed = ContextPoset(
         contexts,
         order + [("a", "c")],
-        {
-            **embeddings,
-            ("a", "c"): {
-                "a0": frozenset({"c0", "c1"}),
-                "a1": frozenset({"c2", "c3"}),
+        encode(
+            contexts,
+            {
+                **embeddings,
+                ("a", "c"): {
+                    "a0": frozenset({"c0", "c1"}),
+                    "a1": frozenset({"c2", "c3"}),
+                },
             },
-        },
+        ),
     )
     assert fixed.validate() == []
 
@@ -142,7 +157,7 @@ def test_validate_dropped_atom_in_embedding():
     bad = ContextPoset(
         contexts,
         [("t", "a")],
-        {("t", "a"): {"*": frozenset({"a0"})}},  # misses a1: not covering
+        encode(contexts, {("t", "a"): {"*": frozenset({"a0"})}}),  # misses a1: not covering
     )
     assert any("cover" in v for v in bad.validate())
 
@@ -161,6 +176,15 @@ def test_validate_reports_image_outside_target():
     embeddings = {**CHAIN_EMBEDDINGS, ("t", "a"): {"*": frozenset({"a0", "a1", "a9"})}}
     p = chain_poset(list(CHAIN_EMBEDDINGS), embeddings)
     assert p.validate() == ["embedding 't' -> 'a' does not cover the target top"]
+
+
+@pytest.mark.parametrize("images", [(0b111,), (0b1000011,)], ids=["at the width", "above it"])
+def test_validate_reports_a_mask_bit_past_its_target(images):
+    # t's one atom maps into a's two atoms and to bit 2 or 6, which a lacks
+    p = chain_masks(("t", "a"), images)
+    assert p.validate() == ["embedding 't' -> 'a' does not cover the target top"]
+    with pytest.raises(StructureError, match="'t' -> 'a' cannot be applied"):
+        p.point_table
 
 
 def test_no_least_element_rejected():
@@ -189,7 +213,7 @@ def test_missing_meet_reported():
     contexts = {c: LocalAlgebra((c + "0",)) for c in "abtxy"}
     order = [("t", c) for c in "abxy"] + [(l, u) for l in "xy" for u in "ab"]
     embeddings = {(l, u): {l + "0": frozenset({u + "0"})} for l, u in order}
-    p = ContextPoset(contexts, order, embeddings)
+    p = ContextPoset(contexts, order, encode(contexts, embeddings))
     with pytest.raises(StructureError):
         p.meet_contexts("a", "b")
     assert p.try_join_contexts("x", "y") is None
@@ -200,14 +224,15 @@ def test_validate_order_independent_of_hash_seed():
     # a relation whose violations the old pair-set loops listed in hash order
     script = (
         "from qlogic import ContextPoset, LocalAlgebra\n"
+        "from named_embeddings import encode\n"
         "ids = 'tabcdefg'\n"
         "contexts = {c: LocalAlgebra((c + '0',)) for c in ids}\n"
         "order = [('t', c) for c in ids[1:]] + list(zip(ids[1:], ids[2:]))\n"
         "order += [(b, a) for a, b in zip(ids[1:], ids[2:])]\n"
         "embeddings = {(a, b): {a + '0': {b + '0'}} for a, b in order}\n"
-        "print(ContextPoset(contexts, order, embeddings).validate())\n"
+        "print(ContextPoset(contexts, order, encode(contexts, embeddings)).validate())\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
     outputs = {
         subprocess.run(
             [sys.executable, "-c", script],
@@ -400,9 +425,9 @@ def test_mask_poset_matches_pair_oracle(drawn):
         oracle = PairPoset(contexts, order, embeddings)
     except StructureError:
         with pytest.raises(StructureError):
-            ContextPoset(contexts, order, embeddings)
+            ContextPoset(contexts, order, encode(contexts, embeddings))
         return
-    poset = ContextPoset(contexts, order, embeddings)
+    poset = ContextPoset(contexts, order, encode(contexts, embeddings))
     ids = poset.context_ids
     assert ids == tuple(sorted(contexts))
     assert poset.least == oracle.least
@@ -523,11 +548,12 @@ def drawn_orders(draw):
 def test_validate_matches_embed_oracle(drawn):
     """The same issues in the same order: broken, dropped and swapped
     embeddings, cycles, missing transitive pairs and missing meets."""
+    contexts, order, embeddings = drawn
     try:
-        poset = ContextPoset(*drawn)
+        poset = ContextPoset(contexts, order, encode(contexts, embeddings))
     except StructureError:
         return
-    assert poset.validate() == embed_validate(poset, drawn[2])
+    assert poset.validate() == embed_validate(poset, embeddings)
 
 
 @settings(max_examples=200, deadline=None)
@@ -536,10 +562,10 @@ def test_embed_matches_the_drawn_names(drawn):
     """embed, decoded from the stored masks, sends every subset of a
     context's atoms (the empty set and the top included) where the drawn
     name-keyed embedding does, the identity pair to itself; a pair of the
-    order given no embedding has none to apply."""
+    order given no embedding has none to apply and raises StructureError."""
     contexts, order, embeddings = drawn
     try:
-        poset = ContextPoset(contexts, order, embeddings)
+        poset = ContextPoset(contexts, order, encode(contexts, embeddings))
     except StructureError:
         return
     ids = poset.context_ids
@@ -551,7 +577,7 @@ def test_embed_matches_the_drawn_names(drawn):
             frozenset(x) for k in range(len(atoms) + 1) for x in itertools.combinations(atoms, k)
         ]
         if a != b and (a, b) not in embeddings:
-            with pytest.raises(KeyError):
+            with pytest.raises(StructureError, match=f"{a!r} -> {b!r} cannot be applied"):
                 poset.embed(a, b, subsets[-1])
             continue
         for x in subsets:
@@ -576,7 +602,7 @@ def test_validate_skips_a_chain_through_an_image_outside_its_target():
         "b": LocalAlgebra(("b0", "b1", "b2", "b3")),
         "c": LocalAlgebra(("c0", "c1", "c2", "c3")),
     }
-    poset = ContextPoset(contexts, list(emb), emb)
+    poset = ContextPoset(contexts, list(emb), encode(contexts, emb))
     assert poset.validate() == embed_validate(poset, emb) == [
         "embedding 'a' -> 'b' atom images overlap",
         "embedding 'a' -> 'b' does not cover the target top",
@@ -587,16 +613,41 @@ def test_validate_skips_a_chain_through_an_image_outside_its_target():
 
 @pytest.mark.parametrize(
     "images",
-    [{"a0": {"b0", "b1"}}, {"a0": {"b0", "b1"}, "a1": {"b2", "b3"}, "a9": {"b2"}}],
-    ids=["atom left out", "name a lacks"],
+    [
+        {"a0": {"b0", "b1"}},
+        {"a0": {"b0", "b1"}, "a1": {"b2", "b3"}, "a9": {"b2"}},
+        (0b0011,),
+        (0b0011, 0b1100, 0b0000),
+    ],
+    ids=["atom left out", "name a lacks", "one mask", "three masks"],
 )
 def test_validate_reports_an_embedding_not_total_on_atoms(images):
-    # t < a < b with a -> b keyed by other names than a's atoms: reported,
-    # and no chain is composed through it, nor the point poset built
-    embeddings = {**CHAIN_EMBEDDINGS, ("a", "b"): images}
-    p = chain_poset(list(CHAIN_EMBEDDINGS), embeddings)
-    assert p.validate() == embed_validate(p, embeddings) == [
-        "embedding 'a' -> 'b' not total on atoms"
-    ]
+    # t < a < b with a -> b keyed by other names than a's atoms, or given as
+    # masks for another number of atoms than a's two: reported, and no
+    # chain is composed through it, nor the point poset built
+    if isinstance(images, tuple):
+        p = chain_masks(("a", "b"), images)
+    else:
+        embeddings = {**CHAIN_EMBEDDINGS, ("a", "b"): images}
+        p = chain_poset(list(CHAIN_EMBEDDINGS), embeddings)
+        assert p.validate() == embed_validate(p, embeddings)
+    assert p.validate() == ["embedding 'a' -> 'b' not total on atoms"]
     with pytest.raises(StructureError, match="'a' -> 'b' cannot be applied"):
         p.point_table
+
+
+@pytest.mark.parametrize(
+    "images, x, error, message",
+    [
+        (None, {"a0"}, StructureError, "embedding 'a' -> 'b' cannot be applied"),
+        ((0b0011,), {"a0"}, StructureError, "embedding 'a' -> 'b' cannot be applied"),
+        ((0b0011, 0b11100), {"a0"}, StructureError, "embedding 'a' -> 'b' cannot be applied"),
+        ((0b0011, 0b1100), {"a0", "b0"}, DomainError, "value not in the local algebra of 'a'"),
+    ],
+    ids=["missing", "not total", "bit past the target", "element outside the algebra"],
+)
+def test_embed_refuses_what_it_cannot_apply(images, x, error, message):
+    p = chain_masks(("a", "b"), images)
+    with pytest.raises(error) as info:
+        p.embed("a", "b", frozenset(x))
+    assert str(info.value) == message
