@@ -101,13 +101,13 @@ def spectral_decompose(
     return SpectralData(tuple(eigenvalues), np.stack(projections))
 
 
-def _spectral_sum(
+def _match_clusters(
     sd: SpectralData, delta: Iterable[float], tau_eig: float, what: str
-) -> np.ndarray:
-    """Sum of the spectral projections of the values in delta; each value
-    must lie within tau_eig * scale of exactly one eigenvalue cluster."""
+) -> set[int]:
+    """The indices of the eigenvalue clusters of the values in delta; each
+    value must lie within tau_eig * scale of exactly one cluster."""
     scale = max(1.0, max(abs(e) for e in sd.eigenvalues))
-    out = np.zeros_like(sd.projections[0])
+    out = set()
     for x in delta:
         matches = [
             i
@@ -120,7 +120,7 @@ def _spectral_sum(
             raise DomainError(
                 f"value {x} matches {len(matches)} eigenvalue clusters of {what}"
             )
-        out = out + sd.projections[matches[0]]
+        out.add(matches[0])
     return out
 
 
@@ -130,9 +130,10 @@ def spectral_projection(
     tau_herm: float = TAU_HERM,
     tau_eig: float = TAU_EIG,
 ) -> np.ndarray:
-    """Spectral projection onto the eigenvalue clusters matching delta."""
+    """Spectral projection onto the eigenvalue clusters matching delta, each
+    cluster summed once however often delta names it."""
     sd = spectral_decompose(h, tau_herm, tau_eig)
-    return _spectral_sum(sd, delta, tau_eig, "the matrix")
+    return sd.projections[sorted(_match_clusters(sd, delta, tau_eig, "the matrix"))].sum(axis=0)
 
 
 # -- contexts ---------------------------------------------------------------
@@ -153,25 +154,35 @@ def _atom_order(stack: np.ndarray) -> list[int]:
     return sorted(range(n), key=keys.__getitem__)
 
 
-def same_atoms(
-    atoms1: Sequence[np.ndarray], atoms2: Sequence[np.ndarray], tol: float = TAU_PROJ
-) -> bool:
+def _pairing(
+    atoms1: Sequence[np.ndarray], atoms2: Sequence[np.ndarray], tol: float
+) -> list[int] | None:
     """Greedy matching of two resolutions of identity within tolerance: each
     atom of atoms1 in turn takes the first remaining atom of atoms2 within
-    tol in max-abs, read off one table of all the pairs' distances."""
+    tol in max-abs, read off one table of all the pairs' distances.  The
+    index in atoms2 taken by each atom of atoms1, or None if one finds none."""
     if len(atoms1) != len(atoms2):
-        return False
+        return None
     a, b = np.asarray(atoms1), np.asarray(atoms2)
     close = (np.abs(a[:, None] - b[None]).max(axis=(2, 3)) <= tol).tolist()
     remaining = list(range(len(b)))
+    taken = []
     for row in close:
         for k, j in enumerate(remaining):
             if row[j]:
-                del remaining[k]
+                taken.append(remaining.pop(k))
                 break
         else:
-            return False
-    return True
+            return None
+    return taken
+
+
+def same_atoms(
+    atoms1: Sequence[np.ndarray], atoms2: Sequence[np.ndarray], tol: float = TAU_PROJ
+) -> bool:
+    """Whether the two resolutions of identity match atom for atom within
+    tol in max-abs (see _pairing)."""
+    return _pairing(atoms1, atoms2, tol) is not None
 
 
 def validate_resolution(atoms: Sequence[np.ndarray], tol: float = TAU_PROJ) -> list[str]:
@@ -201,32 +212,19 @@ def validate_resolution(atoms: Sequence[np.ndarray], tol: float = TAU_PROJ) -> l
 class QuantumContext:
     """An abelian context: named atomic projections resolving the identity.
 
-    The atoms are held once, as the rows of `stack`, one (atoms, dim, dim)
-    array; `atoms` are views of its rows.  Given as one such array, the
-    atoms are kept as the stack without a copy."""
+    The atoms are held once, as one (atoms, dim, dim) array: one given as
+    such an array is kept without a copy, a sequence is stacked once."""
 
     atom_names: tuple[str, ...]
-    atoms: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    atoms: np.ndarray
 
     def __post_init__(self):
-        stack = self.atoms if isinstance(self.atoms, np.ndarray) else np.stack(self.atoms)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "atoms", tuple(stack))
-
-    def atom(self, name: str) -> np.ndarray:
-        return self.atoms[self.atom_names.index(name)]
-
-    def projection_of(self, element: frozenset) -> np.ndarray:
-        dim = self.atoms[0].shape[0]
-        out = np.zeros((dim, dim), dtype=complex)
-        for name in element:
-            out = out + self.atom(name)
-        return out
+        if not isinstance(self.atoms, np.ndarray):
+            object.__setattr__(self, "atoms", np.stack(self.atoms))
 
 
 def _trivial_context(dim: int) -> QuantumContext:
-    return QuantumContext((TRIVIAL_ATOM,), (np.eye(dim, dtype=complex),))
+    return QuantumContext((TRIVIAL_ATOM,), np.eye(dim, dtype=complex)[None])
 
 
 def _spectral_context(sd: SpectralData, name: str, dim: int) -> QuantumContext:
@@ -253,7 +251,7 @@ def _overlap(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All atom products prods[i, j] = p_i q_j of two contexts, and the
     overlap graph edges[i, j] = ||p_i q_j||_max > tol."""
-    prods = np.matmul(c1.stack[:, None], c2.stack[None])
+    prods = np.matmul(c1.atoms[:, None], c2.atoms[None])
     return prods, np.abs(prods).max(axis=(2, 3)) > tol
 
 
@@ -323,6 +321,8 @@ class QuantumModel:
     _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(
         init=False, repr=False, compare=False
     )
+    # observable -> the atom of its context for each of its eigenvalue clusters
+    _cluster_atoms: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = {k: np.asarray(v, dtype=complex) for k, v in self.observables.items()}
@@ -356,7 +356,7 @@ class QuantumModel:
         for _, cid in sorted(
             entry for c in (cell - 1, cell, cell + 1) for entry in self._cells.get((n, c), ())
         ):
-            if same_atoms(atoms, self.contexts[cid].stack, self.tau_proj):
+            if same_atoms(atoms, self.contexts[cid].atoms, self.tau_proj):
                 return cid
         return None
 
@@ -376,7 +376,7 @@ class QuantumModel:
         return n, math.floor(f / width)
 
     def _store(self, cid: str, ctx: QuantumContext, key: tuple[int, int], x: list[float]) -> str:
-        for issue in validate_resolution(ctx.stack, self.tau_proj):
+        for issue in validate_resolution(ctx.atoms, self.tau_proj):
             raise StructureError(f"context {cid!r}: {issue}")
         self._cells.setdefault(key, []).append((len(self.contexts), cid))
         self.contexts[cid] = ctx
@@ -384,9 +384,9 @@ class QuantumModel:
         return cid
 
     def _add(self, cid: str, ctx: QuantumContext) -> str:
-        x = self._probe_values(ctx.stack)
+        x = self._probe_values(ctx.atoms)
         key = self._cell(x)
-        found = self._find_equal(ctx.stack, key)
+        found = self._find_equal(ctx.atoms, key)
         return found if found is not None else self._store(cid, ctx, key, x)
 
     def _add_meet(self, a: str, b: str, edges: np.ndarray) -> str:
@@ -446,9 +446,18 @@ class QuantumModel:
         self._x = {}
         self._cells = {}
         self._add(TRIVIAL_ID, _trivial_context(self.dim))
+        # an observable's eigenvalue cluster k is atom k of its own context,
+        # or the atom that _find_equal's match paired it with
+        self._cluster_atoms = {}
         for name in sorted(self.observables):
             ctx = _spectral_context(self.spectra[name], name, self.dim)
-            self.obs_context[name] = self._add(name, ctx)
+            cid = self.obs_context[name] = self._add(name, ctx)
+            stored = self.contexts[cid]
+            if stored is ctx:
+                ks = range(len(ctx.atoms))
+            else:
+                ks = _pairing(ctx.atoms, stored.atoms, self.tau_proj)
+            self._cluster_atoms[name] = tuple(stored.atom_names[k] for k in ks)
         # close under pairwise meets and commuting joins; a pair taken once
         # yields no new context when taken again, so each pair is taken once.
         # order[a, b] = (edges, a <= b, b <= a); a comparable pair has the
@@ -495,24 +504,13 @@ class QuantumModel:
             raise DomainError(f"outcomes of {name!r} must be numbers: {exc}") from None
 
     def elementary(self, name: str, delta: Iterable[float]) -> ElementaryProposition:
-        """(generated context, atom subset) for 'measured name, result in delta'."""
+        """(generated context, atom subset) for 'measured name, result in delta':
+        the atoms of the eigenvalue clusters that delta names."""
         if name not in self.observables:
             raise DomainError(f"unknown observable {name!r}")
-        sd = self.spectra[name]
-        cid = self.obs_context[name]
-        ctx = self.contexts[cid]
         delta = list(delta)
         if not delta:
             return BOTTOM
-        proj = _spectral_sum(sd, delta, self.tau_eig, repr(name))
-        atoms = frozenset(
-            n
-            for n, q in zip(ctx.atom_names, ctx.atoms)
-            if _maxabs(proj @ q - q) <= self.tau_proj
-        )
-        if _maxabs(ctx.projection_of(atoms) - proj) > self.tau_proj:
-            raise StructureError(
-                f"projection for {name!r} does not decompose into context atoms"
-            )
-        return ElementaryProposition(cid, atoms)
-
+        clusters = _match_clusters(self.spectra[name], delta, self.tau_eig, repr(name))
+        atoms = self._cluster_atoms[name]
+        return ElementaryProposition(self.obs_context[name], frozenset(atoms[k] for k in clusters))

@@ -169,6 +169,12 @@ def test_eval(capsys):
     assert "Sz" in out
 
 
+def test_eval_repeated_outcome(capsys):
+    code, out, err = run(capsys, "eval", QUBIT, "-f", "M(Sz,{1,1})")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "eval", QUBIT, "-f", "M(Sz,{1})")[1]
+
+
 def test_eval_value_not_in_spectrum(capsys):
     code, _, err = run(capsys, "eval", QUBIT, "-f", "M(Sz,{3})")
     assert code == 2

@@ -53,6 +53,9 @@ def test_spectral_projection():
     assert np.allclose(spectral_projection(SZ, [1.0, -1.0]), np.eye(2))
     assert np.allclose(spectral_projection(SZ, []), np.zeros((2, 2)))
     assert np.allclose(spectral_projection(SX, [-1.0]), PXM)
+    # a repeated outcome names its cluster once
+    p = spectral_projection(SZ, [1.0, 1.0])
+    assert np.allclose(p, PZ0) and is_projection(p)
     with pytest.raises(DomainError):
         spectral_projection(SZ, [0.5])
 
@@ -107,21 +110,22 @@ def test_generated_context_nondegenerate():
 
 
 def test_context_atoms_are_views_of_one_stack(one_qubit_model):
-    """A context holds its atoms once: as rows of its stack, which is the
-    array it was given, or one stack of the atoms it was given; the
-    context of an observable is given its spectral projections' stack."""
+    """A context holds its atoms once, as one array: the array it was given,
+    or one stack of the atoms it was given; the context of an observable is
+    given its spectral projections' array."""
     stack = np.stack([PXP, PXM])
-    ctx = QuantumContext(("+", "-"), stack)
-    assert ctx.stack is stack
-    assert all(p.base is stack for p in ctx.atoms)
+    assert QuantumContext(("+", "-"), stack).atoms is stack
     ctx = QuantumContext(("0", "1"), (PZ0, PZ1))
-    assert np.array_equal(ctx.stack, [PZ0, PZ1])
-    assert all(p.base is ctx.stack for p in ctx.atoms)
-    for c in one_qubit_model.contexts.values():
-        assert all(np.shares_memory(p, c.stack) for p in c.atoms)
-    # an observable's context holds its spectral projections as its stack
+    assert isinstance(ctx.atoms, np.ndarray)
+    assert np.array_equal(ctx.atoms, [PZ0, PZ1])
+    assert not hasattr(ctx, "stack")
     for name, sd in one_qubit_model.spectra.items():
-        assert one_qubit_model.contexts[one_qubit_model.obs_context[name]].stack is sd.projections
+        assert one_qubit_model.contexts[one_qubit_model.obs_context[name]].atoms is sd.projections
+
+
+def test_repeated_outcome_names_its_atom_once(one_qubit_model):
+    m = one_qubit_model
+    assert m.elementary("Sz", [1.0, 1.0]) == m.elementary("Sz", [1.0])
 
 
 def test_one_qubit_poset(one_qubit_model):

@@ -13,7 +13,9 @@ overlap products against the pairwise commutators, the vectorised meet
 atom order against a per-atom sort key, the meet and join dedup, which
 settles a candidate before building it, against the scan, the union-find
 components against a reachability closure, and the tabled same_atoms and
-batched validate_resolution against their pairwise loops.
+batched validate_resolution against their pairwise loops.  The elementary
+propositions, looked up from the clusters' atoms fixed at build, are
+checked against the atoms under the summed spectral projections.
 """
 
 import itertools
@@ -31,6 +33,7 @@ from qlogic import (
     classical_bridge,
 )
 from qlogic.bell import BellScenario, build_chsh_frame
+from qlogic.cli import load_model
 from qlogic.quantum import (
     TAU_PROJ,
     QuantumContext,
@@ -41,9 +44,12 @@ from qlogic.quantum import (
     _overlap,
     is_projection,
     same_atoms,
+    spectral_projection,
     validate_resolution,
 )
+from qlogic.sections import ElementaryProposition
 
+from conftest import FIXTURES, GOLDEN, SZ
 from test_bridge import oracle_isomorphic
 
 PAULI = {
@@ -261,7 +267,7 @@ def oracle_find_equal(model: QuantumModel, ctx) -> str | None:
 
 def key_of(model: QuantumModel, ctx) -> tuple[int, int]:
     """The dedup grid key of a context, from the probe values of its atoms."""
-    return model._cell(model._probe_values(ctx.stack))
+    return model._cell(model._probe_values(ctx.atoms))
 
 
 def rotation(ctx, g: np.random.Generator):
@@ -633,3 +639,70 @@ def test_tabled_checks_match_their_loops(seed, dim, fault, tol):
     assert validate_resolution(other, tol) == loop_validate_resolution(other, tol)
     assert same_atoms(other, atoms, tol) == loop_same_atoms(other, atoms, tol)
     assert same_atoms(atoms, other, tol) == loop_same_atoms(atoms, other, tol)
+
+
+# -- elementary propositions against the spectral products -----------------------
+
+
+def oracle_elementary(model: QuantumModel, name: str, delta) -> ElementaryProposition:
+    """(context, atoms) for 'measured name, result in delta' from products:
+    the atoms q of the observable's context under the spectral projection P
+    of delta, P q = q, which must sum to P."""
+    cid = model.obs_context[name]
+    ctx = model.contexts[cid]
+    proj = spectral_projection(model.observables[name], delta, model.tau_herm, model.tau_eig)
+    under = [k for k, q in enumerate(ctx.atoms) if below(proj, q, model.tau_proj)]
+    assert _maxabs(ctx.atoms[under].sum(axis=0) - proj) <= model.tau_proj, (name, delta)
+    return ElementaryProposition(cid, frozenset(ctx.atom_names[k] for k in under))
+
+
+def check_elementary(model: QuantumModel):
+    """The lookup equals the oracle for every observable and every non-empty
+    subset of its eigenvalue clusters."""
+    for name, sd in model.spectra.items():
+        n = len(sd.eigenvalues)
+        for ks in itertools.chain.from_iterable(
+            itertools.combinations(range(n), r) for r in range(1, n + 1)
+        ):
+            delta = [sd.eigenvalues[k] for k in ks]
+            assert model.elementary(name, delta) == oracle_elementary(model, name, delta), (name, ks)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [FIXTURES / "one_qubit.json", GOLDEN / "xz3_seed0.json", GOLDEN / "xyz2_seed0.json"],
+    ids=lambda p: p.stem,
+)
+def test_elementary_matches_oracle_on_files(path):
+    check_elementary(load_model(str(path)))
+
+
+@settings(max_examples=5, deadline=None)
+@given(angles=st.lists(st.integers(0, 359), min_size=4, max_size=4))
+def test_chsh_elementary_matches_oracle(angles):
+    check_elementary(build_chsh_frame(BellScenario.from_angles(*angles)).model)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(2, "XYZ"), (3, "XZ")]))
+def test_pauli_elementary_matches_oracle(seed, shape):
+    check_elementary(local_pauli_model(*shape, seed))
+
+
+@pytest.mark.parametrize(
+    "observables, twin, onto",
+    [
+        # -3 Sz's clusters -3, 3 are Sz's atoms -1, 1 the other way round
+        ({"Sz": SZ, "W": -3 * SZ}, "W", "Sz"),
+        # the same diagonal atoms, in the clusters' order 1, 2, 0
+        ({"A": np.diag([0, 1, 2]), "B": np.diag([2, 0, 1])}, "B", "A"),
+        ({"Sz": SZ, "T": 2 * np.eye(2)}, "T", "1"),
+    ],
+    ids=["minus_3_sz", "permuted_diagonal", "scaled_identity"],
+)
+def test_elementary_of_a_deduplicated_observable_matches_oracle(observables, twin, onto):
+    """An observable whose context was stored before it, with its atoms in
+    another order than its clusters, or as the trivial context."""
+    model = QuantumModel(observables)
+    assert model.obs_context[twin] == onto
+    check_elementary(model)
