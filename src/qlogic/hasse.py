@@ -17,10 +17,14 @@ LABEL_LIMIT = 60
 
 def section_label(frame: Frame, s: Section) -> str:
     """Readable label: the join of the section's elementary pieces."""
+    return _label(frame, s, s == frame.top())
+
+
+def _label(frame: Frame, s: Section, is_top: bool) -> str:
     pieces = frame.decompose_to_elementary(s)
     if not pieces:
         return "BOT"
-    if s == frame.top():
+    if is_top:
         return "TOP"
     text = " v ".join(
         f"({e.context}: {'|'.join(sorted(e.value))})" for e in pieces
@@ -35,16 +39,9 @@ def _sort_key(s: Section):
     return tuple((c, tuple(sorted(v))) for c, v in s.items)
 
 
-def hasse_edges(frame: Frame, sections: list[Section]) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) of the section order, as indices into sections.
-
-    ``sections`` must be the full enumeration, as in :func:`export_dot`:
-    each candidate U | {p} of a listed up-set U is looked up among the
-    listed sections, which holds exactly the up-sets, so in a partial list
-    a cover that is missing goes unreported.
-    """
+def _covers(frame: Frame, masks: list[int]) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) among the up-set masks, as indices into masks."""
     points = range(len(frame.poset.point_table.points))
-    masks = [frame._mask(s) for s in sections]
     position = {m: i for i, m in enumerate(masks)}
     return [
         (i, position[u | 1 << p])
@@ -54,15 +51,33 @@ def hasse_edges(frame: Frame, sections: list[Section]) -> list[tuple[int, int]]:
     ]
 
 
+def hasse_edges(frame: Frame, sections: list[Section]) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) of the section order, as indices into sections.
+
+    ``sections`` must be the full enumeration: each candidate U | {p} of a
+    listed up-set U is looked up among the listed sections, which holds
+    exactly the up-sets, so in a partial list a cover that is missing goes
+    unreported.
+    """
+    return _covers(frame, [frame._mask(s) for s in sections])
+
+
 def export_dot(frame: Frame, name: str = "sections") -> str:
-    """Deterministic DOT digraph of the frame's Hasse diagram."""
-    sections = sorted(frame.enumerate_sections(), key=_sort_key)
-    edges = hasse_edges(frame, sections)
+    """Deterministic DOT digraph of the frame's Hasse diagram.
+
+    One enumeration gives each up-set's mask, decoded once to its Section
+    for the sort order and the label; the covers are read from the masks,
+    and TOP is recognised by its mask.
+    """
+    top = frame.poset.point_table.top
+    nodes = sorted(
+        ((m, frame._section(m)) for m in frame._upsets()), key=lambda ms: _sort_key(ms[1])
+    )
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for i, s in enumerate(sections):
-        label = section_label(frame, s).replace('"', '\\"')
+    for i, (m, s) in enumerate(nodes):
+        label = _label(frame, s, m == top).replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
-    for i, j in sorted(edges):
+    for i, j in sorted(_covers(frame, [m for m, _ in nodes])):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

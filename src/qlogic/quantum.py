@@ -64,9 +64,11 @@ def is_projection(m: np.ndarray, tol: float = TAU_PROJ) -> bool:
     return is_hermitian(m, tol) and _maxabs(m @ m - m) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Clustered eigenvalues with matching spectral projections."""
+    """Clustered eigenvalues with matching spectral projections.
+
+    Compared and hashed by identity: the projections are an array."""
 
     eigenvalues: tuple[float, ...]
     projections: np.ndarray  # (clusters, dim, dim): row k belongs to eigenvalue k
@@ -208,12 +210,13 @@ def validate_resolution(atoms: Sequence[np.ndarray], tol: float = TAU_PROJ) -> l
     return issues
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumContext:
     """An abelian context: named atomic projections resolving the identity.
 
     The atoms are held once, as one (atoms, dim, dim) array: one given as
-    such an array is kept without a copy, a sequence is stacked once."""
+    such an array is kept without a copy, a sequence is stacked once.  A
+    context is compared and hashed by identity."""
 
     atom_names: tuple[str, ...]
     atoms: np.ndarray

@@ -260,11 +260,15 @@ class Frame:
         pair (U1, U2), U1 -> U2 is compared with the join of its witnesses,
         the up-sets W with W & U1 <= U2; for each up-set U the
         adjunction U <= (U1 -> U2) iff U & U1 <= U2 is compared with that
-        same witness test.  ``exhaustive`` adds distributivity: for each
-        pair, the boundary meet and join of the two Sections must be the
-        enumerated Sections of U1 & U2 and U1 | U2; up-sets under & and |
-        distribute, so the frame does when its meet and join agree with
-        them.  The guard fails before any of this work.
+        same witness test.  Both depend on the pair only through
+        bad = U1 \\ U2 and imp = U1 -> U2, and most pairs share them, so
+        ``_implies`` runs once per pair (n^2 calls) and the witness join
+        and the n-term adjunction count once per distinct (bad, imp).
+        ``exhaustive`` adds distributivity: for each pair, the boundary
+        meet and join of the two Sections must be the enumerated Sections
+        of U1 & U2 and U1 | U2; up-sets under & and | distribute, so the
+        frame does when its meet and join agree with them.  The guard
+        fails before any of this work.
         """
         ups = self._upsets()
         n = len(ups)
@@ -273,14 +277,19 @@ class Frame:
         for m, s in zip(ups, sections):
             monotone += self._mask(s) == m and self.is_monotone(s)
         implies_ok = adjunction_ok = 0
+        passed: dict[tuple[int, int], tuple[bool, int]] = {}
         for u1 in ups:
             for u2 in ups:
                 bad = u1 & ~u2
                 imp = self._implies(u1, u2)
-                implies_ok += imp == _join_witnesses(ups, bad)
-                adjunction_ok += sum(
-                    (not u & ~imp) == (not u & bad) for u in ups
-                )
+                ok = passed.get((bad, imp))
+                if ok is None:
+                    ok = passed[bad, imp] = (
+                        imp == _join_witnesses(ups, bad),
+                        sum((not u & ~imp) == (not u & bad) for u in ups),
+                    )
+                implies_ok += ok[0]
+                adjunction_ok += ok[1]
         distributive = None
         if exhaustive:
             enumerated = dict(zip(ups, sections))

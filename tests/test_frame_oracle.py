@@ -203,6 +203,16 @@ SIGMA = (
 )
 
 
+def qubit_axes_model(axes) -> QuantumModel:
+    """A qubit measured along each (polar, azimuth) axis, in degrees."""
+    observables = {}
+    for k, (theta, phi) in enumerate(axes):
+        t, p = np.radians(theta), np.radians(phi)
+        n = (np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t))
+        observables[f"N{k}"] = sum(x * s for x, s in zip(n, SIGMA))
+    return QuantumModel(observables)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     axes=st.lists(
@@ -210,11 +220,6 @@ SIGMA = (
     )
 )
 def test_random_qubit_axes_match_oracle(axes):
-    observables = {}
-    for k, (theta, phi) in enumerate(axes):
-        t, p = np.radians(theta), np.radians(phi)
-        n = (np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t))
-        observables[f"N{k}"] = sum(x * s for x, s in zip(n, SIGMA))
-    model = QuantumModel(observables)
+    model = qubit_axes_model(axes)
     assert model.poset.point_table == oracle_point_table(model.poset)
     check_frame(model.frame)

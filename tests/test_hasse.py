@@ -1,4 +1,13 @@
+import pytest
+
+from qlogic.cli import load_model, main
 from qlogic.hasse import export_dot, hasse_edges, section_label
+from qlogic.sections import Frame
+
+from conftest import FIXTURES, GOLDEN
+
+MODELS = [FIXTURES / "crossing.json", FIXTURES / "one_qubit.json",
+          GOLDEN / "classical2_enum_seed0.json"]
 
 
 def test_figure1_hasse_shape(figure1_model):
@@ -56,3 +65,32 @@ def test_long_labels_truncated(chsh):
     )
     label = section_label(frame, wide)
     assert len(label) <= 60
+
+
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_hasse_matches_golden(capsys, path):
+    """`hasse` stdout pinned byte for byte, captured before the export read
+    its covers from the enumeration's masks."""
+    assert main(["hasse", str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{path.stem}.hasse.dot").read_text()
+
+
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_hasse_enumerates_once(capsys, monkeypatch, path):
+    calls = []
+    upsets = Frame._upsets
+    monkeypatch.setattr(Frame, "_upsets", lambda self: calls.append(self) or upsets(self))
+    assert main(["hasse", str(path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_hasse_edges_match_the_exported_edges(path):
+    """The public Section-level covers are the DOT's edges, node for node."""
+    frame = load_model(str(path)).frame
+    sections = sorted(
+        frame.enumerate_sections(),
+        key=lambda s: tuple((c, tuple(sorted(v))) for c, v in s.items),
+    )
+    edges = {line.strip() for line in export_dot(frame).splitlines() if " -> " in line}
+    assert {f"n{i} -> n{j};" for i, j in hasse_edges(frame, sections)} == edges

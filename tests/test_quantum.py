@@ -109,6 +109,19 @@ def test_generated_context_nondegenerate():
     assert all(abs(np.trace(p).real - 1) < 1e-8 for p in c.atoms)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: generated_context(np.diag([1.0, -1.0])), lambda: spectral_decompose(SZ)],
+    ids=["QuantumContext", "SpectralData"],
+)
+def test_array_holders_compare_and_hash_by_identity(make):
+    """Two equal decompositions are distinct objects: == neither raises on
+    their arrays nor calls them equal, and each hashes, e.g. as a dict key."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1
+
+
 def test_context_atoms_are_views_of_one_stack(one_qubit_model):
     """A context holds its atoms once, as one array: the array it was given,
     or one stack of the atoms it was given; the context of an observable is
