@@ -14,10 +14,8 @@ from .classical import (
     ClassicalObservable,
     OutcomeSpace,
     build_classical_frame,
-    close_partition_family,
     partition_join,
     partition_meet,
-    partition_of_observable,
 )
 from .errors import (
     DomainError,
@@ -53,11 +51,9 @@ __all__ = [
     "UnknownContextError",
     "build_classical_frame",
     "classical_bridge",
-    "close_partition_family",
     "generated_context",
     "partition_join",
     "partition_meet",
-    "partition_of_observable",
     "spectral_decompose",
     "spectral_projection",
 ]

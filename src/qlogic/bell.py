@@ -241,7 +241,7 @@ def build_chsh_frame(scenario: BellScenario) -> ChshFrame:
 # -- Popper's witness in the raw projection lattice ----------------------------
 
 
-def _range_basis(p: np.ndarray, tol: float = TAU_PROJ) -> np.ndarray:
+def _range_basis(p: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(p)
     return v[:, w > 0.5]
 

@@ -5,18 +5,18 @@ constant on its cells, over coordinates indexed by the cells of the
 finest partition.  Both section frames are up-set lattices of their
 (context, atom) point posets (Birkhoff), so they are order-isomorphic
 when the map that sends a cell to the twin atom with the same coordinate
-support is an isomorphism of the point posets: a bijection that carries
-the up-set of every classical point onto the up-set of its image.
+support (a mask of coordinates) is an isomorphism of the point posets: a
+bijection that carries the up-set of every classical point onto the
+up-set of its image.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalModel, cell_id, partition_meet
+from .classical import ClassicalModel
 from .quantum import QuantumModel
 
 
@@ -38,29 +38,29 @@ def classical_bridge(model: ClassicalModel) -> tuple[QuantumModel, BridgeReport]
     """
     classical_count = len(model.frame._upsets())
     classical = model.poset.point_table
-    finest = functools.reduce(partition_meet, model.partitions.values())
-    index = {c: i for i, c in enumerate(sorted(cell_id(c) for c in finest))}
-    support = {}  # (context, cell) -> the cell's coordinates
+    # the closure holds the meet of all its partitions: the one of most cells
+    finest = max(model.blocks.values(), key=len)
+    support = {}  # (context, cell) -> mask of its coordinates, the finest cells in it
     obs = {}
     names = {}
-    for k, (cid, p) in enumerate(sorted(model.partitions.items())):
-        diag = np.zeros(len(index))
-        for v, cell in enumerate(sorted(p, key=cell_id)):
-            coords = frozenset(index[cell_id(f)] for f in finest if f <= cell)
-            diag[list(coords)] = v
-            support[cid, cell_id(cell)] = coords
+    for k, cid in enumerate(sorted(model.blocks)):
+        diag = np.zeros(len(finest))
+        for v, (block, atom) in enumerate(zip(model.blocks[cid], model.poset.algebra(cid).atoms)):
+            coords = [i for i, f in enumerate(finest) if f & block]  # f meets block iff inside
+            diag[coords] = v
+            support[cid, atom] = sum(1 << i for i in coords)
         names[cid] = f"D{k}"
         obs[f"D{k}"] = np.diag(diag).astype(complex)
 
     qmodel = QuantumModel(obs)
-    ctx_map = {cid: qmodel.obs_context[names[cid]] for cid in model.partitions}
+    ctx_map = {cid: qmodel.obs_context[names[cid]] for cid in model.blocks}
     twin = qmodel.poset.point_table
-    twin_point = {}  # (context, atom coordinates) -> twin point bit
+    twin_point = {}  # (context, mask of the atom's coordinates) -> twin point bit
     for d in set(ctx_map.values()):
         ctx = qmodel.contexts[d]
         for n, q in zip(ctx.atom_names, ctx.atoms):
-            coords = frozenset(np.flatnonzero(np.abs(np.diag(q)) > 0.5).tolist())
-            twin_point[d, coords] = twin.index[d, n]
+            coords = np.flatnonzero(np.abs(np.diag(q)) > 0.5).tolist()
+            twin_point[d, sum(1 << i for i in coords)] = twin.index[d, n]
     image = [twin_point.get((ctx_map[c], support[c, a])) for c, a in classical.points]
     quantum_count = len(qmodel.frame._upsets())
 

@@ -3,7 +3,9 @@
 Observables are normalized to the partition of the outcome space they
 generate.  A closed family of partitions becomes a context poset whose
 informativeness order is reverse refinement (finer = more informative);
-cells of a partition are the atoms of its local algebra.
+cells of a partition are the atoms of its local algebra.  A cell is held
+as a block mask over the points in ``OutcomeSpace.order()``; its id string
+is made once per mask, as an atom name.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from .errors import DomainError
 from .poset import ContextPoset, LocalAlgebra, _bits
 from .sections import BOTTOM, ElementaryProposition, Frame
 
-Cell = frozenset
-Partition = frozenset  # of Cells
+Partition = frozenset  # of cells, each a frozenset of points
+
+# the characters that spell cell ids ({a,b}) and context ids ({a}/{b})
+ID_CHARS = ",{}/"
 
 
 @dataclass(frozen=True)
@@ -26,6 +30,16 @@ class OutcomeSpace:
     def __post_init__(self):
         if not self.points:
             raise DomainError("outcome space must be non-empty")
+        for x in self.order():
+            if any(ch in str(x) for ch in ID_CHARS):
+                raise DomainError(
+                    f"point {str(x)!r}: a point name may not hold ',', '{{', '}}' or '/',"
+                    " which spell cell ids"
+                )
+
+    def order(self) -> tuple:
+        """The points in bit order: bit i of a block mask is point i."""
+        return tuple(sorted(self.points, key=str))
 
 
 @dataclass(frozen=True)
@@ -46,22 +60,6 @@ class ClassicalObservable:
         return set(v for _, v in self.value_map)
 
 
-def partition_of_observable(obs: ClassicalObservable, omega: OutcomeSpace) -> Partition:
-    """Partition into the non-empty fibers of the observable's value map."""
-    vm = obs.values()
-    if set(vm) != set(omega.points):
-        raise DomainError(f"observable {obs.name!r} is not total on the outcome space")
-    fibers: dict = {}
-    for point, value in vm.items():
-        fibers.setdefault(value, set()).add(point)
-    return frozenset(frozenset(cell) for cell in fibers.values())
-
-
-def refines(p1: Partition, p2: Partition) -> bool:
-    """True iff every cell of p1 lies inside a cell of p2 (p1 finer)."""
-    return all(any(c1 <= c2 for c2 in p2) for c1 in p1)
-
-
 def partition_meet(p1: Partition, p2: Partition) -> Partition:
     """Common refinement: non-empty pairwise cell intersections."""
     return frozenset(
@@ -80,47 +78,53 @@ def partition_join(p1: Partition, p2: Partition) -> Partition:
 
 
 class _Points:
-    """The outcome space's points indexed in sorted-name order.
+    """The outcome space's points indexed in bit order (OutcomeSpace.order).
 
     A partition of the n points is held as its rows, ``rows[x]`` the mask
     of x's block, packed into one int of n*n bits with row x at bit x*n:
     points x and y share a block iff bit x*n + y is set.  Meet is ``&``, p
-    refines q iff ``p & ~q == 0``, and join merges blocks on the rows.
+    is finer than q iff ``p & ~q == 0``, and join merges blocks on the rows.
     """
 
     def __init__(self, omega: OutcomeSpace):
-        self.names = tuple(sorted(omega.points, key=str))
+        self.names = omega.order()
         self.n = len(self.names)
-        self._index = {x: i for i, x in enumerate(self.names)}
-        self._cells: dict[int, tuple[Cell, str]] = {}
+        self.index = {x: i for i, x in enumerate(self.names)}
+        self._ids: dict[int, str] = {}
         self._diagonals: dict[int, int] = {}
 
-    def pack(self, rows) -> int:
-        n = self.n
-        return sum(row << x * n for x, row in enumerate(rows))
+    def diagonal(self, m: int) -> int:
+        """The int with bit x*n set for each point x of the mask m, so that
+        m times it holds m in the row of each of its points."""
+        d = self._diagonals.get(m)
+        if d is None:
+            d = self._diagonals[m] = sum(1 << x * self.n for x in _bits(m))
+        return d
+
+    def pack(self, blocks: Iterable[int]) -> int:
+        """The packed partition with the given blocks."""
+        return sum(b * self.diagonal(b) for b in blocks)
 
     def rows(self, packed: int) -> tuple[int, ...]:
         n, full = self.n, (1 << self.n) - 1
         return tuple(packed >> x * n & full for x in range(n))
 
-    def encode(self, p: Partition) -> int:
-        rows = [0] * self.n
-        for cell in p:
-            block = sum(1 << self._index[x] for x in cell)
-            for x in cell:
-                rows[self._index[x]] = block
-        return self.pack(rows)
+    def fibers(self, obs: ClassicalObservable) -> dict:
+        """Each outcome value of the observable -> the mask of its preimage."""
+        vm = obs.values()
+        if vm.keys() != self.index.keys():
+            raise DomainError(f"observable {obs.name!r} is not total on the outcome space")
+        blocks: dict = {}
+        for x, v in vm.items():
+            blocks[v] = blocks.get(v, 0) | 1 << self.index[x]
+        return blocks
 
-    def cell(self, block: int) -> tuple[Cell, str]:
-        """The cell of a block mask and its id, built once per mask."""
-        got = self._cells.get(block)
+    def cell_id(self, block: int) -> str:
+        """The id of a block's cell, made once per mask."""
+        got = self._ids.get(block)
         if got is None:
-            c = frozenset(self.names[x] for x in _bits(block))
-            got = self._cells[block] = (c, cell_id(c))
+            got = self._ids[block] = cell_id(self.names[x] for x in _bits(block))
         return got
-
-    def decode(self, packed: int) -> Partition:
-        return frozenset(self.cell(block)[0] for block in set(self.rows(packed)))
 
     def blocks(self, packed: int) -> tuple[int, ...]:
         """The blocks of two or more points."""
@@ -130,8 +134,7 @@ class _Points:
         """Finest common coarsening of a packed partition and the partition
         with the given blocks of two or more points: per block, the blocks
         it touches merge.  A merged block m only grows, so it is or-ed into
-        all its rows at once, as m times the int with bit x*n set for each
-        point x of m."""
+        all its rows at once, as m times its diagonal."""
         n, full = self.n, (1 << self.n) - 1
         for b in blocks:
             m = packed >> ((b & -b).bit_length() - 1) * n & full
@@ -141,10 +144,7 @@ class _Points:
             while rest:
                 m |= packed >> ((rest & -rest).bit_length() - 1) * n & full
                 rest &= ~m
-            diagonal = self._diagonals.get(m)
-            if diagonal is None:
-                diagonal = self._diagonals[m] = sum(1 << x * n for x in _bits(m))
-            packed |= m * diagonal
+            packed |= m * self.diagonal(m)
         return packed
 
 
@@ -153,7 +153,7 @@ def _close(points: _Points, family: list[int]) -> list[int]:
 
     Each pair is taken once, when the later of the two is walked; a
     comparable pair is skipped, since its meet and join are the pair."""
-    family = list(dict.fromkeys([*family, points.pack([(1 << points.n) - 1] * points.n)]))
+    family = list(dict.fromkeys([*family, points.pack([(1 << points.n) - 1])]))
     blocks = [points.blocks(e) for e in family]
     seen = set(family)
     for k, e1 in enumerate(family):  # the list grows while it is walked
@@ -170,50 +170,39 @@ def _close(points: _Points, family: list[int]) -> list[int]:
     return family
 
 
-def close_partition_family(
-    partitions: Iterable[Partition], omega: OutcomeSpace
-) -> frozenset:
-    """Smallest family containing the inputs and {Omega}, closed under
-    pairwise meet and finest-common-coarsening join."""
-    points = _Points(omega)
-    family = _close(points, [points.encode(p) for p in partitions])
-    return frozenset(points.decode(e) for e in family)
-
-
 # -- context poset construction ------------------------------------------
 
 
-def cell_id(cell: Cell) -> str:
+def cell_id(cell: Iterable) -> str:
     return "{" + ",".join(sorted(str(x) for x in cell)) + "}"
 
 
-def partition_id(p: Partition) -> str:
-    return "/".join(sorted(cell_id(c) for c in p))
-
-
 def build_classical_frame(
-    partitions: Iterable[Partition], omega: OutcomeSpace
-) -> tuple[ContextPoset, dict]:
-    """Context poset of the closure of the partitions (close_partition_family).
+    observables: Iterable[ClassicalObservable], omega: OutcomeSpace
+) -> tuple[ContextPoset, list[str], dict[str, tuple[int, ...]]]:
+    """Context poset of the smallest family that holds the observables'
+    partitions and {Omega} and is closed under meet and join.
 
-    Returns the poset and a mapping context id -> partition.  The order is
-    reverse refinement: a finer partition is the more informative context.
-    An embedding sends each coarse cell to the fine cells whose lowest
-    point it holds.
+    Returns the poset, each observable's context id, and each context's
+    atoms as block masks over omega.order(), in the context's atom order.
+    The order is reverse refinement: a finer partition is the more
+    informative context.  An embedding sends each coarse cell to the fine
+    cells whose lowest point it holds.
     """
     points = _Points(omega)
-    family = _close(points, [points.encode(p) for p in partitions])
-    ids, parts, contexts = [], {}, {}
+    inputs = [points.pack(points.fibers(obs).values()) for obs in observables]
+    family = _close(points, inputs)
+    ids, atoms, contexts = [], {}, {}
     where = []  # per partition: point -> index of its cell among the atoms
     lows = []  # per partition: the lowest point of each atom
     for e in family:
         rows = points.rows(e)
-        blocks = sorted(set(rows), key=lambda block: points.cell(block)[1])
-        atoms = tuple(points.cell(block)[1] for block in blocks)
-        cid = "/".join(atoms)
+        blocks = tuple(sorted(set(rows), key=points.cell_id))
+        names = tuple(map(points.cell_id, blocks))
+        cid = "/".join(names)
         ids.append(cid)
-        parts[cid] = frozenset(points.cell(block)[0] for block in blocks)
-        contexts[cid] = LocalAlgebra(atoms)
+        atoms[cid] = blocks
+        contexts[cid] = LocalAlgebra(names)
         slot = {block: s for s, block in enumerate(blocks)}
         where.append([slot[block] for block in rows])
         lows.append([(block & -block).bit_length() - 1 for block in blocks])
@@ -227,29 +216,37 @@ def build_classical_frame(
             for s, low in enumerate(lows[j]):
                 masks[where[i][low]] |= 1 << s
             images[ids[i], ids[j]] = masks
-    return ContextPoset(contexts, list(images), images), parts
+    position = {e: i for i, e in enumerate(family)}
+    return ContextPoset(contexts, list(images), images), [ids[position[e]] for e in inputs], atoms
 
 
 @dataclass
 class ClassicalModel:
-    """A finite outcome space with observables, the partitions of their
-    closed family keyed by context id, each observable's context id, and
-    the section frame built on top."""
+    """A finite outcome space with observables, the section frame built on
+    the closed family of their partitions, each context's atoms as block
+    masks (build_classical_frame), and each observable's context id."""
 
     omega: OutcomeSpace
     observables: dict[str, ClassicalObservable]
     poset: ContextPoset = field(init=False)
     frame: Frame = field(init=False)
-    partitions: dict = field(init=False)
+    blocks: dict[str, tuple[int, ...]] = field(init=False)
     obs_context: dict[str, str] = field(init=False)
+    # observable -> outcome value -> the atom of its context that is the
+    # value's preimage
+    _value_atoms: dict[str, dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        base = {
-            name: partition_of_observable(obs, self.omega)
-            for name, obs in self.observables.items()
-        }
-        self.poset, self.partitions = build_classical_frame(base.values(), self.omega)
-        self.obs_context = {name: partition_id(p) for name, p in base.items()}
+        self.poset, ids, self.blocks = build_classical_frame(
+            self.observables.values(), self.omega
+        )
+        self.obs_context = dict(zip(self.observables, ids))
+        names = self.omega.order()
+        self._value_atoms = {}
+        for (name, obs), cid in zip(self.observables.items(), ids):
+            atoms = zip(self.blocks[cid], self.poset.algebra(cid).atoms)
+            atom_of = {names[x]: atom for block, atom in atoms for x in _bits(block)}
+            self._value_atoms[name] = {v: atom_of[x] for x, v in obs.value_map}
         self.frame = Frame(self.poset)
 
     def coerce(self, name: str, tokens: Iterable[str]) -> list:
@@ -275,19 +272,15 @@ class ClassicalModel:
     def elementary(self, name: str, delta_values: Iterable) -> ElementaryProposition:
         """The proposition that a measurement of the named observable gave a
         value in delta_values."""
-        if name not in self.observables:
+        atom = self._value_atoms.get(name)
+        if atom is None:
             raise DomainError(f"unknown observable {name!r}")
-        obs = self.observables[name]
-        rng = obs.range()
         delta = set(delta_values)
-        bad = delta - rng
+        bad = delta - atom.keys()
         if bad:
             raise DomainError(
                 f"values {sorted(map(str, bad))} not in the range of {name!r}"
             )
         if not delta:
             return BOTTOM
-        preimage = {pt for pt, v in obs.value_map if v in delta}
-        ctx = self.obs_context[name]
-        value = frozenset(cell_id(c) for c in self.partitions[ctx] if c <= preimage)
-        return ElementaryProposition(ctx, value)
+        return ElementaryProposition(self.obs_context[name], frozenset(atom[v] for v in delta))

@@ -68,8 +68,10 @@ class Imp:
     right: object
 
 
+# an identifier: a name a formula can spell
+WORD = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<punct>[~&|(){},])|(?P<word>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"\s*(?:(?P<arrow>->)|(?P<punct>[~&|(){{}},])|(?P<word>{WORD})"
     r"|(?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?))"
 )
 

@@ -89,7 +89,7 @@ def _extreme(mask: int, masks: list[int]) -> int | None:
 
 class PointTable(NamedTuple):
     """The (context, atom) point poset, one bit per point, a context's
-    points consecutive: (c1, a1) <= (c2, a2) iff c1 <= c2, a2 refines a1."""
+    points consecutive: (c1, a1) <= (c2, a2) iff c1 <= c2, a2 lies inside a1."""
 
     points: tuple[tuple[str, str], ...]  # bit -> (context, atom)
     index: dict[tuple[str, str], int]  # (context, atom) -> bit

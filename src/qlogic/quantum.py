@@ -35,12 +35,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, StructureError
+from .formulas import WORD
 from .poset import ContextPoset, LocalAlgebra
 from .sections import BOTTOM, ElementaryProposition, Frame
 
@@ -328,6 +330,11 @@ class QuantumModel:
     _cluster_atoms: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # an observable name is a formula identifier, so none spells a
+        # generated context id ("1", "(a^b)", "a*b") and overwrites its context
+        for name in self.observables:
+            if not (isinstance(name, str) and re.fullmatch(WORD, name)):
+                raise DomainError(f"observable name {name!r} is not an identifier ({WORD})")
         mats = {k: np.asarray(v, dtype=complex) for k, v in self.observables.items()}
         dims = {m.shape for m in mats.values()}
         if len(dims) > 1:

@@ -3,7 +3,7 @@
 A section assigns to every context an element of its local algebra,
 monotonically along the informativeness order.  Equivalently, a section
 is an up-set of the poset P of points (c, a), a an atom of context c,
-ordered by (c1, a1) <= (c2, a2) iff c1 <= c2 and a2 refines a1
+ordered by (c1, a1) <= (c2, a2) iff c1 <= c2 and a2 lies inside a1
 (Birkhoff's representation of a finite distributive lattice).  The
 context poset compiles P once into bitmasks (``ContextPoset.point_table``),
 and a frame works on them: meet, join and order are ``&``, ``|``

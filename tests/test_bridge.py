@@ -19,13 +19,15 @@ from qlogic.quantum import QuantumContext
 from qlogic.sections import Section
 
 from conftest import FIXTURES
+from partitions import model_partitions
 
 
 def oracle_isomorphic(model, qmodel, ctx_map) -> bool:
-    finest = functools.reduce(partition_meet, model.partitions.values())
+    partitions = model_partitions(model)
+    finest = functools.reduce(partition_meet, partitions.values())
     coords = sorted(cell_id(c) for c in finest)
     atom_maps = {}
-    for cid, p in model.partitions.items():
+    for cid, p in partitions.items():
         qctx = qmodel.contexts[ctx_map[cid]]
         amap = {}
         for cell in p:

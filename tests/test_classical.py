@@ -8,35 +8,55 @@ from qlogic import (
     ClassicalModel,
     ClassicalObservable,
     DomainError,
+    ElementaryProposition,
     OutcomeSpace,
-    close_partition_family,
     partition_join,
     partition_meet,
-    partition_of_observable,
 )
-from qlogic.classical import build_classical_frame, cell_id, partition_id, refines
+from qlogic.classical import build_classical_frame, cell_id
 
-
-def P(*cells):
-    return frozenset(frozenset(c) for c in cells)
+from partitions import (
+    P,
+    cell,
+    decode,
+    model_partitions,
+    observables_of,
+    partition_id,
+    partition_of_observable,
+    refines,
+)
 
 
 OMEGA4 = OutcomeSpace(frozenset({"1", "2", "3", "4"}))
 
 
+def closure(partitions, omega=OMEGA4):
+    """The library's closed family, decoded from a model with an observable
+    per partition."""
+    model = ClassicalModel(omega, observables_of(partitions))
+    return frozenset(model_partitions(model).values())
+
+
 def test_partition_of_observable():
     const = ClassicalObservable.from_dict("C", {"1": 7, "2": 7, "3": 7, "4": 7})
-    assert partition_of_observable(const, OMEGA4) == P({"1", "2", "3", "4"})
     inj = ClassicalObservable.from_dict("I", {"1": 1, "2": 2, "3": 3, "4": 4})
-    assert partition_of_observable(inj, OMEGA4) == P({"1"}, {"2"}, {"3"}, {"4"})
     a = ClassicalObservable.from_dict("A", {"1": 0, "2": 0, "3": 1, "4": 1})
-    assert partition_of_observable(a, OMEGA4) == P({"1", "2"}, {"3", "4"})
+    for obs, want in [
+        (const, P({"1", "2", "3", "4"})),
+        (inj, P({"1"}, {"2"}, {"3"}, {"4"})),
+        (a, P({"1", "2"}, {"3", "4"})),
+    ]:
+        assert partition_of_observable(obs, OMEGA4) == want
+        model = ClassicalModel(OMEGA4, {obs.name: obs})
+        assert model_partitions(model)[model.obs_context[obs.name]] == want
 
 
 def test_partition_of_observable_requires_totality():
     partial = ClassicalObservable.from_dict("A", {"1": 0, "2": 0})
     with pytest.raises(DomainError):
         partition_of_observable(partial, OMEGA4)
+    with pytest.raises(DomainError, match="'A' is not total on the outcome space"):
+        ClassicalModel(OMEGA4, {"A": partial})
 
 
 def test_partition_meet_and_join():
@@ -56,7 +76,7 @@ def partition_join_in(family, p1, p2):
 def test_partition_join_in_family():
     p1 = P({"1", "2"}, {"3", "4"})
     p2 = P({"1", "3"}, {"2", "4"})
-    family = close_partition_family([p1, p2], OMEGA4)
+    family = closure([p1, p2])
     assert partition_join_in(family, p1, p2) == P({"1", "2", "3", "4"})
     # GLB / LUB property over the whole closed family
     for a in family:
@@ -73,16 +93,11 @@ def test_partition_join_in_family():
 
 
 def test_close_partition_family():
-    assert close_partition_family([], OMEGA4) == frozenset(
-        {P({"1", "2", "3", "4"})}
-    )
+    assert closure([]) == frozenset({P({"1", "2", "3", "4"})})
     p1 = P({"1", "2"}, {"3", "4"})
-    assert close_partition_family([p1], OMEGA4) == frozenset(
-        {p1, P({"1", "2", "3", "4"})}
-    )
+    assert closure([p1]) == frozenset({p1, P({"1", "2", "3", "4"})})
     p2 = P({"1", "3"}, {"2", "4"})
-    family = close_partition_family([p1, p2], OMEGA4)
-    assert family == frozenset(
+    assert closure([p1, p2]) == frozenset(
         {
             p1,
             p2,
@@ -161,14 +176,17 @@ def test_closure_matches_rerun_oracle(data):
     for p1 in base:
         for p2 in base:
             assert partition_join(p1, p2) == components_join(p1, p2)
-    assert close_partition_family(base, omega) == rerun_closure(base, omega)
+    assert closure(base, omega) == rerun_closure(base, omega)
 
 
 def test_frame_closes_its_partitions():
     p1, p2 = P({"1", "2"}, {"3", "4"}), P({"1", "3"}, {"2", "4"})
-    poset, parts = build_classical_frame([p1, p2], OMEGA4)
-    assert set(parts.values()) == close_partition_family([p1, p2], OMEGA4)
+    poset, ids, blocks = build_classical_frame(observables_of([p1, p2]).values(), OMEGA4)
+    parts = {cid: decode(OMEGA4, b) for cid, b in blocks.items()}
+    assert set(parts.values()) == frozenset_closure([p1, p2], OMEGA4)
+    assert all(partition_id(p) == cid for cid, p in parts.items())
     assert set(poset.context_ids) == set(parts)
+    assert ids == [partition_id(p1), partition_id(p2)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,12 +200,13 @@ def test_model_partitions_closed_random(data):
         for j in range(data.draw(st.integers(0, 4)))
     }
     model = ClassicalModel(OutcomeSpace(frozenset(points)), observables)
-    assert all(partition_id(p) == cid for cid, p in model.partitions.items())
+    parts = model_partitions(model)
+    assert all(partition_id(p) == cid for cid, p in parts.items())
     assert model.obs_context == {
         name: partition_id(partition_of_observable(obs, model.omega))
         for name, obs in observables.items()
     }
-    contexts = set(model.partitions.values())
+    contexts = set(parts.values())
     for p1 in contexts:
         for p2 in contexts:
             assert partition_meet(p1, p2) in contexts
@@ -258,8 +277,6 @@ def test_classical_sandwich_property(crossing_model):
     lower_value = m.poset.embed(e1.context, join_ctx, e1.value) | m.poset.embed(
         e2.context, join_ctx, e2.value
     )
-    from qlogic import ElementaryProposition
-
     lower = f.embed_elementary(ElementaryProposition(join_ctx, lower_value))
     meet_ctx = m.poset.meet_contexts(e1.context, e2.context)
     upper = f.embed_elementary(
@@ -330,15 +347,16 @@ def _model(points, observables):
 def test_mask_closure_and_frame_match_frozenset_oracle(drawn):
     points, observables = drawn
     omega = OutcomeSpace(frozenset(points))
-    base = [
-        partition_of_observable(ClassicalObservable.from_dict(name, vm), omega)
-        for name, vm in observables.items()
-    ]
-    assert close_partition_family(base, omega) == frozenset_closure(base, omega)
+    obs = [ClassicalObservable.from_dict(name, vm) for name, vm in observables.items()]
+    base = [partition_of_observable(o, omega) for o in obs]
     contexts, embeddings, parts = frozenset_frame(base, omega)
-    poset, got_parts = build_classical_frame(base, omega)
-    assert got_parts == parts
+    poset, ids, blocks = build_classical_frame(obs, omega)
+    assert {cid: decode(omega, b) for cid, b in blocks.items()} == parts
+    assert ids == [partition_id(p) for p in base]
     assert {c: poset.algebra(c).atoms for c in poset.context_ids} == contexts
+    assert {
+        c: tuple(cell_id(cell(omega, b)) for b in bs) for c, bs in blocks.items()
+    } == contexts
     ids = poset.context_ids
     pairs = [(a, b) for a in ids for b in ids if a != b and poset.leq(a, b)]
     assert pairs == sorted(embeddings)
@@ -347,6 +365,33 @@ def test_mask_closure_and_frame_match_frozenset_oracle(drawn):
         for a, b in pairs
     } == embeddings
     assert poset.validate() == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=classical_models())
+def test_elementary_and_finest_context_match_frozenset_oracle(drawn):
+    """elementary(name, delta) is the observable's context holding the cells
+    of its partition inside the preimage of delta, for every delta in its
+    range; and the context of most atoms, the bridge's coordinates, is the
+    meet of all the partitions."""
+    points, observables = drawn
+    model = _model(points, observables)
+    for name, obs in model.observables.items():
+        p = partition_of_observable(obs, model.omega)
+        values = sorted(obs.range())
+        for k in range(1 << len(values)):
+            delta = [v for i, v in enumerate(values) if k >> i & 1]
+            preimage = {x for x, v in obs.value_map if v in delta}
+            cells = frozenset(cell_id(c) for c in p if c <= preimage)
+            want = ElementaryProposition(partition_id(p), cells) if cells else BOTTOM
+            assert model.elementary(name, delta) == want
+    finest = max(model.blocks.values(), key=len)
+    whole = P(model.omega.points)
+    bases = [partition_of_observable(o, model.omega) for o in model.observables.values()]
+    assert decode(model.omega, finest) == functools.reduce(partition_meet, bases, whole)
+    assert decode(model.omega, finest) == functools.reduce(
+        partition_meet, model_partitions(model).values()
+    )
 
 
 def _relabel_id(cid: str, new: dict) -> str:

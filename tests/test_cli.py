@@ -152,6 +152,29 @@ def test_bad_model_kind(tmp_path, capsys):
             },
             "eigenvalue cluster spreads",
         ),
+        # "1" is the trivial context's id, which the meet of the two would overwrite
+        (
+            {
+                "kind": "quantum",
+                "observables": {
+                    "1": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                    "X": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                },
+            },
+            "observable name '1' is not an identifier",
+        ),
+        # "A*B" is the generated id of the join of A and B, a context finer
+        # than the observable A*B's
+        (
+            {
+                "kind": "quantum",
+                "observables": {
+                    name: [[[x if i == j else 0, 0] for j in range(4)] for i, x in enumerate(d)]
+                    for name, d in [("A", [0, 0, 1, 1]), ("B", [0, 1, 0, 1]), ("A*B", [0, 0, 0, 1])]
+                },
+            },
+            "observable name 'A*B' is not an identifier",
+        ),
     ],
 )
 def test_malformed_model(tmp_path, capsys, doc, message):
@@ -389,6 +412,15 @@ MALFORMED = {
         "build",
         _model_file(tmp, b'{"kind": "classical", "points": ["\\ud800"], "observables": {"A": {"\\ud800": 0}}}'),
     ],
+    # {"a,b", "c"} and {"a", "b,c"} would both have the id {a,b,c}
+    "point name spells a cell id": lambda tmp: [
+        "build",
+        _model_file(
+            tmp,
+            b'{"kind": "classical", "points": ["a", "a,b", "b,c", "c"],'
+            b' "observables": {"A": {"a,b": 0, "c": 0, "a": 1, "b,c": 1}}}',
+        ),
+    ],
 }
 # the message a case's error line must carry
 MALFORMED_MESSAGES = {
@@ -400,6 +432,9 @@ MALFORMED_MESSAGES = {
     "unknown option": "error: unknown option 'tau'; options are tau_herm, tau_proj, tau_eig",
     "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",
     "enumeration guard not an integer": "error: QLOGIC_ENUM_GUARD must be an integer, got 'abc'",
+    "point name spells a cell id": (
+        "error: point 'a,b': a point name may not hold ',', '{', '}' or '/', which spell cell ids"
+    ),
 }
 # the environment a case runs in
 MALFORMED_ENV = {"enumeration guard not an integer": {"QLOGIC_ENUM_GUARD": "abc"}}
