@@ -148,26 +148,32 @@ class _Points:
         return packed
 
 
-def _close(points: _Points, family: list[int]) -> list[int]:
-    """The packed partitions, {Omega} added, closed under meet and join.
+def _close(
+    points: _Points, family: list[int]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The packed partitions, {Omega} added, closed under meet and join, and
+    the (coarser, finer) index pairs of its strictly comparable members.
 
     Each pair is taken once, when the later of the two is walked; a
-    comparable pair is skipped, since its meet and join are the pair."""
+    comparable pair is recorded and skipped, since its meet and join are
+    the pair."""
     family = list(dict.fromkeys([*family, points.pack([(1 << points.n) - 1])]))
     blocks = [points.blocks(e) for e in family]
     seen = set(family)
+    pairs = []
     for k, e1 in enumerate(family):  # the list grows while it is walked
         for i in range(k):
             e2 = family[i]
             meet = e1 & e2
             if meet == e1 or meet == e2:
+                pairs.append((i, k) if meet == e1 else (k, i))
                 continue
             for q in (meet, points.join(e1, blocks[i])):
                 if q not in seen:
                     seen.add(q)
                     family.append(q)
                     blocks.append(points.blocks(q))
-    return family
+    return family, pairs
 
 
 # -- context poset construction ------------------------------------------
@@ -191,7 +197,7 @@ def build_classical_frame(
     """
     points = _Points(omega)
     inputs = [points.pack(points.fibers(obs).values()) for obs in observables]
-    family = _close(points, inputs)
+    family, pairs = _close(points, inputs)
     ids, atoms, contexts = [], {}, {}
     where = []  # per partition: point -> index of its cell among the atoms
     lows = []  # per partition: the lowest point of each atom
@@ -207,15 +213,11 @@ def build_classical_frame(
         where.append([slot[block] for block in rows])
         lows.append([(block & -block).bit_length() - 1 for block in blocks])
     images = {}
-    for i, e1 in enumerate(family):
-        outside = ~e1
-        for j, e2 in enumerate(family):
-            if e2 & outside or i == j:
-                continue
-            masks = [0] * len(lows[i])
-            for s, low in enumerate(lows[j]):
-                masks[where[i][low]] |= 1 << s
-            images[ids[i], ids[j]] = masks
+    for i, j in pairs:
+        masks = [0] * len(lows[i])
+        for s, low in enumerate(lows[j]):
+            masks[where[i][low]] |= 1 << s
+        images[ids[i], ids[j]] = masks
     position = {e: i for i, e in enumerate(family)}
     return ContextPoset(contexts, list(images), images), [ids[position[e]] for e in inputs], atoms
 

@@ -30,15 +30,18 @@ ENUM_GUARD_ENV = "QLOGIC_ENUM_GUARD"
 
 
 def check_enumeration(bound: int) -> None:
-    """Refuse, before any work, an enumeration of up to bound items over
-    the guard read from QLOGIC_ENUM_GUARD (default 10**6)."""
+    """Refuse, before any work, an enumeration of up to bound = 2^k items
+    over the guard read from QLOGIC_ENUM_GUARD (default 10**6); the error
+    names the bound as 2^k."""
     text = os.environ.get(ENUM_GUARD_ENV)
     try:
         guard = int(text) if text else DEFAULT_ENUM_GUARD
     except ValueError:
         raise QLogicError(f"{ENUM_GUARD_ENV} must be an integer, got {text!r}") from None
     if bound > guard:
-        raise ResourceLimitError(f"enumeration bound {bound} exceeds guard {guard}")
+        raise ResourceLimitError(
+            f"enumeration bound 2^{bound.bit_length() - 1} exceeds guard {guard}"
+        )
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,14 @@ A context with n atoms p_k is looked up among the stored ones in a grid
 hash on (n, f // w) with f = sum_k <v, p_k v>^2 for a fixed unit probe v
 and a cell width w = 4 n dim tau_proj, wide enough that every stored
 context with the same atoms within tau_proj lies in the context's cell or
-a neighbour (see QuantumModel._find_equal).  The closure settles a
-candidate's duplicate before it builds the candidate as a context: each
-stored context keeps its probe values <v, p_k v>, a meet's are sums of
-them over the components, and a join's come from its products, so the key
-is known first; stored contexts in its cells are compared with the
-candidate's atoms, and only a candidate that matches none is sorted, named,
-checked as a resolution of the identity and stored.  Rounding is all that
-separates a probe-sum key from one computed on the summed atoms, and the
-cell width has room for it (see QuantumModel._add_meet).
+a neighbour (see QuantumModel._find_equal).  Each stored context is held
+as its atoms alone.  The closure settles every candidate (the trivial
+context, an observable's, a meet or a join) the same way before it builds
+it: the key comes from the candidate's atoms, the stored contexts in its
+cells are compared with them, and only a candidate that matches none is
+sorted, named, checked as a resolution of the identity and stored (see
+QuantumModel._settle).  The closure records each comparable pair's
+embedding as it finds the pair.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -320,9 +319,7 @@ class QuantumModel:
     poset: ContextPoset = field(init=False)
     frame: Frame = field(init=False)
     _probe: np.ndarray = field(init=False, repr=False, compare=False)
-    # context id -> [<v, p_k v> for its atoms p_k], the probe values of _cell
-    _x: dict[str, list[float]] = field(init=False, repr=False, compare=False)
-    # (number of atoms, cell) -> [(insertion index, context id)], see _cell
+    # (number of atoms, cell) -> [(insertion index, context id)], see _key
     _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(
         init=False, repr=False, compare=False
     )
@@ -370,98 +367,75 @@ class QuantumModel:
                 return cid
         return None
 
-    def _probe_values(self, stack: np.ndarray) -> list[float]:
-        """<v, p_k v> for the atoms p_k of a stack and the probe v."""
-        return (stack @ self._probe).dot(self._probe.conj()).real.tolist()
-
-    def _cell(self, x: Sequence[float]) -> tuple[int, int]:
-        """(n, f // (4 n dim tau_proj)) for the probe values x_k of n atoms
-        and f = sum_k x_k^2, each x_k clipped to [0, 1]; the width has 1e-12
-        more for the rounding of f, and is that alone for a negative or NaN
-        tau_proj, under which same_atoms matches nothing."""
+    def _key(self, atoms: np.ndarray) -> tuple[int, int]:
+        """(n, f // (4 n dim tau_proj)) for a stack of n atoms p_k, with
+        f = sum_k x_k^2 over their probe values x_k = <v, p_k v>, each
+        clipped to [0, 1]; the width has 1e-12 more for the rounding of f,
+        and is that alone for a negative or NaN tau_proj, under which
+        same_atoms matches nothing."""
+        x = (atoms @ self._probe).dot(self._probe.conj()).real.tolist()
         n = len(x)
         f = sum(min(max(xk, 0.0), 1.0) ** 2 for xk in x)
         width = 4 * n * self.dim * self.tau_proj
         width = width + 1e-12 if width >= 0 else 1e-12
         return n, math.floor(f / width)
 
-    def _store(self, cid: str, ctx: QuantumContext, key: tuple[int, int], x: list[float]) -> str:
+    def _settle(self, atoms: np.ndarray, new: Callable[[], tuple[str, QuantumContext]]) -> str:
+        """The id of the earliest stored context whose atoms match `atoms`;
+        only when none does, new() gives the (id, context) with these atoms,
+        which is checked as a resolution of the identity and stored."""
+        key = self._key(atoms)
+        found = self._find_equal(atoms, key)
+        if found is not None:
+            return found
+        cid, ctx = new()
         for issue in validate_resolution(ctx.atoms, self.tau_proj):
             raise StructureError(f"context {cid!r}: {issue}")
         self._cells.setdefault(key, []).append((len(self.contexts), cid))
         self.contexts[cid] = ctx
-        self._x[cid] = x
         return cid
-
-    def _add(self, cid: str, ctx: QuantumContext) -> str:
-        x = self._probe_values(ctx.atoms)
-        key = self._cell(x)
-        found = self._find_equal(ctx.atoms, key)
-        return found if found is not None else self._store(cid, ctx, key, x)
 
     def _add_meet(self, a: str, b: str, edges: np.ndarray) -> str:
         """The id of the meet of contexts a and b, whose overlap graph is
-        `edges`: the earliest stored context with its atoms, else the meet
-        stored as a new context.
+        `edges`: its atoms are the sums of a's atoms over the components,
+        sorted and named only for a new context."""
+        ca = self.contexts[a]
+        meet = np.stack([sum(ca.atoms[i] for i in comp) for comp in _components(edges)])
 
-        The meet's atoms are sums of a's atoms over the components, so its
-        probe values are the same sums of a's stored ones, and its key comes
-        without a matmul; the atom order, the names and the resolution check
-        are for a new context only.  This key differs from the one of the
-        summed atoms' own probe values by rounding alone.  Either way, the
-        value x_c of a component of rank r_c is within (4 dim + 4) u r_c of
-        the exact probe value (u = 2^-53: a probe <v, p v> of a projection
-        p is off by at most (2 dim + 4) u |v|^T |p| |v| <= (2 dim + 4) u
-        ||p||_F, ||p||_F = sqrt(rank p), and the sums add at most r_c
-        roundings of numbers <= 1).  As the ranks sum to dim, f is within
-        eps = 2 (4 dim + 4) u dim of exact, 2.4e-13 at dim 16.  A candidate
-        and its match then have computed f at most 2 n dim tau + 2 eps
-        apart; _find_equal's argument leaves 2 n dim tau + 1e-12 of the cell
-        width for that, and the 1e-12 alone covers 2 eps up to dim 23 at
-        any tau_proj >= 0.
-        """
-        comps = _components(edges)
-        xa, ca = self._x[a], self.contexts[a]
-        x = [sum(xa[i] for i in comp) for comp in comps]
-        key = self._cell(x)
-        meet = np.stack([sum(ca.atoms[i] for i in comp) for comp in comps])
-        found = self._find_equal(meet, key)
-        if found is not None:
-            return found
-        k = _atom_order(meet)
-        names = tuple(f"m{i}" for i in range(len(k)))
-        return self._store(f"({a}^{b})", QuantumContext(names, meet[k]), key, [x[i] for i in k])
+        def new() -> tuple[str, QuantumContext]:
+            k = _atom_order(meet)
+            return f"({a}^{b})", QuantumContext(tuple(f"m{i}" for i in range(len(k))), meet[k])
+
+        return self._settle(meet, new)
 
     def _add_join(self, a: str, b: str, prods: np.ndarray, edges: np.ndarray) -> str:
-        """The id of the join of commuting contexts a and b, the non-zero
-        products prods[edges]: the earliest stored context with its atoms,
-        else the join stored as a new context."""
+        """The id of the join of commuting contexts a and b, whose atoms are
+        the non-zero products prods[edges], named only for a new context."""
         atoms = prods[edges]
-        x = self._probe_values(atoms)
-        key = self._cell(x)
-        found = self._find_equal(atoms, key)
-        if found is not None:
-            return found
-        na, nb = self.contexts[a].atom_names, self.contexts[b].atom_names
-        names = tuple(f"{na[i]}.{nb[j]}" for i, j in np.argwhere(edges).tolist())
-        return self._store(f"{a}*{b}", QuantumContext(names, atoms), key, x)
+
+        def new() -> tuple[str, QuantumContext]:
+            na, nb = self.contexts[a].atom_names, self.contexts[b].atom_names
+            names = tuple(f"{na[i]}.{nb[j]}" for i, j in np.argwhere(edges).tolist())
+            return f"{a}*{b}", QuantumContext(names, atoms)
+
+        return self._settle(atoms, new)
 
     def _build(self):
         self.contexts = {}
         self.obs_context = {}
-        # the probe of the dedup grid (_cell), in closed form
+        # the probe of the dedup grid (_key), in closed form
         idx = np.arange(1, self.dim + 1)
         probe = np.sqrt(idx) * np.exp(1j * idx * 0.6180339887498949)
         self._probe = probe / np.linalg.norm(probe)
-        self._x = {}
         self._cells = {}
-        self._add(TRIVIAL_ID, _trivial_context(self.dim))
+        trivial = _trivial_context(self.dim)
+        self._settle(trivial.atoms, lambda: (TRIVIAL_ID, trivial))
         # an observable's eigenvalue cluster k is atom k of its own context,
         # or the atom that _find_equal's match paired it with
         self._cluster_atoms = {}
         for name in sorted(self.observables):
             ctx = _spectral_context(self.spectra[name], name, self.dim)
-            cid = self.obs_context[name] = self._add(name, ctx)
+            cid = self.obs_context[name] = self._settle(ctx.atoms, lambda: (name, ctx))
             stored = self.contexts[cid]
             if stored is ctx:
                 ks = range(len(ctx.atoms))
@@ -470,18 +444,23 @@ class QuantumModel:
             self._cluster_atoms[name] = tuple(stored.atom_names[k] for k in ks)
         # close under pairwise meets and commuting joins; a pair taken once
         # yields no new context when taken again, so each pair is taken once.
-        # order[a, b] = (edges, a <= b, b <= a); a comparable pair has the
-        # pair itself as meet and join, both stored already
-        order: dict[tuple[str, str], tuple[np.ndarray, bool, bool]] = {}
+        # A comparable pair has the pair itself as meet and join, both stored
+        # already; its embedding is the overlap graph read by rows: per atom
+        # of the lower context, the mask of the upper atoms it is linked to
+        taken: set[tuple[str, str]] = set()
+        images = {}
         while pairs := [
-            ab for ab in itertools.combinations(sorted(self.contexts), 2) if ab not in order
+            ab for ab in itertools.combinations(sorted(self.contexts), 2) if ab not in taken
         ]:
+            taken.update(pairs)
             for a, b in pairs:
-                ca, cb = self.contexts[a], self.contexts[b]
-                prods, e = _overlap(ca, cb, self.tau_proj)
+                prods, e = _overlap(self.contexts[a], self.contexts[b], self.tau_proj)
                 a_le_b = bool(np.all(e.sum(axis=0) == 1))
                 b_le_a = bool(np.all(e.sum(axis=1) == 1))
-                order[a, b] = e, a_le_b, b_le_a
+                if a_le_b:
+                    images[a, b] = _row_masks(e)
+                if b_le_a:
+                    images[b, a] = _row_masks(e.T)
                 if a_le_b or b_le_a:
                     continue
                 self._add_meet(a, b, e)
@@ -490,14 +469,6 @@ class QuantumModel:
         contexts = {
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()
         }
-        # an embedding is the overlap graph read by rows: per atom of the
-        # lower context, the mask of the upper atoms it is linked to
-        images = {}
-        for (a, b), (e, a_le_b, b_le_a) in order.items():
-            if a_le_b:
-                images[a, b] = _row_masks(e)
-            if b_le_a:
-                images[b, a] = _row_masks(e.T)
         self.poset = ContextPoset(contexts, list(images), images)
         self.frame = Frame(self.poset)
 

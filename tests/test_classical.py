@@ -13,8 +13,10 @@ from qlogic import (
     partition_join,
     partition_meet,
 )
-from qlogic.classical import build_classical_frame, cell_id
+from qlogic.classical import _close, _Points, build_classical_frame, cell_id
+from qlogic.cli import load_model
 
+from conftest import GOLDEN
 from partitions import (
     P,
     cell,
@@ -431,3 +433,36 @@ def test_build_is_invariant_under_relabelling_points(drawn, renamed):
     assert sorted((rename(a), rename(b)) for a, b in m1.poset.covers()) == m2.poset.covers()
     assert {name: rename(c) for name, c in m1.obs_context.items()} == m2.obs_context
     assert m1.poset.validate() == m2.poset.validate() == []
+
+
+# -- the closure's comparable pairs against an all-pairs scan ---------------------
+
+
+def scan_comparable(family) -> list:
+    """(coarser, finer) for each strictly comparable pair of packed
+    partitions, from every ordered pair: e2 refines e1 iff e2 & ~e1 == 0."""
+    return [
+        (i, j)
+        for i, e1 in enumerate(family)
+        for j, e2 in enumerate(family)
+        if i != j and not e2 & ~e1
+    ]
+
+
+def check_close_pairs(omega, observables):
+    points = _Points(omega)
+    family, pairs = _close(points, [points.pack(points.fibers(o).values()) for o in observables])
+    assert sorted(pairs) == scan_comparable(family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=classical_models())
+def test_close_returns_each_comparable_pair_once_coarser_first(drawn):
+    points, observables = drawn
+    model = _model(points, observables)
+    check_close_pairs(model.omega, model.observables.values())
+
+
+def test_close_returns_each_comparable_pair_once_on_classical8():
+    model = load_model(str(GOLDEN / "classical8_seed0.json"))
+    check_close_pairs(model.omega, model.observables.values())

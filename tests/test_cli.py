@@ -245,7 +245,7 @@ def test_quotient_over_guard(capsys, monkeypatch):
     # the coarse quotient lists 2^|atoms| elements: 4 at Sz, over a guard of 3
     monkeypatch.setenv("QLOGIC_ENUM_GUARD", "3")
     assert run(capsys, "quotient", QUBIT, "--context", "Sz") == (
-        2, "", "error: enumeration bound 4 exceeds guard 3\n"
+        2, "", "error: enumeration bound 2^2 exceeds guard 3\n"
     )
 
 

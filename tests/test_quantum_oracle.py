@@ -265,11 +265,6 @@ def oracle_find_equal(model: QuantumModel, ctx) -> str | None:
     return None
 
 
-def key_of(model: QuantumModel, ctx) -> tuple[int, int]:
-    """The dedup grid key of a context, from the probe values of its atoms."""
-    return model._cell(model._probe_values(ctx.atoms))
-
-
 def rotation(ctx, g: np.random.Generator):
     """size -> ctx conjugated by exp(i t H) for one random Hermitian H, with
     t such that the atoms move by about `size` in max-abs (to first order)."""
@@ -288,11 +283,11 @@ def rotation(ctx, g: np.random.Generator):
 def across_a_wall(model: QuantumModel, ctx, g: np.random.Generator):
     """Two copies of ctx, turned along one direction to either side of a wall
     between two cells of the dedup grid, about 0.1 tau_proj apart."""
-    tau, key = model.tau_proj, key_of(model, ctx)
+    tau, key = model.tau_proj, model._key(ctx.atoms)
     for _ in range(10):
         turn = rotation(ctx, g)
         lo, hi = 0.0, tau
-        while key_of(model, turn(hi)) == key and hi < 0.5:
+        while model._key(turn(hi).atoms) == key and hi < 0.5:
             lo, hi = hi, 2 * hi
         if hi < 0.5:
             break
@@ -300,7 +295,7 @@ def across_a_wall(model: QuantumModel, ctx, g: np.random.Generator):
         raise AssertionError("no turn reaches a wall")
     while hi - lo > 0.01 * tau:
         mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if key_of(model, turn(mid)) == key else (lo, mid)
+        lo, hi = (mid, hi) if model._key(turn(mid).atoms) == key else (lo, mid)
     return turn(lo - 0.05 * tau), turn(hi + 0.05 * tau)
 
 
@@ -337,15 +332,15 @@ def test_find_equal_matches_a_scan_of_every_context(monkeypatch, name):
     g = np.random.default_rng(len(model.contexts))
     tau = model.tau_proj
     for cid, ctx in model.contexts.items():
-        assert model._find_equal(ctx.atoms, key_of(model, ctx)) == cid
+        assert model._find_equal(ctx.atoms, model._key(ctx.atoms)) == cid
     # every rotation fixes the identity: turn the other contexts
     stored = [(cid, ctx) for cid, ctx in model.contexts.items() if len(ctx.atoms) > 1]
     queries = []
     for cid, ctx in stored:
         turn = rotation(ctx, g)
         near, far = turn(0.1 * tau), turn(10 * tau)
-        assert model._find_equal(near.atoms, key_of(model, near)) == oracle_find_equal(model, near) == cid
-        assert model._find_equal(far.atoms, key_of(model, far)) is oracle_find_equal(model, far) is None
+        assert model._find_equal(near.atoms, model._key(near.atoms)) == oracle_find_equal(model, near) == cid
+        assert model._find_equal(far.atoms, model._key(far.atoms)) is oracle_find_equal(model, far) is None
         queries += [turn(0.6 * tau), turn(1.4 * tau)]
     # store copies past the dedup, so that a query may match several contexts
     # in several cells (the earliest must come back), and copies next to a
@@ -354,14 +349,15 @@ def test_find_equal_matches_a_scan_of_every_context(monkeypatch, name):
     with monkeypatch.context() as m:
         m.setattr(QuantumModel, "_find_equal", lambda self, atoms, key: None)
         for cid, ctx in stored:
-            model._add(f"{cid}#copy", rotation(ctx, g)(0.6 * tau))
+            copy = rotation(ctx, g)(0.6 * tau)
+            model._settle(copy.atoms, lambda: (f"{cid}#copy", copy))
             inside, outside = across_a_wall(model, ctx, g)
-            walls.append((model._add(f"{cid}#wall", inside), outside))
+            walls.append((model._settle(inside.atoms, lambda: (f"{cid}#wall", inside)), outside))
     for q in queries:
-        assert model._find_equal(q.atoms, key_of(model, q)) == oracle_find_equal(model, q)
+        assert model._find_equal(q.atoms, model._key(q.atoms)) == oracle_find_equal(model, q)
     for cid, q in walls:
-        assert key_of(model, q) != key_of(model, model.contexts[cid])
-        assert model._find_equal(q.atoms, key_of(model, q)) == oracle_find_equal(model, q) == cid
+        assert model._key(q.atoms) != model._key(model.contexts[cid].atoms)
+        assert model._find_equal(q.atoms, model._key(q.atoms)) == oracle_find_equal(model, q) == cid
 
 
 def oracle_atom_sort_key(p: np.ndarray) -> tuple:
@@ -499,11 +495,9 @@ def probe_f(model, atoms) -> float:
 
 def check_dedup_before_build(model):
     """Each meet and join candidate of a closed model is stored already: the
-    dedup from probe sums must return what a scan of every context does,
-    store nothing, and key the meet within the documented rounding of the
-    summed atoms' own key."""
+    dedup, keyed from the candidate's own atoms, must return what a scan of
+    every context does and store nothing."""
     ids = list(model.contexts)
-    u = 2.0**-53
     for a, b, prods, e in incomparable_pairs(model):
         ca = model.contexts[a]
         atoms = [sum(ca.atoms[i] for i in comp) for comp in closure_components(e)]
@@ -511,9 +505,6 @@ def check_dedup_before_build(model):
         want = oracle_find_equal(model, meet)
         assert want is not None
         assert model._add_meet(a, b, e) == want, (a, b)
-        xa = model._x[a]
-        f = sum(min(max(sum(xa[i] for i in c), 0.0), 1.0) ** 2 for c in _components(e))
-        assert abs(f - probe_f(model, atoms)) <= 4 * (4 * model.dim + 4) * u * model.dim
         if _commute(prods, model.tau_proj):
             join = QuantumContext(tuple(map(str, range(e.sum()))), prods[e])
             assert model._add_join(a, b, prods, e) == oracle_find_equal(model, join), (a, b)
@@ -533,7 +524,7 @@ def test_dedup_before_build_matches_a_scan_on_random_families(observables):
 
 
 def test_meet_dedup_finds_its_match_across_a_cell_wall():
-    """The meet of O0 and O1 is keyed from probe sums just above a cell wall
+    """The meet of O0 and O1 is keyed from its atoms just above a cell wall
     (tau_proj is set so), and an extra observable W generates that meet
     turned by at most 0.9 tau_proj to just below the wall: the closure must
     take W, from the neighbouring cell, as the meet and store nothing new."""
@@ -549,18 +540,18 @@ def test_meet_dedup_finds_its_match_across_a_cell_wall():
     tau = (f / (below + 0.02) - 1e-12) / (4 * n * model.dim)
     model = QuantumModel(obs, tau_proj=tau)
     meet = model.contexts["(O0^O1)"]
-    key = model._cell(model._x["(O0^O1)"])
+    key = model._key(meet.atoms)
     assert key == (n, below)
     g = np.random.default_rng(seed)
     for _ in range(200):
         turned = rotation(meet, g)(g.uniform(0.3, 0.9) * tau)
-        if key_of(model, turned) == (n, below - 1) and same_atoms(turned.atoms, meet.atoms, tau):
+        if model._key(turned.atoms) == (n, below - 1) and same_atoms(turned.atoms, meet.atoms, tau):
             break
     else:
         raise AssertionError("no turn crosses the wall")
     w = sum((k + 1) * p for k, p in enumerate(turned.atoms))
     walled = QuantumModel({**obs, "W": w}, tau_proj=tau)
-    assert key_of(walled, walled.contexts["W"]) == (n, below - 1)
+    assert walled._key(walled.contexts["W"].atoms) == (n, below - 1)
     assert oracle_find_equal(walled, meet) == "W"
     assert walled.poset.meet_contexts("O0", "O1") == "W"
     assert "(O0^O1)" not in walled.contexts
