@@ -8,13 +8,17 @@ refinement.
 
 Every relation between two contexts is read from one overlap graph that
 links atoms p and q iff ||p q||_max > tau_proj, the single tolerance
-decision for meet, join, order and embedding: c1 <= c2 iff every atom of
-c2 is linked to exactly one atom of c1, the one it embeds under; a
-comparable pair is skipped, as its meet and join are the pair itself;
-otherwise the meet's atoms are the sums over the graph's connected
-components, and the join of a commuting pair has the non-zero products
-p q as atoms.  The products p q that make the graph also decide
-commutation: for Hermitian p and q, (p q)^dagger = q p.
+decision for meet, join, order and embedding.  The graph is packed once
+into one Python int per atom of c1, the mask of the c2 atoms it is linked
+to (see _row_masks), and read from those ints alone: c1 <= c2 iff every
+atom of c2 is linked to exactly one atom of c1, the one it embeds under,
+i.e. the rows are disjoint and cover c2 (see _embeddings); a comparable
+pair is skipped, as its meet and join are the pair itself; otherwise the
+meet's atoms are the sums over the graph's connected components, merged
+from rows that share a bit (see _components), and the join of a
+commuting pair has the non-zero products p q as atoms.  The products
+p q that make the graph also decide commutation: for Hermitian p and q,
+(p q)^dagger = q p.
 
 A context with n atoms p_k is looked up among the stored ones in a grid
 hash on (n, f // w) with f = sum_k <v, p_k v>^2 for a fixed unit probe v
@@ -26,7 +30,10 @@ context, an observable's, a meet or a join) the same way before it builds
 it: the key comes from the candidate's atoms, the stored contexts in its
 cells are compared with them, and only a candidate that matches none is
 sorted, named, checked as a resolution of the identity and stored (see
-QuantumModel._settle).  The closure records each comparable pair's
+QuantumModel._settle).  A meet is settled once per (context, component
+masks): the same key always forms the same candidate, bit for bit, and
+the store only appends, so the memo returns what settling again would
+(see QuantumModel._add_meet).  The closure records each comparable pair's
 embedding as it finds the pair.
 """
 
@@ -42,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .formulas import WORD
-from .poset import ContextPoset, LocalAlgebra
+from .poset import ContextPoset, LocalAlgebra, _bits
 from .sections import BOTTOM, ElementaryProposition, Frame
 
 TAU_HERM = 1e-8
@@ -274,34 +281,55 @@ def _commute(prods: np.ndarray, tol: float) -> bool:
     return _maxabs(d) <= tol
 
 
-def _components(edges: np.ndarray) -> list[tuple[int, ...]]:
-    """The c1-atom indices of each connected component of the overlap graph,
-    in order of their least index; union-find over the edges, with c1's atoms
-    as nodes 0..n1-1 and c2's after them.  Exact for meets: a component's
-    atoms on either side sum to the same projection, and every common
-    element is a union of components."""
-    n1 = len(edges)
-    root = list(range(n1 + edges.shape[1]))
-
-    def find(k: int) -> int:
-        while root[k] != k:
-            root[k] = k = root[root[k]]
-        return k
-
-    for i, row in enumerate(edges.tolist()):
-        for j, linked in enumerate(row):
-            if linked:
-                root[find(i)] = find(n1 + j)
-    comps: dict[int, list[int]] = {}
-    for i in range(n1):
-        comps.setdefault(find(i), []).append(i)
-    return [tuple(c) for c in comps.values()]
-
-
 def _row_masks(edges: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int, bit j for column j (a Python
-    int, so a context of more than 63 atoms fits)."""
-    return [sum(1 << j for j, linked in enumerate(row) if linked) for row in edges.tolist()]
+    """Each row of a boolean matrix as an int, bit j for column j: packed to
+    bytes once, each row's bytes read as one Python int, so a context of
+    more than 63 atoms fits.  The ints hold the whole graph, so the order,
+    embeddings and components read from them (_embeddings, _components)
+    are exact integer work on the one tolerance decision _overlap made."""
+    packed = np.packbits(edges, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+
+
+def _embeddings(rows: list[int], n2: int) -> tuple[list[int] | None, list[int] | None]:
+    """The embeddings of c1 in c2 and of c2 in c1 read from the row masks of
+    their overlap graph, c2 having n2 atoms; None for a pair not so ordered.
+    c1 <= c2 iff every column has exactly one bit: the rows are pairwise
+    disjoint (their bit counts add up to the bits of their union) and cover
+    all n2 columns; the rows are then the embedding.  c2 <= c1 iff every row
+    has exactly one bit; the embedding is the transpose, each column the
+    mask of the rows holding its bit."""
+    union = 0
+    for r in rows:
+        union |= r
+    up = rows if union == (1 << n2) - 1 and sum(map(int.bit_count, rows)) == n2 else None
+    down = None
+    if all(r and not r & (r - 1) for r in rows):
+        down = [0] * n2
+        for i, r in enumerate(rows):
+            down[r.bit_length() - 1] |= 1 << i
+    return up, down
+
+
+def _components(rows: Sequence[int]) -> tuple[int, ...]:
+    """The connected components of an overlap graph given by its row masks,
+    each as the mask of its c1 atoms, in order of their least index.  Each
+    row in turn merges with the components whose c2 atoms it shares a bit
+    with; the components so far have disjoint c2 masks, so one pass merges
+    all it must.  Exact for meets: a component's atoms on either side sum to
+    the same projection, and every common element is a union of components.
+    The tuple of masks keys the meet memo (see QuantumModel._add_meet)."""
+    comps: list[tuple[int, int]] = []  # (c1 mask, c2 mask)
+    for i, r in enumerate(rows):
+        own, linked, apart = 1 << i, r, []
+        for c1, c2 in comps:
+            if c2 & r:
+                own, linked = own | c1, linked | c2
+            else:
+                apart.append((c1, c2))
+        comps = apart + [(own, linked)]
+    return tuple(sorted((c1 for c1, _ in comps), key=lambda m: m & -m))
 
 
 @dataclass
@@ -323,6 +351,8 @@ class QuantumModel:
     _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(
         init=False, repr=False, compare=False
     )
+    # (context, its atoms' component masks) -> the id of that meet, see _add_meet
+    _meets: dict[tuple[str, tuple[int, ...]], str] = field(init=False, repr=False, compare=False)
     # observable -> the atom of its context for each of its eigenvalue clusters
     _cluster_atoms: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
@@ -395,18 +425,30 @@ class QuantumModel:
         self.contexts[cid] = ctx
         return cid
 
-    def _add_meet(self, a: str, b: str, edges: np.ndarray) -> str:
-        """The id of the meet of contexts a and b, whose overlap graph is
-        `edges`: its atoms are the sums of a's atoms over the components,
-        sorted and named only for a new context."""
-        ca = self.contexts[a]
-        meet = np.stack([sum(ca.atoms[i] for i in comp) for comp in _components(edges)])
+    def _add_meet(self, a: str, b: str, comps: tuple[int, ...]) -> str:
+        """The id of the meet of contexts a and b, whose overlap graph has the
+        components `comps` (masks of a's atoms, see _components): its atoms
+        are the sums of a's atoms over the components, sorted and named only
+        for a new context.
 
-        def new() -> tuple[str, QuantumContext]:
-            k = _atom_order(meet)
-            return f"({a}^{b})", QuantumContext(tuple(f"m{i}" for i in range(len(k))), meet[k])
+        Settled once per (a, comps): the candidate is stacked from a's stored
+        atoms, summed in index order, so the same key always forms a
+        bitwise-identical array, and the store only ever appends, so the
+        earliest stored match that _settle returned the first time is still
+        the earliest.  The memo returns exactly the id a fresh _settle would.
+        """
+        key = (a, comps)
+        cid = self._meets.get(key)
+        if cid is None:
+            atoms = self.contexts[a].atoms
+            meet = np.stack([sum(atoms[i] for i in _bits(m)) for m in comps])
 
-        return self._settle(meet, new)
+            def new() -> tuple[str, QuantumContext]:
+                k = _atom_order(meet)
+                return f"({a}^{b})", QuantumContext(tuple(f"m{i}" for i in range(len(k))), meet[k])
+
+            cid = self._meets[key] = self._settle(meet, new)
+        return cid
 
     def _add_join(self, a: str, b: str, prods: np.ndarray, edges: np.ndarray) -> str:
         """The id of the join of commuting contexts a and b, whose atoms are
@@ -445,8 +487,8 @@ class QuantumModel:
         # close under pairwise meets and commuting joins; a pair taken once
         # yields no new context when taken again, so each pair is taken once.
         # A comparable pair has the pair itself as meet and join, both stored
-        # already; its embedding is the overlap graph read by rows: per atom
-        # of the lower context, the mask of the upper atoms it is linked to
+        # already; its embedding is read off the overlap graph's row masks
+        self._meets = {}
         taken: set[tuple[str, str]] = set()
         images = {}
         while pairs := [
@@ -455,15 +497,15 @@ class QuantumModel:
             taken.update(pairs)
             for a, b in pairs:
                 prods, e = _overlap(self.contexts[a], self.contexts[b], self.tau_proj)
-                a_le_b = bool(np.all(e.sum(axis=0) == 1))
-                b_le_a = bool(np.all(e.sum(axis=1) == 1))
-                if a_le_b:
-                    images[a, b] = _row_masks(e)
-                if b_le_a:
-                    images[b, a] = _row_masks(e.T)
-                if a_le_b or b_le_a:
+                rows = _row_masks(e)
+                up, down = _embeddings(rows, e.shape[1])
+                if up is not None:
+                    images[a, b] = up
+                if down is not None:
+                    images[b, a] = down
+                if up is not None or down is not None:
                     continue
-                self._add_meet(a, b, e)
+                self._add_meet(a, b, _components(rows))
                 if _commute(prods, self.tau_proj):
                     self._add_join(a, b, prods, e)
         contexts = {

@@ -62,6 +62,17 @@ def test_build_xz4_matches_golden(capsys):
     assert out == (GOLDEN / "xz4_seed0.build.txt").read_text()
 
 
+def test_build_degenerate5_at_tau_1e_3_matches_golden(capsys):
+    """Four degenerate observables on C^5 with values 1-3, diagonal in one
+    basis drawn from default_rng(13) with a few neighbouring basis pairs
+    turned, at tau_proj = 1e-3: 21 contexts, 14 of them meets, settled from
+    127 meet candidates under 46 distinct (context, components) keys,
+    printed byte for byte as in tests/golden."""
+    code, out, err = run(capsys, "build", str(GOLDEN / "degenerate5_tau1e-3_seed13.json"))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "degenerate5_tau1e-3_seed13.build.txt").read_text()
+
+
 def test_build_classical8_matches_golden(capsys):
     """8 points, five observables of 2-3 values drawn from random.Random(0)
     until the closed family held 201-260 partitions: 230 contexts, whose

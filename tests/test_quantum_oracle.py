@@ -11,9 +11,11 @@ fast paths are checked against oracles of their own: the hashed dedup
 against a scan of every stored context, the commutation read from the
 overlap products against the pairwise commutators, the vectorised meet
 atom order against a per-atom sort key, the meet and join dedup, which
-settles a candidate before building it, against the scan, the union-find
-components against a reachability closure, and the tabled same_atoms and
-batched validate_resolution against their pairwise loops.  The elementary
+settles a candidate before building it, against the scan, the meet memo
+against the fresh settle it skips, the order and embeddings read from the
+overlap graph's row masks against the graph's row and column sums, the
+component masks against a reachability closure, and the tabled same_atoms
+and batched validate_resolution against their pairwise loops.  The elementary
 propositions, looked up from the clusters' atoms fixed at build, are
 checked against the atoms under the summed spectral projections.
 """
@@ -40,8 +42,10 @@ from qlogic.quantum import (
     _atom_order,
     _commute,
     _components,
+    _embeddings,
     _maxabs,
     _overlap,
+    _row_masks,
     is_projection,
     same_atoms,
     spectral_projection,
@@ -473,10 +477,57 @@ def overlap_graphs(draw):
     return edges[g.permutation(n1)][:, g.permutation(n1)]
 
 
+def masks(comps) -> tuple:
+    """Each tuple of indices as a mask, in order of their least index."""
+    return tuple(sum(1 << i for i in c) for c in sorted(comps))
+
+
 @settings(max_examples=80, deadline=None)
 @given(edges=overlap_graphs())
 def test_components_match_the_reachability_closure(edges):
-    assert _components(edges) == sorted(closure_components(edges))
+    assert _components(_row_masks(edges)) == masks(closure_components(edges))
+
+
+@st.composite
+def wide_graphs(draw):
+    """n1 x n2 boolean graphs of up to 130 columns: each column linked to one
+    random row, each row to one random column, or random edges; then maybe
+    a row or a column emptied, or one edge flipped."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n1, n2 = draw(st.integers(1, 8)), draw(st.sampled_from([1, 2, 7, 63, 64, 65, 130]))
+    kind = draw(st.sampled_from(["columns", "rows", "random"]))
+    edges = np.zeros((n1, n2), dtype=bool)
+    if kind == "columns":
+        edges[g.integers(0, n1, n2), np.arange(n2)] = True
+    elif kind == "rows":
+        edges[np.arange(n1), g.integers(0, n2, n1)] = True
+    else:
+        edges = g.random((n1, n2)) < draw(st.floats(0.0, 0.6))
+    fault = draw(st.sampled_from(["none", "row", "column", "flip"]))
+    if fault == "row":
+        edges[g.integers(n1)] = False
+    elif fault == "column":
+        edges[:, g.integers(n2)] = False
+    elif fault == "flip":
+        i, j = g.integers(n1), g.integers(n2)
+        edges[i, j] = not edges[i, j]
+    return edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges=st.one_of(overlap_graphs(), wide_graphs()))
+def test_mask_reading_matches_the_numpy_reading(edges):
+    """c1 <= c2 iff every column has one edge, c2 <= c1 iff every row has
+    one, and the embeddings are the rows of the graph or of its transpose."""
+    rows = _row_masks(edges)
+    assert rows == [sum(1 << j for j, linked in enumerate(row) if linked) for row in edges.tolist()]
+    up, down = _embeddings(rows, edges.shape[1])
+    assert (up is not None) == bool(np.all(edges.sum(axis=0) == 1))
+    assert (down is not None) == bool(np.all(edges.sum(axis=1) == 1))
+    if up is not None:
+        assert up == rows
+    if down is not None:
+        assert down == _row_masks(edges.T)
 
 
 def incomparable_pairs(model):
@@ -496,7 +547,8 @@ def probe_f(model, atoms) -> float:
 def check_dedup_before_build(model):
     """Each meet and join candidate of a closed model is stored already: the
     dedup, keyed from the candidate's own atoms, must return what a scan of
-    every context does and store nothing."""
+    every context does and store nothing.  The meet memo is emptied before
+    each meet, so that the dedup itself answers."""
     ids = list(model.contexts)
     for a, b, prods, e in incomparable_pairs(model):
         ca = model.contexts[a]
@@ -504,7 +556,8 @@ def check_dedup_before_build(model):
         meet = QuantumContext(tuple(f"m{i}" for i in range(len(atoms))), atoms)
         want = oracle_find_equal(model, meet)
         assert want is not None
-        assert model._add_meet(a, b, e) == want, (a, b)
+        model._meets.clear()
+        assert model._add_meet(a, b, _components(_row_masks(e))) == want, (a, b)
         if _commute(prods, model.tau_proj):
             join = QuantumContext(tuple(map(str, range(e.sum()))), prods[e])
             assert model._add_join(a, b, prods, e) == oracle_find_equal(model, join), (a, b)
@@ -521,6 +574,58 @@ def test_dedup_before_build_matches_a_scan(name):
 def test_dedup_before_build_matches_a_scan_on_random_families(observables):
     """At tau_proj = 1e-3, whose coarse cells hold more contexts each."""
     check_dedup_before_build(QuantumModel(observables, tau_proj=1e-3))
+
+
+def built(model: QuantumModel):
+    """Everything the closure made: the contexts in store order, with their
+    atom names and atoms, the order pairs and their embeddings."""
+    poset = model.poset
+    ids = poset.context_ids
+    order = [(a, b) for a in ids for b in ids if poset.leq(a, b)]
+    return (
+        [(cid, ctx.atom_names, ctx.atoms.tobytes()) for cid, ctx in model.contexts.items()],
+        order,
+        [poset.images(a, b) for a, b in order],
+    )
+
+
+def check_meet_memo(make):
+    """The model that make() builds equals the one built with the meet memo
+    emptied before each meet, which settles every candidate afresh; the memo
+    holds one entry per distinct (context, components) the closure met."""
+    add_meet = QuantumModel._add_meet
+    keys = []
+
+    def spy(self, a, b, comps):
+        keys.append((a, comps))
+        return add_meet(self, a, b, comps)
+
+    def fresh(self, a, b, comps):
+        self._meets.clear()
+        return add_meet(self, a, b, comps)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(QuantumModel, "_add_meet", spy)
+        model = make()
+        m.setattr(QuantumModel, "_add_meet", fresh)
+        unmemoised = make()
+    assert built(model) == built(unmemoised)
+    assert len(model._meets) == len(set(keys))
+    return keys
+
+
+@pytest.mark.parametrize("name", sorted(DEDUP_MODELS))
+def test_meet_memo_matches_the_fresh_settle(name):
+    keys = check_meet_memo(DEDUP_MODELS[name])
+    if name in ("xyz2", "xz3"):
+        assert len(set(keys)) < len(keys)
+
+
+@settings(max_examples=8, deadline=None)
+@given(observables=degenerate_families())
+def test_meet_memo_matches_the_fresh_settle_on_random_families(observables):
+    """At tau_proj = 1e-3, where a near match is found most often."""
+    check_meet_memo(lambda: QuantumModel(observables, tau_proj=1e-3))
 
 
 def test_meet_dedup_finds_its_match_across_a_cell_wall():
