@@ -242,13 +242,11 @@ def cmd_quotient(args) -> int:
     if args.refined:
         sub = frame.restrict_upset(args.context)
         sections = sub.enumerate_sections()
-        top = sub.top()
-        decidable = [s for s in sections if sub.join([s, sub.neg(s)]) == top]
         print(
             f"refined quotient at {args.context}: frame over "
             f"{list(sub.poset.context_ids)}"
         )
-        print(f"sections: {len(sections)}, decidable: {len(decidable)}")
+        print(f"sections: {len(sections)}, decidable: {len(sub.decidable_elements())}")
         for s in sections:
             print(f"  {section_label(sub, s)}")
     else:

@@ -97,6 +97,7 @@ class PointTable(NamedTuple):
     points: tuple[tuple[str, str], ...]  # bit -> (context, atom)
     index: dict[tuple[str, str], int]  # (context, atom) -> bit
     up: tuple[int, ...]  # bit -> mask of the point's up-set
+    down: tuple[int, ...]  # bit -> mask of the point's down-set, the transpose of up
     top: int  # mask of every point
     spans: tuple[tuple[str, int], ...]  # per context: (context, mask of its points)
 
@@ -248,8 +249,14 @@ class ContextPoset:
             # (first bit of j, images of i's atoms in j) for each j above i
             rows = [(first[j], self._applied(i, j)) for j in _bits(self._up[i])]
             up += [sum(images[t] << f for f, images in rows) for t in range(len(atoms[i]))]
+        down = [0] * len(points)
+        for p, mask in enumerate(up):
+            for q in _bits(mask):
+                down[q] |= 1 << p
         spans = [(c, (1 << f + len(a)) - (1 << f)) for c, f, a in zip(self._ids, first, atoms)]
-        return PointTable(tuple(points), index, tuple(up), (1 << len(points)) - 1, tuple(spans))
+        return PointTable(
+            tuple(points), index, tuple(up), tuple(down), (1 << len(points)) - 1, tuple(spans)
+        )
 
     # -- validation -----------------------------------------------------
 

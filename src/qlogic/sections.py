@@ -7,9 +7,11 @@ ordered by (c1, a1) <= (c2, a2) iff c1 <= c2 and a2 lies inside a1
 (Birkhoff's representation of a finite distributive lattice).  The
 context poset compiles P once into bitmasks (``ContextPoset.point_table``),
 and a frame works on them: meet, join and order are ``&``, ``|``
-and a subset test, U -> V is the set of points whose up-set misses
+and a subset test, U -> V is the complement of the down-closure of
 U \\ V, and enumeration lists the up-sets of P, at most 2^|P| of them.
-:class:`Section` is the boundary type that callers see.
+The decidable sections, S v ~S = TOP, are the up-sets that are also
+down-sets: the unions of P's connected components, listed without an
+enumeration.  :class:`Section` is the boundary type that callers see.
 """
 
 from __future__ import annotations
@@ -192,8 +194,15 @@ class Frame:
         return not self._mask(s1) & ~self._mask(s2)
 
     def _implies(self, u: int, v: int) -> int:
-        bad = u & ~v
-        return sum(1 << p for p, up in enumerate(self.poset.point_table.up) if not up & bad)
+        """U -> V: the points whose up-set misses bad = U \\ V, the complement
+        of the down-closure of bad.  A point of bad already in the closure
+        adds nothing, so each step takes the lowest point not yet inside."""
+        t = self.poset.point_table
+        below, rest = 0, u & ~v
+        while rest:
+            below |= t.down[(rest & -rest).bit_length() - 1]
+            rest &= ~below
+        return t.top & ~below
 
     def implies(self, s1: Section, s2: Section) -> Section:
         """Relative pseudo-complement: the points whose up-set misses s1 \\ s2."""
@@ -227,14 +236,19 @@ class Frame:
         """2^|P|: the number of subsets of the (context, atom) points."""
         return 1 << sum(len(self.poset.algebra(c).atoms) for c in self._ids)
 
+    def _decision_order(self) -> list[int]:
+        """The points from the top down: a higher point has a smaller up-set."""
+        up = self.poset.point_table.up
+        return sorted(range(len(up)), key=lambda p: up[p].bit_count())
+
     def _upsets(self) -> list[int]:
         check_enumeration(self.enumeration_bound())
         up = self.poset.point_table.up
-        # decide points from the top down (a higher point has a smaller
-        # up-set): p may join an up-set U of the points decided so far iff
-        # the rest of its up-set lies in U, so no choice is ever undone
+        # decide points from the top down: p may join an up-set U of the
+        # points decided so far iff the rest of its up-set lies in U, so no
+        # choice is ever undone
         masks = [0]
-        for p in sorted(range(len(up)), key=lambda p: up[p].bit_count()):
+        for p in self._decision_order():
             rest = up[p] & ~(1 << p)
             masks += [m | 1 << p for m in masks if m & rest == rest]
         return masks
@@ -244,13 +258,37 @@ class Frame:
         return [self._section(m) for m in self._upsets()]
 
     def decidable_elements(self) -> list[Section]:
-        """Sections S with S v ~S = TOP."""
-        top = self.poset.point_table.top
-        return [
-            self._section(m)
-            for m in self._upsets()
-            if m | self._implies(m, 0) == top
-        ]
+        """Sections S with S v ~S = TOP, in the order of the enumeration
+        (guarded by 2^k for k connected components).
+
+        ~S is the complement of S's down-closure, so S v ~S = TOP iff S is
+        also a down-set: a union of connected components of the point
+        poset.  ``_upsets`` lists its masks in binary counting order over
+        the decision order, the point decided last the most significant,
+        so a union of components sorts as if each component were its last
+        decided point.  Walking that order backwards meets each component
+        first at that point, and counting over the components in reverse
+        gives the enumeration's order.
+        """
+        t = self.poset.point_table
+        components, seen = [], 0
+        for p in reversed(self._decision_order()):
+            if seen >> p & 1:
+                continue
+            component, new = 0, 1 << p
+            while new:
+                component |= new
+                reach = 0
+                for q in _bits(new):
+                    reach |= t.up[q] | t.down[q]
+                new = reach & ~component
+            components.append(component)
+            seen |= component
+        check_enumeration(1 << len(components))
+        masks = [0]
+        for component in reversed(components):
+            masks += [m | component for m in masks]
+        return [self._section(m) for m in masks]
 
     def check_laws(self, exhaustive: bool = False) -> LawCounts:
         """Run the Heyting law suites on the masks of one enumeration.

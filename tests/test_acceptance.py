@@ -8,8 +8,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlogic.bell import (
+    BellScenario,
+    build_chsh_frame,
     chsh_terms,
     classical_vertex_check,
     maximally_mixed_state,
@@ -27,11 +30,12 @@ from qlogic.quantum import (
     spectral_decompose,
     validate_resolution,
 )
-from qlogic.sections import Section
+from qlogic.sections import ElementaryProposition, Section
 
 from conftest import GOLDEN
 from test_check import section_distributivity
-from test_frame_oracle import implies as oracle_implies
+from test_classical import _model
+from test_frame_oracle import implies as oracle_implies, qubit_axes_model
 
 
 class Budget:
@@ -143,6 +147,52 @@ def test_criterion_4_excluded_middle_and_decidables(figure1_model, one_qubit_mod
     print("ACCEPTANCE 4 PASS: excluded middle fails in both models; "
           "decidables are {BOT, TOP} globally but all 4 elements at the "
           "Sz quotient")
+
+
+def check_decidables_by_context(frame):
+    """Criterion 4's closed form: the decidables are {BOT, TOP} on the
+    frame, and at restrict_upset(c) the 2^|atoms(c)| embedded elements of
+    c's Boolean algebra."""
+    assert frame.decidable_elements() == [frame.bottom(), frame.top()]
+    for c in frame.poset.context_ids:
+        sub = frame.restrict_upset(c)
+        want = {sub.bottom()} | {
+            sub.embed_elementary(ElementaryProposition(c, v))
+            for v in frame.poset.algebra(c).elements()
+            if v
+        }
+        got = sub.decidable_elements()
+        assert len(got) == 2 ** len(frame.poset.algebra(c).atoms)
+        assert set(got) == want, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_criterion_4_on_classical_models(data):
+    """1-12 points, up to 3 observables of up to 3 values."""
+    n = data.draw(st.integers(1, 12))
+    points = [f"w{i}" for i in range(n)]
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    k = data.draw(st.integers(0, 3))
+    check_decidables_by_context(
+        _model(points, {f"O{j}": dict(zip(points, data.draw(labels))) for j in range(k)}).frame
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    axes=st.lists(
+        st.tuples(st.integers(0, 180), st.integers(0, 359)), min_size=1, max_size=4
+    )
+)
+def test_criterion_4_on_qubit_models(axes):
+    check_decidables_by_context(qubit_axes_model(axes).frame)
+
+
+@settings(max_examples=10, deadline=None)
+@given(angles=st.tuples(*[st.integers(0, 359)] * 4))
+def test_criterion_4_on_chsh_models(angles):
+    check_decidables_by_context(build_chsh_frame(BellScenario.from_angles(*angles)).frame)
 
 
 def test_criterion_5_strict_negation_gap(one_qubit_model):

@@ -288,6 +288,13 @@ def test_decidable(capsys):
     assert "decidable sections: 2" in out
 
 
+def test_decidable_past_the_enumeration_guard(capsys):
+    # 125 points, so 2^125 up-sets to enumerate, but one component
+    assert run(capsys, "decidable", str(GOLDEN / "xz3_seed0.json")) == (
+        0, "decidable sections: 2\n  BOT\n  TOP\n", ""
+    )
+
+
 def test_bell_default(capsys):
     code, out, _ = run(capsys, "bell")
     assert code == 0

@@ -5,9 +5,12 @@ The oracle sees a frame only through ``ContextPoset.leq``, ``embed`` and
 local algebras, and implication is the pointwise join of its witnesses.
 The point poset the frame works on, and the one of each context's
 ``restrict_upset`` frame, is checked against one read through ``upset``
-and ``embed``, one atom at a time.
+and ``embed``, one atom at a time.  The mask forms the frame replaced are
+kept as oracles too: implication as a scan of every point's up-set, and
+the decidable sections as the enumerated up-sets m with m | ~m = TOP.
 """
 
+import functools
 import itertools
 import random
 
@@ -15,16 +18,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qlogic import ClassicalModel, ClassicalObservable, OutcomeSpace, QuantumModel
+from qlogic import (
+    ClassicalModel, ClassicalObservable, ContextPoset, LocalAlgebra, OutcomeSpace, QuantumModel
+)
 from qlogic.cli import load_model
 from qlogic.hasse import hasse_edges
 from qlogic.poset import PointTable
-from qlogic.sections import ElementaryProposition, Section
+from qlogic.sections import ElementaryProposition, Frame, Section
 
 from conftest import FIXTURES, GOLDEN
 from test_classical import _model, classical_models
 
 PAIR_SAMPLE = 150
+MASK_SAMPLE = 60
+# the decidables are compared with the enumeration's filter up to 2^FILTER_POINTS
+FILTER_POINTS = 12
 
 
 def oracle_sections(poset) -> list[dict]:
@@ -120,6 +128,51 @@ def check_frame(frame, pairs=None):
                 assert frame.embed_elementary(e) == Section.from_dict(embed(poset, c, value))
 
     assert set(hasse_edges(frame, as_section)) == covers(sections)
+    check_masks_and_restrictions(frame)
+
+
+def scan_implies(table, u: int, v: int) -> int:
+    """U -> V point by point: the points whose up-set misses U \\ V."""
+    bad = u & ~v
+    return sum(1 << p for p, up in enumerate(table.up) if not up & bad)
+
+
+def filter_decidables(frame) -> list[int]:
+    """The enumerated up-sets m with m | ~m = TOP, in the enumeration's order."""
+    t = frame.poset.point_table
+    return [m for m in frame._upsets() if m | scan_implies(t, m, 0) == t.top]
+
+
+def check_masks(frame, seed=0):
+    """``_implies`` against the scan on drawn masks: any subsets, and the
+    up-sets and down-sets of a few points; ``decidable_elements`` against
+    the filter, as the same list, where the enumeration is small."""
+    t = frame.poset.point_table
+    rng = random.Random(seed)
+    n = len(t.points)
+
+    def drawn() -> int:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.getrandbits(n)
+        mask = 0
+        for p in rng.sample(range(n), min(n, rng.randint(1, 3))):
+            mask |= (t.up if kind == 1 else t.down)[p]
+        return mask
+
+    for _ in range(MASK_SAMPLE):
+        u, v = drawn(), drawn()
+        assert frame._implies(u, v) == scan_implies(t, u, v), (u, v)
+    if n <= FILTER_POINTS:
+        want = [frame._section(m) for m in filter_decidables(frame)]
+        assert frame.decidable_elements() == want
+
+
+def check_masks_and_restrictions(frame):
+    """check_masks on the frame and on each context's ``restrict_upset`` frame."""
+    check_masks(frame)
+    for k, c in enumerate(frame.poset.context_ids):
+        check_masks(frame.restrict_upset(c), seed=k)
 
 
 def oracle_point_table(poset, within=None) -> PointTable:
@@ -137,12 +190,24 @@ def oracle_point_table(poset, within=None) -> PointTable:
                 mask |= 1 << index[(d, b)]
         up.append(mask)
     spans = tuple((c, sum(1 << index[c, a] for a in poset.algebra(c).atoms)) for c in ids)
-    return PointTable(points, index, tuple(up), (1 << len(points)) - 1, spans)
+    down = [sum(1 << q for q, mask in enumerate(up) if mask >> p & 1) for p in range(len(up))]
+    return PointTable(points, index, tuple(up), tuple(down), (1 << len(points)) - 1, spans)
 
 
 @pytest.mark.parametrize("name", ["figure1_model", "crossing_model", "one_qubit_model"])
 def test_fixtures_match_oracle(name, request):
     check_frame(request.getfixturevalue(name).frame)
+
+
+@functools.cache
+def loaded(path):
+    """The model at path, loaded once for this module's tests."""
+    return load_model(str(path))
+
+
+MODEL_PATHS = [FIXTURES / f"{n}.json" for n in ("figure1", "crossing", "one_qubit")] + sorted(
+    GOLDEN.glob("*.json")
+)
 
 
 @pytest.mark.parametrize(
@@ -152,7 +217,7 @@ def test_fixtures_match_oracle(name, request):
     ids=lambda path: path.stem,
 )
 def test_point_table_matches_upset_embed_oracle(path):
-    poset = load_model(str(path)).poset
+    poset = loaded(path).poset
     assert poset.point_table == oracle_point_table(poset)
 
 
@@ -165,7 +230,7 @@ def test_point_table_matches_upset_embed_oracle(path):
 def test_restrict_upset_matches_upset_embed_oracle(path):
     """The frame over each context's up-set has the point poset of the
     parent's contexts there, read through the parent's upset and embed."""
-    frame = load_model(str(path)).frame
+    frame = loaded(path).frame
     for c in frame.poset.context_ids:
         want = oracle_point_table(frame.poset, frame.poset.upset(c))
         assert frame.restrict_upset(c).poset.point_table == want, c
@@ -176,6 +241,35 @@ def test_restrict_upset_matches_upset_embed_oracle(path):
 def test_classical_point_table_matches_upset_embed_oracle(drawn):
     poset = _model(*drawn).poset
     assert poset.point_table == oracle_point_table(poset)
+
+
+@pytest.mark.parametrize("path", MODEL_PATHS, ids=lambda path: path.stem)
+def test_implies_and_decidables_match_scan_and_filter(path):
+    """On the frame and on each context's ``restrict_upset`` frame."""
+    check_masks_and_restrictions(loaded(path).frame)
+
+
+def test_masks_on_components_without_a_least_point():
+    """In a built model each component of the point poset is the up-set of
+    a point of the least context.  Here two coarse atoms share a fine one,
+    which validate() rejects, so the component {a, b, x, y, z} has two
+    minimal points and is found only by walking down as well as up."""
+    poset = ContextPoset(
+        {"L": LocalAlgebra(("a", "b", "c")), "C": LocalAlgebra(("w", "x", "y", "z"))},
+        [("L", "C")],
+        {("L", "C"): [0b0110, 0b1100, 0b0001]},
+    )
+    assert poset.validate()
+    assert poset.point_table == oracle_point_table(poset)
+    frame = Frame(poset)
+    check_masks(frame)
+    assert len(frame.decidable_elements()) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=classical_models())
+def test_classical_implies_and_decidables_match_scan_and_filter(drawn):
+    check_masks_and_restrictions(_model(*drawn).frame)
 
 
 @settings(max_examples=15, deadline=None)

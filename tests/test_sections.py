@@ -213,7 +213,6 @@ def test_enumeration_guard(one_qubit_model, figure1_model, monkeypatch):
     frame = one_qubit_model.frame
     for enumerate_all in (
         frame.enumerate_sections,
-        frame.decidable_elements,
         frame.check_laws,
         lambda: export_dot(frame),
         lambda: classical_bridge(figure1_model),
@@ -221,6 +220,23 @@ def test_enumeration_guard(one_qubit_model, figure1_model, monkeypatch):
     ):
         with pytest.raises(ResourceLimitError, match="exceeds guard 3"):
             enumerate_all()
+
+
+def test_decidable_guard_counts_components(crossing_model, monkeypatch):
+    """The decidables are 2^k unions of k components, and the guard is
+    checked on 2^k, not on the 2^|P| subsets of the points."""
+    frame = crossing_model.frame
+    for c in frame.poset.context_ids:
+        sub = frame.restrict_upset(c)
+        bound = 1 << len(frame.poset.algebra(c).atoms)
+        monkeypatch.setenv("QLOGIC_ENUM_GUARD", str(bound - 1))
+        with pytest.raises(ResourceLimitError, match=f"exceeds guard {bound - 1}"):
+            sub.decidable_elements()
+        monkeypatch.setenv("QLOGIC_ENUM_GUARD", str(bound))
+        assert len(sub.decidable_elements()) == bound
+        if sub.enumeration_bound() > bound:
+            with pytest.raises(ResourceLimitError):
+                sub.enumerate_sections()
 
 
 def test_enumeration_guard_env(one_qubit_model, monkeypatch):
