@@ -31,7 +31,7 @@ def axis_from_angle(theta_deg: float) -> np.ndarray:
     return np.array([np.sin(t), 0.0, np.cos(t)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellScenario:
     """Measurement axes for Alice (a1, a2) and Bob (b1, b2)."""
 
@@ -206,7 +206,7 @@ def classical_vertex_check() -> VertexReport:
 # -- the CHSH section frame ----------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ChshFrame:
     """The scenario's quantum model plus the named elementary sections."""
 
@@ -269,7 +269,7 @@ def projection_join_raw(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return basis @ basis.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributivityWitness:
     p1: np.ndarray
     p2: np.ndarray

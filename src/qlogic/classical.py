@@ -219,7 +219,7 @@ def build_classical_frame(
             masks[where[i][low]] |= 1 << s
         images[ids[i], ids[j]] = masks
     position = {e: i for i, e in enumerate(family)}
-    return ContextPoset(contexts, list(images), images), [ids[position[e]] for e in inputs], atoms
+    return ContextPoset(contexts, embeddings=images), [ids[position[e]] for e in inputs], atoms
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import QLogicError
+from .errors import DomainError, QLogicError
 from .sections import Section
 
 
@@ -207,7 +207,11 @@ class _Parser:
 
 
 def parse_formula(text: str):
-    return _Parser(_tokenize(text), len(text)).parse()
+    parser = _Parser(_tokenize(text), len(text))
+    try:
+        return parser.parse()
+    except RecursionError:  # nested past the interpreter's recursion limit
+        parser._error("formula nested too deeply")
 
 
 def format_formula(node) -> str:
@@ -239,25 +243,27 @@ def eval_formula(model, node) -> Section:
 
     The model must expose ``frame``, ``coerce(name, tokens)`` and
     ``elementary(name, values)``; both the classical and the quantum model
-    qualify.
+    qualify.  A formula nested past the interpreter's recursion limit
+    raises DomainError.
     """
     frame = model.frame
-    if isinstance(node, Top):
-        return frame.top()
-    if isinstance(node, Bot):
-        return frame.bottom()
-    if isinstance(node, Atom):
-        return frame.embed_elementary(
-            model.elementary(node.name, model.coerce(node.name, node.values))
-        )
-    if isinstance(node, Not):
-        return frame.neg(eval_formula(model, node.arg))
-    if isinstance(node, And):
-        return frame.meet([eval_formula(model, node.left), eval_formula(model, node.right)])
-    if isinstance(node, Or):
-        return frame.join([eval_formula(model, node.left), eval_formula(model, node.right)])
-    if isinstance(node, Imp):
-        return frame.implies(
-            eval_formula(model, node.left), eval_formula(model, node.right)
-        )
+    try:
+        if isinstance(node, Top):
+            return frame.top()
+        if isinstance(node, Bot):
+            return frame.bottom()
+        if isinstance(node, Atom):
+            return frame.embed_elementary(
+                model.elementary(node.name, model.coerce(node.name, node.values))
+            )
+        if isinstance(node, Not):
+            return frame.neg(eval_formula(model, node.arg))
+        if isinstance(node, And):
+            return frame.meet([eval_formula(model, node.left), eval_formula(model, node.right)])
+        if isinstance(node, Or):
+            return frame.join([eval_formula(model, node.left), eval_formula(model, node.right)])
+        if isinstance(node, Imp):
+            return frame.implies(eval_formula(model, node.left), eval_formula(model, node.right))
+    except RecursionError:
+        raise DomainError("formula nested too deeply to evaluate") from None
     raise TypeError(f"not a formula node: {node!r}")

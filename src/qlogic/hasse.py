@@ -61,7 +61,7 @@ def hasse_edges(frame: Frame, sections: list[Section]) -> list[tuple[int, int]]:
     return _covers(frame, [frame._mask(s) for s in sections])
 
 
-def export_dot(frame: Frame, name: str = "sections") -> str:
+def export_dot(frame: Frame) -> str:
     """Deterministic DOT digraph of the frame's Hasse diagram.
 
     One enumeration gives each up-set's mask.  A node sorts as its Section
@@ -82,7 +82,7 @@ def export_dot(frame: Frame, name: str = "sections") -> str:
         return value
 
     nodes = sorted((tuple([atoms(m & span) for span in spans]), m) for m in frame._upsets())
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph sections {", "  rankdir=BT;"]
     for i, (key, m) in enumerate(nodes):
         label = _label(zip(contexts, key), m == t.top).replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')

@@ -3,11 +3,12 @@
 A context is identified by a string id and carries a finite Boolean
 algebra given by its atoms; elements of the algebra are frozensets of
 atom names.  Contexts are ordered by informativeness: ``c1 <= c2`` means
-a measurement in ``c2`` settles every question ``c1`` can answer.  For
-every ordered pair an embedding maps each coarse atom to the fine atoms
-refining it, in one format, in and out: per atom of the lower context, in
-its ``LocalAlgebra.atoms`` order, an int whose bit s is the upper
-context's atom s (one of the wrong length is stored as None).  validate(),
+a measurement in ``c2`` settles every question ``c1`` can answer, that is,
+c1's algebra embeds in c2's, so a poset is given by its embeddings alone.
+An embedding maps each coarse atom to the fine atoms refining it, in one
+format, in and out: per atom of the lower context, in its
+``LocalAlgebra.atoms`` order, an int whose bit s is the upper context's
+atom s (one of the wrong length is stored as None).  The order, validate(),
 embed() and the (context, atom) point poset, whose up-sets are the
 sections (Birkhoff), are all read from these masks.
 """
@@ -109,51 +110,46 @@ class ContextPoset:
     ----------
     contexts:
         mapping id -> LocalAlgebra.
-    order:
-        iterable of (lower, upper) pairs of known ids.  The relation is
-        stored as given plus reflexivity and is not closed transitively:
-        validate() reports a missing transitive pair.
-    images:
+    embeddings:
         (lower, upper) -> per atom of lower, in its atoms order, the int
-        mask of upper's atom indices it maps to, for every strict pair of
-        the order.  Identity pairs are implied; an entry for a pair outside
-        the order is ignored, and one whose length is not lower's atom count
-        is stored as None (not total on atoms).
+        mask of upper's atom indices it maps to.  Each key is a pair of the
+        strict order (c1 <= c2 iff c1's algebra embeds in c2's): the order
+        is stored as given plus reflexivity and is not closed transitively,
+        so validate() reports a missing transitive pair or a cycle.  An
+        embedding whose length is not lower's atom count is stored as None
+        (not total on atoms).
 
     The i-th id of ``context_ids`` (sorted) is bit i of two masks per
     context: ``_up[i]`` holds the contexts above i, ``_down[i]`` those
     below it, both including i.  ``_images[i, j]`` holds the embedding of
-    i into j for i <= j as given (the identity for i == j), None when not
-    total on i's atoms; a missing one has no entry.
+    i into j for each i <= j as given (the identity for i == j), None when
+    not total on i's atoms.
     """
 
     def __init__(
         self,
         contexts: Mapping[str, LocalAlgebra],
-        order: Iterable[tuple[str, str]],
-        images: Mapping[tuple[str, str], Sequence[int]],
+        embeddings: Mapping[tuple[str, str], Sequence[int]],
     ):
         self._contexts = dict(contexts)
         self._ids = tuple(sorted(self._contexts))
         self._bit = {c: i for i, c in enumerate(self._ids)}
         self._up = [1 << i for i in range(len(self._ids))]
         self._down = list(self._up)
-        for a, b in order:
+        widths = [len(self._contexts[c].atoms) for c in self._ids]
+        self._images = {}
+        for (a, b), got in embeddings.items():
             i, j = self._index(a), self._index(b)
             self._up[i] |= 1 << j
             self._down[j] |= 1 << i
+            self._images[i, j] = tuple(got) if len(got) == widths[i] else None
+        for i, n in enumerate(widths):
+            self._images[i, i] = tuple(1 << t for t in range(n))
         everything = (1 << len(self._ids)) - 1
         minima = [c for c, up in zip(self._ids, self._up) if up == everything]
         if len(minima) != 1:
             raise StructureError(f"poset must have a unique least element, got {minima}")
         self._least = minima[0]
-        widths = [len(self._contexts[c].atoms) for c in self._ids]
-        self._images = {(i, i): tuple(1 << t for t in range(n)) for i, n in enumerate(widths)}
-        for i, a in enumerate(self._ids):
-            for j in _bits(self._up[i] & ~(1 << i)):
-                got = images.get((a, self._ids[j]))
-                if got is not None:
-                    self._images[i, j] = tuple(got) if len(got) == widths[i] else None
 
     # -- basic access ---------------------------------------------------
 
@@ -210,9 +206,9 @@ class ContextPoset:
     # -- embeddings -----------------------------------------------------
 
     def _applied(self, i: int, j: int) -> tuple[int, ...]:
-        """The stored embedding of context i into j, refused unless it is
-        present, total on i's atoms and inside j's atoms."""
-        images = self._images.get((i, j))
+        """The stored embedding of context i <= j, refused unless it is
+        total on i's atoms and inside j's atoms."""
+        images = self._images[i, j]
         if images is None or max(images) >> len(self._contexts[self._ids[j]].atoms):
             a, b = self._ids[i], self._ids[j]
             raise StructureError(f"embedding {a!r} -> {b!r} cannot be applied")
@@ -267,7 +263,7 @@ class ContextPoset:
         ids, up, down, images = self._ids, self._up, self._down, self._images
         unusable: set[tuple[str, str]] = set()  # embeddings that cannot be applied
         # per strict pair: antisymmetry, transitivity (reflexivity by build),
-        # and an embedding that is present and well formed
+        # and a well-formed embedding
         for i, a in enumerate(ids):
             for j in _bits(up[i] & ~(1 << i)):
                 b = ids[j]
@@ -275,10 +271,6 @@ class ContextPoset:
                     issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
                 for k in _bits(up[j] & ~up[i]):
                     issues.append(f"order not transitive at {a!r} <= {b!r} <= {ids[k]!r}")
-                if (i, j) not in images:
-                    issues.append(f"missing embedding {a!r} -> {b!r}")
-                    unusable.add((a, b))
-                    continue
                 got = images[i, j]
                 if got is None:
                     issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
@@ -299,8 +291,8 @@ class ContextPoset:
                     unusable.add((a, b))
         # composition along chains a <. b < c: on a partial order this
         # covers every chain, by induction on the interval from a to b.  A
-        # chain through an embedding that is missing, partial or names atoms
-        # its target lacks (each reported above) cannot be composed.  Atom t
+        # chain through an embedding that is partial or names atoms its
+        # target lacks (each reported above) cannot be composed.  Atom t
         # of a composes iff its image in c is the union of the images in c
         # of the atoms of b it maps to.  On a cycle of the order c may be a.
         for a, b in self.covers():

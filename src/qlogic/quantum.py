@@ -332,7 +332,7 @@ def _components(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted((c1 for c1, _ in comps), key=lambda m: m & -m))
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantumModel:
     """Observables, their generated context poset, and the section frame."""
 
@@ -346,15 +346,13 @@ class QuantumModel:
     spectra: dict[str, SpectralData] = field(init=False)
     poset: ContextPoset = field(init=False)
     frame: Frame = field(init=False)
-    _probe: np.ndarray = field(init=False, repr=False, compare=False)
+    _probe: np.ndarray = field(init=False, repr=False)
     # (number of atoms, cell) -> [(insertion index, context id)], see _key
-    _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(
-        init=False, repr=False, compare=False
-    )
+    _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(init=False, repr=False)
     # (context, its atoms' component masks) -> the id of that meet, see _add_meet
-    _meets: dict[tuple[str, tuple[int, ...]], str] = field(init=False, repr=False, compare=False)
+    _meets: dict[tuple[str, tuple[int, ...]], str] = field(init=False, repr=False)
     # observable -> the atom of its context for each of its eigenvalue clusters
-    _cluster_atoms: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _cluster_atoms: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         # an observable name is a formula identifier, so none spells a
@@ -511,7 +509,7 @@ class QuantumModel:
         contexts = {
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()
         }
-        self.poset = ContextPoset(contexts, list(images), images)
+        self.poset = ContextPoset(contexts, embeddings=images)
         self.frame = Frame(self.poset)
 
     # -- propositions -------------------------------------------------------

@@ -116,6 +116,8 @@ class Frame:
 
     def section(self, values: Mapping[str, Iterable[str]]) -> Section:
         """Build and validate a section from a context -> element mapping."""
+        for c in values:
+            self.poset.algebra(c)  # UnknownContextError for a key that is no context
         missing = set(self._ids) - set(values)
         if missing:
             raise DomainError(f"section misses contexts {sorted(missing)}")
@@ -228,7 +230,7 @@ class Frame:
             for b in ups
             if a != b and self.poset.leq(a, b)
         }
-        return Frame(ContextPoset(contexts, list(images), images))
+        return Frame(ContextPoset(contexts, embeddings=images))
 
     # -- enumeration and law suites -----------------------------------------
 

@@ -384,6 +384,10 @@ MALFORMED = {
     "classical value not in range": lambda tmp: ["eval", FIG1, "-f", "M(A,{x})"],
     "value not in spectrum": lambda tmp: ["eval", QUBIT, "-f", "M(Sz,{3})"],
     "formula parse error": lambda tmp: ["eval", QUBIT, "-f", "M(Sz,{1}) &"],
+    "formula nested too deeply": lambda tmp: ["eval", QUBIT, "-f", "(" * 300 + "TOP" + ")" * 300],
+    "formula too deep to evaluate": lambda tmp: [
+        "eval", QUBIT, "-f", " & ".join(["M(Sz,{1})"] * 3000)
+    ],
     "unknown context": lambda tmp: ["quotient", FIG1, "--context", "nope"],
     "unknown refined context": lambda tmp: ["quotient", QUBIT, "--context", "nope", "--refined"],
     "angles not numbers": lambda tmp: ["bell", "--angles", "1,2,x,4"],

@@ -1,6 +1,10 @@
+import functools
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlogic import DomainError
 from qlogic.formulas import (
     And,
     Atom,
@@ -69,6 +73,32 @@ def test_parse_error_has_position():
         parse_formula("M(Sz,{1}) M(Sx,{1})")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 300 + "TOP" + ")" * 300, "~" * 3000 + "TOP", " -> ".join(["TOP"] * 3000)],
+    ids=["parentheses", "negations", "implications"],
+)
+def test_parse_refuses_a_formula_nested_too_deeply(text):
+    with pytest.raises(ParseError, match="^formula nested too deeply, got .* at line 1, column "):
+        parse_formula(text)
+
+
+def test_parse_runs_out_of_stack_at_the_end_of_the_input():
+    """n negations and no operand: the least n that runs out of stack does
+    so at the end of the input, where there is no token to name."""
+
+    def message(n):  # every call at the same stack depth
+        with pytest.raises(ParseError) as info:
+            parse_formula("~" * n)
+        return str(info.value)
+
+    lo, hi = 0, sys.getrecursionlimit() + 50  # hi runs out of stack, lo does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if message(mid).startswith("formula nested too deeply") else (mid, hi)
+    assert message(hi).startswith("formula nested too deeply (unexpected end of input)")
+
+
 formula_strategy = st.deferred(
     lambda: st.one_of(
         st.just(Top()),
@@ -105,6 +135,19 @@ def test_eval_excluded_middle_witness(one_qubit_model):
     s = eval_formula(one_qubit_model, parse_formula("M(Sz,{1}) | ~M(Sz,{1})"))
     assert s.value("1") == frozenset()
     assert s != one_qubit_model.frame.top()
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        parse_formula(" & ".join(["M(Sz,{1})"] * 3000)),  # the parser's loop, left-deep
+        functools.reduce(lambda node, _: Not(node), range(3000), Top()),
+    ],
+    ids=["conjunctions", "negations"],
+)
+def test_eval_refuses_a_formula_nested_too_deeply(one_qubit_model, node):
+    with pytest.raises(DomainError, match="^formula nested too deeply to evaluate$"):
+        eval_formula(one_qubit_model, node)
 
 
 def test_eval_noncommuting_conjunction(one_qubit_model):

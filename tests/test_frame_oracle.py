@@ -256,7 +256,6 @@ def test_masks_on_components_without_a_least_point():
     minimal points and is found only by walking down as well as up."""
     poset = ContextPoset(
         {"L": LocalAlgebra(("a", "b", "c")), "C": LocalAlgebra(("w", "x", "y", "z"))},
-        [("L", "C")],
         {("L", "C"): [0b0110, 0b1100, 0b0001]},
     )
     assert poset.validate()

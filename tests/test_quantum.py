@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from qlogic import BOTTOM, DomainError, QuantumModel, classical_bridge
+from qlogic.bell import (
+    DEFAULT_ANGLES, BellScenario, build_chsh_frame, orthodox_distributivity_witness
+)
 from qlogic.quantum import (
     TAU_EIG,
     QuantumContext,
@@ -111,8 +114,18 @@ def test_generated_context_nondegenerate():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: generated_context(np.diag([1.0, -1.0])), lambda: spectral_decompose(SZ)],
-    ids=["QuantumContext", "SpectralData"],
+    [
+        lambda: generated_context(np.diag([1.0, -1.0])),
+        lambda: spectral_decompose(SZ),
+        lambda: QuantumModel({"Sz": SZ}),
+        lambda: BellScenario.from_angles(*DEFAULT_ANGLES),
+        orthodox_distributivity_witness,
+        lambda: build_chsh_frame(BellScenario.from_angles(*DEFAULT_ANGLES)),
+    ],
+    ids=[
+        "QuantumContext", "SpectralData", "QuantumModel", "BellScenario", "DistributivityWitness",
+        "ChshFrame",
+    ],
 )
 def test_array_holders_compare_and_hash_by_identity(make):
     """Two equal decompositions are distinct objects: == neither raises on

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlogic import BOTTOM, DomainError, ElementaryProposition, ResourceLimitError
+from qlogic import BOTTOM, DomainError, ElementaryProposition, ResourceLimitError, UnknownContextError
 from qlogic.bridge import classical_bridge
 from qlogic.hasse import export_dot
 from qlogic.sections import Section
@@ -113,6 +113,8 @@ def test_section_constructor_rejects_non_monotone(one_qubit_model):
         frame.section({"1": set(), "Sz": {"nope"}, "Sx": set()})
     with pytest.raises(DomainError, match="misses contexts"):
         frame.section({"1": set()})
+    with pytest.raises(UnknownContextError, match="^unknown context 'nope'$"):
+        frame.section({"1": set(), "Sz": set(), "Sx": set(), "nope": {"x"}})
 
 
 # -- Heyting structure ----------------------------------------------------------
