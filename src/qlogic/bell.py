@@ -11,6 +11,7 @@ middle has no counterpart.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 def axis_from_angle(theta_deg: float) -> np.ndarray:
     """Unit vector in the x-z plane at the given angle from the z axis."""
+    if not math.isfinite(theta_deg):
+        raise DomainError(f"angle must be finite, got {theta_deg!r}")
     t = np.deg2rad(theta_deg)
     return np.array([np.sin(t), 0.0, np.cos(t)])
 
@@ -42,7 +45,7 @@ class BellScenario:
 
     def __post_init__(self):
         for v in (self.a1, self.a2, self.b1, self.b2):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:  # NaN fails too
                 raise DomainError("measurement axes must be unit vectors")
 
     @staticmethod
@@ -62,7 +65,7 @@ def spin_operator(axis: np.ndarray) -> np.ndarray:
 
 def spin_projection(axis: np.ndarray, sign: int) -> np.ndarray:
     """Projection onto the +-1 eigenspace of the spin along the axis."""
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(axis) - 1.0) <= 1e-10:  # NaN fails too
         raise DomainError("axis must be a unit vector")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -82,11 +85,12 @@ def maximally_mixed_state(dim: int = 4) -> np.ndarray:
 
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-8) -> None:
     rho = np.asarray(rho, dtype=complex)
-    if _maxabs(rho - rho.conj().T) > tol:
+    # each check is written so that NaN fails it
+    if not _maxabs(rho - rho.conj().T) <= tol:
         raise DomainError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if not abs(np.trace(rho).real - 1.0) <= tol:
         raise DomainError("density matrix must have unit trace")
-    if np.min(np.linalg.eigvalsh(rho)) < -tol:
+    if not np.min(np.linalg.eigvalsh(rho)) >= -tol:
         raise DomainError("density matrix must be positive semidefinite")
 
 

@@ -39,15 +39,14 @@ from .classical import ClassicalModel, ClassicalObservable, OutcomeSpace
 from .errors import QLogicError
 from .formulas import eval_formula, parse_formula
 from .hasse import export_dot, section_label
-from .quantum import QuantumModel
+from .quantum import TOLERANCES, QuantumModel
 
 
-# the top-level keys of a model file, per kind, and the options of a quantum one
+# the top-level keys of a model file, per kind; a quantum one's options are TOLERANCES
 MODEL_KEYS = {
     "classical": ("kind", "points", "observables"),
     "quantum": ("kind", "observables", "options", "dim"),
 }
-OPTIONS = ("tau_herm", "tau_proj", "tau_eig")
 
 
 def _check_keys(doc: dict, kind: str) -> None:
@@ -145,8 +144,8 @@ def load_model(path: str):
         if not isinstance(options, dict):
             raise QLogicError("'options' must be an object")
         for k, v in options.items():
-            if k not in OPTIONS:
-                raise QLogicError(f"unknown option {k!r}; options are {', '.join(OPTIONS)}")
+            if k not in TOLERANCES:
+                raise QLogicError(f"unknown option {k!r}; options are {', '.join(TOLERANCES)}")
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise QLogicError(f"option {k!r} must be a number, got {v!r}")
         return QuantumModel(observables, **options)

@@ -215,7 +215,16 @@ def parse_formula(text: str):
 
 
 def format_formula(node) -> str:
-    """Render an AST back to source; parses back to an identical AST."""
+    """Render an AST back to source; parses back to an identical AST.  A
+    formula nested past the interpreter's recursion limit raises
+    DomainError."""
+    try:
+        return _format(node)
+    except RecursionError:
+        raise DomainError("formula nested too deeply to format") from None
+
+
+def _format(node) -> str:
     if isinstance(node, Top):
         return "TOP"
     if isinstance(node, Bot):
@@ -234,7 +243,7 @@ def format_formula(node) -> str:
 
 
 def _wrap(node, allowed) -> str:
-    text = format_formula(node)
+    text = _format(node)
     return text if isinstance(node, allowed) else f"({text})"
 
 

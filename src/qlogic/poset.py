@@ -8,9 +8,10 @@ c1's algebra embeds in c2's, so a poset is given by its embeddings alone.
 An embedding maps each coarse atom to the fine atoms refining it, in one
 format, in and out: per atom of the lower context, in its
 ``LocalAlgebra.atoms`` order, an int whose bit s is the upper context's
-atom s (one of the wrong length is stored as None).  The order, validate(),
-embed() and the (context, atom) point poset, whose up-sets are the
-sections (Birkhoff), are all read from these masks.
+atom s.  A map of the wrong length, or naming an atom the upper context
+lacks, is no embedding and is refused on construction.  The order,
+validate(), embed() and the (context, atom) point poset, whose up-sets are
+the sections (Birkhoff), are all read from these masks.
 """
 
 from __future__ import annotations
@@ -116,14 +117,14 @@ class ContextPoset:
         strict order (c1 <= c2 iff c1's algebra embeds in c2's): the order
         is stored as given plus reflexivity and is not closed transitively,
         so validate() reports a missing transitive pair or a cycle.  An
-        embedding whose length is not lower's atom count is stored as None
-        (not total on atoms).
+        embedding whose length is not lower's atom count, or with a
+        negative mask or a mask bit at or past upper's atom count, raises
+        StructureError.
 
     The i-th id of ``context_ids`` (sorted) is bit i of two masks per
     context: ``_up[i]`` holds the contexts above i, ``_down[i]`` those
     below it, both including i.  ``_images[i, j]`` holds the embedding of
-    i into j for each i <= j as given (the identity for i == j), None when
-    not total on i's atoms.
+    i into j for each i <= j as given (the identity for i == j).
     """
 
     def __init__(
@@ -140,9 +141,11 @@ class ContextPoset:
         self._images = {}
         for (a, b), got in embeddings.items():
             i, j = self._index(a), self._index(b)
+            if len(got) != widths[i] or min(got) < 0 or max(got) >> widths[j]:
+                raise StructureError(f"embedding {a!r} -> {b!r} cannot be applied")
             self._up[i] |= 1 << j
             self._down[j] |= 1 << i
-            self._images[i, j] = tuple(got) if len(got) == widths[i] else None
+            self._images[i, j] = tuple(got)
         for i, n in enumerate(widths):
             self._images[i, i] = tuple(1 << t for t in range(n))
         everything = (1 << len(self._ids)) - 1
@@ -205,21 +208,12 @@ class ContextPoset:
 
     # -- embeddings -----------------------------------------------------
 
-    def _applied(self, i: int, j: int) -> tuple[int, ...]:
-        """The stored embedding of context i <= j, refused unless it is
-        total on i's atoms and inside j's atoms."""
-        images = self._images[i, j]
-        if images is None or max(images) >> len(self._contexts[self._ids[j]].atoms):
-            a, b = self._ids[i], self._ids[j]
-            raise StructureError(f"embedding {a!r} -> {b!r} cannot be applied")
-        return images
-
     def images(self, c1: str, c2: str) -> tuple[int, ...]:
         """The embedding of c1 into c2 (requires c1 <= c2) as stored: per atom
         of c1, the mask of c2's atom indices it maps to."""
         if not self.leq(c1, c2):
             raise UnknownContextError(f"{c1!r} is not below {c2!r}")
-        return self._applied(self._bit[c1], self._bit[c2])
+        return self._images[self._bit[c1], self._bit[c2]]
 
     def embed(self, c1: str, c2: str, x: Element) -> Element:
         """Image of an element of c1 inside c2 (requires c1 <= c2)."""
@@ -234,8 +228,7 @@ class ContextPoset:
     @cached_property
     def point_table(self) -> PointTable:
         """The (context, atom) point poset, built on first use from the
-        embeddings, each of which must be present, total and inside its
-        target (validate() reports one that is not)."""
+        embeddings."""
         atoms = [self._contexts[c].atoms for c in self._ids]
         points = [(c, x) for c, a in zip(self._ids, atoms) for x in a]
         index = {p: b for b, p in enumerate(points)}
@@ -243,7 +236,7 @@ class ContextPoset:
         up = []
         for i in range(len(self._ids)):
             # (first bit of j, images of i's atoms in j) for each j above i
-            rows = [(first[j], self._applied(i, j)) for j in _bits(self._up[i])]
+            rows = [(first[j], self._images[i, j]) for j in _bits(self._up[i])]
             up += [sum(images[t] << f for f, images in rows) for t in range(len(atoms[i]))]
         down = [0] * len(points)
         for p, mask in enumerate(up):
@@ -261,7 +254,6 @@ class ContextPoset:
         in sorted-id order."""
         issues: list[str] = []
         ids, up, down, images = self._ids, self._up, self._down, self._images
-        unusable: set[tuple[str, str]] = set()  # embeddings that cannot be applied
         # per strict pair: antisymmetry, transitivity (reflexivity by build),
         # and a well-formed embedding
         for i, a in enumerate(ids):
@@ -272,10 +264,6 @@ class ContextPoset:
                 for k in _bits(up[j] & ~up[i]):
                     issues.append(f"order not transitive at {a!r} <= {b!r} <= {ids[k]!r}")
                 got = images[i, j]
-                if got is None:
-                    issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
-                    unusable.add((a, b))
-                    continue
                 if not all(got):
                     issues.append(f"embedding {a!r} -> {b!r} drops an atom")
                 seen = 0
@@ -284,24 +272,18 @@ class ContextPoset:
                         issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
                         break
                     seen |= m
-                width = len(self._contexts[b].atoms)
-                if seen != (1 << width) - 1:
+                if seen != (1 << len(self._contexts[b].atoms)) - 1:
                     issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
-                if max(got) >> width:
-                    unusable.add((a, b))
         # composition along chains a <. b < c: on a partial order this
-        # covers every chain, by induction on the interval from a to b.  A
-        # chain through an embedding that is partial or names atoms its
-        # target lacks (each reported above) cannot be composed.  Atom t
-        # of a composes iff its image in c is the union of the images in c
-        # of the atoms of b it maps to.  On a cycle of the order c may be a.
+        # covers every chain, by induction on the interval from a to b.
+        # Atom t of a composes iff its image in c is the union of the
+        # images in c of the atoms of b it maps to.  On a cycle of the
+        # order c may be a.
         for a, b in self.covers():
             i, j = self._bit[a], self._bit[b]
             ab = None  # (t, s) for each atom s of b in the image of atom t of a
             for k in _bits(up[i] & up[j] & ~(1 << j)):
                 c = ids[k]
-                if unusable and not unusable.isdisjoint([(a, b), (a, c), (b, c)]):
-                    continue
                 if ab is None:
                     ab = [(t, s) for t, m in enumerate(images[i, j]) for s in _bits(m)]
                 bc, ac = images[j, k], images[i, k]

@@ -55,6 +55,7 @@ from .sections import BOTTOM, ElementaryProposition, Frame
 TAU_HERM = 1e-8
 TAU_PROJ = 1e-8
 TAU_EIG = 1e-6
+TOLERANCES = ("tau_herm", "tau_proj", "tau_eig")  # the options a quantum model file may set
 
 TRIVIAL_ID = "1"
 TRIVIAL_ATOM = "1"
@@ -355,6 +356,10 @@ class QuantumModel:
     _cluster_atoms: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        for option in TOLERANCES:
+            tau = getattr(self, option)
+            if not 0 <= tau < math.inf:  # NaN fails too
+                raise DomainError(f"option {option!r} must be finite and at least 0, got {tau!r}")
         # an observable name is a formula identifier, so none spells a
         # generated context id ("1", "(a^b)", "a*b") and overwrites its context
         for name in self.observables:
@@ -398,15 +403,11 @@ class QuantumModel:
     def _key(self, atoms: np.ndarray) -> tuple[int, int]:
         """(n, f // (4 n dim tau_proj)) for a stack of n atoms p_k, with
         f = sum_k x_k^2 over their probe values x_k = <v, p_k v>, each
-        clipped to [0, 1]; the width has 1e-12 more for the rounding of f,
-        and is that alone for a negative or NaN tau_proj, under which
-        same_atoms matches nothing."""
+        clipped to [0, 1]; the width has 1e-12 more for the rounding of f."""
         x = (atoms @ self._probe).dot(self._probe.conj()).real.tolist()
         n = len(x)
         f = sum(min(max(xk, 0.0), 1.0) ** 2 for xk in x)
-        width = 4 * n * self.dim * self.tau_proj
-        width = width + 1e-12 if width >= 0 else 1e-12
-        return n, math.floor(f / width)
+        return n, math.floor(f / (4 * n * self.dim * self.tau_proj + 1e-12))
 
     def _settle(self, atoms: np.ndarray, new: Callable[[], tuple[str, QuantumContext]]) -> str:
         """The id of the earliest stored context whose atoms match `atoms`;

@@ -2,12 +2,14 @@
 
 An embedding written by name maps each atom of the lower context to the
 names of the upper context's atoms it refines into.  ``encode`` turns such
-embeddings into the per-atom index masks that ``ContextPoset`` takes:
+embeddings into the per-atom index masks that ``ContextPoset`` takes.  For
+bad names it writes the two kinds of mask that the constructor refuses
+as no embedding:
 
 - a name the upper context lacks gets a bit above its atoms, the same bit
-  for the same name, so ``validate()`` sees an image outside the target;
+  for the same name;
 - keys other than the lower context's atoms give an empty sequence, a
-  wrong length, which the poset stores as "not total on atoms".
+  wrong length.
 """
 
 

@@ -18,6 +18,7 @@ from qlogic.bell import (
     singlet_joint_probability,
     singlet_state,
     spin_projection,
+    validate_density_matrix,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -33,6 +34,26 @@ def test_spin_projection():
         spin_projection(np.array([0.0, 0.0, 2.0]), 1)
     with pytest.raises(DomainError):
         spin_projection(Z, 0)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_angle_rejected(theta):
+    with pytest.raises(DomainError, match="^angle must be finite, got "):
+        axis_from_angle(theta)
+    with pytest.raises(DomainError, match="^angle must be finite, got "):
+        BellScenario.from_angles(0.0, theta, 90.0, 45.0)
+
+
+def test_nan_fails_the_unit_and_state_checks():
+    nan_axis = np.array([np.nan, 0.0, 1.0])
+    with pytest.raises(DomainError, match="^measurement axes must be unit vectors$"):
+        BellScenario(nan_axis, Z, Z, Z)
+    with pytest.raises(DomainError, match="^axis must be a unit vector$"):
+        spin_projection(nan_axis, 1)
+    rho = singlet_state()
+    rho[0, 0] = np.nan
+    with pytest.raises(DomainError, match="^density matrix must be Hermitian$"):
+        validate_density_matrix(rho)
 
 
 def test_singlet_state():

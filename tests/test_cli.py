@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -362,6 +363,9 @@ def test_parser_reused_across_calls(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+QUBIT_TEXT = (FIXTURES / "one_qubit.json").read_bytes()
+
+
 def _model_file(tmp_path, content: bytes) -> str:
     path = tmp_path / "model.json"
     path.write_bytes(content)
@@ -392,6 +396,8 @@ MALFORMED = {
     "unknown refined context": lambda tmp: ["quotient", QUBIT, "--context", "nope", "--refined"],
     "angles not numbers": lambda tmp: ["bell", "--angles", "1,2,x,4"],
     "too few angles": lambda tmp: ["bell", "--angles", "1,2"],
+    "angle NaN": lambda tmp: ["bell", "--angles", "nan,0,90,45"],
+    "angle infinite": lambda tmp: ["bell", "--angles", "inf,0,90,45"],
     "sweep not positive": lambda tmp: ["bell", "--sweep", "0"],
     "bridge on quantum": lambda tmp: ["bridge", QUBIT],
     "duplicate point": lambda tmp: [
@@ -429,6 +435,15 @@ MALFORMED = {
             tmp, b'{"kind": "quantum", "observables": {"A": [[[1, 0]]]}, "options": {"tau": 1e-3}}'
         ),
     ],
+    "tolerance NaN": lambda tmp: [
+        "build", _model_file(tmp, QUBIT_TEXT.replace(b'"dim"', b'"options": {"tau_eig": NaN}, "dim"'))
+    ],
+    "tolerance infinite": lambda tmp: [
+        "build", _model_file(tmp, QUBIT_TEXT.replace(b'"dim"', b'"options": {"tau_herm": Infinity}, "dim"'))
+    ],
+    "tolerance negative": lambda tmp: [
+        "build", _model_file(tmp, QUBIT_TEXT.replace(b'"dim"', b'"options": {"tau_proj": -1}, "dim"'))
+    ],
     "enumeration guard not an integer": lambda tmp: ["decidable", QUBIT],
     "lone surrogate in a name": lambda tmp: [
         "build",
@@ -452,6 +467,11 @@ MALFORMED_MESSAGES = {
     "dim not the matrix size": "error: observable 'A' is 1x1, but 'dim' is 3",
     "dim not an integer": "error: 'dim' must be an integer, got '1'",
     "unknown option": "error: unknown option 'tau'; options are tau_herm, tau_proj, tau_eig",
+    "tolerance NaN": "error: option 'tau_eig' must be finite and at least 0, got nan",
+    "tolerance infinite": "error: option 'tau_herm' must be finite and at least 0, got inf",
+    "tolerance negative": "error: option 'tau_proj' must be finite and at least 0, got -1",
+    "angle NaN": "error: angle must be finite, got nan",
+    "angle infinite": "error: angle must be finite, got inf",
     "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",
     "enumeration guard not an integer": "error: QLOGIC_ENUM_GUARD must be an integer, got 'abc'",
     "point name spells a cell id": (
@@ -527,7 +547,7 @@ def model_documents(draw):
         doc = {"kind": "quantum", "observables": {name: draw(hermitian(k)) for name in draw(names)}}
         if draw(st.booleans()):
             option = st.sampled_from(["tau_herm", "tau_proj", "tau_eig"])
-            tau = st.sampled_from([0, 1e-12, 1e-8, 1e-3, 0.5, 10.0])
+            tau = st.sampled_from([0, 1e-12, 1e-8, 1e-3, 0.5, 10.0, -1e-8, math.nan, math.inf])
             doc["options"] = draw(st.dictionaries(option, tau, max_size=3))
         if draw(st.booleans()):
             doc["dim"] = k

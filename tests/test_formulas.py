@@ -99,20 +99,20 @@ def test_parse_runs_out_of_stack_at_the_end_of_the_input():
     assert message(hi).startswith("formula nested too deeply (unexpected end of input)")
 
 
-formula_strategy = st.deferred(
-    lambda: st.one_of(
-        st.just(Top()),
-        st.just(Bot()),
-        st.builds(
-            Atom,
-            st.sampled_from(["A", "Sz", "Sx", "obs_1"]),
-            st.lists(st.sampled_from(["0", "1", "-1", "2.5"]), max_size=3).map(tuple),
-        ),
-        st.builds(Not, formula_strategy),
-        st.builds(And, formula_strategy, formula_strategy),
-        st.builds(Or, formula_strategy, formula_strategy),
-        st.builds(Imp, formula_strategy, formula_strategy),
-    )
+# bounded trees: the nesting tests above cover deep ones
+formula_strategy = st.recursive(
+    st.just(Top())
+    | st.just(Bot())
+    | st.builds(
+        Atom,
+        st.sampled_from(["A", "Sz", "Sx", "obs_1"]),
+        st.lists(st.sampled_from(["0", "1", "-1", "2.5"]), max_size=3).map(tuple),
+    ),
+    lambda inner: st.builds(Not, inner)
+    | st.builds(And, inner, inner)
+    | st.builds(Or, inner, inner)
+    | st.builds(Imp, inner, inner),
+    max_leaves=20,
 )
 
 
@@ -120,6 +120,12 @@ formula_strategy = st.deferred(
 @given(ast=formula_strategy)
 def test_format_parse_roundtrip(ast):
     assert parse_formula(format_formula(ast)) == ast
+
+
+def test_format_refuses_a_formula_nested_too_deeply():
+    ast = parse_formula(" & ".join(["TOP"] * 3000))  # the parser's loop, left-deep
+    with pytest.raises(DomainError, match="^formula nested too deeply to format$"):
+        format_formula(ast)
 
 
 def test_eval_constants(one_qubit_model):

@@ -154,20 +154,24 @@ def test_validate_dropped_atom_in_embedding():
 
 
 def test_validate_reports_image_outside_target():
-    # the image of t's atom names a9, which a lacks: the chain t < a < b
-    # cannot be composed through it, so only the image is reported
+    # the image of t's atom names a9, which a lacks: no embedding, refused
     embeddings = {**CHAIN_EMBEDDINGS, ("t", "a"): {"*": frozenset({"a0", "a1", "a9"})}}
-    p = chain_poset(embeddings)
-    assert p.validate() == ["embedding 't' -> 'a' does not cover the target top"]
+    with pytest.raises(StructureError, match="^embedding 't' -> 'a' cannot be applied$"):
+        chain_poset(embeddings)
 
 
 @pytest.mark.parametrize("images", [(0b111,), (0b1000011,)], ids=["at the width", "above it"])
 def test_validate_reports_a_mask_bit_past_its_target(images):
     # t's one atom maps into a's two atoms and to bit 2 or 6, which a lacks
-    p = chain_masks(("t", "a"), images)
-    assert p.validate() == ["embedding 't' -> 'a' does not cover the target top"]
-    with pytest.raises(StructureError, match="'t' -> 'a' cannot be applied"):
-        p.point_table
+    with pytest.raises(StructureError, match="^embedding 't' -> 'a' cannot be applied$"):
+        chain_masks(("t", "a"), images)
+
+
+def test_negative_mask_refused():
+    # -4 sets every bit from 2 up, so it names atoms b lacks: embed and the
+    # point table would index past b's atoms
+    with pytest.raises(StructureError, match="^embedding 'a' -> 'b' cannot be applied$"):
+        chain_masks(("a", "b"), (0b0011, -4))
 
 
 def test_no_least_element_rejected():
@@ -293,11 +297,7 @@ class PairPoset:
         for a, b in self.order:
             if a == b:
                 continue
-            emb = self.embeddings[a, b]
-            if set(emb) != set(self.contexts[a].atoms):
-                issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
-                continue
-            images = [emb[x] for x in self.contexts[a].atoms]
+            images = [self.embeddings[a, b][x] for x in self.contexts[a].atoms]
             if any(not img for img in images):
                 issues.append(f"embedding {a!r} -> {b!r} drops an atom")
             seen = set()
@@ -441,11 +441,9 @@ def name_embed(embeddings, a, b, x):
 def embed_validate(poset, embeddings):
     """Oracle: validate() with every embedding of the name-keyed
     `embeddings` the poset was built from applied to atom names, and the
-    meet searched for every ordered pair.  A chain through an embedding
-    whose images name atoms its target lacks is not composed."""
+    meet searched for every ordered pair."""
     issues = []
     ids, up, down, contexts = poset._ids, poset._up, poset._down, poset._contexts
-    unusable = set()
     for i, a in enumerate(ids):
         for j in _bits(up[i] & ~(1 << i)):
             b = ids[j]
@@ -453,12 +451,7 @@ def embed_validate(poset, embeddings):
                 issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
             for k in _bits(up[j] & ~up[i]):
                 issues.append(f"order not transitive at {a!r} <= {b!r} <= {ids[k]!r}")
-            emb = embeddings[a, b]
-            if set(emb) != set(contexts[a].atoms):
-                issues.append(f"embedding {a!r} -> {b!r} not total on atoms")
-                unusable.add((a, b))
-                continue
-            images = [emb[x] for x in contexts[a].atoms]
+            images = [embeddings[a, b][x] for x in contexts[a].atoms]
             if any(not img for img in images):
                 issues.append(f"embedding {a!r} -> {b!r} drops an atom")
             seen = set()
@@ -467,17 +460,12 @@ def embed_validate(poset, embeddings):
                     issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
                     break
                 seen |= img
-            target = set(contexts[b].atoms)
-            if seen != target:
+            if seen != set(contexts[b].atoms):
                 issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
-            if not set().union(*images) <= target:
-                unusable.add((a, b))
     for a, b in poset.covers():
         i, j = ids.index(a), ids.index(b)
         for k in _bits(up[i] & up[j] & ~(1 << j)):
             c = ids[k]
-            if not unusable.isdisjoint([(a, b), (a, c), (b, c)]):
-                continue
             for atom in contexts[a].atoms:
                 direct = name_embed(embeddings, a, c, frozenset({atom}))
                 via = name_embed(embeddings, b, c, name_embed(embeddings, a, b, frozenset({atom})))
@@ -552,9 +540,8 @@ def test_embed_matches_the_drawn_names(drawn):
 
 
 def test_validate_skips_a_chain_through_an_image_outside_its_target():
-    # a's images overlap, and the second names b9, which b lacks: the
-    # overlap and the cover are reported, and no chain through a -> b is
-    # composed (applying it to b -> c would look b9 up)
+    # a's images overlap, and the second names b9, which b lacks: no
+    # embedding, refused before any chain through a -> b could be composed
     emb = {
         ("t", "a"): {"*": {"a0", "a1"}},
         ("t", "b"): {"*": {"b0", "b1", "b2", "b3"}},
@@ -569,13 +556,8 @@ def test_validate_skips_a_chain_through_an_image_outside_its_target():
         "b": LocalAlgebra(("b0", "b1", "b2", "b3")),
         "c": LocalAlgebra(("c0", "c1", "c2", "c3")),
     }
-    poset = ContextPoset(contexts, encode(contexts, emb))
-    assert poset.validate() == embed_validate(poset, emb) == [
-        "embedding 'a' -> 'b' atom images overlap",
-        "embedding 'a' -> 'b' does not cover the target top",
-    ]
-    with pytest.raises(StructureError, match="'a' -> 'b' cannot be applied"):
-        poset.point_table
+    with pytest.raises(StructureError, match="^embedding 'a' -> 'b' cannot be applied$"):
+        ContextPoset(contexts, encode(contexts, emb))
 
 
 @pytest.mark.parametrize(
@@ -590,17 +572,12 @@ def test_validate_skips_a_chain_through_an_image_outside_its_target():
 )
 def test_validate_reports_an_embedding_not_total_on_atoms(images):
     # t < a < b with a -> b keyed by other names than a's atoms, or given as
-    # masks for another number of atoms than a's two: reported, and no
-    # chain is composed through it, nor the point poset built
-    if isinstance(images, tuple):
-        p = chain_masks(("a", "b"), images)
-    else:
-        embeddings = {**CHAIN_EMBEDDINGS, ("a", "b"): images}
-        p = chain_poset(embeddings)
-        assert p.validate() == embed_validate(p, embeddings)
-    assert p.validate() == ["embedding 'a' -> 'b' not total on atoms"]
-    with pytest.raises(StructureError, match="'a' -> 'b' cannot be applied"):
-        p.point_table
+    # masks for another number of atoms than a's two: no embedding, refused
+    with pytest.raises(StructureError, match="^embedding 'a' -> 'b' cannot be applied$"):
+        if isinstance(images, tuple):
+            chain_masks(("a", "b"), images)
+        else:
+            chain_poset({**CHAIN_EMBEDDINGS, ("a", "b"): images})
 
 
 @pytest.mark.parametrize(
@@ -613,7 +590,7 @@ def test_validate_reports_an_embedding_not_total_on_atoms(images):
     ids=["not total", "bit past the target", "element outside the algebra"],
 )
 def test_embed_refuses_what_it_cannot_apply(images, x, error, message):
-    p = chain_masks(("a", "b"), images)
+    # the poset refuses a map that is no embedding before embed can run
     with pytest.raises(error) as info:
-        p.embed("a", "b", frozenset(x))
+        chain_masks(("a", "b"), images).embed("a", "b", frozenset(x))
     assert str(info.value) == message

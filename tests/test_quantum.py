@@ -203,6 +203,18 @@ def test_dimension_mismatch_rejected():
         QuantumModel({"A": SZ, "B": np.eye(3, dtype=complex)})
 
 
+@pytest.mark.parametrize("option", ["tau_herm", "tau_proj", "tau_eig"])
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1e-8])
+def test_unusable_tolerance_rejected(option, tau):
+    with pytest.raises(DomainError, match=f"^option '{option}' must be finite and at least 0, got "):
+        QuantumModel({"Sz": SZ}, **{option: tau})
+
+
+def test_zero_tolerance_accepted():
+    m = QuantumModel({"Sz": SZ}, tau_herm=0, tau_proj=0, tau_eig=0)
+    assert len(m.poset.context_ids) == 2
+
+
 def test_equivalent_observables_share_context():
     m = QuantumModel({"Sz": SZ, "Sz2": 5 * SZ + 2 * np.eye(2)})
     assert m.obs_context["Sz"] == m.obs_context["Sz2"]
