@@ -20,6 +20,17 @@ commuting pair has the non-zero products p q as atoms.  The products
 p q that make the graph also decide commutation: for Hermitian p and q,
 (p q)^dagger = q p.
 
+That one decision, and the commutation of a pair, are read where they
+can be certified from small Gram blocks instead of the products (see
+qlogic.gram).  A context that enters a closure round of at least
+_MIN_GRAM_PAIRS non-trivial pairs gets an orthonormal basis whose column
+groups span its atoms' ranges, from one eigh of sum_k k p_k, with a
+residual measured once.  A pair with a block the Gram matrix leaves
+undecided, and a join candidate, which needs the products anyway, take
+_overlap and _commute, so every decision equals theirs.  The trivial
+context takes no matrix work: it lies below every other context, its one
+atom mapping to all.
+
 A context with n atoms p_k is looked up among the stored ones in a grid
 hash on (n, f // w) with f = sum_k <v, p_k v>^2 for a fixed unit probe v
 and a cell width w = 4 n dim tau_proj, wide enough that every stored
@@ -49,12 +60,18 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .formulas import WORD
+from .gram import _Basis, _bases_of, _certificates, _row_masks
 from .poset import ContextPoset, LocalAlgebra, _bits
 from .sections import BOTTOM, ElementaryProposition, Frame
 
 TAU_HERM = 1e-8
 TAU_PROJ = 1e-8
 TAU_EIG = 1e-6
+# the fewest non-trivial pairs of a closure round read from Gram blocks: with
+# the bases they need, the blocks cost a fixed 50-60 numpy calls, as much as
+# about five pairs' exact products, and in a first round most pairs commute
+# and need their products anyway
+_MIN_GRAM_PAIRS = 10
 TOLERANCES = ("tau_herm", "tau_proj", "tau_eig")  # the options a quantum model file may set
 
 TRIVIAL_ID = "1"
@@ -282,17 +299,6 @@ def _commute(prods: np.ndarray, tol: float) -> bool:
     return _maxabs(d) <= tol
 
 
-def _row_masks(edges: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int, bit j for column j: packed to
-    bytes once, each row's bytes read as one Python int, so a context of
-    more than 63 atoms fits.  The ints hold the whole graph, so the order,
-    embeddings and components read from them (_embeddings, _components)
-    are exact integer work on the one tolerance decision _overlap made."""
-    packed = np.packbits(edges, axis=1, bitorder="little")
-    width, raw = packed.shape[1], packed.tobytes()
-    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
-
-
 def _embeddings(rows: list[int], n2: int) -> tuple[list[int] | None, list[int] | None]:
     """The embeddings of c1 in c2 and of c2 in c1 read from the row masks of
     their overlap graph, c2 having n2 atoms; None for a pair not so ordered.
@@ -354,6 +360,9 @@ class QuantumModel:
     _meets: dict[tuple[str, tuple[int, ...]], str] = field(init=False, repr=False)
     # observable -> the atom of its context for each of its eigenvalue clusters
     _cluster_atoms: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    # context id -> its basis, or None for one that takes the exact path, made
+    # when the context first enters a round of Gram blocks, see _certify
+    _bases: dict[str, _Basis | None] = field(init=False, repr=False)
 
     def __post_init__(self):
         for option in TOLERANCES:
@@ -366,6 +375,9 @@ class QuantumModel:
             if not (isinstance(name, str) and re.fullmatch(WORD, name)):
                 raise DomainError(f"observable name {name!r} is not an identifier ({WORD})")
         mats = {k: np.asarray(v, dtype=complex) for k, v in self.observables.items()}
+        for k, m in mats.items():
+            if not np.isfinite(m).all():
+                raise DomainError(f"observable {k!r} has a non-finite entry")
         dims = {m.shape for m in mats.values()}
         if len(dims) > 1:
             raise DomainError("observables have mismatched dimensions")
@@ -461,6 +473,24 @@ class QuantumModel:
 
         return self._settle(atoms, new)
 
+    def _certify(
+        self, pairs: list[tuple[str, str]]
+    ) -> dict[tuple[str, str], tuple[list[int] | None, bool]]:
+        """The certificates (see _certificates) of the pairs whose contexts
+        both have a basis, each basis measured when its context first needs
+        it.  A round of fewer than _MIN_GRAM_PAIRS pairs gets none."""
+        if len(pairs) < _MIN_GRAM_PAIRS:
+            return {}
+        if fresh := sorted({c for ab in pairs for c in ab} - self._bases.keys()):
+            self._bases.update(zip(fresh, _bases_of([self.contexts[c] for c in fresh])))
+        based = [
+            (a, b) for a, b in pairs if self._bases[a] is not None and self._bases[b] is not None
+        ]
+        if not based:
+            return {}
+        certs = _certificates([(self._bases[a], self._bases[b]) for a, b in based], self.tau_proj)
+        return dict(zip(based, certs))
+
     def _build(self):
         self.contexts = {}
         self.obs_context = {}
@@ -484,20 +514,34 @@ class QuantumModel:
                 ks = _pairing(ctx.atoms, stored.atoms, self.tau_proj)
             self._cluster_atoms[name] = tuple(stored.atom_names[k] for k in ks)
         # close under pairwise meets and commuting joins; a pair taken once
-        # yields no new context when taken again, so each pair is taken once.
-        # A comparable pair has the pair itself as meet and join, both stored
-        # already; its embedding is read off the overlap graph's row masks
+        # yields no new context when taken again, so each pair is taken once,
+        # in sorted order.  The trivial context lies below every other, its
+        # one atom mapping to all of theirs.  A comparable pair has the pair
+        # itself as meet and join, both stored already; its embedding is read
+        # off the overlap graph's row masks.  _overlap and _commute decide
+        # what the Gram blocks do not certify, and make the products of a
+        # join candidate
         self._meets = {}
+        self._bases = {}
         taken: set[tuple[str, str]] = set()
         images = {}
         while pairs := [
             ab for ab in itertools.combinations(sorted(self.contexts), 2) if ab not in taken
         ]:
             taken.update(pairs)
+            certified = self._certify([ab for ab in pairs if TRIVIAL_ID not in ab])
             for a, b in pairs:
-                prods, e = _overlap(self.contexts[a], self.contexts[b], self.tau_proj)
-                rows = _row_masks(e)
-                up, down = _embeddings(rows, e.shape[1])
+                if TRIVIAL_ID in (a, b):
+                    other = b if a == TRIVIAL_ID else a
+                    images[TRIVIAL_ID, other] = [(1 << len(self.contexts[other].atoms)) - 1]
+                    continue
+                ca, cb = self.contexts[a], self.contexts[b]
+                rows, apart = certified.get((a, b), (None, False))
+                prods = None
+                if rows is None:
+                    prods, e = _overlap(ca, cb, self.tau_proj)
+                    rows = _row_masks(e)
+                up, down = _embeddings(rows, len(cb.atoms))
                 if up is not None:
                     images[a, b] = up
                 if down is not None:
@@ -505,6 +549,10 @@ class QuantumModel:
                 if up is not None or down is not None:
                     continue
                 self._add_meet(a, b, _components(rows))
+                if apart:
+                    continue
+                if prods is None:
+                    prods, e = _overlap(ca, cb, self.tau_proj)
                 if _commute(prods, self.tau_proj):
                     self._add_join(a, b, prods, e)
         contexts = {

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -364,6 +367,8 @@ def test_parser_reused_across_calls(capsys, monkeypatch):
 
 
 QUBIT_TEXT = (FIXTURES / "one_qubit.json").read_bytes()
+# a one-qubit model whose Sz has the first entry %s
+NON_FINITE_TEXT = QUBIT_TEXT.replace(b'"Sz": [[[1, 0]', b'"Sz": [[[%s, 0]')
 
 
 def _model_file(tmp_path, content: bytes) -> str:
@@ -444,6 +449,8 @@ MALFORMED = {
     "tolerance negative": lambda tmp: [
         "build", _model_file(tmp, QUBIT_TEXT.replace(b'"dim"', b'"options": {"tau_proj": -1}, "dim"'))
     ],
+    "matrix entry infinite": lambda tmp: ["build", _model_file(tmp, NON_FINITE_TEXT % b"Infinity")],
+    "matrix entry NaN": lambda tmp: ["build", _model_file(tmp, NON_FINITE_TEXT % b"NaN")],
     "enumeration guard not an integer": lambda tmp: ["decidable", QUBIT],
     "lone surrogate in a name": lambda tmp: [
         "build",
@@ -470,6 +477,8 @@ MALFORMED_MESSAGES = {
     "tolerance NaN": "error: option 'tau_eig' must be finite and at least 0, got nan",
     "tolerance infinite": "error: option 'tau_herm' must be finite and at least 0, got inf",
     "tolerance negative": "error: option 'tau_proj' must be finite and at least 0, got -1",
+    "matrix entry infinite": "error: observable 'Sz' has a non-finite entry",
+    "matrix entry NaN": "error: observable 'Sz' has a non-finite entry",
     "angle NaN": "error: angle must be finite, got nan",
     "angle infinite": "error: angle must be finite, got inf",
     "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",
@@ -494,6 +503,24 @@ def test_malformed_invocation(tmp_path, capsys, monkeypatch, case):
         assert err.startswith("error: duplicate point ")
     if case in MALFORMED_MESSAGES:
         assert err == MALFORMED_MESSAGES[case] + "\n"
+
+
+@pytest.mark.parametrize("value", [b"Infinity", b"NaN"])
+def test_non_finite_matrix_entry_prints_one_error_line(tmp_path, value):
+    """In a process of its own, whose stderr holds any numpy warning too: a
+    non-finite entry is refused where the matrix enters, before any numpy
+    arithmetic on it."""
+    path = _model_file(tmp_path, NON_FINITE_TEXT % value)
+    src = str(FIXTURES.parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "qlogic.cli", "build", path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [MALFORMED_MESSAGES["matrix entry infinite"]]
 
 
 # -- the loader under generated documents -------------------------------------------

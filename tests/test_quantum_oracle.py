@@ -14,14 +14,17 @@ atom order against a per-atom sort key, the meet and join dedup, which
 settles a candidate before building it, against the scan, the meet memo
 against the fresh settle it skips, the order and embeddings read from the
 overlap graph's row masks against the graph's row and column sums, the
-component masks against a reachability closure, and the tabled same_atoms
-and batched validate_resolution against their pairwise loops.  The elementary
+component masks against a reachability closure, the tabled same_atoms
+and batched validate_resolution against their pairwise loops, and the
+overlap graphs and non-commutation certified from Gram blocks against the
+products of _overlap and _commute they replace.  The elementary
 propositions, looked up from the clusters' atoms fixed at build, are
 checked against the atoms under the summed spectral projections.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,8 +37,10 @@ from qlogic import (
     QuantumModel,
     classical_bridge,
 )
+from qlogic import quantum
 from qlogic.bell import BellScenario, build_chsh_frame
 from qlogic.cli import load_model
+from qlogic.gram import _bases_of, _certificates
 from qlogic.quantum import (
     TAU_PROJ,
     QuantumContext,
@@ -735,6 +740,244 @@ def test_tabled_checks_match_their_loops(seed, dim, fault, tol):
     assert validate_resolution(other, tol) == loop_validate_resolution(other, tol)
     assert same_atoms(other, atoms, tol) == loop_same_atoms(other, atoms, tol)
     assert same_atoms(atoms, other, tol) == loop_same_atoms(atoms, other, tol)
+
+
+# -- the Gram certificates against the products they replace ---------------------
+
+
+def grouped_context(u: np.ndarray, sizes: list[int]) -> QuantumContext:
+    """The context whose atom k projects onto u's k-th group of sizes[k]
+    columns."""
+    cuts = np.cumsum([0, *sizes])
+    atoms = np.stack([u[:, i:j] @ u[:, i:j].conj().T for i, j in zip(cuts, cuts[1:])])
+    return QuantumContext(tuple(map(str, range(len(sizes)))), atoms)
+
+
+def turn(v: np.ndarray, i: int, sine: float) -> np.ndarray:
+    """v with its columns i and i + 1 turned by the angle of that sine."""
+    c = math.sqrt(1 - sine * sine)
+    v = v.copy()
+    v[:, i : i + 2] = v[:, i : i + 2] @ np.array([[c, -sine], [sine, c]])
+    return v
+
+
+@st.composite
+def context_pairs(draw):
+    """Two contexts on C^dim, dim 2-8, of at least two atoms of random
+    ranks.  b's unitary is a's with its columns shuffled (the pair
+    commutes), that with two neighbouring columns turned a little or a lot
+    (the pair shares the other columns), or a fresh one."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 8))
+
+    def sizes() -> list[int]:
+        cuts = sorted(draw(st.sets(st.integers(1, dim - 1), min_size=1, max_size=dim - 1)))
+        return np.diff([0, *cuts, dim]).tolist()
+
+    u = haar_unitary(g, dim)
+    kind = draw(st.sampled_from(["shuffled", "turned", "fresh"]))
+    v = haar_unitary(g, dim) if kind == "fresh" else u[:, g.permutation(dim)]
+    if kind == "turned":
+        v = turn(v, draw(st.integers(0, dim - 2)), draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.3])))
+    return grouped_context(u, sizes()), grouped_context(v, sizes())
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=context_pairs(), tol=st.sampled_from([0.0, 1e-8, 1e-3]))
+def test_certificates_match_the_exact_products(pair, tol):
+    """A graph the Gram blocks certify is _overlap's, and where they certify
+    non-commutation _commute says no.  Neither is vacuous: a graph whose
+    products all lie well outside the band (tol / dim, dim tol] is
+    certified, and so is a commutator well above the threshold."""
+    ca, cb = pair
+    bases = _bases_of([ca, cb])
+    assert None not in bases
+    [(rows, apart)] = _certificates([tuple(bases)], tol)
+    prods, e = _overlap(ca, cb, tol)
+    if rows is not None:
+        assert rows == _row_masks(e)
+    if apart:
+        assert not _commute(prods, tol)
+    dim, nb = ca.atoms.shape[1], len(cb.atoms)
+    peaks = np.abs(prods).max(axis=(2, 3))
+    if np.all((peaks > 2 * dim * tol + 1e-9) | (dim * peaks < tol / 2)):
+        assert rows is not None
+    spread = sum(j * q for j, q in enumerate(cb.atoms))
+    if max(np.linalg.norm(p @ spread - spread @ p) for p in ca.atoms) > nb**3 * dim * (tol + 1e-9):
+        assert apart
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-5, 0.5])
+def test_residual_measures_atoms_that_are_not_projections(scale):
+    """Atoms scaled by 1 + scale keep their eigenbasis, so the residual is
+    scale max|p_k| up to rounding; past 1 / (16 dim) no basis is kept, and
+    the certificates of a basis kept stay the products'."""
+    g = np.random.default_rng(5)
+    dim = 6
+    ca = grouped_context(haar_unitary(g, dim), [2, 1, 3])
+    cb = grouped_context(haar_unitary(g, dim), [1, 4, 1])
+    scaled = QuantumContext(ca.atom_names, (1 + scale) * ca.atoms)
+    [kept], [basis] = _bases_of([ca]), _bases_of([scaled])
+    off = scale * np.abs(ca.atoms).max()
+    if 16 * dim * off > 1:
+        assert basis is None
+        return
+    assert abs(basis.rho - off) < 1e-13 and basis.rho > kept.rho
+    for tol in (1e-8, 1e-3):
+        [(rows, apart)] = _certificates([(basis, *_bases_of([cb]))], tol)
+        prods, e = _overlap(scaled, cb, tol)
+        assert rows is None or rows == _row_masks(e)
+        assert not apart or not _commute(prods, tol)
+
+
+def test_residual_measures_atoms_that_overlap():
+    """Atom 0 made from a column tilted towards atom 1's by 1e-6: the basis
+    spans atom 1's range and its complement, which atom 0 misses by the
+    atoms' overlap, and the residual is at least that."""
+    u = haar_unitary(np.random.default_rng(6), 4)
+    u[:, 0] = u[:, 0] + 1e-6 * u[:, 2]
+    u[:, 0] /= np.linalg.norm(u[:, 0])
+    ctx = grouped_context(u, [2, 2])
+    [basis] = _bases_of([ctx])
+    assert basis.rho >= np.abs(ctx.atoms[0] + ctx.atoms[1] - np.eye(4)).max() > 1e-7
+
+
+def test_non_commutation_threshold_counts_the_pairs_of_atoms():
+    """b's basis turns e_x towards e_(7-x) by 0.9 tol, so every [p_i, q_j]
+    stays under tol and _commute says yes, while ||[p_0, sum_j j q_j]||_F
+    adds up the pairs j, about 13 times 0.9 tol, past dim tol: the pair
+    must not be certified apart."""
+    tol, dim = 1e-3, 8
+    h = np.zeros((dim, dim))
+    for x in range(4):
+        h[x, 7 - x] = h[7 - x, x] = 1
+    w, s = np.linalg.eigh(h)
+    v = s @ np.diag(np.exp(0.9j * tol * w)) @ s.T
+    ca, cb = grouped_context(np.eye(dim), [4, 4]), grouped_context(v, [1] * dim)
+    assert _commute(_overlap(ca, cb, tol)[0], tol)
+    [(_, apart)] = _certificates([tuple(_bases_of([ca, cb]))], tol)
+    assert not apart
+
+
+def test_residual_measures_columns_not_orthogonal(monkeypatch):
+    """Atoms made exactly from their columns, atom 0's first column tilted
+    towards atom 1's by 1e-6, and eigh made to return those columns: the
+    residual is the columns' own overlap, which the atoms alone do not
+    show."""
+    u = haar_unitary(np.random.default_rng(6), 4)
+    u[:, 0] = u[:, 0] + 1e-6 * u[:, 2]
+    u[:, 0] /= np.linalg.norm(u[:, 0])
+    ctx = grouped_context(u, [2, 2])
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros((1, 4)), u[None]))
+    [basis] = _bases_of([ctx])
+    assert basis.rho >= 0.9e-6
+
+
+def turned_fourier_model(dim: int, sine: float) -> dict:
+    """Two non-degenerate observables, diagonal in the Fourier basis and in
+    that basis with its first two vectors turned by the angle of that sine:
+    the block of p_1 and q_0 has F = sine spread evenly over its dim^2
+    entries, so max|p_1 q_0| is about sine / dim."""
+    k = np.arange(dim)
+    u = np.exp(2j * np.pi * np.outer(k, k) / dim) / math.sqrt(dim)
+    spectrum = np.diag(k.astype(float))
+    return {w: v @ spectrum @ v.conj().T for w, v in (("A", u), ("B", turn(u, 0, sine)))}
+
+
+def closure_calls(make, gram_pairs: float) -> tuple[QuantumModel, Counter]:
+    """The model make() builds when every round of at least gram_pairs
+    non-trivial pairs reads Gram blocks, and the number of _overlap and
+    _commute calls and of certificates without a graph."""
+    calls: Counter = Counter()
+    overlap, commute, certificates = _overlap, _commute, _certificates
+
+    def counted_overlap(c1, c2, tol):
+        calls["overlap"] += 1
+        return overlap(c1, c2, tol)
+
+    def counted_commute(prods, tol):
+        calls["commute"] += 1
+        said = commute(prods, tol)
+        calls["commute_yes"] += said
+        return said
+
+    def counted_certificates(pairs, tol):
+        out = certificates(pairs, tol)
+        calls["unsure"] += sum(rows is None for rows, _ in out)
+        calls["incomplete"] += sum(
+            rows is not None and any(r != (1 << b.n) - 1 for r in rows)
+            for (rows, _), (_, b) in zip(out, pairs)
+        )
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(quantum, "_MIN_GRAM_PAIRS", gram_pairs)
+        m.setattr(quantum, "_overlap", counted_overlap)
+        m.setattr(quantum, "_commute", counted_commute)
+        m.setattr(quantum, "_certificates", counted_certificates)
+        return make(), calls
+
+
+def check_gram_matches_exact(make):
+    """The model is the same, context for context and bit for bit, whether
+    every round, the default rounds or no round reads Gram blocks."""
+    every, _ = closure_calls(make, 1)
+    exact, calls = closure_calls(make, math.inf)
+    assert calls["unsure"] == 0
+    assert built(every) == built(make()) == built(exact)
+
+
+@pytest.mark.parametrize("name", sorted(DEDUP_MODELS))
+def test_gram_closure_matches_the_exact_closure(name):
+    check_gram_matches_exact(DEDUP_MODELS[name])
+
+
+@settings(max_examples=8, deadline=None)
+@given(observables=degenerate_families(), tau=st.sampled_from([1e-8, 1e-3]))
+def test_gram_closure_matches_the_exact_closure_on_random_families(observables, tau):
+    check_gram_matches_exact(lambda: QuantumModel(observables, tau_proj=tau))
+
+
+@pytest.mark.parametrize("times", [5, 6, 7])
+def test_blocks_between_tol_and_dim_tol_take_the_exact_path(times):
+    """At dim 8 and tol 1e-3, p_1 q_0 has F = 5-7 tol, inside the band
+    (tol, dim tol] that certifies neither way, while max|p_1 q_0| is under
+    tol: the pair must take _overlap, which finds no edge there."""
+    tol, dim = 1e-3, 8
+    observables = turned_fourier_model(dim, times * tol)
+    make = lambda: QuantumModel(observables, tau_proj=tol)
+    model, calls = closure_calls(make, 1)
+    assert sorted(model.obs_context.values()) == ["A", "B"]
+    a, b = model.contexts["A"], model.contexts["B"]
+    [(rows, _)] = _certificates([tuple(_bases_of([a, b]))], tol)
+    assert rows is None
+    assert not _overlap(a, b, tol)[1][1, 0]
+    assert calls["unsure"] == 1 and calls["overlap"] >= 1
+    check_gram_matches_exact(make)
+
+
+def test_zero_tolerance_certifies_no_non_edge():
+    """At tau_proj = 0 no block certifies a non-edge, so every pair whose
+    graph is not complete takes _overlap, and the build is unchanged."""
+    z = np.diag([1.0, -1.0])
+    eye = np.eye(2)
+    observables = {
+        "Z0": np.kron(np.kron(z, eye), eye),
+        "Z1": np.kron(np.kron(eye, z), eye),
+        "Y": np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),
+        "W": np.diag([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2.0, 2.0]),
+    }
+    make = lambda: QuantumModel(observables, tau_herm=0, tau_proj=0, tau_eig=0)
+    model, calls = closure_calls(make, 1)
+    assert calls["incomplete"] == 0 and calls["unsure"] > 0
+    check_gram_matches_exact(make)
+
+
+def test_products_are_made_for_join_candidates_only():
+    """On the xz3 golden, every pair the Gram blocks leave to _overlap is a
+    join candidate: incomparable, not certified apart, and commuting."""
+    _, calls = closure_calls(lambda: load_model(str(GOLDEN / "xz3_seed0.json")), 10)
+    assert calls["overlap"] == calls["commute"] == calls["commute_yes"] == 60
 
 
 # -- elementary propositions against the spectral products -----------------------
