@@ -2,9 +2,9 @@
 
 The quantum closure decides, for each pair of contexts a and b, the
 overlap graph ||p_i q_j||_max > tau_proj and whether every p_i commutes
-with every q_j (see quantum._overlap and quantum._commute).  Both are
-read here, where they can be certified, from the Gram matrix
-G = U_a^dagger U_b of two orthonormal bases, one per context, whose
+with every q_j (see quantum._products).  Both are read here, where
+they can be certified, from the Gram matrix G = U_a^dagger U_b of two
+orthonormal bases, one per context, whose
 column groups span the atoms' ranges (see _measured_bases): its blocks'
 Frobenius norms bound max|p_i q_j| within a factor dim, and the
 off-block mass of G Lambda_b G^dagger is ||[p_i, sum_j j q_j]||_F, so a
@@ -40,7 +40,7 @@ def _row_masks(edges: np.ndarray) -> list[int]:
     more than 63 atoms fits.  The ints hold the whole graph, so the order,
     embeddings and components read from them (quantum._embeddings and
     quantum._components) are exact integer work on the one tolerance
-    decision, made by quantum._overlap or certified equal to it (see
+    decision, made by quantum._products or certified equal to it (see
     _certificates)."""
     packed = np.packbits(edges, axis=1, bitorder="little")
     width, raw = packed.shape[1], packed.tobytes()
@@ -119,10 +119,10 @@ def _certificates(
     pairs: Sequence[tuple[_Basis, _Basis]], tol: float
 ) -> list[tuple[list[int] | None, bool]]:
     """For each pair (a, b) of bases, all of one dimension, the row masks of
-    the overlap graph that _overlap would give, or None when a block is not
-    certified, and whether _commute is certified to say no.  Read from the
-    Gram matrices G = U_a^dagger U_b of bounded batches of pairs, the
-    distinct bases stacked once.
+    the overlap graph that the products would give, or None when a block is
+    not certified, and whether the atoms are certified not to commute.
+    Read from the Gram matrices G = U_a^dagger U_b of bounded batches of
+    pairs, the distinct bases stacked once.
 
     Edges: the block G_ij holds the overlaps of the columns of p_i and q_j,
     so for an exactly unitary U, F_ij = ||G_ij||_F = ||p_i q_j||_F, and
@@ -138,7 +138,7 @@ def _certificates(
     Non-commutation: K = G Lambda_b G^dagger, Lambda_b holding the atom
     index of each of b's columns, is sum_j j q_j in a's basis, so
     S_i^2 = 2 sum_{x in i, y not in i} |K_xy|^2 = ||[p_i, sum_j j q_j]||_F^2
-    for exactly unitary U.  If _commute said yes, every max|[p_i, q_j]|
+    for exactly unitary U.  If the products commuted, every max|[p_i, q_j]|
     would be at most tol + 2 delta, and S_i at most m dim (tol + 2 delta)
     with m = n_b (n_b - 1) / 2, up to the terms in o and the rounding of K
     that the threshold adds.  Squares are compared, so no square root is

@@ -26,41 +26,57 @@ qlogic.gram).  A context that enters a closure round of at least
 _MIN_GRAM_PAIRS non-trivial pairs gets an orthonormal basis whose column
 groups span its atoms' ranges, from one eigh of sum_k k p_k, with a
 residual measured once.  A pair with a block the Gram matrix leaves
-undecided, and a join candidate, which needs the products anyway, take
-_overlap and _commute, so every decision equals theirs.  The trivial
-context takes no matrix work: it lies below every other context, its one
-atom mapping to all.
+undecided, and a join candidate, which needs the products anyway, are
+multiplied (see _products), so every decision equals the products'.  The
+trivial context takes no matrix work: it lies below every other context,
+its one atom mapping to all.
+
+Each closure round runs in two passes over its pairs, fixed when it
+starts (see QuantumModel._round): the first reads the graphs from their
+certificates, records the comparable pairs' embeddings and lists the
+meets and join candidates in pair order; the second settles them in that
+order.  The round's numpy work is done in bounded batches, a few calls
+over many small matrices instead of many calls over one each, as in
+batched BLAS (Dongarra et al., 2017): the join candidates' products,
+graphs, commutation and probe values in runs of at most _GRAM_ENTRIES
+complex entries, one run alive at a time, and at the round's end the
+check of its new contexts as resolutions of the identity (see _issues),
+which also keeps their probe values.
 
 A context with n atoms p_k is looked up among the stored ones in a grid
-hash on (n, f // w) with f = sum_k <v, p_k v>^2 for a fixed unit probe v
-and a cell width w = 4 n dim tau_proj, wide enough that every stored
-context with the same atoms within tau_proj lies in the context's cell or
-a neighbour (see QuantumModel._find_equal).  Each stored context is held
-as its atoms alone.  The closure settles every candidate (the trivial
-context, an observable's, a meet or a join) the same way before it builds
-it: the key comes from the candidate's atoms, the stored contexts in its
-cells are compared with them, and only a candidate that matches none is
-sorted, named, checked as a resolution of the identity and stored (see
-QuantumModel._settle).  A meet is settled once per (context, component
-masks): the same key always forms the same candidate, bit for bit, and
-the store only appends, so the memo returns what settling again would
-(see QuantumModel._add_meet).  The closure records each comparable pair's
-embedding as it finds the pair.
+hash on (n, f // w) with f = sum_k x_k^2 over its probe values
+x_k = <v, p_k v> for a fixed unit probe v, and a cell width
+w = 4 n dim tau_proj + dim^3 2^-44, wide enough that every stored context
+with the same atoms within tau_proj lies in the context's cell or a
+neighbour, whichever rounding path the values took: a meet's are summed
+from its parent's, a join's come with its products (see
+QuantumModel._find_equal and _cell).  Each stored context is held as its
+atoms alone.  The closure settles every candidate (the trivial context,
+an observable's, a meet or a join) the same way before it builds it: the
+stored contexts in its key's cells are compared with its atoms, and only
+a candidate that matches none is sorted, named and stored, to be checked
+at the end of its round (see QuantumModel._settle and _check).  A meet
+is settled once per (context, component masks): the same key always
+forms the same candidate, bit for bit, and the store only appends, so
+the memo returns what settling again would (see QuantumModel._add_meet).
+The closure records each comparable pair's embedding as it finds the
+pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, StructureError
 from .formulas import WORD
-from .gram import _Basis, _bases_of, _certificates, _row_masks
+from .gram import _GRAM_ENTRIES, _Basis, _bases_of, _certificates, _row_masks
 from .poset import ContextPoset, LocalAlgebra, _bits
 from .sections import BOTTOM, ElementaryProposition, Frame
 
@@ -170,15 +186,17 @@ def spectral_projection(
 def _atom_order(stack: np.ndarray) -> list[int]:
     """Indices that sort a stack of atoms by rank, then by the moment
     sum_i i p_ii rounded to 6 digits, then by the entries rounded to 6
-    digits, real parts before imaginary parts."""
+    digits, real parts before imaginary parts.  The entries are read only
+    when two atoms tie on (rank, moment): the sort is stable, so without a
+    tie they decide nothing."""
     n, dim, _ = stack.shape
     diag = np.diagonal(stack, axis1=1, axis2=2)
     ranks = np.rint(np.sum(diag, axis=1).real).astype(int).tolist()
-    moments = np.sum(diag * np.arange(dim), axis=1).real.tolist()
-    flat = np.round(stack, 6).reshape(n, -1)
-    keys = list(
-        zip(ranks, (round(m, 6) for m in moments), flat.real.tolist(), flat.imag.tolist())
-    )
+    moments = [round(m, 6) for m in np.sum(diag * np.arange(dim), axis=1).real.tolist()]
+    keys = list(zip(ranks, moments))
+    if len(set(keys)) < n:
+        flat = np.round(stack, 6).reshape(n, -1)
+        keys = list(zip(ranks, moments, flat.real.tolist(), flat.imag.tolist()))
     return sorted(range(n), key=keys.__getitem__)
 
 
@@ -215,25 +233,78 @@ def same_atoms(
 
 def validate_resolution(atoms: Sequence[np.ndarray], tol: float = TAU_PROJ) -> list[str]:
     """What keeps the atoms from being non-zero, pairwise orthogonal
-    projections that sum to the identity, each within tol in max-abs;
-    all pairwise products come from one batched matmul."""
-    a = np.asarray(atoms)
-    n, dim = len(a), a.shape[1]
-    prods = np.matmul(a[:, None], a[None])
-    herm = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= tol
-    idem = np.abs(prods[np.arange(n), np.arange(n)] - a).max(axis=(1, 2)) <= tol
-    zero = np.abs(a).max(axis=(1, 2)) <= tol
-    apart = (np.abs(prods).max(axis=(2, 3)) > tol).tolist()
-    issues = []
-    for i in range(n):
-        if not (herm[i] and idem[i]):
-            issues.append(f"atom {i} is not a projection")
-        if zero[i]:
-            issues.append(f"atom {i} is zero")
-        issues += [f"atoms {i},{j} are not orthogonal" for j in range(i + 1, n) if apart[i][j]]
-    if _maxabs(a.sum(axis=0) - np.eye(dim)) > tol:
-        issues.append("atoms do not sum to the identity")
-    return issues
+    projections that sum to the identity, each within tol in max-abs: the
+    one-stack call of _issues."""
+    return _issues(np.asarray(atoms)[None], tol)[0]
+
+
+def _issues(a: np.ndarray, tol: float) -> list[list[str]]:
+    """validate_resolution's issues of each stack a[s] of a (k, n, dim, dim)
+    batch, in its order: per atom i, not a projection (Hermitian and
+    p_i p_i = p_i), zero, then not orthogonal to each later atom j
+    (p_i p_j = 0); last, not summing to the identity.  The products p_i p_i
+    and p_i p_j, i < j, of all the stacks are made in chunks of at most
+    _GRAM_ENTRIES entries, or one product, never as one (n, n) table."""
+    k, n, dim = a.shape[:3]
+    flat = a.reshape(k * n, dim, dim)
+    herm = np.abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    zero = np.abs(flat).max(axis=(1, 2))
+    whole = np.abs(a.sum(axis=1) - np.eye(dim)).max(axis=(1, 2))
+    step = max(1, _GRAM_ENTRIES // dim**2)
+    idem = np.empty(k * n)
+    for lo in range(0, k * n, step):
+        p = flat[lo : lo + step]
+        idem[lo : lo + step] = np.abs(p @ p - p).max(axis=(1, 2))
+    left, right = _upper(k, n)
+    apart = np.empty(len(left))
+    for lo in range(0, len(left), step):
+        p = flat[left[lo : lo + step]] @ flat[right[lo : lo + step]]
+        apart[lo : lo + step] = np.abs(p).max(axis=(1, 2))
+    proj = ((herm <= tol) & (idem <= tol)).reshape(k, n).tolist()
+    zero = (zero <= tol).reshape(k, n).tolist()
+    apart = (apart > tol).reshape(k, -1).tolist()
+    out = []
+    for s in range(k):
+        issues = []
+        pairs = iter(apart[s])
+        for i in range(n):
+            if not proj[s][i]:
+                issues.append(f"atom {i} is not a projection")
+            if zero[s][i]:
+                issues.append(f"atom {i} is zero")
+            issues += [f"atoms {i},{j} are not orthogonal" for j in range(i + 1, n) if next(pairs)]
+        if whole[s] > tol:
+            issues.append("atoms do not sum to the identity")
+        out.append(issues)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _upper(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atom indices i < j of the pairs within each of k stacks of n atoms
+    held one after another, row by row: (0, 1), (0, 2), ..., (1, 2), ..."""
+    i, j = np.triu_indices(n, 1)
+    at = n * np.arange(k)[:, None]
+    return (at + i).ravel(), (at + j).ravel()
+
+
+def _batches(stacks: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(indices, batch) for stacks of atoms of one dimension: stacks of the
+    same atom count, stacked as a (k, n, dim, dim) batch of at most
+    _GRAM_ENTRIES entries, or one stack alone, as _issues takes them."""
+    groups: dict[int, list[int]] = {}
+    for s, atoms in enumerate(stacks):
+        groups.setdefault(len(atoms), []).append(s)
+    for members in groups.values():
+        per = max(1, _GRAM_ENTRIES // max(1, stacks[members[0]].size))
+        for lo in range(0, len(members), per):
+            batch = members[lo : lo + per]
+            yield batch, _stacked([stacks[s] for s in batch])
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked along a new first axis; a lone one as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,28 +346,35 @@ def generated_context(
     return _spectral_context(spectral_decompose(h, tau_herm, tau_eig), name, h.shape[0])
 
 
-def _overlap(
-    c1: QuantumContext, c2: QuantumContext, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All atom products prods[i, j] = p_i q_j of two contexts, and the
-    overlap graph edges[i, j] = ||p_i q_j||_max > tol."""
-    prods = np.matmul(c1.atoms[:, None], c2.atoms[None])
-    return prods, np.abs(prods).max(axis=(2, 3)) > tol
-
-
-def _commute(prods: np.ndarray, tol: float) -> bool:
-    """Whether the atoms whose products _overlap returned commute within tol:
-    p q - q p = p q - (p q)^dagger for Hermitian p and q.  A pair that does
-    not commute mostly shows it in the first atom's products, so those are
-    tested alone first.  The adjoints are copied out contiguous, which a
-    subtraction of the strided view makes several times slower at dim 16."""
-    first = prods[:1]
-    if _maxabs(first - first.conj().swapaxes(-1, -2)) > tol:
-        return False
-    d = np.ascontiguousarray(prods.swapaxes(-1, -2))
-    np.conjugate(d, out=d)
-    np.subtract(prods, d, out=d)
-    return _maxabs(d) <= tol
+def _products(
+    pairs: Sequence[tuple[QuantumContext, QuantumContext]], tol: float, probe: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, bool, np.ndarray]]:
+    """For each pair (c1, c2) of contexts, all of one dimension: the atom
+    products prods[i, j] = p_i q_j, the overlap graph edges[i, j] =
+    ||p_i q_j||_max > tol, whether the atoms commute within tol, and the
+    probe values x[i, j] = <v, p_i q_j v>.  The pairs of the same atom
+    counts are multiplied in one batch, each product made alone, as the
+    pair's own (n1, n2) batch would make it.  Commutation is read off the
+    products: p q - q p = p q - (p q)^dagger for Hermitian p and q."""
+    out: list = [None] * len(pairs)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for t, (c1, c2) in enumerate(pairs):
+        groups.setdefault((len(c1.atoms), len(c2.atoms)), []).append(t)
+    for ts in groups.values():
+        a = _stacked([pairs[t][0].atoms for t in ts])
+        b = _stacked([pairs[t][1].atoms for t in ts])
+        prods = a[:, :, None] @ b[:, None]
+        edges = np.abs(prods).max(axis=(3, 4)) > tol
+        # the adjoints copied out contiguous, which a subtraction of the
+        # strided view makes several times slower at dim 16
+        d = np.ascontiguousarray(prods.swapaxes(3, 4))
+        np.conjugate(d, out=d)
+        np.subtract(prods, d, out=d)
+        commute = (np.abs(d).max(axis=(1, 2, 3, 4)) <= tol).tolist()
+        x = ((prods @ probe) @ probe.conj()).real
+        for t, p, e, c, xt in zip(ts, prods, edges, commute, x):
+            out[t] = (p, e, c, xt)
+    return out
 
 
 def _embeddings(rows: list[int], n2: int) -> tuple[list[int] | None, list[int] | None]:
@@ -354,8 +432,10 @@ class QuantumModel:
     poset: ContextPoset = field(init=False)
     frame: Frame = field(init=False)
     _probe: np.ndarray = field(init=False, repr=False)
-    # (number of atoms, cell) -> [(insertion index, context id)], see _key
+    # (number of atoms, cell) -> [(insertion index, context id)], see _cell
     _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(init=False, repr=False)
+    # context id -> its atoms' probe values <v, p_k v>, kept by _check
+    _x: dict[str, list[float]] = field(init=False, repr=False)
     # (context, its atoms' component masks) -> the id of that meet, see _add_meet
     _meets: dict[tuple[str, tuple[int, ...]], str] = field(init=False, repr=False)
     # observable -> the atom of its context for each of its eigenvalue clusters
@@ -400,9 +480,12 @@ class QuantumModel:
         an atom q_k, max|p_k - q_k| <= tau, so |<v, p_k v> - <v, q_k v>| <=
         ||p_k - q_k||_2 <= dim tau for the unit probe v.  Clipped to [0, 1],
         which moves no two values apart, each square moves by at most
-        2 dim tau, and f by at most 2 n dim tau, half the cell width: every
-        match lies in the key's cell or a neighbour, and the earliest of
-        those is the earliest of all.
+        2 dim tau, and the exact f by at most 2 n dim tau.  Each key's f is
+        within r / 4 of its atoms' exact f, whichever rounding path it took
+        (see _cell), so two matching keys' f differ by at most half the cell
+        width, 2 n dim tau + r / 2, and their f / w, rounded once more, by
+        less than 1, at tau_proj = 0 too: every match lies in the key's cell
+        or a neighbour, and the earliest of those is the earliest of all.
         """
         n, cell = key
         for _, cid in sorted(
@@ -412,35 +495,67 @@ class QuantumModel:
                 return cid
         return None
 
-    def _key(self, atoms: np.ndarray) -> tuple[int, int]:
-        """(n, f // (4 n dim tau_proj)) for a stack of n atoms p_k, with
-        f = sum_k x_k^2 over their probe values x_k = <v, p_k v>, each
-        clipped to [0, 1]; the width has 1e-12 more for the rounding of f."""
-        x = (atoms @ self._probe).dot(self._probe.conj()).real.tolist()
+    def _cell(self, x: Sequence[float]) -> tuple[int, int]:
+        """(n, f // w) for the probe values x_k = <v, p_k v> of n atoms, with
+        f = sum_k x_k^2, each x_k clipped to [0, 1], and the cell width
+        w = 4 n dim tau_proj + r, r = dim^3 2^-44 for rounding.
+
+        The values are an atom's own, (p v) . conj(v) (_key, _check, and a
+        join's from _products), or a meet's, summed from its parent's over a
+        component (_add_meet).  With u = 2^-53 and gamma_k = k u / (1 - k u),
+        Higham's bound on an inner product of length k (Accuracy and
+        Stability of Numerical Algorithms, ch. 3) puts an atom's own value
+        within 3 gamma_(dim+2) |v|^T |p| |v| <= 6 gamma_(dim+2) dim of
+        <v, p v> for entries of p at most 2, as near-projections and their
+        products have.  A meet's sum over m parent atoms adds its own
+        rounding and that of the summed atom, each at most 2 gamma_m m dim.
+        Over at most dim atoms and components, with |a^2 - b^2| <= 2|a - b|
+        on [0, 1] and the rounding of f, every path puts f within
+        21.5 dim^2 (dim + 2) u <= r / 4 of its exact value."""
         n = len(x)
         f = sum(min(max(xk, 0.0), 1.0) ** 2 for xk in x)
-        return n, math.floor(f / (4 * n * self.dim * self.tau_proj + 1e-12))
+        return n, math.floor(f / (4 * n * self.dim * self.tau_proj + self.dim**3 * 2**-44))
 
-    def _settle(self, atoms: np.ndarray, new: Callable[[], tuple[str, QuantumContext]]) -> str:
-        """The id of the earliest stored context whose atoms match `atoms`;
-        only when none does, new() gives the (id, context) with these atoms,
-        which is checked as a resolution of the identity and stored."""
-        key = self._key(atoms)
+    def _key(self, atoms: np.ndarray) -> tuple[int, int]:
+        """The key (see _cell) of a stack of atoms from their own probe values."""
+        return self._cell((atoms @ self._probe).dot(self._probe.conj()).real.tolist())
+
+    def _settle(
+        self, key: tuple[int, int], atoms: np.ndarray, new: Callable[[], tuple[str, QuantumContext]]
+    ) -> str:
+        """The id of the earliest stored context whose atoms match `atoms`,
+        looked up under their key; only when none does, new() gives the
+        (id, context) with these atoms, which is stored, and checked with the
+        rest of its round (see _check)."""
         found = self._find_equal(atoms, key)
         if found is not None:
             return found
         cid, ctx = new()
-        for issue in validate_resolution(ctx.atoms, self.tau_proj):
-            raise StructureError(f"context {cid!r}: {issue}")
         self._cells.setdefault(key, []).append((len(self.contexts), cid))
         self.contexts[cid] = ctx
         return cid
 
+    def _check(self, start: int) -> None:
+        """Checks the contexts stored from insertion index `start` on as
+        resolutions of the identity, in bounded batches (see _batches), and
+        keeps their probe values; raises the first issue of the first
+        failing context in store order."""
+        fresh = list(self.contexts)[start:]
+        found: list = [None] * len(fresh)
+        for batch, a in _batches([self.contexts[c].atoms for c in fresh]):
+            x = ((a @ self._probe) @ self._probe.conj()).real.tolist()
+            for s, issues, xs in zip(batch, _issues(a, self.tau_proj), x):
+                found[s] = issues
+                self._x[fresh[s]] = xs
+        for cid, issues in zip(fresh, found):
+            if issues:
+                raise StructureError(f"context {cid!r}: {issues[0]}")
+
     def _add_meet(self, a: str, b: str, comps: tuple[int, ...]) -> str:
         """The id of the meet of contexts a and b, whose overlap graph has the
         components `comps` (masks of a's atoms, see _components): its atoms
-        are the sums of a's atoms over the components, sorted and named only
-        for a new context.
+        are the sums of a's atoms over the components, keyed from the sums
+        of a's probe values, sorted and named only for a new context.
 
         Settled once per (a, comps): the candidate is stacked from a's stored
         atoms, summed in index order, so the same key always forms a
@@ -451,27 +566,31 @@ class QuantumModel:
         key = (a, comps)
         cid = self._meets.get(key)
         if cid is None:
-            atoms = self.contexts[a].atoms
-            meet = np.stack([sum(atoms[i] for i in _bits(m)) for m in comps])
+            atoms, x = self.contexts[a].atoms, self._x[a]
+            parts = [list(_bits(m)) for m in comps]
+            meet = np.stack([sum(atoms[i] for i in part) for part in parts])
 
             def new() -> tuple[str, QuantumContext]:
                 k = _atom_order(meet)
                 return f"({a}^{b})", QuantumContext(tuple(f"m{i}" for i in range(len(k))), meet[k])
 
-            cid = self._meets[key] = self._settle(meet, new)
+            cell = self._cell([sum(x[i] for i in part) for part in parts])
+            cid = self._meets[key] = self._settle(cell, meet, new)
         return cid
 
-    def _add_join(self, a: str, b: str, prods: np.ndarray, edges: np.ndarray) -> str:
-        """The id of the join of commuting contexts a and b, whose atoms are
-        the non-zero products prods[edges], named only for a new context."""
-        atoms = prods[edges]
-
-        def new() -> tuple[str, QuantumContext]:
-            na, nb = self.contexts[a].atom_names, self.contexts[b].atom_names
-            names = tuple(f"{na[i]}.{nb[j]}" for i, j in np.argwhere(edges).tolist())
-            return f"{a}*{b}", QuantumContext(names, atoms)
-
-        return self._settle(atoms, new)
+    def _run(self, todo: list, k: int) -> dict:
+        """(a, b) -> the products (see _products) of the join candidates of
+        todo from index k on, as many as hold at most _GRAM_ENTRIES entries
+        of products, or the first alone."""
+        run, size = [], 0
+        for a, b, _, join in itertools.islice(todo, k, None):
+            if join:
+                size += len(self.contexts[a].atoms) * len(self.contexts[b].atoms) * self.dim**2
+                if run and size > _GRAM_ENTRIES:
+                    break
+                run.append((a, b))
+        pairs = [(self.contexts[a], self.contexts[b]) for a, b in run]
+        return dict(zip(run, _products(pairs, self.tau_proj, self._probe)))
 
     def _certify(
         self, pairs: list[tuple[str, str]]
@@ -491,36 +610,95 @@ class QuantumModel:
         certs = _certificates([(self._bases[a], self._bases[b]) for a, b in based], self.tau_proj)
         return dict(zip(based, certs))
 
+    def _round(self, pairs: list[tuple[str, str]], images: dict) -> None:
+        """One closure round over its pairs, in two passes.  The first reads
+        each pair's graph from its certificate, records a comparable pair's
+        embeddings, and lists the meet (by components) and whether the pair
+        is a join candidate, not certified apart; a pair without a certified
+        graph is listed for its products.  The second settles the list in
+        order, the join candidates' products made a bounded run at a time
+        (see _run), one run alive at once."""
+
+        def ordered(a: str, b: str, rows: list[int]) -> bool:
+            up, down = _embeddings(rows, len(self.contexts[b].atoms))
+            if up is not None:
+                images[a, b] = up
+            if down is not None:
+                images[b, a] = down
+            return up is not None or down is not None
+
+        certified = self._certify([ab for ab in pairs if TRIVIAL_ID not in ab])
+        todo = []  # (a, b, components or None for a graph still to make, products needed)
+        for a, b in pairs:
+            if TRIVIAL_ID in (a, b):
+                other = b if a == TRIVIAL_ID else a
+                images[TRIVIAL_ID, other] = [(1 << len(self.contexts[other].atoms)) - 1]
+                continue
+            rows, apart = certified.get((a, b), (None, False))
+            if rows is None:
+                todo.append((a, b, None, True))
+            elif not ordered(a, b, rows):
+                todo.append((a, b, _components(rows), not apart))
+        run: dict = {}
+        for k, (a, b, comps, join) in enumerate(todo):
+            if join:
+                if (a, b) not in run:
+                    prods = edges = x = None  # the last run goes before the next is made
+                    run = self._run(todo, k)
+                prods, edges, commute, x = run.pop((a, b))
+            if comps is None:
+                rows = _row_masks(edges)
+                if ordered(a, b, rows):
+                    continue
+                comps = _components(rows)
+            self._add_meet(a, b, comps)
+            if join and commute:
+                atoms = prods[edges]
+
+                def new() -> tuple[str, QuantumContext]:
+                    na, nb = self.contexts[a].atom_names, self.contexts[b].atom_names
+                    names = tuple(f"{na[i]}.{nb[j]}" for i, j in np.argwhere(edges).tolist())
+                    return f"{a}*{b}", QuantumContext(names, atoms)
+
+                self._settle(self._cell(x[edges].tolist()), atoms, new)
+
     def _build(self):
         self.contexts = {}
         self.obs_context = {}
-        # the probe of the dedup grid (_key), in closed form
+        # the probe of the dedup grid (_cell), in closed form
         idx = np.arange(1, self.dim + 1)
         probe = np.sqrt(idx) * np.exp(1j * idx * 0.6180339887498949)
         self._probe = probe / np.linalg.norm(probe)
         self._cells = {}
+        self._x = {}
         trivial = _trivial_context(self.dim)
-        self._settle(trivial.atoms, lambda: (TRIVIAL_ID, trivial))
+        self._settle(self._key(trivial.atoms), trivial.atoms, lambda: (TRIVIAL_ID, trivial))
+        # the identity's check in closed form: its one issue as a resolution
+        # is that its atom counts as zero within tol >= 1
+        if self.tau_proj >= 1:
+            raise StructureError(f"context {TRIVIAL_ID!r}: atom 0 is zero")
         # an observable's eigenvalue cluster k is atom k of its own context,
         # or the atom that _find_equal's match paired it with
         self._cluster_atoms = {}
         for name in sorted(self.observables):
             ctx = _spectral_context(self.spectra[name], name, self.dim)
-            cid = self.obs_context[name] = self._settle(ctx.atoms, lambda: (name, ctx))
+            key = self._key(ctx.atoms)
+            cid = self.obs_context[name] = self._settle(key, ctx.atoms, lambda: (name, ctx))
             stored = self.contexts[cid]
             if stored is ctx:
                 ks = range(len(ctx.atoms))
             else:
                 ks = _pairing(ctx.atoms, stored.atoms, self.tau_proj)
             self._cluster_atoms[name] = tuple(stored.atom_names[k] for k in ks)
+        self._check(1)
         # close under pairwise meets and commuting joins; a pair taken once
         # yields no new context when taken again, so each pair is taken once,
-        # in sorted order.  The trivial context lies below every other, its
-        # one atom mapping to all of theirs.  A comparable pair has the pair
+        # in sorted order, and a round's pairs are fixed when it starts: a
+        # context it stores is checked at its end before any product is
+        # made of it.  The trivial context lies below every other, its one
+        # atom mapping to all of theirs.  A comparable pair has the pair
         # itself as meet and join, both stored already; its embedding is read
-        # off the overlap graph's row masks.  _overlap and _commute decide
-        # what the Gram blocks do not certify, and make the products of a
-        # join candidate
+        # off the overlap graph's row masks
         self._meets = {}
         self._bases = {}
         taken: set[tuple[str, str]] = set()
@@ -529,32 +707,9 @@ class QuantumModel:
             ab for ab in itertools.combinations(sorted(self.contexts), 2) if ab not in taken
         ]:
             taken.update(pairs)
-            certified = self._certify([ab for ab in pairs if TRIVIAL_ID not in ab])
-            for a, b in pairs:
-                if TRIVIAL_ID in (a, b):
-                    other = b if a == TRIVIAL_ID else a
-                    images[TRIVIAL_ID, other] = [(1 << len(self.contexts[other].atoms)) - 1]
-                    continue
-                ca, cb = self.contexts[a], self.contexts[b]
-                rows, apart = certified.get((a, b), (None, False))
-                prods = None
-                if rows is None:
-                    prods, e = _overlap(ca, cb, self.tau_proj)
-                    rows = _row_masks(e)
-                up, down = _embeddings(rows, len(cb.atoms))
-                if up is not None:
-                    images[a, b] = up
-                if down is not None:
-                    images[b, a] = down
-                if up is not None or down is not None:
-                    continue
-                self._add_meet(a, b, _components(rows))
-                if apart:
-                    continue
-                if prods is None:
-                    prods, e = _overlap(ca, cb, self.tau_proj)
-                if _commute(prods, self.tau_proj):
-                    self._add_join(a, b, prods, e)
+            start = len(self.contexts)
+            self._round(pairs, images)
+            self._check(start)
         contexts = {
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()
         }

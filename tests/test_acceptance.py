@@ -4,6 +4,9 @@ One test per criterion; each prints a single PASS line (visible with -s or
 on failure) and enforces its stated runtime budget.
 """
 
+import functools
+import itertools
+import operator
 import time
 
 import numpy as np
@@ -23,8 +26,10 @@ from qlogic.bell import (
     theorem1_slack,
 )
 from qlogic.bridge import classical_bridge
+from qlogic.errors import ResourceLimitError
 from qlogic.hasse import export_dot, hasse_edges, section_label
 from qlogic.quantum import (
+    QuantumModel,
     generated_context,
     same_atoms,
     spectral_decompose,
@@ -214,6 +219,72 @@ def test_criterion_5_strict_negation_gap(one_qubit_model):
     )
     print("ACCEPTANCE 5 PASS: S(Sz,-1) < neg S(Sz,+1), strict exactly at Sx "
           "(BOT vs TOP)")
+
+
+def outcomes(model, name: str) -> list:
+    """The values an elementary proposition of the observable ranges over:
+    a quantum observable's clustered eigenvalues, a classical one's range."""
+    if isinstance(model, QuantumModel):
+        return list(model.spectra[name].eigenvalues)
+    return sorted(model.observables[name].range(), key=repr)
+
+
+def check_negation_closed_forms(model):
+    """Criterion 5's closed forms, for every observable A and every subset
+    Delta of its outcomes: S(A, Delta^c) <= ~S(A, Delta), and S v ~S is
+    empty at the least context for every non-bottom S = S(A, Delta) whose
+    context is not the least.  Where the guard allows the enumeration, ~S
+    is also compared with the join of every section whose meet with S is
+    bottom."""
+    frame, least = model.frame, model.poset.least
+    try:
+        upsets = frame._upsets()
+    except ResourceLimitError:
+        upsets = None
+    for name in model.observables:
+        values = outcomes(model, name)
+        for r in range(len(values) + 1):
+            for delta in itertools.combinations(values, r):
+                e = model.elementary(name, delta)
+                s = frame.embed_elementary(e)
+                neg = frame.neg(s)
+                rest = frame.embed_elementary(model.elementary(name, [v for v in values if v not in delta]))
+                assert frame.leq(rest, neg), (name, delta)
+                if upsets is not None:
+                    mask = frame._mask(s)
+                    disjoint = functools.reduce(operator.or_, (u for u in upsets if not u & mask), 0)
+                    assert frame._mask(neg) == disjoint, (name, delta)
+                if not e.is_bottom and e.context != least:
+                    assert frame.evaluate_at(frame.join([s, neg]), least) == frozenset(), (name, delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_criterion_5_on_classical_models(data):
+    """1-12 points, 1-3 observables of up to 3 values."""
+    n = data.draw(st.integers(1, 12))
+    points = [f"w{i}" for i in range(n)]
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    k = data.draw(st.integers(1, 3))
+    check_negation_closed_forms(
+        _model(points, {f"O{j}": dict(zip(points, data.draw(labels))) for j in range(k)})
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    axes=st.lists(
+        st.tuples(st.integers(0, 180), st.integers(0, 359)), min_size=1, max_size=4
+    )
+)
+def test_criterion_5_on_qubit_models(axes):
+    check_negation_closed_forms(qubit_axes_model(axes))
+
+
+@settings(max_examples=10, deadline=None)
+@given(angles=st.tuples(*[st.integers(0, 359)] * 4))
+def test_criterion_5_on_chsh_models(angles):
+    check_negation_closed_forms(build_chsh_frame(BellScenario.from_angles(*angles)).model)
 
 
 def test_criterion_6_theorem1():

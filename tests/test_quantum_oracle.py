@@ -24,6 +24,7 @@ checked against the atoms under the summed spectral projections.
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -40,16 +41,18 @@ from qlogic import (
 from qlogic import quantum
 from qlogic.bell import BellScenario, build_chsh_frame
 from qlogic.cli import load_model
+from qlogic.errors import StructureError
 from qlogic.gram import _bases_of, _certificates
 from qlogic.quantum import (
     TAU_PROJ,
     QuantumContext,
     _atom_order,
-    _commute,
+    _batches,
     _components,
     _embeddings,
+    _issues,
     _maxabs,
-    _overlap,
+    _products,
     _row_masks,
     is_projection,
     same_atoms,
@@ -104,6 +107,29 @@ def contexts_commute(c1, c2, tol=TAU_PROJ) -> bool:
     return all(_maxabs(p @ q - q @ p) <= tol for p in c1.atoms for q in c2.atoms)
 
 
+def _overlap(c1, c2, tol):
+    """All atom products prods[i, j] = p_i q_j of one pair of contexts, made
+    as the pair's own batch, and the overlap graph ||p_i q_j||_max > tol."""
+    prods = np.matmul(c1.atoms[:, None], c2.atoms[None])
+    return prods, np.abs(prods).max(axis=(2, 3)) > tol
+
+
+def _commute(prods: np.ndarray, tol: float) -> bool:
+    """Whether the atoms whose products _overlap returned commute within tol,
+    p q - (p q)^dagger = p q - q p for Hermitian p and q, the first atom's
+    products tested alone first, as the closure once did per pair."""
+    first = prods[:1]
+    if _maxabs(first - first.conj().swapaxes(-1, -2)) > tol:
+        return False
+    return _maxabs(prods - prods.conj().swapaxes(-1, -2)) <= tol
+
+
+def products_of(model, a: str, b: str):
+    """The closure's products, graph, commutation and probe values of one pair."""
+    [got] = _products([(model.contexts[a], model.contexts[b])], model.tau_proj, model._probe)
+    return got
+
+
 def oracle_join_atoms(c1, c2, tol=TAU_PROJ) -> list:
     return [p @ q for p in c1.atoms for q in c2.atoms if _maxabs(p @ q) > tol]
 
@@ -126,7 +152,7 @@ def check_closure(model: QuantumModel):
                 meet = model.contexts[poset.meet_contexts(a, b)]
                 assert same_atoms(meet.atoms, oracle_meet_atoms(ca, cb)), (a, b)
                 commute = contexts_commute(ca, cb)
-                assert _commute(_overlap(ca, cb, TAU_PROJ)[0], TAU_PROJ) == commute, (a, b)
+                assert products_of(model, a, b)[2] == commute, (a, b)
                 if commute:
                     join = model.contexts[poset.try_join_contexts(a, b)]
                     assert same_atoms(join.atoms, oracle_join_atoms(ca, cb)), (a, b)
@@ -359,9 +385,10 @@ def test_find_equal_matches_a_scan_of_every_context(monkeypatch, name):
         m.setattr(QuantumModel, "_find_equal", lambda self, atoms, key: None)
         for cid, ctx in stored:
             copy = rotation(ctx, g)(0.6 * tau)
-            model._settle(copy.atoms, lambda: (f"{cid}#copy", copy))
+            model._settle(model._key(copy.atoms), copy.atoms, lambda: (f"{cid}#copy", copy))
             inside, outside = across_a_wall(model, ctx, g)
-            walls.append((model._settle(inside.atoms, lambda: (f"{cid}#wall", inside)), outside))
+            settled = model._settle(model._key(inside.atoms), inside.atoms, lambda: (f"{cid}#wall", inside))
+            walls.append((settled, outside))
     for q in queries:
         assert model._find_equal(q.atoms, model._key(q.atoms)) == oracle_find_equal(model, q)
     for cid, q in walls:
@@ -551,9 +578,10 @@ def probe_f(model, atoms) -> float:
 
 def check_dedup_before_build(model):
     """Each meet and join candidate of a closed model is stored already: the
-    dedup, keyed from the candidate's own atoms, must return what a scan of
-    every context does and store nothing.  The meet memo is emptied before
-    each meet, so that the dedup itself answers."""
+    dedup, keyed from the candidate's probe values as the closure keys it
+    (a meet's from its parent's, a join's from its products), must return
+    what a scan of every context does and store nothing.  The meet memo is
+    emptied before each meet, so that the dedup itself answers."""
     ids = list(model.contexts)
     for a, b, prods, e in incomparable_pairs(model):
         ca = model.contexts[a]
@@ -563,9 +591,12 @@ def check_dedup_before_build(model):
         assert want is not None
         model._meets.clear()
         assert model._add_meet(a, b, _components(_row_masks(e))) == want, (a, b)
-        if _commute(prods, model.tau_proj):
+        got, edges, commute, x = products_of(model, a, b)
+        if commute:
             join = QuantumContext(tuple(map(str, range(e.sum()))), prods[e])
-            assert model._add_join(a, b, prods, e) == oracle_find_equal(model, join), (a, b)
+            new = lambda: (f"{a}*{b}#new", join)
+            settled = model._settle(model._cell(x[edges].tolist()), got[edges], new)
+            assert settled == oracle_find_equal(model, join), (a, b)
     assert list(model.contexts) == ids
 
 
@@ -634,8 +665,8 @@ def test_meet_memo_matches_the_fresh_settle_on_random_families(observables):
 
 
 def test_meet_dedup_finds_its_match_across_a_cell_wall():
-    """The meet of O0 and O1 is keyed from its atoms just above a cell wall
-    (tau_proj is set so), and an extra observable W generates that meet
+    """The meet of O0 and O1 is keyed just above a cell wall (tau_proj is
+    set so), and an extra observable W generates that meet
     turned by at most 0.9 tau_proj to just below the wall: the closure must
     take W, from the neighbouring cell, as the meet and store nothing new."""
     for seed in range(13, 60):
@@ -646,8 +677,9 @@ def test_meet_dedup_finds_its_match_across_a_cell_wall():
     else:
         raise AssertionError("no seed gives a new meet of O0 and O1")
     n, f = len(model.contexts["(O0^O1)"].atoms), probe_f(model, model.contexts["(O0^O1)"].atoms)
-    below = math.floor(f / (4 * n * model.dim * 1e-3))
-    tau = (f / (below + 0.02) - 1e-12) / (4 * n * model.dim)
+    rounding = model.dim**3 * 2**-44  # the cell width's allowance, see QuantumModel._cell
+    below = math.floor(f / (4 * n * model.dim * 1e-3 + rounding))
+    tau = (f / (below + 0.02) - rounding) / (4 * n * model.dim)
     model = QuantumModel(obs, tau_proj=tau)
     meet = model.contexts["(O0^O1)"]
     key = model._key(meet.atoms)
@@ -761,14 +793,11 @@ def turn(v: np.ndarray, i: int, sine: float) -> np.ndarray:
     return v
 
 
-@st.composite
-def context_pairs(draw):
-    """Two contexts on C^dim, dim 2-8, of at least two atoms of random
-    ranks.  b's unitary is a's with its columns shuffled (the pair
-    commutes), that with two neighbouring columns turned a little or a lot
-    (the pair shares the other columns), or a fresh one."""
-    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.integers(2, 8))
+def draw_pair(draw, g: np.random.Generator, dim: int) -> tuple:
+    """Two contexts on C^dim of at least two atoms of random ranks.  b's
+    unitary is a's with its columns shuffled (the pair commutes), that with
+    two neighbouring columns turned a little or a lot (the pair shares the
+    other columns), or a fresh one."""
 
     def sizes() -> list[int]:
         cuts = sorted(draw(st.sets(st.integers(1, dim - 1), min_size=1, max_size=dim - 1)))
@@ -780,6 +809,13 @@ def context_pairs(draw):
     if kind == "turned":
         v = turn(v, draw(st.integers(0, dim - 2)), draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.3])))
     return grouped_context(u, sizes()), grouped_context(v, sizes())
+
+
+@st.composite
+def context_pairs(draw):
+    """A pair of contexts (see draw_pair) on C^dim, dim 2-8."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return draw_pair(draw, g, draw(st.integers(2, 8)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -886,20 +922,17 @@ def turned_fourier_model(dim: int, sine: float) -> dict:
 
 def closure_calls(make, gram_pairs: float) -> tuple[QuantumModel, Counter]:
     """The model make() builds when every round of at least gram_pairs
-    non-trivial pairs reads Gram blocks, and the number of _overlap and
-    _commute calls and of certificates without a graph."""
+    non-trivial pairs reads Gram blocks, and the number of pairs multiplied
+    (the rows of _products), of those found commuting, and of certificates
+    without a graph."""
     calls: Counter = Counter()
-    overlap, commute, certificates = _overlap, _commute, _certificates
+    products, certificates = _products, _certificates
 
-    def counted_overlap(c1, c2, tol):
-        calls["overlap"] += 1
-        return overlap(c1, c2, tol)
-
-    def counted_commute(prods, tol):
-        calls["commute"] += 1
-        said = commute(prods, tol)
-        calls["commute_yes"] += said
-        return said
+    def counted_products(pairs, tol, probe):
+        out = products(pairs, tol, probe)
+        calls["products"] += len(out)
+        calls["commute_yes"] += sum(commute for _, _, commute, _ in out)
+        return out
 
     def counted_certificates(pairs, tol):
         out = certificates(pairs, tol)
@@ -912,8 +945,7 @@ def closure_calls(make, gram_pairs: float) -> tuple[QuantumModel, Counter]:
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(quantum, "_MIN_GRAM_PAIRS", gram_pairs)
-        m.setattr(quantum, "_overlap", counted_overlap)
-        m.setattr(quantum, "_commute", counted_commute)
+        m.setattr(quantum, "_products", counted_products)
         m.setattr(quantum, "_certificates", counted_certificates)
         return make(), calls
 
@@ -942,7 +974,7 @@ def test_gram_closure_matches_the_exact_closure_on_random_families(observables, 
 def test_blocks_between_tol_and_dim_tol_take_the_exact_path(times):
     """At dim 8 and tol 1e-3, p_1 q_0 has F = 5-7 tol, inside the band
     (tol, dim tol] that certifies neither way, while max|p_1 q_0| is under
-    tol: the pair must take _overlap, which finds no edge there."""
+    tol: the pair must be multiplied, and its products find no edge there."""
     tol, dim = 1e-3, 8
     observables = turned_fourier_model(dim, times * tol)
     make = lambda: QuantumModel(observables, tau_proj=tol)
@@ -952,21 +984,25 @@ def test_blocks_between_tol_and_dim_tol_take_the_exact_path(times):
     [(rows, _)] = _certificates([tuple(_bases_of([a, b]))], tol)
     assert rows is None
     assert not _overlap(a, b, tol)[1][1, 0]
-    assert calls["unsure"] == 1 and calls["overlap"] >= 1
+    assert calls["unsure"] == 1 and calls["products"] >= 1
     check_gram_matches_exact(make)
 
 
-def test_zero_tolerance_certifies_no_non_edge():
-    """At tau_proj = 0 no block certifies a non-edge, so every pair whose
-    graph is not complete takes _overlap, and the build is unchanged."""
+def exact_diagonal_observables() -> dict:
     z = np.diag([1.0, -1.0])
     eye = np.eye(2)
-    observables = {
+    return {
         "Z0": np.kron(np.kron(z, eye), eye),
         "Z1": np.kron(np.kron(eye, z), eye),
         "Y": np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),
         "W": np.diag([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 2.0, 2.0]),
     }
+
+
+def test_zero_tolerance_certifies_no_non_edge():
+    """At tau_proj = 0 no block certifies a non-edge, so every pair whose
+    graph is not complete is multiplied, and the build is unchanged."""
+    observables = exact_diagonal_observables()
     make = lambda: QuantumModel(observables, tau_herm=0, tau_proj=0, tau_eig=0)
     model, calls = closure_calls(make, 1)
     assert calls["incomplete"] == 0 and calls["unsure"] > 0
@@ -974,10 +1010,238 @@ def test_zero_tolerance_certifies_no_non_edge():
 
 
 def test_products_are_made_for_join_candidates_only():
-    """On the xz3 golden, every pair the Gram blocks leave to _overlap is a
-    join candidate: incomparable, not certified apart, and commuting."""
+    """On the xz3 golden, the pairs multiplied are exactly the 60 join
+    candidates, incomparable and not certified apart, and all commute."""
     _, calls = closure_calls(lambda: load_model(str(GOLDEN / "xz3_seed0.json")), 10)
-    assert calls["overlap"] == calls["commute"] == calls["commute_yes"] == 60
+    assert calls["products"] == calls["commute_yes"] == 60
+
+
+# -- the closure's batches against their per-item oracles --------------------------
+
+
+@st.composite
+def product_runs(draw):
+    """1-6 pairs of contexts (see draw_pair) on one C^dim, dim 2-8, so that
+    a run mixes atom counts and groups of several pairs."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 8))
+    return [draw_pair(draw, g, dim) for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=product_runs(), tol=st.sampled_from([0.0, 1e-8, 1e-3]))
+def test_run_products_match_the_pairwise_products(pairs, tol):
+    """A run's products equal each pair's own batch bit for bit, and so do
+    the graph and commutation read from them; the probe values are the
+    products' own up to rounding."""
+    dim = pairs[0][0].atoms.shape[1]
+    idx = np.arange(1, dim + 1)
+    probe = np.sqrt(idx) * np.exp(1j * idx * 0.6180339887498949)
+    probe /= np.linalg.norm(probe)
+    for (ca, cb), (prods, edges, commute, x) in zip(pairs, _products(pairs, tol, probe)):
+        want, e = _overlap(ca, cb, tol)
+        assert prods.tobytes() == want.tobytes()
+        assert np.array_equal(edges, e)
+        assert commute == _commute(want, tol)
+        assert np.allclose(x, [[np.vdot(probe, p @ probe).real for p in row] for row in want], atol=1e-13)
+
+
+def faulted(atoms: np.ndarray, fault: str, g: np.random.Generator) -> np.ndarray:
+    """The stack with one atom scaled, zeroed, merged with the next, or put
+    in place of the next (a lone atom is scaled): never a resolution of the
+    identity."""
+    out = atoms.copy()
+    k = int(g.integers(len(atoms)))
+    if fault == "scale" or len(atoms) == 1:
+        out[k] = atoms[k] * g.choice([0.5, 1.5])
+    elif fault == "zero":
+        out[k] = 0
+    elif fault == "merge":
+        out[k] = atoms[k] + atoms[(k + 1) % len(atoms)]
+    else:
+        out[k] = atoms[(k + 1) % len(atoms)]
+    return out
+
+
+@st.composite
+def resolution_runs(draw):
+    """2-7 resolutions of the identity on one C^dim of mixed atom counts,
+    some with Hermitian noise of about tol on every atom, and one faulted
+    stack (see faulted) at a random place; with tol."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    tol = draw(st.sampled_from([TAU_PROJ, 1e-3]))
+    stacks = []
+    for _ in range(draw(st.integers(2, 7))):
+        u = haar_unitary(g, dim)
+        cuts = np.sort(g.choice(np.arange(1, dim), g.integers(0, dim), replace=False))
+        atoms = np.stack([u[:, b] @ u[:, b].conj().T for b in np.split(g.permutation(dim), cuts)])
+        if draw(st.booleans()):
+            noise = g.normal(size=atoms.shape) + 1j * g.normal(size=atoms.shape)
+            noise += noise.conj().swapaxes(1, 2)
+            atoms = atoms + draw(st.sampled_from([0.3, 1.0, 3.0])) * tol * noise / np.abs(noise).max()
+        stacks.append(atoms)
+    bad = draw(st.integers(0, len(stacks) - 1))
+    stacks[bad] = faulted(stacks[bad], draw(st.sampled_from(["scale", "zero", "merge", "repeat"])), g)
+    return stacks, tol
+
+
+@pytest.mark.parametrize("entries", [None, 16, 200])
+@settings(max_examples=40, deadline=None)
+@given(run=resolution_runs())
+def test_batched_checks_match_the_loop_on_each_stack(entries, run):
+    """Each stack's issues from its batch equal the loop's, whatever the
+    batch bound (None: the default); the check at the end of a round raises
+    the first issue of the first failing stack in store order."""
+    stacks, tol = run
+    dim = stacks[0].shape[1]
+    want = [loop_validate_resolution(list(a), tol) for a in stacks]
+    with pytest.MonkeyPatch.context() as m:
+        if entries is not None:
+            m.setattr(quantum, "_GRAM_ENTRIES", entries)
+        got = [None] * len(stacks)
+        for batch, a in _batches(stacks):
+            for s, issues in zip(batch, _issues(a, tol)):
+                got[s] = issues
+        assert got == want
+        model = QuantumModel({"A": np.diag(np.arange(dim, dtype=float))}, tau_proj=tol)
+        start = len(model.contexts)
+        for s, a in enumerate(stacks):
+            model.contexts[f"c{s}"] = QuantumContext(tuple(map(str, range(len(a)))), a)
+        first = next((s, issues[0]) for s, issues in enumerate(want) if issues)
+        with pytest.raises(StructureError) as raised:
+            model._check(start)
+    assert str(raised.value) == f"context 'c{first[0]}': {first[1]}"
+
+
+def test_a_join_without_atoms_fails_its_round_check():
+    """At tau_proj = 0.3 every product of X0*Z0's and Z1's atoms is within
+    tol of zero, so their join has no atoms: the round's check takes the
+    empty stack and names it, as validate_resolution does."""
+    assert validate_resolution(np.zeros((0, 4, 4), dtype=complex), 0.3) == [
+        "atoms do not sum to the identity"
+    ]
+    with pytest.raises(StructureError) as raised:
+        QuantumModel(local_pauli_model(2, "XZ", 21).observables, tau_proj=0.3)
+    assert str(raised.value) == "context 'X0*Z0*Z1': atoms do not sum to the identity"
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 0.999, 1.0, 10.0])
+def test_trivial_context_is_checked_in_closed_form(tau):
+    """The identity's one issue as a resolution is a zero atom, within
+    tol >= 1: the build raises it exactly when validate_resolution finds it."""
+    issues = validate_resolution(np.eye(2, dtype=complex)[None], tau)
+    observables = {"Z": np.diag([1.0, -1.0])}
+    if not issues:
+        assert "1" in QuantumModel(observables, tau_proj=tau).contexts
+        return
+    with pytest.raises(StructureError) as raised:
+        QuantumModel(observables, tau_proj=tau)
+    assert str(raised.value) == f"context '1': {issues[0]}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4, 8, 16]), rank=st.integers(1, 3))
+def test_atom_order_reads_the_entries_on_a_tie(seed, dim, rank):
+    """Atoms of one rank from a flat basis, |u_ij|^2 = 1/dim, all tie on
+    (rank, moment): the order is the full key's, entries and all."""
+    g = np.random.default_rng(seed)
+    u = atom_basis(g, dim, "flat")
+    blocks = np.split(g.permutation(dim), range(rank, dim, rank))
+    atoms = [u[:, b] @ u[:, b].conj().T for b in blocks]
+    keys = [oracle_atom_sort_key(p) for p in atoms]
+    assume(len({k[:2] for k in keys}) < len(keys))
+    assert _atom_order(np.stack(atoms)) == sorted(range(len(atoms)), key=keys.__getitem__)
+
+
+def check_keys_within_a_cell(model: QuantumModel):
+    """Each stored context is filed under the key its path made (an atom's
+    own values, a meet's summed from its parent's, a join's from its
+    chunk), within one cell of the key from its stored atoms' own values."""
+    filed = {cid: key for key, entries in model._cells.items() for _, cid in entries}
+    assert filed.keys() == model.contexts.keys()
+    for cid, (n, cell) in filed.items():
+        own_n, own_cell = model._key(model.contexts[cid].atoms)
+        assert own_n == n and abs(own_cell - cell) <= 1, cid
+
+
+@pytest.mark.parametrize("tau", [1e-8, 1e-3])
+@pytest.mark.parametrize("name", ["xyz2", "xz3", "chsh_tau_1e-3"])
+def test_keys_from_probe_values_lie_within_a_cell_of_the_atoms_own(name, tau):
+    model = QuantumModel(DEDUP_MODELS[name]().observables, tau_proj=tau)
+    assert any("*" in cid for cid in model.contexts)
+    check_keys_within_a_cell(model)
+
+
+def test_keys_lie_within_a_cell_at_zero_tolerance():
+    """At tau_proj = 0 the cells are r = dim^3 2^-44 wide, and a meet's key
+    still lies within one of its atoms' own."""
+    model = QuantumModel(exact_diagonal_observables(), 0, 0, 0)
+    assert any("^" in cid for cid in model.contexts) and any("*" in cid for cid in model.contexts)
+    check_keys_within_a_cell(model)
+
+
+@settings(max_examples=8, deadline=None)
+@given(observables=degenerate_families(), tau=st.sampled_from([1e-8, 1e-3]))
+def test_keys_lie_within_a_cell_on_random_families(observables, tau):
+    check_keys_within_a_cell(QuantumModel(observables, tau_proj=tau))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_keys_lie_within_a_cell_on_diagonal_families_at_zero_tolerance(data):
+    """Diagonal observables of values 0-2 on C^3 to C^6, whose projections,
+    sums and products are exact."""
+    dim = data.draw(st.integers(3, 6))
+    values = st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+    count = data.draw(st.integers(2, 4))
+    observables = {f"O{k}": np.diag(np.array(data.draw(values), float)) for k in range(count)}
+    check_keys_within_a_cell(QuantumModel(observables, 0, 0, 0))
+
+
+def test_batches_keep_to_the_memory_rule():
+    """With _GRAM_ENTRIES cut to three products, on the xz4 golden (dim 16,
+    up to 16 atoms): every run holds at most _GRAM_ENTRIES entries of
+    products, or one pair's, and every batch of the check at most that of
+    atoms, or one context's; what each call allocates at its peak stays
+    within a few times the larger of the bound and one item, where the
+    whole (n, n) table of a 16-atom context would be 16 times the item.
+    The build is the default one, bit for bit."""
+    make = lambda: load_model(str(GOLDEN / "xz4_seed0.json"))
+    want = built(make())
+    limit = 3 * 16**2
+    calls: Counter = Counter()
+
+    def spy(helper, kind, items):
+        def wrapped(*args):
+            sizes = items(*args)
+            assert len(sizes) == 1 or sum(sizes) <= limit, (kind, sizes)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = helper(*args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            assert peak <= 6 * 16 * max(limit, *sizes), (kind, sizes, peak)
+            calls[kind] += 1
+            return out
+
+        return wrapped
+
+    # an item: one pair's products, or one context's atoms
+    products = spy(
+        quantum._products, "products", lambda pairs, *_: [a.atoms.size * len(b.atoms) for a, b in pairs]
+    )
+    issues = spy(quantum._issues, "issues", lambda a, _: [a[0].size] * len(a))
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quantum, "_GRAM_ENTRIES", limit)
+            m.setattr(quantum, "_products", products)
+            m.setattr(quantum, "_issues", issues)
+            model = make()
+    finally:
+        tracemalloc.stop()
+    assert calls["products"] > 20 and calls["issues"] > 5
+    assert built(model) == want
 
 
 # -- elementary propositions against the spectral products -----------------------
