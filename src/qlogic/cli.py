@@ -241,10 +241,7 @@ def cmd_quotient(args) -> int:
     if args.refined:
         sub = frame.restrict_upset(args.context)
         sections = sub.enumerate_sections()
-        print(
-            f"refined quotient at {args.context}: frame over "
-            f"{list(sub.poset.context_ids)}"
-        )
+        print(f"refined quotient at {args.context}: frame over {list(sub.context_ids)}")
         print(f"sections: {len(sections)}, decidable: {len(sub.decidable_elements())}")
         for s in sections:
             print(f"  {section_label(sub, s)}")

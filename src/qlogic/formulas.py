@@ -84,6 +84,11 @@ class _Token:
     column: int
 
 
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of offset pos in text."""
+    return text.count("\n", 0, pos) + 1, pos - (text.rfind("\n", 0, pos) + 1) + 1
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     pos = 0
@@ -94,9 +99,7 @@ def _tokenize(text: str) -> list[_Token]:
             rest = text[pos:]
             if rest.strip() == "":
                 break
-            line = text.count("\n", 0, pos) + 1
-            column = pos - (text.rfind("\n", 0, pos) + 1) + 1
-            raise ParseError(f"unexpected character {rest.strip()[0]!r}", line, column)
+            raise ParseError(f"unexpected character {rest.strip()[0]!r}", *_position(text, pos))
         start = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
         line = text.count("\n", 0, start) + 1
         column = start - (text.rfind("\n", 0, start) + 1) + 1
@@ -109,10 +112,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], length_hint: int):
+    def __init__(self, tokens: list[_Token], text: str):
         self.tokens = tokens
         self.i = 0
-        self.length_hint = length_hint
+        self.text = text
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -120,7 +123,7 @@ class _Parser:
     def _error(self, message: str):
         tok = self._peek()
         if tok is None:
-            raise ParseError(message + " (unexpected end of input)", 1, self.length_hint + 1)
+            raise ParseError(message + " (unexpected end of input)", *_position(self.text, len(self.text)))
         raise ParseError(message + f", got {tok.text!r}", tok.line, tok.column)
 
     def _accept(self, text: str) -> bool:
@@ -207,7 +210,7 @@ class _Parser:
 
 
 def parse_formula(text: str):
-    parser = _Parser(_tokenize(text), len(text))
+    parser = _Parser(_tokenize(text), text)
     try:
         return parser.parse()
     except RecursionError:  # nested past the interpreter's recursion limit

@@ -98,7 +98,9 @@ def _measured_bases(ctxs: Sequence[QuantumContext], dim: int) -> list[_Basis | N
         part = sizes[at : at + n]
         fits.append(min(part) >= 1 and sum(part) == dim)
         owner += [i] * n
-        local += range(n)  # each atom's index in its context
+        # each atom's index in its context; 0 in a context that keeps no
+        # basis, which may hold more atoms than dim has column groups
+        local += range(n) if fits[-1] else [0] * n
         labels.append(
             [k for k, size in enumerate(part) for _ in range(size)] if fits[-1] else [0] * dim
         )

@@ -1,11 +1,10 @@
 """Hasse-diagram export of a section frame as Graphviz DOT text.
 
-Sections are up-sets of the (context, atom) point poset, so the covers
-of an up-set U are generated, not searched for: U is covered by U | {p}
-for each point p outside U such that U | {p} is again an up-set, that is,
-the rest of p's up-set lies in U.  The export sorts and labels each up-set
-from its per-context chunks of points, each chunk decoded once to its
-sorted atoms.
+Sections are up-sets of the (context, atom) point poset inside the
+frame's Q (see sections), so the covers of an up-set U are generated: U
+is covered by U | {p} for each point p of Q outside U whose other points
+above it lie in U.  The export sorts and labels each up-set from its
+per-context chunks of points, each decoded once to its sorted atoms.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def _label(values: Iterable[tuple[str, Sequence[str]]], is_top: bool) -> str:
 
 def _covers(frame: Frame, masks: list[int]) -> list[tuple[int, int]]:
     """Covering pairs (i, j) among the up-set masks, as indices into masks."""
-    points = range(len(frame.poset.point_table.points))
+    points = list(_bits(frame._table.top))
     position = {m: i for i, m in enumerate(masks)}
     return [
         (i, position[u | 1 << p])
@@ -70,7 +69,7 @@ def export_dot(frame: Frame) -> str:
     atoms once.  The covers are read from the masks, and TOP is recognised
     by its mask.
     """
-    t = frame.poset.point_table
+    t = frame._table
     contexts = [c for c, _ in t.spans]
     spans = [span for _, span in t.spans]
     decoded: dict[int, tuple[str, ...]] = {}  # contexts hold disjoint bits

@@ -208,16 +208,11 @@ class ContextPoset:
 
     # -- embeddings -----------------------------------------------------
 
-    def images(self, c1: str, c2: str) -> tuple[int, ...]:
-        """The embedding of c1 into c2 (requires c1 <= c2) as stored: per atom
-        of c1, the mask of c2's atom indices it maps to."""
-        if not self.leq(c1, c2):
-            raise UnknownContextError(f"{c1!r} is not below {c2!r}")
-        return self._images[self._bit[c1], self._bit[c2]]
-
     def embed(self, c1: str, c2: str, x: Element) -> Element:
         """Image of an element of c1 inside c2 (requires c1 <= c2)."""
-        images, algebra = self.images(c1, c2), self._contexts[c1]
+        if not self.leq(c1, c2):
+            raise UnknownContextError(f"{c1!r} is not below {c2!r}")
+        images, algebra = self._images[self._bit[c1], self._bit[c2]], self._contexts[c1]
         if not algebra.contains(x):
             raise DomainError(f"value not in the local algebra of {c1!r}")
         m = 0

@@ -5,22 +5,23 @@ monotonically along the informativeness order.  Equivalently, a section
 is an up-set of the poset P of points (c, a), a an atom of context c,
 ordered by (c1, a1) <= (c2, a2) iff c1 <= c2 and a2 lies inside a1
 (Birkhoff's representation of a finite distributive lattice).  The
-context poset compiles P once into bitmasks (``ContextPoset.point_table``),
-and a frame works on them: meet, join and order are ``&``, ``|``
-and a subset test, U -> V is the complement of the down-closure of
-U \\ V, and enumeration lists the up-sets of P, at most 2^|P| of them.
-The decidable sections, S v ~S = TOP, are the up-sets that are also
-down-sets: the unions of P's connected components, listed without an
+context poset compiles P once into bitmasks (``ContextPoset.point_table``).
+A frame over the contexts above c, the refined logic at c or the whole
+frame at the least c, reads them cut to the up-set Q of those contexts'
+points: meet, join and order are ``&``, ``|`` and a subset test, U -> V
+is Q minus the down-closure of U \\ V, enumeration lists the up-sets
+inside Q, and the decidables are the unions of Q's components, with no
 enumeration.  :class:`Section` is the boundary type that callers see.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DomainError
-from .poset import ContextPoset, Element, _bits, check_enumeration
+from .errors import DomainError, UnknownContextError
+from .poset import ContextPoset, Element, LocalAlgebra, PointTable, _bits, check_enumeration
 
 
 @dataclass(frozen=True)
@@ -88,21 +89,37 @@ class LawCounts(NamedTuple):
 
 
 class Frame:
-    """Section frame (Heyting algebra) over a context poset."""
+    """Section frame (Heyting algebra) over the contexts above ``least``."""
 
     def __init__(self, poset: ContextPoset):
         self.poset = poset
-        self._ids = poset.context_ids
+        self.least = poset.least
         # the bits of one context's points in a mask -> their atoms; contexts
         # hold disjoint bits, and 0 decodes to the empty set in every one
         self._decoded: dict[int, Element] = {}
 
+    @cached_property
+    def context_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.poset.upset(self.least)))
+
+    @cached_property
+    def _table(self) -> PointTable:
+        """The point table with ``top`` Q and ``spans`` the frame's contexts."""
+        t, ups = self.poset.point_table, self.poset.upset(self.least)
+        spans = tuple((c, span) for c, span in t.spans if c in ups)
+        return t._replace(top=sum(span for _, span in spans), spans=spans)
+
+    def _algebra(self, c: str) -> LocalAlgebra:
+        if not self.poset.leq(self.least, c):  # c is no context of this frame
+            raise UnknownContextError(f"unknown context {c!r}")
+        return self.poset.algebra(c)
+
     def _mask(self, s: Section) -> int:
-        index = self.poset.point_table.index
+        index = self._table.index
         return sum(1 << index[(c, a)] for c, v in s.items for a in v)
 
     def _section(self, mask: int) -> Section:
-        t = self.poset.point_table
+        t = self._table
         items = []
         for c, span in t.spans:
             chunk = mask & span
@@ -117,15 +134,14 @@ class Frame:
     def section(self, values: Mapping[str, Iterable[str]]) -> Section:
         """Build and validate a section from a context -> element mapping."""
         for c in values:
-            self.poset.algebra(c)  # UnknownContextError for a key that is no context
-        missing = set(self._ids) - set(values)
+            self._algebra(c)  # UnknownContextError for a key that is no context
+        missing = set(self.context_ids) - set(values)
         if missing:
             raise DomainError(f"section misses contexts {sorted(missing)}")
-        d = {c: frozenset(values[c]) for c in self._ids}
-        for c in self._ids:
-            if not self.poset.algebra(c).contains(d[c]):
+        for c in self.context_ids:
+            if not self.poset.algebra(c).contains(frozenset(values[c])):
                 raise DomainError(f"value at {c!r} is not in its local algebra")
-        s = Section.from_dict(d)
+        s = Section.from_dict(values)
         if not self.is_monotone(s):
             raise DomainError("section violates monotonicity")
         return s
@@ -133,11 +149,11 @@ class Frame:
     def is_monotone(self, s: Section) -> bool:
         """True iff the section's points form an up-set."""
         mask = self._mask(s)
-        up = self.poset.point_table.up
+        up = self._table.up
         return all(not up[p] & ~mask for p in range(len(up)) if mask >> p & 1)
 
     def top(self) -> Section:
-        return self._section(self.poset.point_table.top)
+        return self._section(self._table.top)
 
     def bottom(self) -> Section:
         return self._section(0)
@@ -146,9 +162,9 @@ class Frame:
 
     def embed_elementary(self, e: ElementaryProposition) -> Section:
         """The up-set generated by the proposition's points."""
-        if not e.is_bottom and not self.poset.algebra(e.context).contains(e.value):
+        if not e.is_bottom and not self._algebra(e.context).contains(e.value):
             raise DomainError(f"value not in local algebra of {e.context!r}")
-        t = self.poset.point_table
+        t = self._table
         mask = 0
         for a in e.value:
             mask |= t.up[t.index[(e.context, a)]]
@@ -162,15 +178,13 @@ class Frame:
     ) -> ElementaryProposition:
         if e1.is_bottom or e2.is_bottom:
             return BOTTOM
+        for e in (e1, e2):
+            self._algebra(e.context)
         c = self.poset.try_join_contexts(e1.context, e2.context)
         if c is None:
             return BOTTOM
-        v = self.poset.embed(e1.context, c, e1.value) & self.poset.embed(
-            e2.context, c, e2.value
-        )
-        if not v:
-            return BOTTOM
-        return ElementaryProposition(c, v)
+        v = self.poset.embed(e1.context, c, e1.value) & self.poset.embed(e2.context, c, e2.value)
+        return ElementaryProposition(c, v) if v else BOTTOM
 
     def decompose_to_elementary(self, s: Section) -> list[ElementaryProposition]:
         """Bohrified pieces: the non-bottom local values of the section."""
@@ -181,7 +195,7 @@ class Frame:
     # -- lattice operations ------------------------------------------------
 
     def meet(self, sections: Iterable[Section]) -> Section:
-        mask = self.poset.point_table.top
+        mask = self._table.top
         for s in sections:
             mask &= self._mask(s)
         return self._section(mask)
@@ -199,7 +213,7 @@ class Frame:
         """U -> V: the points whose up-set misses bad = U \\ V, the complement
         of the down-closure of bad.  A point of bad already in the closure
         adds nothing, so each step takes the lowest point not yet inside."""
-        t = self.poset.point_table
+        t = self._table
         below, rest = 0, u & ~v
         while rest:
             below |= t.down[(rest & -rest).bit_length() - 1]
@@ -217,35 +231,30 @@ class Frame:
 
     def evaluate_at(self, s: Section, c: str) -> Element:
         """Image of the section under the coarse quotient at context c."""
-        self.poset.algebra(c)
+        self._algebra(c)
         return s.value(c)
 
     def restrict_upset(self, c: str) -> "Frame":
         """The refined conditional logic: the frame over the up-set of c."""
-        ups = self.poset.upset(c)
-        contexts = {d: self.poset.algebra(d) for d in ups}
-        images = {
-            (a, b): self.poset.images(a, b)
-            for a in ups
-            for b in ups
-            if a != b and self.poset.leq(a, b)
-        }
-        return Frame(ContextPoset(contexts, embeddings=images))
+        self._algebra(c)
+        sub = Frame(self.poset)
+        sub.least = c
+        return sub
 
     # -- enumeration and law suites -----------------------------------------
 
     def enumeration_bound(self) -> int:
-        """2^|P|: the number of subsets of the (context, atom) points."""
-        return 1 << sum(len(self.poset.algebra(c).atoms) for c in self._ids)
+        """2^|Q|: the number of subsets of the frame's (context, atom) points."""
+        return 1 << sum(len(self.poset.algebra(c).atoms) for c in self.context_ids)
 
     def _decision_order(self) -> list[int]:
-        """The points from the top down: a higher point has a smaller up-set."""
-        up = self.poset.point_table.up
-        return sorted(range(len(up)), key=lambda p: up[p].bit_count())
+        """Q's points from the top down: a higher point has a smaller up-set."""
+        t = self._table
+        return sorted(_bits(t.top), key=lambda p: t.up[p].bit_count())
 
     def _upsets(self) -> list[int]:
         check_enumeration(self.enumeration_bound())
-        up = self.poset.point_table.up
+        up = self._table.up
         # decide points from the top down: p may join an up-set U of the
         # points decided so far iff the rest of its up-set lies in U, so no
         # choice is ever undone
@@ -264,15 +273,15 @@ class Frame:
         (guarded by 2^k for k connected components).
 
         ~S is the complement of S's down-closure, so S v ~S = TOP iff S is
-        also a down-set: a union of connected components of the point
-        poset.  ``_upsets`` lists its masks in binary counting order over
+        also a down-set: a union of connected components of Q's order.
+        ``_upsets`` lists its masks in binary counting order over
         the decision order, the point decided last the most significant,
         so a union of components sorts as if each component were its last
         decided point.  Walking that order backwards meets each component
         first at that point, and counting over the components in reverse
         gives the enumeration's order.
         """
-        t = self.poset.point_table
+        t = self._table
         components, seen = [], 0
         for p in reversed(self._decision_order()):
             if seen >> p & 1:
@@ -282,7 +291,7 @@ class Frame:
                 component |= new
                 reach = 0
                 for q in _bits(new):
-                    reach |= t.up[q] | t.down[q]
+                    reach |= (t.up[q] | t.down[q]) & t.top
                 new = reach & ~component
             components.append(component)
             seen |= component

@@ -9,9 +9,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qlogic import cli
 from qlogic.cli import load_model, main
+from qlogic.poset import ContextPoset
 from qlogic.sections import Frame
 
 from conftest import FIXTURES, GOLDEN
+from test_quantum_oracle import local_pauli_model
 
 FIG1 = str(FIXTURES / "figure1.json")
 QUBIT = str(FIXTURES / "one_qubit.json")
@@ -105,6 +107,25 @@ def test_build_covers_are_transitive_reduction(capsys, path):
     ]
     assert lines[start + 1 : end] == naive
     assert naive
+
+
+def test_build_context_with_more_atoms_than_dim(tmp_path, capsys):
+    """At tau_proj = 0.3 the closure of local_pauli_model(2, "XZ", 5) on C^4
+    makes a context of more atoms than dim, which gets no basis and takes
+    the exact path: one error line, as in the all-exact build."""
+    observables = local_pauli_model(2, "XZ", 5).observables
+    doc = {
+        "kind": "quantum",
+        "observables": {
+            name: [[[z.real, z.imag] for z in row] for row in m] for name, m in observables.items()
+        },
+        "options": {"tau_proj": 0.3},
+    }
+    path = tmp_path / "pauli.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "build", str(path)) == (
+        2, "", "error: context 'X0*X1*Z0*X0*X1*Z0*Z1': atoms do not sum to the identity\n"
+    )
 
 
 def test_build_missing_file(capsys):
@@ -284,6 +305,46 @@ def test_quotient_refined(capsys, monkeypatch):
     assert code == 0
     assert "sections: 4, decidable: 4" in out
     assert len(calls) == 1  # one enumeration lists the sections and the decidables
+
+
+def test_quotient_refined_guard_fires_before_any_poset_work(capsys, monkeypatch):
+    """At classical8's least context the refined frame's bound, 2^999, is
+    read from the model's own poset: no second ContextPoset is built, and
+    the point table is not read."""
+    path = str(GOLDEN / "classical8_seed0.json")
+    least = load_model(path).poset.least
+    built = []
+    init = ContextPoset.__init__
+    monkeypatch.setattr(
+        ContextPoset, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k)
+    )
+    assert run(capsys, "quotient", path, "--context", least, "--refined") == (
+        2, "", "error: enumeration bound 2^999 exceeds guard 1000000\n"
+    )
+    assert len(built) == 1 and "point_table" not in vars(built[0])
+
+
+def refined_transcript(capsys, path) -> str:
+    """`quotient --refined` at each context of the model, in context order:
+    per context the command, its stdout, its stderr and its exit code."""
+    blocks = []
+    for c in load_model(str(path)).poset.context_ids:
+        code, out, err = run(capsys, "quotient", str(path), "--context", c, "--refined")
+        blocks.append(f"$ quotient {path.name} --context {c} --refined\n{out}{err}exit {code}\n")
+    return "".join(blocks)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [FIXTURES / f"{n}.json" for n in ("one_qubit", "crossing", "figure1")]
+    + [GOLDEN / f"{n}.json" for n in ("classical2_enum_seed0", "xz3_seed0")],
+    ids=lambda path: path.stem,
+)
+def test_quotient_refined_matches_golden(capsys, path):
+    """The refined quotient at every context, sections, decidables and
+    guard refusals alike, printed byte for byte as in tests/golden."""
+    want = (GOLDEN / f"{path.stem}.refined.txt").read_text()
+    assert refined_transcript(capsys, path) == want
 
 
 def test_decidable(capsys):

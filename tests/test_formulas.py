@@ -74,6 +74,26 @@ def test_parse_error_has_position():
 
 
 @pytest.mark.parametrize(
+    "text, expected, line, column",
+    [
+        ("M(Sz,{1}) &", "a formula", 1, 12),
+        ("TOP &\n", "a formula", 2, 1),
+        ("(TOP\n&\nBOT", "')'", 3, 4),
+        ("TOP ->\n  ~ \n", "a formula", 3, 1),
+        ("M(Sz,\n{1,", "an outcome value", 2, 4),
+    ],
+)
+def test_parse_error_at_the_end_of_the_input(text, expected, line, column):
+    """The end of the input is placed on its last line, as a token is."""
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert str(info.value) == (
+        f"expected {expected} (unexpected end of input) at line {line}, column {column}"
+    )
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
     "text",
     ["(" * 300 + "TOP" + ")" * 300, "~" * 3000 + "TOP", " -> ".join(["TOP"] * 3000)],
     ids=["parentheses", "negations", "implications"],

@@ -3,9 +3,11 @@
 The oracle sees a frame only through ``ContextPoset.leq``, ``embed`` and
 ``algebra``: sections are the monotone members of the product of the
 local algebras, and implication is the pointwise join of its witnesses.
-The point poset the frame works on, and the one of each context's
-``restrict_upset`` frame, is checked against one read through ``upset``
-and ``embed``, one atom at a time.  The mask forms the frame replaced are
+The point poset the frame works on is checked against one read through
+``upset`` and ``embed``, one atom at a time, and so is the cut of it that
+each context's ``restrict_upset`` frame reads.  The refined frame is also
+checked against the frame of a second ContextPoset on the contexts of the
+up-set, the way it was once built.  The mask forms the frame replaced are
 kept as oracles too: implication as a scan of every point's up-set, and
 the decidable sections as the enumerated up-sets m with m | ~m = TOP.
 """
@@ -22,8 +24,9 @@ from qlogic import (
     ClassicalModel, ClassicalObservable, ContextPoset, LocalAlgebra, OutcomeSpace, QuantumModel
 )
 from qlogic.cli import load_model
+from qlogic.errors import ResourceLimitError
 from qlogic.hasse import hasse_edges
-from qlogic.poset import PointTable
+from qlogic.poset import PointTable, _bits
 from qlogic.sections import ElementaryProposition, Frame, Section
 
 from conftest import FIXTURES, GOLDEN
@@ -33,6 +36,10 @@ PAIR_SAMPLE = 150
 MASK_SAMPLE = 60
 # the decidables are compared with the enumeration's filter up to 2^FILTER_POINTS
 FILTER_POINTS = 12
+# the refined frames are enumerated against their oracle up to 2^ENUM_POINTS,
+# and SECTION_SAMPLE points and sections each are drawn for the rest
+ENUM_POINTS = 12
+SECTION_SAMPLE = 6
 
 
 def oracle_sections(poset) -> list[dict]:
@@ -132,33 +139,35 @@ def check_frame(frame, pairs=None):
 
 
 def scan_implies(table, u: int, v: int) -> int:
-    """U -> V point by point: the points whose up-set misses U \\ V."""
+    """U -> V point by point: the points of TOP whose up-set misses U \\ V."""
     bad = u & ~v
-    return sum(1 << p for p, up in enumerate(table.up) if not up & bad)
+    return sum(1 << p for p in _bits(table.top) if not table.up[p] & bad)
 
 
 def filter_decidables(frame) -> list[int]:
     """The enumerated up-sets m with m | ~m = TOP, in the enumeration's order."""
-    t = frame.poset.point_table
+    t = frame._table
     return [m for m in frame._upsets() if m | scan_implies(t, m, 0) == t.top]
 
 
 def check_masks(frame, seed=0):
-    """``_implies`` against the scan on drawn masks: any subsets, and the
-    up-sets and down-sets of a few points; ``decidable_elements`` against
-    the filter, as the same list, where the enumeration is small."""
-    t = frame.poset.point_table
+    """``_implies`` against the scan on drawn masks inside the frame's TOP:
+    any subsets, and the up-sets and down-sets of a few points;
+    ``decidable_elements`` against the filter, as the same list, where the
+    enumeration is small."""
+    t = frame._table
     rng = random.Random(seed)
-    n = len(t.points)
+    points = list(_bits(t.top))
+    n = len(points)
 
     def drawn() -> int:
         kind = rng.randrange(3)
         if kind == 0:
-            return rng.getrandbits(n)
+            return rng.getrandbits(len(t.points)) & t.top
         mask = 0
-        for p in rng.sample(range(n), min(n, rng.randint(1, 3))):
+        for p in rng.sample(points, min(n, rng.randint(1, 3))):
             mask |= (t.up if kind == 1 else t.down)[p]
-        return mask
+        return mask & t.top
 
     for _ in range(MASK_SAMPLE):
         u, v = drawn(), drawn()
@@ -173,6 +182,61 @@ def check_masks_and_restrictions(frame):
     check_masks(frame)
     for k, c in enumerate(frame.poset.context_ids):
         check_masks(frame.restrict_upset(c), seed=k)
+
+
+def oracle_restrict_upset(frame, c: str) -> Frame:
+    """The frame over c's up-set as a second ContextPoset: the contexts of
+    upset(c), with the stored embedding of each pair of them."""
+    poset = frame.poset
+    ups = poset.upset(c)
+    images = {
+        (a, b): poset._images[poset._bit[a], poset._bit[b]]
+        for a in ups
+        for b in ups
+        if a != b and poset.leq(a, b)
+    }
+    return Frame(ContextPoset({d: poset.algebra(d) for d in ups}, embeddings=images))
+
+
+def guarded(run, frame):
+    """run(frame), or the message of the enumeration guard's refusal."""
+    try:
+        return run(frame)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def check_refined_against_oracle(frame, seed=0):
+    """At each context c, restrict_upset(c) against oracle_restrict_upset:
+    the contexts and the enumeration bound; under a guard of
+    2^ENUM_POINTS, the sections and the decidables, in order, or the same
+    refusal; embed_elementary of sampled points; implies and neg on pairs
+    of sampled sections."""
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("QLOGIC_ENUM_GUARD", str(1 << ENUM_POINTS))
+        for c in frame.poset.context_ids:
+            got, want = frame.restrict_upset(c), oracle_restrict_upset(frame, c)
+            assert got.context_ids == want.poset.context_ids, c
+            assert got.enumeration_bound() == want.enumeration_bound(), c
+            enumerated = guarded(Frame.enumerate_sections, want)
+            assert guarded(Frame.enumerate_sections, got) == enumerated, c
+            decidable = guarded(Frame.decidable_elements, want)
+            assert guarded(Frame.decidable_elements, got) == decidable, c
+            points = [(d, a) for d in got.context_ids for a in frame.poset.algebra(d).atoms]
+            pieces = [
+                ElementaryProposition(d, frozenset({a}))
+                for d, a in rng.sample(points, min(len(points), SECTION_SAMPLE))
+            ]
+            sections = [want.embed_elementary(e) for e in pieces]
+            assert [got.embed_elementary(e) for e in pieces] == sections, c
+            sections += [want.top(), want.bottom(), want.join(sections[:2])]
+            if isinstance(enumerated, list):
+                sections += rng.sample(enumerated, min(len(enumerated), SECTION_SAMPLE))
+            for s1 in sections:
+                assert got.neg(s1) == want.neg(s1), c
+                for s2 in sections:
+                    assert got.implies(s1, s2) == want.implies(s1, s2), c
 
 
 def oracle_point_table(poset, within=None) -> PointTable:
@@ -228,12 +292,30 @@ def test_point_table_matches_upset_embed_oracle(path):
     ids=lambda path: path.stem,
 )
 def test_restrict_upset_matches_upset_embed_oracle(path):
-    """The frame over each context's up-set has the point poset of the
-    parent's contexts there, read through the parent's upset and embed."""
+    """The frame over each context's up-set reads the parent's point table,
+    cut to the points of the contexts there as read through the parent's
+    upset and embed: the same points in the same order, TOP their union,
+    and the up-set of each point inside TOP."""
     frame = loaded(path).frame
-    for c in frame.poset.context_ids:
-        want = oracle_point_table(frame.poset, frame.poset.upset(c))
-        assert frame.restrict_upset(c).poset.point_table == want, c
+    poset = frame.poset
+    for c in poset.context_ids:
+        t = frame.restrict_upset(c)._table
+        want = oracle_point_table(poset, poset.upset(c))
+        assert (t.up, t.down) == (poset.point_table.up, poset.point_table.down)
+        assert [t.points[p] for p in _bits(t.top)] == list(want.points), c
+        assert t.top == sum(1 << t.index[p] for p in want.points), c
+        assert [d for d, _ in t.spans] == [d for d, _ in want.spans], c
+        assert all(not t.up[p] & ~t.top for p in _bits(t.top)), c
+
+
+@pytest.mark.parametrize(
+    "path",
+    [FIXTURES / f"{n}.json" for n in ("figure1", "crossing", "one_qubit")]
+    + [path for path in sorted(GOLDEN.glob("*.json")) if path.stem != "xz4_seed0"],
+    ids=lambda path: path.stem,
+)
+def test_refined_frames_match_sub_poset_oracle(path):
+    check_refined_against_oracle(loaded(path).frame)
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,6 +351,12 @@ def test_masks_on_components_without_a_least_point():
 @given(drawn=classical_models())
 def test_classical_implies_and_decidables_match_scan_and_filter(drawn):
     check_masks_and_restrictions(_model(*drawn).frame)
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=classical_models())
+def test_classical_refined_frames_match_sub_poset_oracle(drawn):
+    check_refined_against_oracle(_model(*drawn).frame)
 
 
 @settings(max_examples=15, deadline=None)
@@ -316,3 +404,13 @@ def test_random_qubit_axes_match_oracle(axes):
     model = qubit_axes_model(axes)
     assert model.poset.point_table == oracle_point_table(model.poset)
     check_frame(model.frame)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    axes=st.lists(
+        st.tuples(st.integers(0, 180), st.integers(0, 359)), min_size=2, max_size=4
+    )
+)
+def test_qubit_axes_refined_frames_match_sub_poset_oracle(axes):
+    check_refined_against_oracle(qubit_axes_model(axes).frame)

@@ -621,7 +621,7 @@ def built(model: QuantumModel):
     return (
         [(cid, ctx.atom_names, ctx.atoms.tobytes()) for cid, ctx in model.contexts.items()],
         order,
-        [poset.images(a, b) for a, b in order],
+        [poset._images[poset._bit[a], poset._bit[b]] for a, b in order],
     )
 
 
@@ -986,6 +986,20 @@ def test_blocks_between_tol_and_dim_tol_take_the_exact_path(times):
     assert not _overlap(a, b, tol)[1][1, 0]
     assert calls["unsure"] == 1 and calls["products"] >= 1
     check_gram_matches_exact(make)
+
+
+def test_context_with_more_atoms_than_dim_takes_the_exact_path():
+    """At tau_proj = 0.3 the closure of local_pauli_model(2, "XZ", 5) on C^4
+    makes a context of more atoms than dim, which gets no basis: the build
+    refuses it with the all-exact build's error, in every round setting."""
+    observables = local_pauli_model(2, "XZ", 5).observables
+    make = lambda: QuantumModel(observables, tau_proj=0.3)
+    errors = []
+    for gram_pairs in (1, quantum._MIN_GRAM_PAIRS, math.inf):
+        with pytest.raises(StructureError) as info:
+            closure_calls(make, gram_pairs)
+        errors.append(str(info.value))
+    assert errors == ["context 'X0*X1*Z0*X0*X1*Z0*Z1': atoms do not sum to the identity"] * 3
 
 
 def exact_diagonal_observables() -> dict:

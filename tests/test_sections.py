@@ -269,15 +269,34 @@ def test_coarse_quotient_is_boolean(one_qubit_model):
 def test_restrict_upset_identity(one_qubit_model):
     m = one_qubit_model
     sub = m.frame.restrict_upset("1")
-    assert set(sub.poset.context_ids) == set(m.poset.context_ids)
+    assert set(sub.context_ids) == set(m.poset.context_ids)
     assert len(sub.enumerate_sections()) == 17
 
 
 def test_restrict_upset_boolean(one_qubit_model):
     sub = one_qubit_model.frame.restrict_upset("Sz")
-    assert sub.poset.context_ids == ("Sz",)
+    assert sub.context_ids == ("Sz",)
     assert len(sub.enumerate_sections()) == 4
     assert len(sub.decidable_elements()) == 4
+
+
+@pytest.mark.parametrize("c", ["1", "Sx", "nope"])
+def test_restrict_upset_refuses_contexts_outside_it(one_qubit_model, c):
+    """The frame over Sz's up-set holds Sz alone: a context below Sz, one
+    beside it and one of no poset are refused wherever a context enters."""
+    sub = one_qubit_model.frame.restrict_upset("Sz")
+    e, sz = ElementaryProposition(c, frozenset({"x"})), ElementaryProposition("Sz", frozenset({"Sz=1"}))
+    for call in (
+        lambda: sub.section({"Sz": set(), c: set()}),
+        lambda: sub.embed_elementary(e),
+        lambda: sub.elementary_meet(e, sz),
+        lambda: sub.elementary_meet(sz, e),
+        lambda: sub.elementary_leq(sz, e),
+        lambda: sub.evaluate_at(sub.top(), c),
+        lambda: sub.restrict_upset(c),
+    ):
+        with pytest.raises(UnknownContextError, match=f"^unknown context '{c}'$"):
+            call()
 
 
 def test_decidable_elements_full_frame(one_qubit_model):
