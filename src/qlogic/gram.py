@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,6 +32,26 @@ if TYPE_CHECKING:
 _EPS = float(np.finfo(float).eps)
 # complex entries per stack of dim x dim matrices in one batch
 _GRAM_ENTRIES = 2**12
+
+_T = TypeVar("_T")
+
+
+def _runs(items: Iterable[_T], entries: Callable[[_T], int], limit: int) -> Iterator[list[_T]]:
+    """The items, in order, in runs of at most `limit` entries in all, an
+    item holding entries(item), or of one item alone that holds more.  Each
+    run takes every item that still fits, so the runs are fixed by the
+    sizes alone; the next run is made only when it is asked for."""
+    run: list[_T] = []
+    size = 0
+    for item in items:
+        n = entries(item)
+        if run and size + n > limit:
+            yield run
+            run, size = [], 0
+        run.append(item)
+        size += n
+    if run:
+        yield run
 
 
 def _row_masks(edges: np.ndarray) -> list[int]:
@@ -60,20 +80,11 @@ class _Basis:
 
 
 def _bases_of(ctxs: Sequence[QuantumContext]) -> list[_Basis | None]:
-    """The bases of contexts of one dimension, measured in batches of at
-    most _GRAM_ENTRIES / dim^2 atoms (see _measured_bases)."""
+    """The bases of contexts of one dimension, measured in runs of at most
+    _GRAM_ENTRIES entries of atoms (see _runs and _measured_bases)."""
     dim = ctxs[0].atoms.shape[1]
-    limit = max(1, _GRAM_ENTRIES // dim**2)
-    out: list[_Basis | None] = []
-    chunk: list[QuantumContext] = []
-    atoms = 0
-    for ctx in ctxs:
-        if chunk and atoms + len(ctx.atoms) > limit:
-            out += _measured_bases(chunk, dim)
-            chunk, atoms = [], 0
-        chunk.append(ctx)
-        atoms += len(ctx.atoms)
-    return out + _measured_bases(chunk, dim)
+    runs = _runs(ctxs, lambda ctx: ctx.atoms.size, _GRAM_ENTRIES)
+    return [basis for run in runs for basis in _measured_bases(run, dim)]
 
 
 def _groups(labels: np.ndarray) -> np.ndarray:
@@ -166,9 +177,7 @@ def _certificates(
     labels = np.stack([x.labels for x in index])
     groups = _groups(labels)
     out = []
-    step = max(1, _GRAM_ENTRIES // dim**2)
-    for start in range(0, len(pairs), step):
-        batch = pairs[start : start + step]
+    for batch in _runs(pairs, lambda _: dim * dim, _GRAM_ENTRIES):
         ia, ib = np.array([(index[a], index[b]) for a, b in batch]).T
         ga = groups[ia]
         g = u[ia].conj().swapaxes(1, 2) @ u[ib]

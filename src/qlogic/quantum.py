@@ -38,29 +38,29 @@ meets and join candidates in pair order; the second settles them in that
 order.  The round's numpy work is done in bounded batches, a few calls
 over many small matrices instead of many calls over one each, as in
 batched BLAS (Dongarra et al., 2017): the join candidates' products,
-graphs, commutation and probe values in runs of at most _GRAM_ENTRIES
-complex entries, one run alive at a time, and at the round's end the
-check of its new contexts as resolutions of the identity (see _issues),
-which also keeps their probe values.
+graphs and commutation, and at the round's end the check of its new
+contexts as resolutions of the identity (see _issues).  Every such batch,
+and every batch of the Gram blocks, is cut by one rule (see gram._runs):
+the items in order, in runs of at most _GRAM_ENTRIES complex entries or
+one item alone, one run alive at a time.
 
 A context with n atoms p_k is looked up among the stored ones in a grid
 hash on (n, f // w) with f = sum_k x_k^2 over its probe values
 x_k = <v, p_k v> for a fixed unit probe v, and a cell width
 w = 4 n dim tau_proj + dim^3 2^-44, wide enough that every stored context
 with the same atoms within tau_proj lies in the context's cell or a
-neighbour, whichever rounding path the values took: a meet's are summed
-from its parent's, a join's come with its products (see
-QuantumModel._find_equal and _cell).  Each stored context is held as its
-atoms alone.  The closure settles every candidate (the trivial context,
-an observable's, a meet or a join) the same way before it builds it: the
-stored contexts in its key's cells are compared with its atoms, and only
-a candidate that matches none is sorted, named and stored, to be checked
-at the end of its round (see QuantumModel._settle and _check).  A meet
-is settled once per (context, component masks): the same key always
-forms the same candidate, bit for bit, and the store only appends, so
-the memo returns what settling again would (see QuantumModel._add_meet).
-The closure records each comparable pair's embedding as it finds the
-pair.
+neighbour.  Every candidate is keyed the same way, from its own atoms as
+they stand (see QuantumModel._key and _find_equal).  Each stored context
+is held as its atoms alone.  The closure settles every candidate (the
+trivial context, an observable's, a meet or a join) the same way before
+it builds it: the stored contexts in its key's cells are compared with
+its atoms, and only a candidate that matches none is sorted, named and
+stored, to be checked at the end of its round (see QuantumModel._settle
+and _check).  A meet is settled once per (context, component masks): the
+same key always forms the same candidate, bit for bit, and the store only
+appends, so the memo returns what settling again would (see
+QuantumModel._add_meet).  The closure records each comparable pair's
+embedding as it finds the pair.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .formulas import WORD
-from .gram import _GRAM_ENTRIES, _Basis, _bases_of, _certificates, _row_masks
+from .gram import _GRAM_ENTRIES, _Basis, _bases_of, _certificates, _row_masks, _runs
 from .poset import ContextPoset, LocalAlgebra, _bits
 from .sections import BOTTOM, ElementaryProposition, Frame
 
@@ -123,7 +123,13 @@ def spectral_decompose(
     if not is_hermitian(h, tau_herm):
         raise DomainError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
-    scale = max(1.0, float(np.max(np.abs(w))))
+    top = float(np.max(np.abs(w)))
+    # past this bound a gap between eigenvalues or a cluster's sum may overflow
+    bound = np.finfo(float).max / (2 * len(w))
+    if not top <= bound:  # inf and NaN too
+        e = w[np.argmax(np.abs(w))]
+        raise DomainError(f"eigenvalue {e:g} exceeds max_float / (2 dim) = {bound:.3g} in magnitude")
+    scale = max(1.0, top)
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(w)):
         if w[i] - w[clusters[-1][-1]] > tau_eig * scale:
@@ -296,9 +302,7 @@ def _batches(stacks: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarr
     for s, atoms in enumerate(stacks):
         groups.setdefault(len(atoms), []).append(s)
     for members in groups.values():
-        per = max(1, _GRAM_ENTRIES // max(1, stacks[members[0]].size))
-        for lo in range(0, len(members), per):
-            batch = members[lo : lo + per]
+        for batch in _runs(members, lambda s: stacks[s].size, _GRAM_ENTRIES):
             yield batch, _stacked([stacks[s] for s in batch])
 
 
@@ -347,15 +351,15 @@ def generated_context(
 
 
 def _products(
-    pairs: Sequence[tuple[QuantumContext, QuantumContext]], tol: float, probe: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, bool, np.ndarray]]:
+    pairs: Sequence[tuple[QuantumContext, QuantumContext]], tol: float
+) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """For each pair (c1, c2) of contexts, all of one dimension: the atom
     products prods[i, j] = p_i q_j, the overlap graph edges[i, j] =
-    ||p_i q_j||_max > tol, whether the atoms commute within tol, and the
-    probe values x[i, j] = <v, p_i q_j v>.  The pairs of the same atom
-    counts are multiplied in one batch, each product made alone, as the
-    pair's own (n1, n2) batch would make it.  Commutation is read off the
-    products: p q - q p = p q - (p q)^dagger for Hermitian p and q."""
+    ||p_i q_j||_max > tol, and whether the atoms commute within tol.  The
+    pairs of the same atom counts are multiplied in one batch, each product
+    made alone, as the pair's own (n1, n2) batch would make it.
+    Commutation is read off the products: p q - q p = p q - (p q)^dagger
+    for Hermitian p and q."""
     out: list = [None] * len(pairs)
     groups: dict[tuple[int, int], list[int]] = {}
     for t, (c1, c2) in enumerate(pairs):
@@ -371,9 +375,8 @@ def _products(
         np.conjugate(d, out=d)
         np.subtract(prods, d, out=d)
         commute = (np.abs(d).max(axis=(1, 2, 3, 4)) <= tol).tolist()
-        x = ((prods @ probe) @ probe.conj()).real
-        for t, p, e, c, xt in zip(ts, prods, edges, commute, x):
-            out[t] = (p, e, c, xt)
+        for t, p, e, c in zip(ts, prods, edges, commute):
+            out[t] = (p, e, c)
     return out
 
 
@@ -432,10 +435,8 @@ class QuantumModel:
     poset: ContextPoset = field(init=False)
     frame: Frame = field(init=False)
     _probe: np.ndarray = field(init=False, repr=False)
-    # (number of atoms, cell) -> [(insertion index, context id)], see _cell
+    # (number of atoms, cell) -> [(insertion index, context id)], see _key
     _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(init=False, repr=False)
-    # context id -> its atoms' probe values <v, p_k v>, kept by _check
-    _x: dict[str, list[float]] = field(init=False, repr=False)
     # (context, its atoms' component masks) -> the id of that meet, see _add_meet
     _meets: dict[tuple[str, tuple[int, ...]], str] = field(init=False, repr=False)
     # observable -> the atom of its context for each of its eigenvalue clusters
@@ -481,11 +482,11 @@ class QuantumModel:
         ||p_k - q_k||_2 <= dim tau for the unit probe v.  Clipped to [0, 1],
         which moves no two values apart, each square moves by at most
         2 dim tau, and the exact f by at most 2 n dim tau.  Each key's f is
-        within r / 4 of its atoms' exact f, whichever rounding path it took
-        (see _cell), so two matching keys' f differ by at most half the cell
-        width, 2 n dim tau + r / 2, and their f / w, rounded once more, by
-        less than 1, at tau_proj = 0 too: every match lies in the key's cell
-        or a neighbour, and the earliest of those is the earliest of all.
+        within r / 4 of its atoms' exact f (see _key), so two matching keys'
+        f differ by at most half the cell width, 2 n dim tau + r / 2, and
+        their f / w, rounded once more, by less than 1, at tau_proj = 0 too:
+        every match lies in the key's cell or a neighbour, and the earliest
+        of those is the earliest of all.
         """
         n, cell = key
         for _, cid in sorted(
@@ -495,30 +496,24 @@ class QuantumModel:
                 return cid
         return None
 
-    def _cell(self, x: Sequence[float]) -> tuple[int, int]:
-        """(n, f // w) for the probe values x_k = <v, p_k v> of n atoms, with
-        f = sum_k x_k^2, each x_k clipped to [0, 1], and the cell width
-        w = 4 n dim tau_proj + r, r = dim^3 2^-44 for rounding.
+    def _key(self, atoms: np.ndarray) -> tuple[int, int]:
+        """(n, f // w) for a stack of n atoms p_k: f = sum_k x_k^2 over their
+        probe values x_k = <v, p_k v>, each clipped to [0, 1], and the cell
+        width w = 4 n dim tau_proj + r, r = dim^3 2^-44 for rounding.
 
-        The values are an atom's own, (p v) . conj(v) (_key, _check, and a
-        join's from _products), or a meet's, summed from its parent's over a
-        component (_add_meet).  With u = 2^-53 and gamma_k = k u / (1 - k u),
-        Higham's bound on an inner product of length k (Accuracy and
-        Stability of Numerical Algorithms, ch. 3) puts an atom's own value
-        within 3 gamma_(dim+2) |v|^T |p| |v| <= 6 gamma_(dim+2) dim of
-        <v, p v> for entries of p at most 2, as near-projections and their
-        products have.  A meet's sum over m parent atoms adds its own
-        rounding and that of the summed atom, each at most 2 gamma_m m dim.
-        Over at most dim atoms and components, with |a^2 - b^2| <= 2|a - b|
-        on [0, 1] and the rounding of f, every path puts f within
-        21.5 dim^2 (dim + 2) u <= r / 4 of its exact value."""
-        n = len(x)
+        Each x_k is computed as (p_k v) . conj(v).  With u = 2^-53 and
+        gamma_k = k u / (1 - k u), Higham's bound on an inner product of
+        length k (Accuracy and Stability of Numerical Algorithms, ch. 3)
+        puts it within 3 gamma_(dim+2) |v|^T |p_k| |v| <= 6 gamma_(dim+2) dim
+        of <v, p_k v> for entries of p_k at most 2, as near-projections and
+        their sums and products have.  Over at most dim atoms, with
+        |a^2 - b^2| <= 2|a - b| on [0, 1] and the rounding of the squares
+        and of f, f lies within 13 dim^2 (dim + 2) u of its exact value to
+        first order, well inside r / 4 = 128 dim^3 u."""
+        n = len(atoms)
+        x = (atoms @ self._probe).dot(self._probe.conj()).real.tolist()
         f = sum(min(max(xk, 0.0), 1.0) ** 2 for xk in x)
         return n, math.floor(f / (4 * n * self.dim * self.tau_proj + self.dim**3 * 2**-44))
-
-    def _key(self, atoms: np.ndarray) -> tuple[int, int]:
-        """The key (see _cell) of a stack of atoms from their own probe values."""
-        return self._cell((atoms @ self._probe).dot(self._probe.conj()).real.tolist())
 
     def _settle(
         self, key: tuple[int, int], atoms: np.ndarray, new: Callable[[], tuple[str, QuantumContext]]
@@ -537,16 +532,13 @@ class QuantumModel:
 
     def _check(self, start: int) -> None:
         """Checks the contexts stored from insertion index `start` on as
-        resolutions of the identity, in bounded batches (see _batches), and
-        keeps their probe values; raises the first issue of the first
-        failing context in store order."""
+        resolutions of the identity, in bounded batches (see _batches);
+        raises the first issue of the first failing context in store order."""
         fresh = list(self.contexts)[start:]
         found: list = [None] * len(fresh)
         for batch, a in _batches([self.contexts[c].atoms for c in fresh]):
-            x = ((a @ self._probe) @ self._probe.conj()).real.tolist()
-            for s, issues, xs in zip(batch, _issues(a, self.tau_proj), x):
+            for s, issues in zip(batch, _issues(a, self.tau_proj)):
                 found[s] = issues
-                self._x[fresh[s]] = xs
         for cid, issues in zip(fresh, found):
             if issues:
                 raise StructureError(f"context {cid!r}: {issues[0]}")
@@ -554,8 +546,8 @@ class QuantumModel:
     def _add_meet(self, a: str, b: str, comps: tuple[int, ...]) -> str:
         """The id of the meet of contexts a and b, whose overlap graph has the
         components `comps` (masks of a's atoms, see _components): its atoms
-        are the sums of a's atoms over the components, keyed from the sums
-        of a's probe values, sorted and named only for a new context.
+        are the sums of a's atoms over the components, keyed in that order,
+        sorted and named only for a new context.
 
         Settled once per (a, comps): the candidate is stacked from a's stored
         atoms, summed in index order, so the same key always forms a
@@ -566,31 +558,15 @@ class QuantumModel:
         key = (a, comps)
         cid = self._meets.get(key)
         if cid is None:
-            atoms, x = self.contexts[a].atoms, self._x[a]
-            parts = [list(_bits(m)) for m in comps]
-            meet = np.stack([sum(atoms[i] for i in part) for part in parts])
+            atoms = self.contexts[a].atoms
+            meet = np.stack([sum(atoms[i] for i in _bits(m)) for m in comps])
 
             def new() -> tuple[str, QuantumContext]:
                 k = _atom_order(meet)
                 return f"({a}^{b})", QuantumContext(tuple(f"m{i}" for i in range(len(k))), meet[k])
 
-            cell = self._cell([sum(x[i] for i in part) for part in parts])
-            cid = self._meets[key] = self._settle(cell, meet, new)
+            cid = self._meets[key] = self._settle(self._key(meet), meet, new)
         return cid
-
-    def _run(self, todo: list, k: int) -> dict:
-        """(a, b) -> the products (see _products) of the join candidates of
-        todo from index k on, as many as hold at most _GRAM_ENTRIES entries
-        of products, or the first alone."""
-        run, size = [], 0
-        for a, b, _, join in itertools.islice(todo, k, None):
-            if join:
-                size += len(self.contexts[a].atoms) * len(self.contexts[b].atoms) * self.dim**2
-                if run and size > _GRAM_ENTRIES:
-                    break
-                run.append((a, b))
-        pairs = [(self.contexts[a], self.contexts[b]) for a, b in run]
-        return dict(zip(run, _products(pairs, self.tau_proj, self._probe)))
 
     def _certify(
         self, pairs: list[tuple[str, str]]
@@ -616,8 +592,9 @@ class QuantumModel:
         embeddings, and lists the meet (by components) and whether the pair
         is a join candidate, not certified apart; a pair without a certified
         graph is listed for its products.  The second settles the list in
-        order, the join candidates' products made a bounded run at a time
-        (see _run), one run alive at once."""
+        order, the join candidates' products made a run of at most
+        _GRAM_ENTRIES entries of products at a time (see _runs), one run
+        alive at once."""
 
         def ordered(a: str, b: str, rows: list[int]) -> bool:
             up, down = _embeddings(rows, len(self.contexts[b].atoms))
@@ -639,13 +616,21 @@ class QuantumModel:
                 todo.append((a, b, None, True))
             elif not ordered(a, b, rows):
                 todo.append((a, b, _components(rows), not apart))
+        # a pair's products hold n_a n_b dim^2 entries
+        runs = _runs(
+            [(a, b) for a, b, _, join in todo if join],
+            lambda ab: self.contexts[ab[0]].atoms.size * len(self.contexts[ab[1]].atoms),
+            _GRAM_ENTRIES,
+        )
         run: dict = {}
-        for k, (a, b, comps, join) in enumerate(todo):
+        for a, b, comps, join in todo:
             if join:
                 if (a, b) not in run:
-                    prods = edges = x = None  # the last run goes before the next is made
-                    run = self._run(todo, k)
-                prods, edges, commute, x = run.pop((a, b))
+                    prods = edges = None  # the last run goes before the next is made
+                    keys = next(runs)
+                    ctxs = [(self.contexts[c], self.contexts[d]) for c, d in keys]
+                    run = dict(zip(keys, _products(ctxs, self.tau_proj)))
+                prods, edges, commute = run.pop((a, b))
             if comps is None:
                 rows = _row_masks(edges)
                 if ordered(a, b, rows):
@@ -660,17 +645,16 @@ class QuantumModel:
                     names = tuple(f"{na[i]}.{nb[j]}" for i, j in np.argwhere(edges).tolist())
                     return f"{a}*{b}", QuantumContext(names, atoms)
 
-                self._settle(self._cell(x[edges].tolist()), atoms, new)
+                self._settle(self._key(atoms), atoms, new)
 
     def _build(self):
         self.contexts = {}
         self.obs_context = {}
-        # the probe of the dedup grid (_cell), in closed form
+        # the probe of the dedup grid (_key), in closed form
         idx = np.arange(1, self.dim + 1)
         probe = np.sqrt(idx) * np.exp(1j * idx * 0.6180339887498949)
         self._probe = probe / np.linalg.norm(probe)
         self._cells = {}
-        self._x = {}
         trivial = _trivial_context(self.dim)
         self._settle(self._key(trivial.atoms), trivial.atoms, lambda: (TRIVIAL_ID, trivial))
         # the identity's check in closed form: its one issue as a resolution

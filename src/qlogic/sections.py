@@ -150,7 +150,7 @@ class Frame:
         """True iff the section's points form an up-set."""
         mask = self._mask(s)
         up = self._table.up
-        return all(not up[p] & ~mask for p in range(len(up)) if mask >> p & 1)
+        return all(not up[p] & ~mask for p in _bits(mask))
 
     def top(self) -> Section:
         return self._section(self._table.top)

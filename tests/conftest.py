@@ -1,3 +1,4 @@
+import functools
 import pathlib
 
 import numpy as np
@@ -5,12 +6,20 @@ import pytest
 
 from qlogic import ClassicalModel, ClassicalObservable, OutcomeSpace, QuantumModel
 from qlogic.bell import BellScenario, DEFAULT_ANGLES, build_chsh_frame
+from qlogic.cli import load_model
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+@functools.cache
+def loaded(path):
+    """The model at path, loaded once for the whole session: the oracle
+    tests read it, and none may change it."""
+    return load_model(str(path))
 
 
 @pytest.fixture(scope="session")

@@ -432,6 +432,11 @@ QUBIT_TEXT = (FIXTURES / "one_qubit.json").read_bytes()
 NON_FINITE_TEXT = QUBIT_TEXT.replace(b'"Sz": [[[1, 0]', b'"Sz": [[[%s, 0]')
 
 
+def quantum_doc(rows: list) -> dict:
+    """A quantum model document of the one real observable A with these rows."""
+    return {"kind": "quantum", "observables": {"A": [[[x, 0] for x in row] for row in rows]}}
+
+
 def _model_file(tmp_path, content: bytes) -> str:
     path = tmp_path / "model.json"
     path.write_bytes(content)
@@ -512,6 +517,14 @@ MALFORMED = {
     ],
     "matrix entry infinite": lambda tmp: ["build", _model_file(tmp, NON_FINITE_TEXT % b"Infinity")],
     "matrix entry NaN": lambda tmp: ["build", _model_file(tmp, NON_FINITE_TEXT % b"NaN")],
+    "eigenvalues past the float range": lambda tmp: [
+        "build",
+        _model_file(tmp, json.dumps(quantum_doc([[1e308, 0, 0], [0, 1e308, 0], [0, 0, -1e308]])).encode()),
+    ],
+    # every entry is finite, but the spectrum is {0, 3.4e308}
+    "eigenvalue past the float range": lambda tmp: [
+        "build", _model_file(tmp, json.dumps(quantum_doc([[1.7e308] * 2] * 2)).encode())
+    ],
     "enumeration guard not an integer": lambda tmp: ["decidable", QUBIT],
     "lone surrogate in a name": lambda tmp: [
         "build",
@@ -540,6 +553,12 @@ MALFORMED_MESSAGES = {
     "tolerance negative": "error: option 'tau_proj' must be finite and at least 0, got -1",
     "matrix entry infinite": "error: observable 'Sz' has a non-finite entry",
     "matrix entry NaN": "error: observable 'Sz' has a non-finite entry",
+    "eigenvalues past the float range": (
+        "error: eigenvalue -1e+308 exceeds max_float / (2 dim) = 3e+307 in magnitude"
+    ),
+    "eigenvalue past the float range": (
+        "error: eigenvalue inf exceeds max_float / (2 dim) = 4.49e+307 in magnitude"
+    ),
     "angle NaN": "error: angle must be finite, got nan",
     "angle infinite": "error: angle must be finite, got inf",
     "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",

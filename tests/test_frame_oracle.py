@@ -12,7 +12,6 @@ kept as oracles too: implication as a scan of every point's up-set, and
 the decidable sections as the enumerated up-sets m with m | ~m = TOP.
 """
 
-import functools
 import itertools
 import random
 
@@ -23,13 +22,12 @@ from hypothesis import assume, given, settings, strategies as st
 from qlogic import (
     ClassicalModel, ClassicalObservable, ContextPoset, LocalAlgebra, OutcomeSpace, QuantumModel
 )
-from qlogic.cli import load_model
 from qlogic.errors import ResourceLimitError
 from qlogic.hasse import hasse_edges
 from qlogic.poset import PointTable, _bits
 from qlogic.sections import ElementaryProposition, Frame, Section
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, loaded
 from test_classical import _model, classical_models
 
 PAIR_SAMPLE = 150
@@ -263,12 +261,6 @@ def test_fixtures_match_oracle(name, request):
     check_frame(request.getfixturevalue(name).frame)
 
 
-@functools.cache
-def loaded(path):
-    """The model at path, loaded once for this module's tests."""
-    return load_model(str(path))
-
-
 MODEL_PATHS = [FIXTURES / f"{n}.json" for n in ("figure1", "crossing", "one_qubit")] + sorted(
     GOLDEN.glob("*.json")
 )
@@ -316,6 +308,54 @@ def test_restrict_upset_matches_upset_embed_oracle(path):
 )
 def test_refined_frames_match_sub_poset_oracle(path):
     check_refined_against_oracle(loaded(path).frame)
+
+
+def oracle_is_monotone(frame, mask: int) -> bool:
+    """Whether the mask's points form a section, read through leq and embed:
+    at each pair d <= e of the frame's contexts, the value at d embeds
+    inside the value at e."""
+    poset, values = frame.poset, frame._section(mask).as_dict()
+    return all(
+        poset.embed(d, e, values[d]) <= values[e]
+        for d in frame.context_ids
+        for e in frame.context_ids
+        if d != e and poset.leq(d, e)
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [FIXTURES / f"{n}.json" for n in ("figure1", "crossing", "one_qubit")] + [GOLDEN / "xz3_seed0.json"],
+    ids=lambda path: path.stem,
+)
+def test_is_monotone_matches_embed_oracle_on_refined_frames(path):
+    """At each context's refined frame, on its sections enumerated under a
+    guard of 2^ENUM_POINTS, or else on the up-sets of SECTION_SAMPLE of its
+    points: every section is monotone, and with any one of its points
+    dropped is_monotone agrees with the oracle, both ways."""
+    frame = loaded(path).frame
+    rng = random.Random(0)
+    seen = set()
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("QLOGIC_ENUM_GUARD", str(1 << ENUM_POINTS))
+        for c in frame.poset.context_ids:
+            sub = frame.restrict_upset(c)
+            sections = guarded(Frame.enumerate_sections, sub)
+            if not isinstance(sections, list):
+                points = [(d, a) for d in sub.context_ids for a in frame.poset.algebra(d).atoms]
+                sections = [
+                    sub.embed_elementary(ElementaryProposition(d, frozenset({a})))
+                    for d, a in rng.sample(points, SECTION_SAMPLE)
+                ]
+            for s in sections:
+                mask = sub._mask(s)
+                assert sub.is_monotone(s) and oracle_is_monotone(sub, mask), (c, s)
+                for p in _bits(mask):
+                    dropped = mask & ~(1 << p)
+                    got = sub.is_monotone(sub._section(dropped))
+                    assert got == oracle_is_monotone(sub, dropped), (c, s, p)
+                    seen.add(got)
+    assert seen == {True, False}
 
 
 @settings(max_examples=40, deadline=None)

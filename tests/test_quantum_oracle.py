@@ -15,9 +15,10 @@ settles a candidate before building it, against the scan, the meet memo
 against the fresh settle it skips, the order and embeddings read from the
 overlap graph's row masks against the graph's row and column sums, the
 component masks against a reachability closure, the tabled same_atoms
-and batched validate_resolution against their pairwise loops, and the
+and batched validate_resolution against their pairwise loops, the
 overlap graphs and non-commutation certified from Gram blocks against the
-products of _overlap and _commute they replace.  The elementary
+products of _overlap and _commute they replace, and the one chunker of
+the closure's batches against the three loops it replaced.  The elementary
 propositions, looked up from the clusters' atoms fixed at build, are
 checked against the atoms under the summed spectral projections.
 """
@@ -38,11 +39,11 @@ from qlogic import (
     QuantumModel,
     classical_bridge,
 )
-from qlogic import quantum
+from qlogic import gram, quantum
 from qlogic.bell import BellScenario, build_chsh_frame
 from qlogic.cli import load_model
 from qlogic.errors import StructureError
-from qlogic.gram import _bases_of, _certificates
+from qlogic.gram import _bases_of, _certificates, _runs
 from qlogic.quantum import (
     TAU_PROJ,
     QuantumContext,
@@ -61,7 +62,7 @@ from qlogic.quantum import (
 )
 from qlogic.sections import ElementaryProposition
 
-from conftest import FIXTURES, GOLDEN, SZ
+from conftest import FIXTURES, GOLDEN, SZ, loaded
 from test_bridge import oracle_isomorphic
 
 PAULI = {
@@ -125,8 +126,8 @@ def _commute(prods: np.ndarray, tol: float) -> bool:
 
 
 def products_of(model, a: str, b: str):
-    """The closure's products, graph, commutation and probe values of one pair."""
-    [got] = _products([(model.contexts[a], model.contexts[b])], model.tau_proj, model._probe)
+    """The closure's products, graph and commutation of one pair."""
+    [got] = _products([(model.contexts[a], model.contexts[b])], model.tau_proj)
     return got
 
 
@@ -578,9 +579,9 @@ def probe_f(model, atoms) -> float:
 
 def check_dedup_before_build(model):
     """Each meet and join candidate of a closed model is stored already: the
-    dedup, keyed from the candidate's probe values as the closure keys it
-    (a meet's from its parent's, a join's from its products), must return
-    what a scan of every context does and store nothing.  The meet memo is
+    dedup, keyed from the candidate's own atoms as the closure keys it (a
+    meet's unsorted sums, a join's products), must return what a scan of
+    every context does and store nothing.  The meet memo is
     emptied before each meet, so that the dedup itself answers."""
     ids = list(model.contexts)
     for a, b, prods, e in incomparable_pairs(model):
@@ -591,11 +592,11 @@ def check_dedup_before_build(model):
         assert want is not None
         model._meets.clear()
         assert model._add_meet(a, b, _components(_row_masks(e))) == want, (a, b)
-        got, edges, commute, x = products_of(model, a, b)
+        got, edges, commute = products_of(model, a, b)
         if commute:
             join = QuantumContext(tuple(map(str, range(e.sum()))), prods[e])
             new = lambda: (f"{a}*{b}#new", join)
-            settled = model._settle(model._cell(x[edges].tolist()), got[edges], new)
+            settled = model._settle(model._key(got[edges]), got[edges], new)
             assert settled == oracle_find_equal(model, join), (a, b)
     assert list(model.contexts) == ids
 
@@ -677,7 +678,7 @@ def test_meet_dedup_finds_its_match_across_a_cell_wall():
     else:
         raise AssertionError("no seed gives a new meet of O0 and O1")
     n, f = len(model.contexts["(O0^O1)"].atoms), probe_f(model, model.contexts["(O0^O1)"].atoms)
-    rounding = model.dim**3 * 2**-44  # the cell width's allowance, see QuantumModel._cell
+    rounding = model.dim**3 * 2**-44  # the cell width's allowance, see QuantumModel._key
     below = math.floor(f / (4 * n * model.dim * 1e-3 + rounding))
     tau = (f / (below + 0.02) - rounding) / (4 * n * model.dim)
     model = QuantumModel(obs, tau_proj=tau)
@@ -928,10 +929,10 @@ def closure_calls(make, gram_pairs: float) -> tuple[QuantumModel, Counter]:
     calls: Counter = Counter()
     products, certificates = _products, _certificates
 
-    def counted_products(pairs, tol, probe):
-        out = products(pairs, tol, probe)
+    def counted_products(pairs, tol):
+        out = products(pairs, tol)
         calls["products"] += len(out)
-        calls["commute_yes"] += sum(commute for _, _, commute, _ in out)
+        calls["commute_yes"] += sum(commute for _, _, commute in out)
         return out
 
     def counted_certificates(pairs, tol):
@@ -1046,18 +1047,12 @@ def product_runs(draw):
 @given(pairs=product_runs(), tol=st.sampled_from([0.0, 1e-8, 1e-3]))
 def test_run_products_match_the_pairwise_products(pairs, tol):
     """A run's products equal each pair's own batch bit for bit, and so do
-    the graph and commutation read from them; the probe values are the
-    products' own up to rounding."""
-    dim = pairs[0][0].atoms.shape[1]
-    idx = np.arange(1, dim + 1)
-    probe = np.sqrt(idx) * np.exp(1j * idx * 0.6180339887498949)
-    probe /= np.linalg.norm(probe)
-    for (ca, cb), (prods, edges, commute, x) in zip(pairs, _products(pairs, tol, probe)):
+    the graph and commutation read from them."""
+    for (ca, cb), (prods, edges, commute) in zip(pairs, _products(pairs, tol)):
         want, e = _overlap(ca, cb, tol)
         assert prods.tobytes() == want.tobytes()
         assert np.array_equal(edges, e)
         assert commute == _commute(want, tol)
-        assert np.allclose(x, [[np.vdot(probe, p @ probe).real for p in row] for row in want], atol=1e-13)
 
 
 def faulted(atoms: np.ndarray, fault: str, g: np.random.Generator) -> np.ndarray:
@@ -1169,9 +1164,9 @@ def test_atom_order_reads_the_entries_on_a_tie(seed, dim, rank):
 
 
 def check_keys_within_a_cell(model: QuantumModel):
-    """Each stored context is filed under the key its path made (an atom's
-    own values, a meet's summed from its parent's, a join's from its
-    chunk), within one cell of the key from its stored atoms' own values."""
+    """Each stored context is filed under the key of its candidate's atoms
+    (a meet's unsorted sums, a join's products, an observable's
+    projections), within one cell of the key of its stored atoms."""
     filed = {cid: key for key, entries in model._cells.items() for _, cid in entries}
     assert filed.keys() == model.contexts.keys()
     for cid, (n, cell) in filed.items():
@@ -1221,8 +1216,7 @@ def test_batches_keep_to_the_memory_rule():
     within a few times the larger of the bound and one item, where the
     whole (n, n) table of a 16-atom context would be 16 times the item.
     The build is the default one, bit for bit."""
-    make = lambda: load_model(str(GOLDEN / "xz4_seed0.json"))
-    want = built(make())
+    want = built(loaded(GOLDEN / "xz4_seed0.json"))
     limit = 3 * 16**2
     calls: Counter = Counter()
 
@@ -1251,11 +1245,157 @@ def test_batches_keep_to_the_memory_rule():
             m.setattr(quantum, "_GRAM_ENTRIES", limit)
             m.setattr(quantum, "_products", products)
             m.setattr(quantum, "_issues", issues)
-            model = make()
+            model = load_model(str(GOLDEN / "xz4_seed0.json"))
     finally:
         tracemalloc.stop()
     assert calls["products"] > 20 and calls["issues"] > 5
     assert built(model) == want
+
+
+# -- the one chunker against the three loops it replaced ---------------------------
+
+
+def oracle_base_chunks(counts: list[int], dim: int, entries: int) -> list[list[int]]:
+    """gram._bases_of's loop once: contexts of these atom counts in chunks of
+    at most entries // dim^2 atoms, or one context alone."""
+    limit = max(1, entries // dim**2)
+    out, chunk, atoms = [], [], 0
+    for i, n in enumerate(counts):
+        if chunk and atoms + n > limit:
+            out.append(chunk)
+            chunk, atoms = [], 0
+        chunk.append(i)
+        atoms += n
+    return out + [chunk]
+
+
+def oracle_check_batches(counts: list[int], dim: int, entries: int) -> list[list[int]]:
+    """quantum._batches' step once: stacks of these atom counts grouped by
+    count, in order of first appearance, each group cut every
+    entries // (n dim^2) stacks, or at every stack."""
+    groups: dict[int, list[int]] = {}
+    for s, n in enumerate(counts):
+        groups.setdefault(n, []).append(s)
+    out = []
+    for members in groups.values():
+        per = max(1, entries // max(1, counts[members[0]] * dim**2))
+        out += [members[lo : lo + per] for lo in range(0, len(members), per)]
+    return out
+
+
+def oracle_join_runs(todo: list[tuple[int, int, bool]], dim: int, entries: int) -> list[list[int]]:
+    """QuantumModel._run's scans of a round's list as _round once made them,
+    todo holding (n_a, n_b, join): at each join candidate not in the last
+    run, the candidates from there on while their products hold at most
+    `entries` entries, or the first alone; each run as indices of todo."""
+    runs, run = [], []
+    for k, (_, _, join) in enumerate(todo):
+        if join and k not in run:
+            run, size = [], 0
+            for i in range(k, len(todo)):
+                na, nb, j = todo[i]
+                if j:
+                    size += na * nb * dim**2
+                    if run and size > entries:
+                        break
+                    run.append(i)
+            runs.append(run)
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 60), max_size=30), limit=st.integers(1, 150))
+def test_runs_keep_the_order_and_the_bound(sizes, limit):
+    """The runs concatenate to the items in order; each holds at most the
+    limit or is one item, and takes every item that still fits."""
+    items = list(enumerate(sizes))
+    runs = list(_runs(items, lambda item: item[1], limit))
+    assert [item for run in runs for item in run] == items
+    for run, after in zip(runs, runs[1:] + [None]):
+        total = sum(n for _, n in run)
+        assert run and (len(run) == 1 or total <= limit)
+        assert after is None or total + after[0][1] > limit
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 8), min_size=1, max_size=20),
+    dim=st.sampled_from([1, 2, 4, 8]),
+    entries=st.sampled_from([1, 16, 100, 256, 4096]),
+)
+def test_bases_and_check_batches_are_the_loops_chunks(counts, dim, entries):
+    """_bases_of measures, and _batches stacks, exactly the chunks of the
+    loops they replaced, at every bound."""
+    ctxs = [QuantumContext(tuple(map(str, range(n))), np.zeros((n, dim, dim))) for n in counts]
+    index = {id(c): i for i, c in enumerate(ctxs)}
+    chunks = []
+
+    def measured(run, _):
+        chunks.append([index[id(c)] for c in run])
+        return [None] * len(run)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gram, "_GRAM_ENTRIES", entries)
+        m.setattr(quantum, "_GRAM_ENTRIES", entries)
+        m.setattr(gram, "_measured_bases", measured)
+        assert _bases_of(ctxs) == [None] * len(ctxs)
+        batches = [batch for batch, _ in _batches([c.atoms for c in ctxs])]
+    assert chunks == oracle_base_chunks(counts, dim, entries)
+    assert batches == oracle_check_batches(counts, dim, entries)
+
+
+@pytest.mark.parametrize("entries", [3 * 8**2, 16 * 8**2, 4096])
+def test_a_build_makes_the_three_loops_chunks(entries):
+    """On the xz3 golden (dim 8) with _GRAM_ENTRIES at `entries` in both
+    modules: each round's join candidates multiplied, run by run, are the
+    runs that _run's scans made of them, and the bases measured and the
+    contexts checked are the loops' chunks, call by call; the build is the
+    default one."""
+    rounds, bases, checks = [], [], []
+    products, bases_of, batches = quantum._products, quantum._bases_of, quantum._batches
+    measured, round_ = gram._measured_bases, QuantumModel._round
+
+    def spy_round(self, pairs, images):
+        rounds.append([])
+        return round_(self, pairs, images)
+
+    def spy_products(pairs, tol):
+        rounds[-1].append([(len(a.atoms), len(b.atoms)) for a, b in pairs])
+        return products(pairs, tol)
+
+    def spy_bases(ctxs):
+        bases.append(([len(c.atoms) for c in ctxs], []))
+        return bases_of(ctxs)
+
+    def spy_measured(run, dim):
+        bases[-1][1].append(len(run))
+        return measured(run, dim)
+
+    def spy_batches(stacks):
+        out = list(batches(stacks))
+        checks.append(([len(a) for a in stacks], [batch for batch, _ in out]))
+        return iter(out)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gram, "_GRAM_ENTRIES", entries)
+        m.setattr(quantum, "_GRAM_ENTRIES", entries)
+        m.setattr(quantum, "_products", spy_products)
+        m.setattr(quantum, "_bases_of", spy_bases)
+        m.setattr(gram, "_measured_bases", spy_measured)
+        m.setattr(quantum, "_batches", spy_batches)
+        m.setattr(QuantumModel, "_round", spy_round)
+        model = load_model(str(GOLDEN / "xz3_seed0.json"))
+    assert built(model) == built(loaded(GOLDEN / "xz3_seed0.json"))
+    for runs in rounds:
+        todo = [(na, nb, True) for run in runs for na, nb in run]
+        ends = itertools.accumulate(len(run) for run in runs)
+        got = [list(range(end - len(run), end)) for run, end in zip(runs, ends)]
+        assert got == oracle_join_runs(todo, 8, entries)
+    assert sum(map(len, rounds)) > len(rounds) and bases and checks
+    for counts, chunks in bases:
+        assert chunks == [len(chunk) for chunk in oracle_base_chunks(counts, 8, entries)]
+    for counts, got in checks:
+        assert got == oracle_check_batches(counts, 8, entries)
 
 
 # -- elementary propositions against the spectral products -----------------------
