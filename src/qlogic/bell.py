@@ -85,11 +85,13 @@ def maximally_mixed_state(dim: int = 4) -> np.ndarray:
 
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-8) -> None:
     rho = np.asarray(rho, dtype=complex)
-    # each check is written so that NaN fails it
-    if not _maxabs(rho - rho.conj().T) <= tol:
-        raise DomainError("density matrix must be Hermitian")
-    if not abs(np.trace(rho).real - 1.0) <= tol:
-        raise DomainError("density matrix must have unit trace")
+    # each check is written so that NaN fails it, and so does a difference
+    # or a sum past the float range, which reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _maxabs(rho - rho.conj().T) <= tol:
+            raise DomainError("density matrix must be Hermitian")
+        if not abs(np.trace(rho).real - 1.0) <= tol:
+            raise DomainError("density matrix must have unit trace")
     if not np.min(np.linalg.eigvalsh(rho)) >= -tol:
         raise DomainError("density matrix must be positive semidefinite")
 

@@ -154,25 +154,68 @@ def _close(
     """The packed partitions, {Omega} added, closed under meet and join, and
     the (coarser, finer) index pairs of its strictly comparable members.
 
-    Each pair is taken once, when the later of the two is walked; a
-    comparable pair is recorded and skipped, since its meet and join are
-    the pair."""
+    Partitions are ordered by refinement, finer below, so join coarsens.
+    Each member is walked once against the earlier ones: a comparable pair
+    is recorded, once, and an incomparable pair's meet (``&``) is added.
+    Joins are then taken only against the join-irreducibles J(F), the
+    members with exactly one lower cover: each member x is joined with each
+    j in J(F) it is incomparable to and was not joined with yet.  This
+    repeats until no member is new.
+
+    Why that closes F under every join: F holds Omega and is closed under
+    meets, so it is a finite lattice, in which every element is the join of
+    the join-irreducibles below it (Birkhoff; Davey & Priestley,
+    Introduction to Lattices and Order, ch. 2).  Suppose x v j is in F for
+    every x in F and j in J(F), and take y in F other than its least member
+    (for that one x v y = x).  The iterated join z of the j in J(F) below y
+    stays in F, and z <= y.  In the lattice down-set of y in F, y is the
+    least upper bound of those j and z is an upper bound of them, so
+    z = y.  Hence x v y = x v j_1 v ... v j_k, one step at a time, inside
+    F."""
     family = list(dict.fromkeys([*family, points.pack([(1 << points.n) - 1])]))
-    blocks = [points.blocks(e) for e in family]
     seen = set(family)
     pairs = []
-    for k, e1 in enumerate(family):  # the list grows while it is walked
-        for i in range(k):
-            e2 = family[i]
-            meet = e1 & e2
-            if meet == e1 or meet == e2:
-                pairs.append((i, k) if meet == e1 else (k, i))
-                continue
-            for q in (meet, points.join(e1, blocks[i])):
+    down = []  # per member: the mask of the members at or below it
+    done = []  # per member: the mask of the members comparable to it or joined with it
+    blocks = {}  # per join-irreducible: its blocks, the second argument of a join
+    k = 0
+    while k < len(family):
+        while k < len(family):  # the meets; the list grows while it is walked
+            e1, below, comparable = family[k], 1 << k, 1 << k
+            for i in range(k):
+                meet = e1 & family[i]
+                if meet == e1:
+                    pairs.append((i, k))
+                    down[i] |= 1 << k
+                elif meet == family[i]:
+                    pairs.append((k, i))
+                    below |= 1 << i
+                else:
+                    if meet not in seen:
+                        seen.add(meet)
+                        family.append(meet)
+                    continue
+                comparable |= 1 << i
+                done[i] |= 1 << k
+            down.append(below)
+            done.append(comparable)
+            k += 1
+        # x has one lower cover iff its strict down-set is some g's down-set
+        downs = set(down)
+        irreducible = 0
+        for x, d in enumerate(down):
+            if d & ~(1 << x) in downs:
+                irreducible |= 1 << x
+        for x in range(k):
+            for j in _bits(irreducible & ~done[x]):
+                done[x] |= 1 << j
+                done[j] |= 1 << x
+                if j not in blocks:
+                    blocks[j] = points.blocks(family[j])
+                q = points.join(family[x], blocks[j])
                 if q not in seen:
                     seen.add(q)
                     family.append(q)
-                    blocks.append(points.blocks(q))
     return family, pairs
 
 

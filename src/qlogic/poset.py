@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lshift
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -199,8 +200,13 @@ class ContextPoset:
 
     def covers(self) -> list[tuple[str, str]]:
         """Pairs a < b with no context strictly between, in sorted-id order."""
+        return [(self._ids[i], self._ids[j]) for i, j in self._covers]
+
+    @cached_property
+    def _covers(self) -> list[tuple[int, int]]:
+        """The covers as index pairs, in sorted-id order."""
         return [
-            (self._ids[i], self._ids[j])
+            (i, j)
             for i, up in enumerate(self._up)
             for j in _bits(up & ~(1 << i))
             if up & self._down[j] == 1 << i | 1 << j
@@ -221,18 +227,32 @@ class ContextPoset:
         return frozenset(self._contexts[c2].atoms[s] for s in _bits(m))
 
     @cached_property
+    def _rows(self) -> tuple[list[int], list[int]]:
+        """Each context's first point bit, and each point's row: the mask of
+        its up-set in the point table.  The row of point (c, t) is the sum,
+        over the contexts d above c, of c's image of atom t in d shifted to
+        d's first bit."""
+        first, f = [], 0
+        for c in self._ids:
+            first.append(f)
+            f += len(self._contexts[c].atoms)
+        rows = []
+        for i, up in enumerate(self._up):
+            above = list(_bits(up))
+            shifts = [first[j] for j in above]
+            # per atom of i: its images in the contexts above i
+            for images in zip(*[self._images[i, j] for j in above]):
+                rows.append(sum(map(lshift, images, shifts)))
+        return first, rows
+
+    @cached_property
     def point_table(self) -> PointTable:
         """The (context, atom) point poset, built on first use from the
         embeddings."""
+        first, up = self._rows
         atoms = [self._contexts[c].atoms for c in self._ids]
         points = [(c, x) for c, a in zip(self._ids, atoms) for x in a]
         index = {p: b for b, p in enumerate(points)}
-        first = [index[c, a[0]] for c, a in zip(self._ids, atoms)]
-        up = []
-        for i in range(len(self._ids)):
-            # (first bit of j, images of i's atoms in j) for each j above i
-            rows = [(first[j], self._images[i, j]) for j in _bits(self._up[i])]
-            up += [sum(images[t] << f for f, images in rows) for t in range(len(atoms[i]))]
         down = [0] * len(points)
         for p, mask in enumerate(up):
             for q in _bits(mask):
@@ -246,7 +266,18 @@ class ContextPoset:
 
     def validate(self) -> list[str]:
         """Check every structural invariant; return a list of violations,
-        in sorted-id order."""
+        in sorted-id order.
+
+        Composition is checked once per cover a <. b and atom s of b, as a
+        subset test on point rows (_composes), and is exact once the
+        per-pair checks find nothing: the order is then a partial order and
+        every embedding maps the atoms to non-empty, disjoint images that
+        cover the upper context.  So, at each context d above b, the atoms
+        t of a split d's atoms both by their direct images and by their
+        images composed through b; the test says each composed image lies
+        inside the direct one, and inclusion between two such partitions is
+        equality.  When a pair check or the test fails, the per-chain loop
+        words the violations."""
         issues: list[str] = []
         ids, up, down, images = self._ids, self._up, self._down, self._images
         # per strict pair: antisymmetry, transitivity (reflexivity by build),
@@ -269,28 +300,29 @@ class ContextPoset:
                     seen |= m
                 if seen != (1 << len(self._contexts[b].atoms)) - 1:
                     issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
-        # composition along chains a <. b < c: on a partial order this
-        # covers every chain, by induction on the interval from a to b.
-        # Atom t of a composes iff its image in c is the union of the
-        # images in c of the atoms of b it maps to.  On a cycle of the
-        # order c may be a.
-        for a, b in self.covers():
-            i, j = self._bit[a], self._bit[b]
-            ab = None  # (t, s) for each atom s of b in the image of atom t of a
-            for k in _bits(up[i] & up[j] & ~(1 << j)):
-                c = ids[k]
-                if ab is None:
-                    ab = [(t, s) for t, m in enumerate(images[i, j]) for s in _bits(m)]
-                bc, ac = images[j, k], images[i, k]
-                via = [0] * len(ac)
-                for t, s in ab:
-                    via[t] |= bc[s]
-                if tuple(via) != ac:
-                    issues += [
-                        f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}"
-                        for atom, direct, composed in zip(self._contexts[a].atoms, ac, via)
-                        if direct != composed
-                    ]
+        if issues or not self._composes():
+            # composition along chains a <. b < c, worded when a pair check
+            # or the row test fails: on a partial order this covers every
+            # chain, by induction on the interval from a to b.  Atom t of a
+            # composes iff its image in c is the union of the images in c of
+            # the atoms of b it maps to.  On a cycle of the order c may be a.
+            for i, j in self._covers:
+                a, b = ids[i], ids[j]
+                ab = None  # (t, s) for each atom s of b in the image of atom t of a
+                for k in _bits(up[i] & up[j] & ~(1 << j)):
+                    c = ids[k]
+                    if ab is None:
+                        ab = [(t, s) for t, m in enumerate(images[i, j]) for s in _bits(m)]
+                    bc, ac = images[j, k], images[i, k]
+                    via = [0] * len(ac)
+                    for t, s in ab:
+                        via[t] |= bc[s]
+                    if tuple(via) != ac:
+                        issues += [
+                            f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}"
+                            for atom, direct, composed in zip(self._contexts[a].atoms, ac, via)
+                            if direct != composed
+                        ]
         # closure under pairwise meets: a comparable pair has one, its
         # lower member, so only incomparable pairs i < j are searched and
         # each missing meet is reported for both orders of the pair.  The
@@ -313,6 +345,22 @@ class ContextPoset:
                     missing += [(i, j), (j, i)]
         issues += [f"no meet for {ids[i]!r}, {ids[j]!r}" for i, j in sorted(missing)]
         return issues
+
+    def _composes(self) -> bool:
+        """True iff, for each cover a <. b and atom s of b, the row of (b, s)
+        lies inside the row of (a, t), t the atom of a whose image holds s:
+        at each d above b, the image of s lies inside the image of t."""
+        first, rows = self._rows
+        for i, j in self._covers:
+            below, above = first[i], first[j]
+            for t, m in enumerate(self._images[i, j]):
+                outside = ~rows[below + t]
+                while m:
+                    low = m & -m
+                    if rows[above + low.bit_length() - 1] & outside:
+                        return False
+                    m ^= low
+        return True
 
     def __repr__(self):
         return f"ContextPoset({len(self._contexts)} contexts, least={self._least!r})"

@@ -99,11 +99,14 @@ def _maxabs(m: np.ndarray) -> float:
 
 
 def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
-    return m.shape[0] == m.shape[1] and _maxabs(m - m.conj().T) <= tol
+    # a difference past the float range reads inf: simply not Hermitian
+    with np.errstate(over="ignore", invalid="ignore"):
+        return m.shape[0] == m.shape[1] and _maxabs(m - m.conj().T) <= tol
 
 
 def is_projection(m: np.ndarray, tol: float = TAU_PROJ) -> bool:
-    return is_hermitian(m, tol) and _maxabs(m @ m - m) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        return is_hermitian(m, tol) and _maxabs(m @ m - m) <= tol
 
 
 @dataclass(frozen=True, eq=False)

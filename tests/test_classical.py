@@ -466,3 +466,79 @@ def test_close_returns_each_comparable_pair_once_coarser_first(drawn):
 def test_close_returns_each_comparable_pair_once_on_classical8():
     model = load_model(str(GOLDEN / "classical8_seed0.json"))
     check_close_pairs(model.omega, model.observables.values())
+
+
+# -- the closure against the closure that joins every pair ----------------------
+
+
+def pairwise_close(points, family):
+    """Oracle: the closed family from every incomparable pair's meet and
+    join, each pair taken once, when the later of the two is walked; a
+    comparable pair is recorded as (coarser, finer) and skipped."""
+    family = list(dict.fromkeys([*family, points.pack([(1 << points.n) - 1])]))
+    blocks = [points.blocks(e) for e in family]
+    seen = set(family)
+    pairs = []
+    for k, e1 in enumerate(family):  # the list grows while it is walked
+        for i in range(k):
+            e2 = family[i]
+            meet = e1 & e2
+            if meet == e1 or meet == e2:
+                pairs.append((i, k) if meet == e1 else (k, i))
+                continue
+            for q in (meet, points.join(e1, blocks[i])):
+                if q not in seen:
+                    seen.add(q)
+                    family.append(q)
+                    blocks.append(points.blocks(q))
+    return family, pairs
+
+
+@st.composite
+def value_maps(draw):
+    """1-7 points and 1-5 observables of 1-3 values, as packed partitions."""
+    n = draw(st.integers(1, 7))
+    points = _Points(OutcomeSpace(frozenset(f"p{x}" for x in range(n))))
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    observables = [
+        ClassicalObservable.from_dict(f"O{j}", dict(zip(points.names, draw(labels))))
+        for j in range(draw(st.integers(1, 5)))
+    ]
+    return points, [points.pack(points.fibers(o).values()) for o in observables]
+
+
+def check_close_against_pairwise(points, inputs):
+    """The same family as a set, and the same comparable pairs as (coarser,
+    finer) partitions, each pair exactly once."""
+    family, pairs = _close(points, inputs)
+    want_family, want_pairs = pairwise_close(points, inputs)
+    assert len(family) == len(set(family))
+    assert set(family) == set(want_family)
+    got = [(family[i], family[j]) for i, j in pairs]
+    assert len(got) == len(set(got))
+    assert set(got) == {(want_family[i], want_family[j]) for i, j in want_pairs}
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=value_maps())
+def test_close_matches_pairwise_oracle(drawn):
+    check_close_against_pairwise(*drawn)
+
+
+def test_close_matches_pairwise_oracle_on_classical8():
+    model = load_model(str(GOLDEN / "classical8_seed0.json"))
+    points = _Points(model.omega)
+    check_close_against_pairwise(
+        points, [points.pack(points.fibers(o).values()) for o in model.observables.values()]
+    )
+
+
+def test_close_joins_against_join_irreducibles_on_classical8(monkeypatch):
+    # the pairwise closure makes 22,141 joins on this model
+    calls = []
+    join = _Points.join
+    monkeypatch.setattr(
+        _Points, "join", lambda self, packed, blocks: calls.append(1) or join(self, packed, blocks)
+    )
+    load_model(str(GOLDEN / "classical8_seed0.json"))
+    assert 0 < len(calls) <= 2500

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -87,6 +88,18 @@ def test_build_classical8_matches_golden(capsys):
     code, out, err = run(capsys, "build", str(GOLDEN / "classical8_seed0.json"))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "classical8_seed0.build.txt").read_text()
+
+
+def test_build_classical_c8_matches_golden(capsys):
+    """8 points, five ternary observables from random.Random(1) (row j of
+    [[r.randrange(3) for _ in range(8)] for _ in range(5)] is O<j>): 1,080
+    contexts and 5,861 covers, whose `build` stdout is pinned by its sha256,
+    taken before the closure joined only against join-irreducibles."""
+    code, out, err = run(capsys, "build", str(GOLDEN / "classical_c8.json"))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "12bd12e50aaae335279c5f829298ee18e31c1de2f518c70df3db189ebff48aa6"
+    )
 
 
 @pytest.mark.parametrize("path", [FIG1, CROSS, QUBIT])
@@ -525,6 +538,13 @@ MALFORMED = {
     "eigenvalue past the float range": lambda tmp: [
         "build", _model_file(tmp, json.dumps(quantum_doc([[1.7e308] * 2] * 2)).encode())
     ],
+    # every entry is finite, but A - A^dagger overflows to inf
+    "Hermitian difference past the float range": lambda tmp: [
+        "build",
+        _model_file(
+            tmp, b'{"kind":"quantum","observables":{"A":[[[0,0],[1.7e308,0]],[[-1.7e308,0],[0,0]]]}}'
+        ),
+    ],
     "enumeration guard not an integer": lambda tmp: ["decidable", QUBIT],
     "lone surrogate in a name": lambda tmp: [
         "build",
@@ -559,6 +579,7 @@ MALFORMED_MESSAGES = {
     "eigenvalue past the float range": (
         "error: eigenvalue inf exceeds max_float / (2 dim) = 4.49e+307 in magnitude"
     ),
+    "Hermitian difference past the float range": "error: matrix is not Hermitian within tolerance",
     "angle NaN": "error: angle must be finite, got nan",
     "angle infinite": "error: angle must be finite, got inf",
     "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",

@@ -261,9 +261,10 @@ def test_fixtures_match_oracle(name, request):
     check_frame(request.getfixturevalue(name).frame)
 
 
-MODEL_PATHS = [FIXTURES / f"{n}.json" for n in ("figure1", "crossing", "one_qubit")] + sorted(
-    GOLDEN.glob("*.json")
-)
+# classical_c8 (1,080 contexts) would add about half a minute to these
+# oracles; its build is pinned by test_build_classical_c8_matches_golden
+GOLDEN_MODELS = [path for path in sorted(GOLDEN.glob("*.json")) if path.stem != "classical_c8"]
+MODEL_PATHS = [FIXTURES / f"{n}.json" for n in ("figure1", "crossing", "one_qubit")] + GOLDEN_MODELS
 
 
 @pytest.mark.parametrize(
@@ -303,7 +304,7 @@ def test_restrict_upset_matches_upset_embed_oracle(path):
 @pytest.mark.parametrize(
     "path",
     [FIXTURES / f"{n}.json" for n in ("figure1", "crossing", "one_qubit")]
-    + [path for path in sorted(GOLDEN.glob("*.json")) if path.stem != "xz4_seed0"],
+    + [path for path in GOLDEN_MODELS if path.stem != "xz4_seed0"],
     ids=lambda path: path.stem,
 )
 def test_refined_frames_match_sub_poset_oracle(path):

@@ -516,6 +516,79 @@ def test_validate_matches_embed_oracle(drawn):
     assert poset.validate() == embed_validate(poset, embeddings)
 
 
+def chain_composition(poset):
+    """Oracle: the composition violations along each chain a <. b < c, in
+    sorted-id order, each atom t of a composed through the atoms of b it
+    maps to and compared with its direct image in c."""
+    issues = []
+    ids, up, images, contexts = poset._ids, poset._up, poset._images, poset._contexts
+    for a, b in poset.covers():
+        i, j = ids.index(a), ids.index(b)
+        for k in _bits(up[i] & up[j] & ~(1 << j)):
+            bc, ac = images[j, k], images[i, k]
+            for t, atom in enumerate(contexts[a].atoms):
+                via = 0
+                for s in _bits(images[i, j][t]):
+                    via |= bc[s]
+                if via != ac[t]:
+                    issues.append(f"embedding composition fails {a!r}->{b!r}->{ids[k]!r} at {atom!r}")
+    return issues
+
+
+@st.composite
+def exchanged_posets(draw):
+    """drawn_posets() with one fine atom of an image exchanged for one of
+    another image of the same embedding: still well formed, while chains
+    through it may fail to compose at any of the atoms."""
+    contexts, embeddings = draw(drawn_posets())
+    wide = sorted(pair for pair, emb in embeddings.items() if len(emb) > 1)
+    if wide:
+        pair = draw(st.sampled_from(wide))
+        emb = dict(embeddings[pair])
+        x, y = draw(st.lists(st.sampled_from(sorted(emb)), min_size=2, max_size=2, unique=True))
+        if emb[x] and emb[y]:  # drawn_posets() may have emptied one
+            u, v = draw(st.sampled_from(sorted(emb[x]))), draw(st.sampled_from(sorted(emb[y])))
+            emb[x], emb[y] = emb[x] - {u} | {v}, emb[y] - {v} | {u}
+            embeddings = {**embeddings, pair: emb}
+    return contexts, embeddings
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.one_of(drawn_posets(), exchanged_posets(), drawn_orders()))
+def test_composition_matches_the_per_chain_oracle(drawn):
+    """validate() words the same composition issues in the same order; and
+    where no per-pair check finds a fault, the point-row test passes exactly
+    when no chain fails to compose."""
+    contexts, embeddings = drawn
+    try:
+        poset = ContextPoset(contexts, encode(contexts, embeddings))
+    except StructureError:
+        return
+    issues, want = poset.validate(), chain_composition(poset)
+    assert [v for v in issues if v.startswith("embedding composition")] == want
+    if all(v.startswith(("embedding composition", "no meet")) for v in issues):
+        assert poset._composes() == (not want)
+
+
+def test_composition_fails_past_the_first_atom_of_each_image():
+    # t < a <. b <. c: a's atoms map to {b0, b1} and {b2, b3}, and b -> c is
+    # the identity, but a -> c crosses b1 and b3, which are neither first
+    # in their image; every embedding is well formed
+    contexts = {**CHAIN_CONTEXTS, "c": LocalAlgebra(("c0", "c1", "c2", "c3"))}
+    embeddings = {
+        **CHAIN_EMBEDDINGS,
+        ("t", "c"): {"*": frozenset({"c0", "c1", "c2", "c3"})},
+        ("b", "c"): {f"b{s}": frozenset({f"c{s}"}) for s in range(4)},
+        ("a", "c"): {"a0": frozenset({"c0", "c3"}), "a1": frozenset({"c1", "c2"})},
+    }
+    poset = ContextPoset(contexts, encode(contexts, embeddings))
+    assert not poset._composes()
+    assert poset.validate() == [
+        "embedding composition fails 'a'->'b'->'c' at 'a0'",
+        "embedding composition fails 'a'->'b'->'c' at 'a1'",
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(drawn=st.one_of(drawn_posets(), drawn_orders()))
 def test_embed_matches_the_drawn_names(drawn):
