@@ -7,7 +7,7 @@ then reports the worst violation found.
 
 import argparse
 
-from qlogic.bell import BellScenario, chsh_terms, singlet_state
+from qlogic.bell import chsh_sweep
 
 
 def main() -> None:
@@ -15,12 +15,9 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=60, help="sweep resolution")
     args = ap.parse_args()
 
-    rho = singlet_state()
     worst = (0.0, None)
     print("theta_deg,lhs,rhs,violated")
-    for k in range(args.steps + 1):
-        theta = 90.0 * k / args.steps
-        terms = chsh_terms(rho, BellScenario.from_angles(0, 2 * theta, 3 * theta, theta))
+    for theta, terms in chsh_sweep(args.steps):
         gap = terms.lhs - terms.rhs
         if gap > worst[0]:
             worst = (gap, theta)

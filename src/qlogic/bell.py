@@ -13,12 +13,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError
-from .quantum import QuantumModel, TAU_PROJ, _maxabs
+from .quantum import QuantumModel, TAU_HERM, TAU_PROJ, _maxabs
 from .sections import Section
+
+TAU_UNIT = 1e-10  # how far from 1 a measurement axis's 2-norm may be
+# weights sum to 1 within this, and the inequality holds while lhs <= rhs +
+# TAU_PROB, so that rounding in the Born terms cannot break an equality
+TAU_PROB = 1e-12
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,9 +50,8 @@ class BellScenario:
     b2: np.ndarray
 
     def __post_init__(self):
-        for v in (self.a1, self.a2, self.b1, self.b2):
-            if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:  # NaN fails too
-                raise DomainError("measurement axes must be unit vectors")
+        if not all(map(_is_unit, (self.a1, self.a2, self.b1, self.b2))):
+            raise DomainError("measurement axes must be unit vectors")
 
     @staticmethod
     def from_angles(a1: float, a2: float, b1: float, b2: float) -> "BellScenario":
@@ -59,13 +64,17 @@ class BellScenario:
 DEFAULT_ANGLES = (0.0, 60.0, 90.0, 30.0)
 
 
+def _is_unit(v: np.ndarray) -> bool:
+    return abs(np.linalg.norm(v) - 1.0) <= TAU_UNIT  # NaN fails too
+
+
 def spin_operator(axis: np.ndarray) -> np.ndarray:
     return sum(axis[i] * PAULIS[i] for i in range(3))
 
 
 def spin_projection(axis: np.ndarray, sign: int) -> np.ndarray:
     """Projection onto the +-1 eigenspace of the spin along the axis."""
-    if not abs(np.linalg.norm(axis) - 1.0) <= 1e-10:  # NaN fails too
+    if not _is_unit(axis):
         raise DomainError("axis must be a unit vector")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -79,20 +88,20 @@ def singlet_state() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def maximally_mixed_state(dim: int = 4) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
+def maximally_mixed_state() -> np.ndarray:
+    return np.eye(4, dtype=complex) / 4
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-8) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     rho = np.asarray(rho, dtype=complex)
     # each check is written so that NaN fails it, and so does a difference
     # or a sum past the float range, which reads inf
     with np.errstate(over="ignore", invalid="ignore"):
-        if not _maxabs(rho - rho.conj().T) <= tol:
+        if not _maxabs(rho - rho.conj().T) <= TAU_HERM:
             raise DomainError("density matrix must be Hermitian")
-        if not abs(np.trace(rho).real - 1.0) <= tol:
+        if not abs(np.trace(rho).real - 1.0) <= TAU_HERM:
             raise DomainError("density matrix must have unit trace")
-    if not np.min(np.linalg.eigvalsh(rho)) >= -tol:
+    if not np.min(np.linalg.eigvalsh(rho)) >= -TAU_HERM:
         raise DomainError("density matrix must be positive semidefinite")
 
 
@@ -131,12 +140,21 @@ def chsh_terms(rho: np.ndarray, scenario: BellScenario) -> ChshTerms:
     t1 = joint(scenario.a1, 1, scenario.b2, 1)
     t2 = joint(scenario.a2, 1, scenario.b1, 1)
     t3 = joint(scenario.a2, -1, scenario.b2, -1)
-    return ChshTerms(lhs, t1, t2, t3, lhs <= t1 + t2 + t3 + 1e-12)
+    return ChshTerms(lhs, t1, t2, t3, lhs <= t1 + t2 + t3 + TAU_PROB)
+
+
+def chsh_sweep(steps: int) -> Iterator[tuple[float, ChshTerms]]:
+    """(theta, terms) on the singlet at the angles theta * (0, 2, 3, 1),
+    for theta = 90 k / steps, k = 0, ..., steps, steps >= 1."""
+    rho = singlet_state()
+    for k in range(steps + 1):
+        theta = 90.0 * k / steps
+        yield theta, chsh_terms(rho, BellScenario.from_angles(0.0, 2 * theta, 3 * theta, theta))
 
 
 def singlet_joint_probability(theta_deg: float) -> float:
     """Closed form: P(+,+) on the singlet at relative angle theta."""
-    return 0.5 * np.sin(np.deg2rad(theta_deg) / 2) ** 2
+    return np.sin(np.deg2rad(theta_deg) / 2) ** 2 / 2
 
 
 # -- Theorem-1 side -----------------------------------------------------------
@@ -166,24 +184,21 @@ class ProbabilityAssignment:
             if w < 0:
                 raise DomainError("weights must be non-negative")
             total += w
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > TAU_PROB:
             raise DomainError("weights must sum to 1")
 
 
+def vertex_slack(a1: bool, a2: bool, b1: bool, b2: bool) -> int:
+    """t1 + t2 + t3 - lhs on one truth assignment to (A1, A2, B1, B2):
+    [A1 & B2] + [A2 & B1] + [~A2 & ~B2] - [A1 & B1], 0 or more."""
+    return (a1 and b2) + (a2 and b1) + (not a2 and not b2) - (a1 and b1)
+
+
 def theorem1_slack(pa: ProbabilityAssignment) -> float:
-    """t1 + t2 + t3 - lhs for the assignment; non-negative classically."""
+    """t1 + t2 + t3 - lhs for the assignment, the weighted sum of its
+    vertices' slacks (Fine, PRL 48, 291, 1982); non-negative classically."""
     pa.validate()
-    lhs = t1 = t2 = t3 = 0.0
-    for (a1, a2, b1, b2), w in pa.weights:
-        if a1 and b1:
-            lhs += w
-        if a1 and b2:
-            t1 += w
-        if a2 and b1:
-            t2 += w
-        if not a2 and not b2:
-            t3 += w
-    return t1 + t2 + t3 - lhs
+    return sum(w * vertex_slack(*key) for key, w in pa.weights)
 
 
 @dataclass(frozen=True)
@@ -200,10 +215,7 @@ class VertexReport:
 def classical_vertex_check() -> VertexReport:
     """Slack on every deterministic assignment; by convexity this certifies
     the inequality for every classical probability function."""
-    slacks = [
-        theorem1_slack(ProbabilityAssignment.point_mass(*key))
-        for key in ASSIGNMENTS
-    ]
+    slacks = [vertex_slack(*key) for key in ASSIGNMENTS]
     return VertexReport(
         len(slacks), sum(s >= 0 for s in slacks), min(slacks)
     )
@@ -247,32 +259,19 @@ def build_chsh_frame(scenario: BellScenario) -> ChshFrame:
 # -- Popper's witness in the raw projection lattice ----------------------------
 
 
-def _range_basis(p: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(p)
-    return v[:, w > 0.5]
+def projection_join_raw(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Projection onto the span of the two ranges: the column space of
+    [p1 p2], its left singular vectors of singular value above TAU_PROJ."""
+    u, s, _ = np.linalg.svd(np.hstack([p1, p2]))
+    basis = u[:, s > TAU_PROJ]
+    return basis @ basis.conj().T
 
 
 def projection_meet_raw(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Projection onto the intersection of the two ranges."""
-    dim = p1.shape[0]
-    stacked = np.vstack([np.eye(dim) - p1, np.eye(dim) - p2])
-    _, s, vh = np.linalg.svd(stacked)
-    null_mask = np.zeros(dim, dtype=bool)
-    null_mask[: len(s)] = s <= 1e-10
-    null_mask[len(s) :] = True
-    basis = vh[null_mask].conj().T
-    return basis @ basis.conj().T
-
-
-def projection_join_raw(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Projection onto the span of the two ranges."""
-    cols = np.hstack([_range_basis(p1), _range_basis(p2)])
-    if cols.shape[1] == 0:
-        return np.zeros_like(p1)
-    q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diag(r)) > 1e-10
-    basis = q[:, keep]
-    return basis @ basis.conj().T
+    """Projection onto the intersection of the two ranges: the complement
+    of the join of the complements."""
+    eye = np.eye(len(p1))
+    return eye - projection_join_raw(eye - p1, eye - p2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,16 +286,12 @@ class DistributivityWitness:
         return _maxabs(self.lhs - self.rhs) > TAU_PROJ
 
 
-def orthodox_distributivity_witness(dim: int = 2) -> DistributivityWitness:
-    """In the orthodox (non-distributive) projection lattice:
+def orthodox_distributivity_witness() -> DistributivityWitness:
+    """In the orthodox (non-distributive) projection lattice of a qubit:
     P1 /\\ (P2 \\/ ~P2) = P1 while (P1 /\\ P2) \\/ (P1 /\\ ~P2) = 0."""
-    if dim < 2:
-        raise DomainError("need dimension >= 2")
-    p1 = np.zeros((dim, dim), dtype=complex)
-    p1[:2, :2] = spin_projection(np.array([1.0, 0.0, 0.0]), 1)  # x+ in a 2d block
-    p2 = np.zeros((dim, dim), dtype=complex)
-    p2[0, 0] = 1.0  # z+
-    not_p2 = np.eye(dim) - p2
+    p1 = spin_projection(np.array([1.0, 0.0, 0.0]), 1)  # x+
+    p2 = spin_projection(np.array([0.0, 0.0, 1.0]), 1)  # z+
+    not_p2 = np.eye(2) - p2
     lhs = projection_meet_raw(p1, projection_join_raw(p2, not_p2))
     rhs = projection_join_raw(
         projection_meet_raw(p1, p2), projection_meet_raw(p1, not_p2)

@@ -19,6 +19,9 @@ import numpy as np
 from .classical import ClassicalModel
 from .quantum import QuantumModel
 
+# a diagonal projection's entries are 0 or 1 within tau_proj: the midpoint reads its support
+_SUPPORT_CUT = 0.5
+
 
 @dataclass(frozen=True)
 class BridgeReport:
@@ -59,7 +62,7 @@ def classical_bridge(model: ClassicalModel) -> tuple[QuantumModel, BridgeReport]
     for d in set(ctx_map.values()):
         ctx = qmodel.contexts[d]
         for n, q in zip(ctx.atom_names, ctx.atoms):
-            coords = np.flatnonzero(np.abs(np.diag(q)) > 0.5).tolist()
+            coords = np.flatnonzero(np.abs(np.diag(q)) > _SUPPORT_CUT).tolist()
             twin_point[d, sum(1 << i for i in coords)] = twin.index[d, n]
     image = [twin_point.get((ctx_map[c], support[c, a])) for c, a in classical.points]
     quantum_count = len(qmodel.frame._upsets())

@@ -28,6 +28,7 @@ import numpy as np
 from .bell import (
     BellScenario,
     DEFAULT_ANGLES,
+    chsh_sweep,
     chsh_terms,
     classical_vertex_check,
     maximally_mixed_state,
@@ -196,7 +197,7 @@ def cmd_hasse(args) -> int:
     model = load_model(args.model)
     dot = export_dot(model.frame)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot)
         print(f"wrote {args.out}")
     else:
@@ -267,6 +268,8 @@ def cmd_decidable(args) -> int:
 
 
 def cmd_bell(args) -> int:
+    if args.sweep is not None and args.angles is not None:
+        raise QLogicError("--sweep takes no --angles: it sweeps theta * (0, 2, 3, 1)")
     angles = DEFAULT_ANGLES
     if args.angles:
         try:
@@ -286,10 +289,7 @@ def cmd_bell(args) -> int:
         if args.sweep < 1:
             raise QLogicError(f"--sweep needs N >= 1, got {args.sweep}")
         print("theta,lhs,rhs,violated")
-        for k in range(args.sweep + 1):
-            theta = 90.0 * k / args.sweep
-            scenario = BellScenario.from_angles(0.0, 2 * theta, 3 * theta, theta)
-            terms = chsh_terms(singlet_state(), scenario)
+        for theta, terms in chsh_sweep(args.sweep):
             print(
                 f"{theta:.6g},{terms.lhs:.9f},{terms.rhs:.9f},"
                 f"{str(not terms.satisfied).lower()}"
@@ -309,7 +309,7 @@ def cmd_bell(args) -> int:
         f"maximally mixed: lhs {mixed.lhs:.6f} vs rhs {mixed.rhs:.6f} -> "
         + ("SATISFIED" if mixed.satisfied else "VIOLATED")
     )
-    witness = orthodox_distributivity_witness(2)
+    witness = orthodox_distributivity_witness()
     print(
         "orthodox projection lattice: P1^(P2v~P2) has rank "
         f"{int(round(np.trace(witness.lhs).real))}, "
@@ -383,7 +383,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (QLogicError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # UnicodeError: a model file not in UTF-8, or a name stdout cannot encode
+    except (QLogicError, OSError, UnicodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -192,19 +192,22 @@ def spectral_projection(
 # -- contexts ---------------------------------------------------------------
 
 
+# _atom_order's rounding in decimals, so that noise far below 1e-6 seldom moves an atom's name
+_NAME_DIGITS = 6
+
+
 def _atom_order(stack: np.ndarray) -> list[int]:
     """Indices that sort a stack of atoms by rank, then by the moment
-    sum_i i p_ii rounded to 6 digits, then by the entries rounded to 6
-    digits, real parts before imaginary parts.  The entries are read only
-    when two atoms tie on (rank, moment): the sort is stable, so without a
-    tie they decide nothing."""
+    sum_i i p_ii, then by the entries, real parts before imaginary parts,
+    moments and entries rounded to _NAME_DIGITS.  Entries are read only on a
+    tie in (rank, moment): the sort is stable, so otherwise they decide nothing."""
     n, dim, _ = stack.shape
     diag = np.diagonal(stack, axis1=1, axis2=2)
     ranks = np.rint(np.sum(diag, axis=1).real).astype(int).tolist()
-    moments = [round(m, 6) for m in np.sum(diag * np.arange(dim), axis=1).real.tolist()]
+    moments = [round(m, _NAME_DIGITS) for m in np.sum(diag * np.arange(dim), axis=1).real.tolist()]
     keys = list(zip(ranks, moments))
     if len(set(keys)) < n:
-        flat = np.round(stack, 6).reshape(n, -1)
+        flat = np.round(stack, _NAME_DIGITS).reshape(n, -1)
         keys = list(zip(ranks, moments, flat.real.tolist(), flat.imag.tolist()))
     return sorted(range(n), key=keys.__getitem__)
 
@@ -252,23 +255,21 @@ def _issues(a: np.ndarray, tol: float) -> list[list[str]]:
     batch, in its order: per atom i, not a projection (Hermitian and
     p_i p_i = p_i), zero, then not orthogonal to each later atom j
     (p_i p_j = 0); last, not summing to the identity.  The products p_i p_i
-    and p_i p_j, i < j, of all the stacks are made in chunks of at most
-    _GRAM_ENTRIES entries, or one product, never as one (n, n) table."""
+    and p_i p_j, i < j, of all the stacks are made in runs (see _runs) of
+    at most _GRAM_ENTRIES entries, or one product, never as one (n, n) table."""
     k, n, dim = a.shape[:3]
     flat = a.reshape(k * n, dim, dim)
     herm = np.abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2))
     zero = np.abs(flat).max(axis=(1, 2))
     whole = np.abs(a.sum(axis=1) - np.eye(dim)).max(axis=(1, 2))
-    step = max(1, _GRAM_ENTRIES // dim**2)
     idem = np.empty(k * n)
-    for lo in range(0, k * n, step):
-        p = flat[lo : lo + step]
-        idem[lo : lo + step] = np.abs(p @ p - p).max(axis=(1, 2))
+    for run in _runs(range(k * n), lambda _: dim * dim, _GRAM_ENTRIES):
+        p = flat[run[0] : run[-1] + 1]
+        idem[run] = np.abs(p @ p - p).max(axis=(1, 2))
     left, right = _upper(k, n)
     apart = np.empty(len(left))
-    for lo in range(0, len(left), step):
-        p = flat[left[lo : lo + step]] @ flat[right[lo : lo + step]]
-        apart[lo : lo + step] = np.abs(p).max(axis=(1, 2))
+    for run in _runs(range(len(left)), lambda _: dim * dim, _GRAM_ENTRIES):
+        apart[run] = np.abs(flat[left[run]] @ flat[right[run]]).max(axis=(1, 2))
     proj = ((herm <= tol) & (idem <= tol)).reshape(k, n).tolist()
     zero = (zero <= tol).reshape(k, n).tolist()
     apart = (apart > tol).reshape(k, -1).tolist()

@@ -116,7 +116,7 @@ def test_criterion_3_distributivity(figure1_model, one_qubit_model):
             laws = model.frame.check_laws(exhaustive=True)
             assert laws.distributive == laws.sections**2
             assert section_distributivity(model.frame) == laws.sections**3
-        witness = orthodox_distributivity_witness(2)
+        witness = orthodox_distributivity_witness()
         assert np.allclose(witness.lhs, witness.p1, atol=1e-8)
         assert np.allclose(witness.rhs, 0.0, atol=1e-8)
         assert witness.fails

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qlogic import DomainError
 from qlogic.bell import (
@@ -15,9 +15,12 @@ from qlogic.bell import (
     classical_vertex_check,
     maximally_mixed_state,
     orthodox_distributivity_witness,
+    projection_join_raw,
+    projection_meet_raw,
     singlet_joint_probability,
     singlet_state,
     spin_projection,
+    theorem1_slack,
     validate_density_matrix,
 )
 
@@ -225,7 +228,7 @@ def test_chsh_sandwich_property(chsh):
 
 
 def test_orthodox_distributivity_witness():
-    w = orthodox_distributivity_witness(2)
+    w = orthodox_distributivity_witness()
     assert np.allclose(w.lhs, w.p1, atol=1e-10)
     assert np.allclose(w.rhs, np.zeros((2, 2)), atol=1e-10)
     assert w.fails
@@ -241,3 +244,136 @@ def test_orthodox_witness_commuting_case():
         projection_meet_raw(p, p), projection_meet_raw(p, not_p)
     )
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+# -- oracles: the routines that the one-routine versions replaced ---------------
+
+
+def oracle_slack(pa):
+    """theorem1_slack as a loop: the four terms summed over the weights,
+    then t1 + t2 + t3 - lhs."""
+    lhs = t1 = t2 = t3 = 0.0
+    for (a1, a2, b1, b2), w in pa.weights:
+        if a1 and b1:
+            lhs += w
+        if a1 and b2:
+            t1 += w
+        if a2 and b1:
+            t2 += w
+        if not a2 and not b2:
+            t3 += w
+    return t1 + t2 + t3 - lhs
+
+
+def range_basis(p):
+    """An orthonormal basis of a projection's range: its eigenvectors of
+    eigenvalue above 1/2."""
+    w, v = np.linalg.eigh(p)
+    return v[:, w > 0.5]
+
+
+def oracle_meet(p1, p2):
+    """The intersection of the ranges as the common null space of 1 - p1
+    and 1 - p2: the right singular vectors of the stacked pair with
+    singular value at most 1e-10, and those past its rank."""
+    dim = p1.shape[0]
+    _, s, vh = np.linalg.svd(np.vstack([np.eye(dim) - p1, np.eye(dim) - p2]))
+    null = np.ones(dim, dtype=bool)
+    null[: len(s)] = s <= 1e-10
+    basis = vh[null].conj().T
+    return basis @ basis.conj().T
+
+
+def oracle_join(p1, p2):
+    """The span of the ranges by Gram-Schmidt over both range bases: each
+    vector, orthogonalised twice against those kept, is kept if its norm
+    stays above 1e-9.  (An unpivoted QR of the stacked bases misreads the
+    rank when a dependent vector comes first: join(diag(1, 0), 1) read
+    diag(1, 0).)"""
+    kept = []
+    for v in np.hstack([range_basis(p1), range_basis(p2)]).T:
+        for _ in range(2):
+            for b in kept:
+                v = v - b * (b.conj() @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-9:
+            kept.append(v / norm)
+    basis = np.array(kept, dtype=complex).reshape(-1, len(p1)).T
+    return basis @ basis.conj().T
+
+
+@st.composite
+def projection_pairs(draw):
+    """Projections p, q of dimension 1 to 5 and of ranks drawn from 0 to
+    the dimension, whose ranges share a subspace of drawn dimension and
+    each add generic directions from the rest: so rank 0, full rank, one
+    range inside the other, shared subspaces and generic pairs all come
+    up.  Every singular value of [p q] and of [1 - p, 1 - q] is kept away
+    from the cuts, at most 1e-12 or at least 1e-6, where the routines and
+    the oracles must read the same ranks."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = g.integers(1, 6)
+    ranks = g.integers(0, dim + 1, size=2)
+    shared = g.integers(0, ranks.min() + 1)
+    u = np.linalg.qr(g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim)))[0]
+
+    def projection(rank):
+        size = (dim - shared, rank - shared)
+        cols = np.hstack([u[:, :shared], u[:, shared:] @ (g.normal(size=size) + 1j * g.normal(size=size))])
+        basis = np.linalg.qr(cols)[0] if rank else cols
+        return basis @ basis.conj().T
+
+    p, q = map(projection, ranks)
+    eye = np.eye(dim)
+    for m in (np.hstack([p, q]), np.hstack([eye - p, eye - q])):
+        s = np.linalg.svd(m, compute_uv=False)
+        assume(np.all((s <= 1e-12) | (s >= 1e-6)))
+    return p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=projection_pairs())
+def test_join_and_meet_match_the_oracles(pair):
+    p, q = pair
+    join, meet = projection_join_raw(p, q), projection_meet_raw(p, q)
+    assert np.abs(join - oracle_join(p, q)).max() <= 1e-10
+    assert np.abs(meet - oracle_meet(p, q)).max() <= 1e-10
+    # the lattice's bounds: each range lies in the join and holds the meet
+    for x in (p, q):
+        assert np.abs(join @ x - x).max() <= 1e-10
+        assert np.abs(x @ meet - meet).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "p, q, join, meet",
+    [
+        # a range inside the other, the smaller first
+        (np.diag([1.0, 0.0]), np.eye(2), np.eye(2), np.diag([1.0, 0.0])),
+        (np.diag([1.0, 0, 0]), np.diag([1.0, 1, 0]), np.diag([1.0, 1, 0]), np.diag([1.0, 0, 0])),
+        (np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2), np.zeros((2, 2))),
+    ],
+    ids=["inside", "inside-3", "zero", "complements"],
+)
+def test_join_and_meet_on_nested_and_extreme_ranges(p, q, join, meet):
+    assert np.abs(projection_join_raw(p, q) - join).max() <= 1e-12
+    assert np.abs(oracle_join(p, q) - join).max() <= 1e-12
+    assert np.abs(projection_meet_raw(p, q) - meet).max() <= 1e-12
+    assert np.abs(oracle_meet(p, q) - meet).max() <= 1e-12
+
+
+def test_every_point_mass_slack_equals_the_loop():
+    for key in ASSIGNMENTS:
+        pa = ProbabilityAssignment.point_mass(*key)
+        assert theorem1_slack(pa) == oracle_slack(pa) >= 0
+    assert classical_vertex_check().min_slack == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.1, 1.0, 10.0]))
+def test_mixture_slack_matches_the_loop(seed, alpha):
+    weights = np.random.default_rng(seed).dirichlet(np.full(16, alpha))
+    pa = ProbabilityAssignment.from_dict(dict(zip(ASSIGNMENTS, weights.tolist())))
+    slack = theorem1_slack(pa)
+    assert abs(slack - oracle_slack(pa)) <= 1e-12
+    assert slack >= 0

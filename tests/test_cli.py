@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qlogic import cli
 from qlogic.cli import load_model, main
+from qlogic.hasse import export_dot
 from qlogic.poset import ContextPoset
 from qlogic.sections import Frame
 
@@ -259,6 +260,35 @@ def test_eval_parse_error(capsys):
     assert "line 1" in err
 
 
+def test_names_past_the_locale_encoding(tmp_path):
+    """In a process of its own under the C locale, whose stdout writes ASCII:
+    `hasse --out` writes the DOT file as UTF-8, as models are read, and
+    `build`, whose stdout cannot print the point name, exits 2 with one
+    error line and no traceback."""
+    model = tmp_path / "omega.json"
+    doc = {"kind": "classical", "points": ["\u03c9", "a"], "observables": {"A": {"\u03c9": 0, "a": 1}}}
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(
+        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=str(FIXTURES.parent.parent / "src")
+    )
+
+    def qlogic(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qlogic.cli", *argv], capture_output=True, env=env, timeout=60
+        )
+
+    target = tmp_path / "omega.dot"
+    done = qlogic("hasse", str(model), "--out", str(target))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert target.read_text(encoding="utf-8") == export_dot(load_model(str(model)).frame)
+    assert "\u03c9" in target.read_text(encoding="utf-8")
+    done = qlogic("build", str(model))
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+    assert b"\\u03c9" in done.stderr
+
+
 def test_hasse_stdout_and_file(tmp_path, capsys):
     code, out, _ = run(capsys, "hasse", FIG1)
     assert code == 0
@@ -374,23 +404,26 @@ def test_decidable_past_the_enumeration_guard(capsys):
 
 
 def test_bell_default(capsys):
-    code, out, _ = run(capsys, "bell")
-    assert code == 0
-    assert "VIOLATED" in out
-    assert "0.250000000" in out
-    assert "0.100480947" in out
-    assert "maximally mixed" in out and "SATISFIED" in out
+    """The default angles' four terms and verdict, the maximally mixed
+    state's, and the ranks of Popper's witness, byte for byte as in
+    tests/golden."""
+    code, out, err = run(capsys, "bell")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "bell.txt").read_text()
+    assert "VIOLATED" in out and "0.100480947" in out
 
 
 def test_bell_vertices(capsys):
-    code, out, _ = run(capsys, "bell", "--vertices")
-    assert code == 0
-    assert "16/16" in out
+    code, out, err = run(capsys, "bell", "--vertices")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "bell.vertices.txt").read_text()
+    assert out.startswith("classical vertices: 16/16 satisfy the inequality (min slack 0)\n")
 
 
 def test_bell_sweep_csv(capsys):
-    code, out, _ = run(capsys, "bell", "--sweep", "3")
-    assert code == 0
+    code, out, err = run(capsys, "bell", "--sweep", "3")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "bell.sweep3.txt").read_text()
     lines = out.strip().splitlines()
     assert lines[0] == "theta,lhs,rhs,violated"
     assert len(lines) == 5
@@ -483,6 +516,7 @@ MALFORMED = {
     "angle NaN": lambda tmp: ["bell", "--angles", "nan,0,90,45"],
     "angle infinite": lambda tmp: ["bell", "--angles", "inf,0,90,45"],
     "sweep not positive": lambda tmp: ["bell", "--sweep", "0"],
+    "sweep with angles": lambda tmp: ["bell", "--sweep", "3", "--angles", "0,45,22.5,67.5"],
     "bridge on quantum": lambda tmp: ["bridge", QUBIT],
     "duplicate point": lambda tmp: [
         "build", _model_file(tmp, b'{"kind": "classical", "points": ["a", "a", "b"], "observables": {}}')
@@ -580,6 +614,7 @@ MALFORMED_MESSAGES = {
         "error: eigenvalue inf exceeds max_float / (2 dim) = 4.49e+307 in magnitude"
     ),
     "Hermitian difference past the float range": "error: matrix is not Hermitian within tolerance",
+    "sweep with angles": "error: --sweep takes no --angles: it sweeps theta * (0, 2, 3, 1)",
     "angle NaN": "error: angle must be finite, got nan",
     "angle infinite": "error: angle must be finite, got inf",
     "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",

@@ -1344,6 +1344,44 @@ def test_bases_and_check_batches_are_the_loops_chunks(counts, dim, entries):
     assert batches == oracle_check_batches(counts, dim, entries)
 
 
+def oracle_product_slices(count: int, dim: int, entries: int) -> list[list[int]]:
+    """_issues' step loop once: count dim x dim products in slices of
+    entries // dim^2 products, or of one."""
+    step = max(1, entries // dim**2)
+    return [list(range(lo, min(lo + step, count))) for lo in range(0, count, step)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(run=resolution_runs())
+def test_check_products_are_the_loops_slices(run):
+    """_issues cuts its products p_i p_i, then p_i p_j (i < j), with _runs
+    into exactly the slices of the step loop it replaced, at every bound
+    from 1 to 4096 entries, and finds the same issues."""
+    stacks, tol = run
+    dim = stacks[0].shape[1]
+    batches = [a for _, a in _batches(stacks)]
+    want = [_issues(a, tol) for a in batches]
+    for entries in [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1000, 1024, 4095, 4096]:
+        calls = []
+
+        def spy(items, size, limit):
+            runs = list(_runs(items, size, limit))
+            calls.append(runs)
+            return iter(runs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quantum, "_GRAM_ENTRIES", entries)
+            m.setattr(quantum, "_runs", spy)
+            got = [_issues(a, tol) for a in batches]
+        assert got == want
+        slices = []
+        for a in batches:
+            k, n = a.shape[:2]
+            slices += [oracle_product_slices(k * n, dim, entries)]
+            slices += [oracle_product_slices(k * n * (n - 1) // 2, dim, entries)]
+        assert calls == slices
+
+
 @pytest.mark.parametrize("entries", [3 * 8**2, 16 * 8**2, 4096])
 def test_a_build_makes_the_three_loops_chunks(entries):
     """On the xz3 golden (dim 8) with _GRAM_ENTRIES at `entries` in both
