@@ -8,16 +8,21 @@ then reports the worst violation found.
 import argparse
 
 from qlogic.bell import chsh_sweep
+from qlogic.errors import DomainError
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--steps", type=int, default=60, help="sweep resolution")
+    ap.add_argument("--steps", type=int, default=60, help="sweep resolution, at least 1")
     args = ap.parse_args()
+    try:
+        sweep = chsh_sweep(args.steps)
+    except DomainError as exc:
+        ap.exit(2, f"error: {exc}\n")
 
     worst = (0.0, None)
     print("theta_deg,lhs,rhs,violated")
-    for theta, terms in chsh_sweep(args.steps):
+    for theta, terms in sweep:
         gap = terms.lhs - terms.rhs
         if gap > worst[0]:
             worst = (gap, theta)

@@ -145,11 +145,16 @@ def chsh_terms(rho: np.ndarray, scenario: BellScenario) -> ChshTerms:
 
 def chsh_sweep(steps: int) -> Iterator[tuple[float, ChshTerms]]:
     """(theta, terms) on the singlet at the angles theta * (0, 2, 3, 1),
-    for theta = 90 k / steps, k = 0, ..., steps, steps >= 1."""
+    for theta = 90 k / steps, k = 0, ..., steps; steps < 1 raises
+    DomainError at the call, before any row."""
+    if steps < 1:
+        raise DomainError(f"a sweep needs steps >= 1, got {steps}")
     rho = singlet_state()
-    for k in range(steps + 1):
-        theta = 90.0 * k / steps
-        yield theta, chsh_terms(rho, BellScenario.from_angles(0.0, 2 * theta, 3 * theta, theta))
+    thetas = (90.0 * k / steps for k in range(steps + 1))
+    return (
+        (theta, chsh_terms(rho, BellScenario.from_angles(0.0, 2 * theta, 3 * theta, theta)))
+        for theta in thetas
+    )
 
 
 def singlet_joint_probability(theta_deg: float) -> float:

@@ -235,8 +235,10 @@ def build_classical_frame(
     Returns the poset, each observable's context id, and each context's
     atoms as block masks over omega.order(), in the context's atom order.
     The order is reverse refinement: a finer partition is the more
-    informative context.  An embedding sends each coarse cell to the fine
-    cells whose lowest point it holds.
+    informative context.  The poset is handed the covers alone, read off
+    _close's comparable pairs, and takes their closure as the order.  An
+    embedding sends each coarse cell to the fine cells whose lowest point
+    it holds.
     """
     points = _Points(omega)
     inputs = [points.pack(points.fibers(obs).values()) for obs in observables]
@@ -255,12 +257,19 @@ def build_classical_frame(
         slot = {block: s for s, block in enumerate(blocks)}
         where.append([slot[block] for block in rows])
         lows.append([(block & -block).bit_length() - 1 for block in blocks])
-    images = {}
+    finer = [0] * len(family)  # per partition: the mask of the strictly finer ones
     for i, j in pairs:
-        masks = [0] * len(lows[i])
-        for s, low in enumerate(lows[j]):
-            masks[where[i][low]] |= 1 << s
-        images[ids[i], ids[j]] = masks
+        finer[i] |= 1 << j
+    past = [0] * len(family)  # per partition: the ones strictly finer than a finer one
+    for i, j in pairs:
+        past[i] |= finer[j]
+    images = {}  # the covers only: their closure is the order
+    for i, lower in enumerate(where):
+        for j in _bits(finer[i] & ~past[i]):
+            masks = [0] * len(lows[i])
+            for s, low in enumerate(lows[j]):
+                masks[lower[low]] |= 1 << s
+            images[ids[i], ids[j]] = masks
     position = {e: i for i, e in enumerate(family)}
     return ContextPoset(contexts, embeddings=images), [ids[position[e]] for e in inputs], atoms
 

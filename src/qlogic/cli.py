@@ -271,7 +271,7 @@ def cmd_bell(args) -> int:
     if args.sweep is not None and args.angles is not None:
         raise QLogicError("--sweep takes no --angles: it sweeps theta * (0, 2, 3, 1)")
     angles = DEFAULT_ANGLES
-    if args.angles:
+    if args.angles is not None:
         try:
             a1, a2, b1, b2 = map(float, args.angles.split(","))
         except ValueError:

@@ -4,9 +4,13 @@ A context is identified by a string id and carries a finite Boolean
 algebra given by its atoms; elements of the algebra are frozensets of
 atom names.  Contexts are ordered by informativeness: ``c1 <= c2`` means
 a measurement in ``c2`` settles every question ``c1`` can answer, that is,
-c1's algebra embeds in c2's, so a poset is given by its embeddings alone.
-An embedding maps each coarse atom to the fine atoms refining it, in one
-format, in and out: per atom of the lower context, in its
+c1's algebra embeds in c2's.  A poset is given by the embeddings of some
+of its pairs, and those pairs generate the order: it is their
+reflexive-transitive closure, so a builder may hand over the covers alone,
+as the classical one does, or every pair, as the quantum one does.  A pair
+that was not given embeds along a path of given pairs, composed on first
+use.  An embedding maps each coarse atom to the fine atoms refining it, in
+one format, in and out: per atom of the lower context, in its
 ``LocalAlgebra.atoms`` order, an int whose bit s is the upper context's
 atom s.  A map of the wrong length, or naming an atom the upper context
 lacks, is no embedding and is refused on construction.  The order,
@@ -19,7 +23,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from operator import lshift
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -93,6 +96,53 @@ def _extreme(mask: int, masks: list[int]) -> int | None:
     return None
 
 
+def _compose(ab: Sequence[int], bc: Sequence[int]) -> tuple[int, ...]:
+    """The embedding a -> c through b: per atom of a, the union of the
+    images in c of the atoms of b it maps to."""
+    ac = []
+    for m in ab:
+        image = 0
+        for s in _bits(m):
+            image |= bc[s]
+        ac.append(image)
+    return tuple(ac)
+
+
+def _topological(succ: list[list[int]]) -> list[int] | None:
+    """The nodes with each one before its successors (Kahn), or None when
+    succ has a cycle."""
+    into = [0] * len(succ)
+    for js in succ:
+        for j in js:
+            into[j] += 1
+    order = [i for i, k in enumerate(into) if not k]
+    for i in order:  # grows while it is walked
+        for j in succ[i]:
+            into[j] -= 1
+            if not into[j]:
+                order.append(j)
+    return order if len(order) == len(succ) else None
+
+
+def _reach(succ: list[list[int]], walk: list[int] | None) -> list[int]:
+    """Per node, the mask of the nodes reachable from it along succ, itself
+    included.  One pass over walk, which holds each node after all its
+    successors, finds them; on a cycle there is no such order (walk is
+    None), and passes over every node repeat until none changes."""
+    reach = [1 << i for i in range(len(succ))]
+    again = True
+    while again:
+        again = False
+        for i in range(len(succ)) if walk is None else walk:
+            m = reach[i]
+            for j in succ[i]:
+                m |= reach[j]
+            if m != reach[i]:
+                reach[i] = m
+                again = walk is None
+    return reach
+
+
 class PointTable(NamedTuple):
     """The (context, atom) point poset, one bit per point, a context's
     points consecutive: (c1, a1) <= (c2, a2) iff c1 <= c2, a2 lies inside a1."""
@@ -100,7 +150,7 @@ class PointTable(NamedTuple):
     points: tuple[tuple[str, str], ...]  # bit -> (context, atom)
     index: dict[tuple[str, str], int]  # (context, atom) -> bit
     up: tuple[int, ...]  # bit -> mask of the point's up-set
-    down: tuple[int, ...]  # bit -> mask of the point's down-set, the transpose of up
+    down: tuple[int, ...]  # bit -> mask of the point's down-set, up transposed
     top: int  # mask of every point
     spans: tuple[tuple[str, int], ...]  # per context: (context, mask of its points)
 
@@ -114,18 +164,28 @@ class ContextPoset:
         mapping id -> LocalAlgebra.
     embeddings:
         (lower, upper) -> per atom of lower, in its atoms order, the int
-        mask of upper's atom indices it maps to.  Each key is a pair of the
-        strict order (c1 <= c2 iff c1's algebra embeds in c2's): the order
-        is stored as given plus reflexivity and is not closed transitively,
-        so validate() reports a missing transitive pair or a cycle.  An
-        embedding whose length is not lower's atom count, or with a
-        negative mask or a mask bit at or past upper's atom count, raises
-        StructureError.
+        mask of upper's atom indices it maps to.  The given pairs generate
+        the order (c1 <= c2 iff c1's algebra embeds in c2's): it is their
+        reflexive-transitive closure, and every cover of it is a given
+        pair.  An embedding whose length is not lower's atom count, or
+        with a negative mask or a mask bit at or past upper's atom count,
+        raises StructureError.  A pair (c, c) is the identity, whatever
+        is given for it.
 
-    The i-th id of ``context_ids`` (sorted) is bit i of two masks per
-    context: ``_up[i]`` holds the contexts above i, ``_down[i]`` those
-    below it, both including i.  ``_images[i, j]`` holds the embedding of
-    i into j for each i <= j as given (the identity for i == j).
+    A cycle of given pairs is kept, and validate() reports it.  It also
+    reports a chain of given pairs whose end pair was not given, unless
+    every given pair is a cover: that is the Hasse form, a covers-only
+    hand-over, whose closure is the order by design.  A builder that hands
+    over every comparable pair, as the quantum one does, thus sees a
+    tolerance that breaks transitivity.
+
+    The i-th id of ``context_ids`` (sorted) is bit i of three masks per
+    context: ``_given[i]`` holds i and the contexts given above it,
+    ``_up[i]`` the contexts above i in the closure, ``_down[i]`` those
+    below it (made on first use), both including i.  ``_succ[i]`` lists the contexts given
+    above i, and ``_order`` all contexts with each before those given
+    above it (None on a cycle).  ``_images[i, j]`` holds the embedding of
+    i into j for each given pair and for i == j; _image composes the rest.
     """
 
     def __init__(
@@ -136,19 +196,23 @@ class ContextPoset:
         self._contexts = dict(contexts)
         self._ids = tuple(sorted(self._contexts))
         self._bit = {c: i for i, c in enumerate(self._ids)}
-        self._up = [1 << i for i in range(len(self._ids))]
-        self._down = list(self._up)
+        self._given = [1 << i for i in range(len(self._ids))]
+        self._succ = [[] for _ in self._ids]
         widths = [len(self._contexts[c].atoms) for c in self._ids]
         self._images = {}
         for (a, b), got in embeddings.items():
             i, j = self._index(a), self._index(b)
             if len(got) != widths[i] or min(got) < 0 or max(got) >> widths[j]:
                 raise StructureError(f"embedding {a!r} -> {b!r} cannot be applied")
-            self._up[i] |= 1 << j
-            self._down[j] |= 1 << i
-            self._images[i, j] = tuple(got)
+            if i != j:
+                self._given[i] |= 1 << j
+                self._succ[i].append(j)
+                self._images[i, j] = tuple(got)
         for i, n in enumerate(widths):
             self._images[i, i] = tuple(1 << t for t in range(n))
+            self._succ[i].sort()
+        self._order = _topological(self._succ)
+        self._up = _reach(self._succ, None if self._order is None else self._order[::-1])
         everything = (1 << len(self._ids)) - 1
         minima = [c for c, up in zip(self._ids, self._up) if up == everything]
         if len(minima) != 1:
@@ -184,6 +248,16 @@ class ContextPoset:
     def upset(self, c: str) -> frozenset:
         return frozenset(self._ids[i] for i in _bits(self._up[self._index(c)]))
 
+    @cached_property
+    def _down(self) -> list[int]:
+        """Per context, the mask of the contexts below it, itself included:
+        ``_up`` transposed, on first use."""
+        down = [0] * len(self._ids)
+        for i, up in enumerate(self._up):
+            for j in _bits(up):
+                down[j] |= 1 << i
+        return down
+
     def meet_contexts(self, c1: str, c2: str) -> str:
         """Greatest lower bound; always exists (worst case the least element)."""
         lower = self._down[self._index(c1)] & self._down[self._index(c2)]
@@ -204,12 +278,12 @@ class ContextPoset:
 
     @cached_property
     def _covers(self) -> list[tuple[int, int]]:
-        """The covers as index pairs, in sorted-id order."""
+        """The covers as index pairs, in sorted-id order: the given pairs
+        with no context strictly between.  No other pair can be a cover: a
+        shortest path of given pairs to it passes a third context."""
+        up, down = self._up, self._down
         return [
-            (i, j)
-            for i, up in enumerate(self._up)
-            for j in _bits(up & ~(1 << i))
-            if up & self._down[j] == 1 << i | 1 << j
+            (i, j) for i, js in enumerate(self._succ) for j in js if up[i] & down[j] == 1 << i | 1 << j
         ]
 
     # -- embeddings -----------------------------------------------------
@@ -218,7 +292,7 @@ class ContextPoset:
         """Image of an element of c1 inside c2 (requires c1 <= c2)."""
         if not self.leq(c1, c2):
             raise UnknownContextError(f"{c1!r} is not below {c2!r}")
-        images, algebra = self._images[self._bit[c1], self._bit[c2]], self._contexts[c1]
+        images, algebra = self._image(self._bit[c1], self._bit[c2]), self._contexts[c1]
         if not algebra.contains(x):
             raise DomainError(f"value not in the local algebra of {c1!r}")
         m = 0
@@ -226,37 +300,75 @@ class ContextPoset:
             m |= images[algebra.atoms.index(a)]
         return frozenset(self._contexts[c2].atoms[s] for s in _bits(m))
 
+    def _image(self, i: int, j: int) -> tuple[int, ...]:
+        """The embedding of i into j, for i <= j: the given one, or else the
+        composite along the first shortest path of given pairs, searched
+        breadth first from i with each context's successors in sorted-id
+        order.  Each composite the search makes is kept."""
+        images = self._images
+        got = images.get((i, j))
+        reached, frontier = 1 << i, [i]
+        while got is None:
+            ahead = []
+            for a in frontier:
+                for b in self._succ[a]:
+                    if not reached >> b & 1:
+                        reached |= 1 << b
+                        ahead.append(b)
+                        if (i, b) not in images:
+                            images[i, b] = _compose(images[i, a], images[a, b])
+            frontier = ahead
+            got = images.get((i, j))
+        return got
+
+    def _point_pairs(self, first: list[int]) -> list[list[int]]:
+        """Per point, the points directly above it: (c, t) lies below
+        (d, s) for each given pair c < d whose image of t holds s."""
+        above: list[list[int]] = [[] for _ in range(first[-1])]
+        for i, js in enumerate(self._succ):
+            for j in js:
+                f = first[j]
+                for p, m in enumerate(self._images[i, j], first[i]):
+                    while m:
+                        low = m & -m
+                        above[p].append(f + low.bit_length() - 1)
+                        m ^= low
+        return above
+
+    def _point_walk(self, first: list[int], up: bool) -> list[int] | None:
+        """The points context by context in ``_order``, reversed if up, so
+        that _reach finds a point's up-set (or its down-set) in one pass;
+        None on a cycle."""
+        if self._order is None:
+            return None
+        order = self._order[::-1] if up else self._order
+        return [p for i in order for p in range(first[i], first[i + 1])]
+
     @cached_property
     def _rows(self) -> tuple[list[int], list[int]]:
-        """Each context's first point bit, and each point's row: the mask of
-        its up-set in the point table.  The row of point (c, t) is the sum,
-        over the contexts d above c, of c's image of atom t in d shifted to
-        d's first bit."""
-        first, f = [], 0
+        """Each context's first point bit, then the number of points; and
+        each point's row, the mask of its up-set in the point table.  The
+        row of point (c, t) is its own bit or-ed with the rows of the images
+        of t in each context given above c."""
+        first = [0]
         for c in self._ids:
-            first.append(f)
-            f += len(self._contexts[c].atoms)
-        rows = []
-        for i, up in enumerate(self._up):
-            above = list(_bits(up))
-            shifts = [first[j] for j in above]
-            # per atom of i: its images in the contexts above i
-            for images in zip(*[self._images[i, j] for j in above]):
-                rows.append(sum(map(lshift, images, shifts)))
-        return first, rows
+            first.append(first[-1] + len(self._contexts[c].atoms))
+        return first, _reach(self._point_pairs(first), self._point_walk(first, up=True))
 
     @cached_property
     def point_table(self) -> PointTable:
         """The (context, atom) point poset, built on first use from the
-        embeddings."""
+        embeddings.  ``down`` is found by the same walk as the rows, over
+        the given pairs turned round, from the least context upward."""
         first, up = self._rows
         atoms = [self._contexts[c].atoms for c in self._ids]
         points = [(c, x) for c, a in zip(self._ids, atoms) for x in a]
         index = {p: b for b, p in enumerate(points)}
-        down = [0] * len(points)
-        for p, mask in enumerate(up):
-            for q in _bits(mask):
-                down[q] |= 1 << p
+        below: list[list[int]] = [[] for _ in points]
+        for p, qs in enumerate(self._point_pairs(first)):
+            for q in qs:
+                below[q].append(p)
+        down = _reach(below, self._point_walk(first, up=False))
         spans = [(c, (1 << f + len(a)) - (1 << f)) for c, f, a in zip(self._ids, first, atoms)]
         return PointTable(
             tuple(points), index, tuple(up), tuple(down), (1 << len(points)) - 1, tuple(spans)
@@ -268,26 +380,32 @@ class ContextPoset:
         """Check every structural invariant; return a list of violations,
         in sorted-id order.
 
-        Composition is checked once per cover a <. b and atom s of b, as a
-        subset test on point rows (_composes), and is exact once the
-        per-pair checks find nothing: the order is then a partial order and
-        every embedding maps the atoms to non-empty, disjoint images that
-        cover the upper context.  So, at each context d above b, the atoms
-        t of a split d's atoms both by their direct images and by their
-        images composed through b; the test says each composed image lies
-        inside the direct one, and inclusion between two such partitions is
-        equality.  When a pair check or the test fails, the per-chain loop
-        words the violations."""
+        The per-pair checks run on the given pairs: a cycle (a given pair
+        whose upper context lies below its lower one in the closure), a
+        chain of given pairs whose end pair was not given (unless every
+        given pair is a cover), and an embedding that drops an atom, makes
+        two images overlap or misses part of the target.
+
+        Composition is then one test per context, _disjoint: the rows of
+        its atoms are pairwise disjoint.  Once the per-pair checks find
+        nothing, the order is a partial order and every given embedding
+        maps the atoms to non-empty, disjoint images that cover the target,
+        so every path of given pairs from a to d splits d's atoms by the
+        images of a's atoms along it.  A row holds, at d, the union of an
+        atom's images over all those paths; the unions are disjoint iff
+        every path gives the same split, which is composition.  When a
+        per-pair check or the test fails, the per-chain loop words the
+        violations, reading the composed image of a pair that was not
+        given."""
         issues: list[str] = []
-        ids, up, down, images = self._ids, self._up, self._down, self._images
-        # per strict pair: antisymmetry, transitivity (reflexivity by build),
-        # and a well-formed embedding
+        ids, up, down, given, images = self._ids, self._up, self._down, self._given, self._images
+        hasse = len(self._covers) == sum(map(len, self._succ))
         for i, a in enumerate(ids):
-            for j in _bits(up[i] & ~(1 << i)):
+            for j in self._succ[i]:
                 b = ids[j]
                 if up[j] >> i & 1:
                     issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
-                for k in _bits(up[j] & ~up[i]):
+                for k in () if hasse else _bits(given[j] & ~given[i]):
                     issues.append(f"order not transitive at {a!r} <= {b!r} <= {ids[k]!r}")
                 got = images[i, j]
                 if not all(got):
@@ -300,24 +418,18 @@ class ContextPoset:
                     seen |= m
                 if seen != (1 << len(self._contexts[b].atoms)) - 1:
                     issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
-        if issues or not self._composes():
+        if issues or not self._disjoint():
             # composition along chains a <. b < c, worded when a pair check
             # or the row test fails: on a partial order this covers every
-            # chain, by induction on the interval from a to b.  Atom t of a
+            # path, by induction on the interval from a to c.  Atom t of a
             # composes iff its image in c is the union of the images in c of
             # the atoms of b it maps to.  On a cycle of the order c may be a.
             for i, j in self._covers:
                 a, b = ids[i], ids[j]
-                ab = None  # (t, s) for each atom s of b in the image of atom t of a
                 for k in _bits(up[i] & up[j] & ~(1 << j)):
                     c = ids[k]
-                    if ab is None:
-                        ab = [(t, s) for t, m in enumerate(images[i, j]) for s in _bits(m)]
-                    bc, ac = images[j, k], images[i, k]
-                    via = [0] * len(ac)
-                    for t, s in ab:
-                        via[t] |= bc[s]
-                    if tuple(via) != ac:
+                    ac, via = self._image(i, k), _compose(images[i, j], self._image(j, k))
+                    if via != ac:
                         issues += [
                             f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}"
                             for atom, direct, composed in zip(self._contexts[a].atoms, ac, via)
@@ -346,20 +458,19 @@ class ContextPoset:
         issues += [f"no meet for {ids[i]!r}, {ids[j]!r}" for i, j in sorted(missing)]
         return issues
 
-    def _composes(self) -> bool:
-        """True iff, for each cover a <. b and atom s of b, the row of (b, s)
-        lies inside the row of (a, t), t the atom of a whose image holds s:
-        at each d above b, the image of s lies inside the image of t."""
+    def _disjoint(self) -> bool:
+        """True iff the rows of each context's atoms are pairwise disjoint,
+        that is, their bit counts sum to the bit count of their union: at
+        each context d above, the atoms' images along all paths of given
+        pairs never share an atom of d."""
         first, rows = self._rows
-        for i, j in self._covers:
-            below, above = first[i], first[j]
-            for t, m in enumerate(self._images[i, j]):
-                outside = ~rows[below + t]
-                while m:
-                    low = m & -m
-                    if rows[above + low.bit_length() - 1] & outside:
-                        return False
-                    m ^= low
+        for f, g in zip(first, first[1:]):
+            union = total = 0
+            for row in rows[f:g]:
+                union |= row
+                total += row.bit_count()
+            if union.bit_count() != total:
+                return False
         return True
 
     def __repr__(self):

@@ -23,6 +23,13 @@ def loaded(path):
 
 
 @pytest.fixture(scope="session")
+def xz4_model():
+    """The xz4 golden model (81 contexts on C^16, about 0.6 s a load),
+    loaded once: the same object loaded() gives the oracle tests."""
+    return loaded(GOLDEN / "xz4_seed0.json")
+
+
+@pytest.fixture(scope="session")
 def figure1_model():
     omega = OutcomeSpace(frozenset({"w0", "w1"}))
     obs = ClassicalObservable.from_dict("A", {"w0": 0, "w1": 1})

@@ -11,6 +11,7 @@ from qlogic.bell import (
     axis_from_angle,
     born_probability,
     build_chsh_frame,
+    chsh_sweep,
     chsh_terms,
     classical_vertex_check,
     maximally_mixed_state,
@@ -101,6 +102,13 @@ def test_chsh_terms_equal_axes_satisfied():
     terms = chsh_terms(singlet_state(), BellScenario.from_angles(0, 0, 0, 0))
     assert terms.lhs == pytest.approx(0.0, abs=1e-12)
     assert terms.satisfied
+
+
+@pytest.mark.parametrize("steps", [0, -2])
+def test_chsh_sweep_refuses_fewer_than_one_step(steps):
+    # refused at the call, before a caller prints anything
+    with pytest.raises(DomainError, match=f"^a sweep needs steps >= 1, got {steps}$"):
+        chsh_sweep(steps)
 
 
 def test_chsh_terms_mixed_state_satisfied():

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from qlogic import (
     BOTTOM,
     ClassicalModel,
     ClassicalObservable,
+    ContextPoset,
     DomainError,
     ElementaryProposition,
     OutcomeSpace,
@@ -16,7 +19,7 @@ from qlogic import (
 from qlogic.classical import _close, _Points, build_classical_frame, cell_id
 from qlogic.cli import load_model
 
-from conftest import GOLDEN
+from conftest import GOLDEN, loaded
 from partitions import (
     P,
     cell,
@@ -542,3 +545,89 @@ def test_close_joins_against_join_irreducibles_on_classical8(monkeypatch):
     )
     load_model(str(GOLDEN / "classical8_seed0.json"))
     assert 0 < len(calls) <= 2500
+
+
+# -- the covers-only poset against the same model with every pair given ------
+
+
+def every_pair_poset(model) -> ContextPoset:
+    """The model's contexts with every strict pair of its order given, each
+    embedding read off the blocks: a coarse cell maps to the fine cells
+    whose lowest point it holds."""
+    poset, blocks = model.poset, model.blocks
+    images = {}
+    for a in poset.context_ids:
+        for b in poset.upset(a) - {a}:
+            images[a, b] = [
+                sum(1 << s for s, fine in enumerate(blocks[b]) if coarse >> (fine & -fine).bit_length() - 1 & 1)
+                for coarse in blocks[a]
+            ]
+    return ContextPoset({c: poset.algebra(c) for c in poset.context_ids}, embeddings=images)
+
+
+def check_every_pair(model, pairs=None):
+    """The covers-only poset answers as every_pair_poset does: leq, upset,
+    covers, meets, joins, the image of every element on every pair, the
+    point table and validate().  If pairs is given: meets, joins and leq
+    on those context pairs only, and the images of the atoms alone, whose
+    unions embed() takes for the other elements."""
+    got, want = model.poset, every_pair_poset(model)
+    ids = got.context_ids
+    assert ids == want.context_ids and got.least == want.least
+    assert got.covers() == want.covers()
+    for a in ids:
+        assert got.upset(a) == want.upset(a)
+        atoms = got.algebra(a).atoms
+        if pairs is None:
+            elements = [
+                frozenset(t for s, t in enumerate(atoms) if k >> s & 1) for k in range(1 << len(atoms))
+            ]
+        else:
+            elements = [frozenset({t}) for t in atoms]
+        for b in got.upset(a):
+            for x in elements:
+                assert got.embed(a, b, x) == want.embed(a, b, x), (a, b, x)
+    for a, b in itertools.product(ids, repeat=2) if pairs is None else pairs:
+        assert got.leq(a, b) == want.leq(a, b)
+        assert got.meet_contexts(a, b) == want.meet_contexts(a, b)
+        assert got.try_join_contexts(a, b) == want.try_join_contexts(a, b)
+    assert got.point_table == want.point_table
+    assert got.validate() == want.validate() == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=classical_models())
+def test_covers_only_poset_answers_as_every_pair_given(drawn):
+    check_every_pair(_model(*drawn))
+
+
+@pytest.mark.parametrize("name", ["classical8_seed0", "classical2_enum_seed0"])
+def test_covers_only_golden_answers_as_every_pair_given(name):
+    check_every_pair(loaded(GOLDEN / f"{name}.json"))
+
+
+def test_covers_only_c8_answers_as_every_pair_given():
+    """classical_c8's 1,080 contexts make 1.2 million context pairs and its
+    order 403,308 (pair, element) images, so meets, joins and leq are
+    compared on each context against a sample of others, and images on
+    the atoms; the rest on everything."""
+    model = loaded(GOLDEN / "classical_c8.json")
+    ids = model.poset.context_ids
+    rng = random.Random(0)
+    check_every_pair(model, [(a, b) for a in ids for b in rng.sample(ids, 20)])
+
+
+def test_c8_hands_over_its_covers_alone(monkeypatch):
+    """classical_c8's order has 28,161 strict pairs; the builder hands the
+    poset its 5,861 covers, and the poset closes them to the order."""
+    given = []
+    init = ContextPoset.__init__
+    monkeypatch.setattr(
+        ContextPoset,
+        "__init__",
+        lambda self, contexts, embeddings: given.append(embeddings) or init(self, contexts, embeddings),
+    )
+    poset = load_model(str(GOLDEN / "classical_c8.json")).poset
+    assert [len(e) for e in given] == [5861]
+    assert len(poset.covers()) == 5861
+    assert sum(len(poset.upset(c)) - 1 for c in poset.context_ids) == 28161

@@ -61,11 +61,14 @@ def test_build_xyz2_matches_golden(capsys):
     assert out == (GOLDEN / "xyz2_seed0.build.txt").read_text()
 
 
-def test_build_xz4_matches_golden(capsys):
+def test_build_xz4_matches_golden(capsys, monkeypatch, xz4_model):
     """4-qubit local X/Z observables, each qubit turned by a unitary drawn
     from default_rng(0): 81 contexts on C^16, whose ids, atoms, covers and
-    validity `build` must print byte for byte as in tests/golden."""
-    code, out, err = run(capsys, "build", str(GOLDEN / "xz4_seed0.json"))
+    validity `build` must print byte for byte as in tests/golden.  The
+    model is the session's one load of the file through load_model."""
+    path = str(GOLDEN / "xz4_seed0.json")
+    monkeypatch.setattr(cli, "load_model", lambda p: xz4_model if p == path else load_model(p))
+    code, out, err = run(capsys, "build", path)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / "xz4_seed0.build.txt").read_text()
 
@@ -513,6 +516,7 @@ MALFORMED = {
     "unknown refined context": lambda tmp: ["quotient", QUBIT, "--context", "nope", "--refined"],
     "angles not numbers": lambda tmp: ["bell", "--angles", "1,2,x,4"],
     "too few angles": lambda tmp: ["bell", "--angles", "1,2"],
+    "angles empty": lambda tmp: ["bell", "--angles", ""],
     "angle NaN": lambda tmp: ["bell", "--angles", "nan,0,90,45"],
     "angle infinite": lambda tmp: ["bell", "--angles", "inf,0,90,45"],
     "sweep not positive": lambda tmp: ["bell", "--sweep", "0"],
@@ -615,6 +619,7 @@ MALFORMED_MESSAGES = {
     ),
     "Hermitian difference past the float range": "error: matrix is not Hermitian within tolerance",
     "sweep with angles": "error: --sweep takes no --angles: it sweeps theta * (0, 2, 3, 1)",
+    "angles empty": "error: --angles needs four comma-separated degrees",
     "angle NaN": "error: angle must be finite, got nan",
     "angle infinite": "error: angle must be finite, got inf",
     "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",

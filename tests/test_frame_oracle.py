@@ -184,11 +184,12 @@ def check_masks_and_restrictions(frame):
 
 def oracle_restrict_upset(frame, c: str) -> Frame:
     """The frame over c's up-set as a second ContextPoset: the contexts of
-    upset(c), with the stored embedding of each pair of them."""
+    upset(c), each pair of them given with its embedding, as given to the
+    parent or composed."""
     poset = frame.poset
     ups = poset.upset(c)
     images = {
-        (a, b): poset._images[poset._bit[a], poset._bit[b]]
+        (a, b): poset._image(poset._bit[a], poset._bit[b])
         for a in ups
         for b in ups
         if a != b and poset.leq(a, b)
