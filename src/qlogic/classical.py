@@ -148,19 +148,17 @@ class _Points:
         return packed
 
 
-def _close(
-    points: _Points, family: list[int]
-) -> tuple[list[int], list[tuple[int, int]]]:
+def _close(points: _Points, family: list[int]) -> tuple[list[int], list[int]]:
     """The packed partitions, {Omega} added, closed under meet and join, and
-    the (coarser, finer) index pairs of its strictly comparable members.
+    per member the mask of the members at or below it, as fine or finer.
 
     Partitions are ordered by refinement, finer below, so join coarsens.
     Each member is walked once against the earlier ones: a comparable pair
-    is recorded, once, and an incomparable pair's meet (``&``) is added.
-    Joins are then taken only against the join-irreducibles J(F), the
-    members with exactly one lower cover: each member x is joined with each
-    j in J(F) it is incomparable to and was not joined with yet.  This
-    repeats until no member is new.
+    is recorded in the coarser member's mask, and an incomparable pair's
+    meet (``&``) is added.  Joins are then taken only against the
+    join-irreducibles J(F), the members with exactly one lower cover: each
+    member x is joined with each j in J(F) it is incomparable to and was
+    not joined with yet.  This repeats until no member is new.
 
     Why that closes F under every join: F holds Omega and is closed under
     meets, so it is a finite lattice, in which every element is the join of
@@ -174,7 +172,6 @@ def _close(
     F."""
     family = list(dict.fromkeys([*family, points.pack([(1 << points.n) - 1])]))
     seen = set(family)
-    pairs = []
     down = []  # per member: the mask of the members at or below it
     done = []  # per member: the mask of the members comparable to it or joined with it
     blocks = {}  # per join-irreducible: its blocks, the second argument of a join
@@ -185,10 +182,8 @@ def _close(
             for i in range(k):
                 meet = e1 & family[i]
                 if meet == e1:
-                    pairs.append((i, k))
                     down[i] |= 1 << k
                 elif meet == family[i]:
-                    pairs.append((k, i))
                     below |= 1 << i
                 else:
                     if meet not in seen:
@@ -216,7 +211,7 @@ def _close(
                 if q not in seen:
                     seen.add(q)
                     family.append(q)
-    return family, pairs
+    return family, down
 
 
 # -- context poset construction ------------------------------------------
@@ -236,13 +231,13 @@ def build_classical_frame(
     atoms as block masks over omega.order(), in the context's atom order.
     The order is reverse refinement: a finer partition is the more
     informative context.  The poset is handed the covers alone, read off
-    _close's comparable pairs, and takes their closure as the order.  An
+    _close's down-set masks, and takes their closure as the order.  An
     embedding sends each coarse cell to the fine cells whose lowest point
     it holds.
     """
     points = _Points(omega)
     inputs = [points.pack(points.fibers(obs).values()) for obs in observables]
-    family, pairs = _close(points, inputs)
+    family, down = _close(points, inputs)
     ids, atoms, contexts = [], {}, {}
     where = []  # per partition: point -> index of its cell among the atoms
     lows = []  # per partition: the lowest point of each atom
@@ -257,15 +252,13 @@ def build_classical_frame(
         slot = {block: s for s, block in enumerate(blocks)}
         where.append([slot[block] for block in rows])
         lows.append([(block & -block).bit_length() - 1 for block in blocks])
-    finer = [0] * len(family)  # per partition: the mask of the strictly finer ones
-    for i, j in pairs:
-        finer[i] |= 1 << j
-    past = [0] * len(family)  # per partition: the ones strictly finer than a finer one
-    for i, j in pairs:
-        past[i] |= finer[j]
     images = {}  # the covers only: their closure is the order
     for i, lower in enumerate(where):
-        for j in _bits(finer[i] & ~past[i]):
+        finer = down[i] & ~(1 << i)
+        past = 0  # the partitions strictly finer than a finer one
+        for j in _bits(finer):
+            past |= down[j] & ~(1 << j)
+        for j in _bits(finer & ~past):
             masks = [0] * len(lows[i])
             for s, low in enumerate(lows[j]):
                 masks[lower[low]] |= 1 << s

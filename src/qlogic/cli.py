@@ -95,7 +95,10 @@ def _observables(doc: dict) -> dict:
 def load_model(path: str):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except (RecursionError, ValueError) as exc:  # bad JSON, too deep, or an int of too many digits
+        raise QLogicError(str(exc)) from None
     if not isinstance(doc, dict):
         raise QLogicError("a model file must hold a JSON object")
     if "\\u" in text:  # only a \u escape spells a surrogate
@@ -135,6 +138,8 @@ def load_model(path: str):
                 raise QLogicError(
                     f"observable {name!r} must be a list of rows of [re, im] pairs"
                 ) from None
+            except OverflowError:  # an int past the float range, worded as QuantumModel does
+                raise QLogicError(f"observable {name!r} has an entry past the float range") from None
             if len({len(row) for row in entries}) != 1:
                 raise QLogicError(f"observable {name!r} is not a rectangular matrix")
             observables[name] = np.array(entries)
@@ -384,7 +389,7 @@ def main(argv=None) -> int:
     try:
         return globals()[f"cmd_{args.command}"](args)
     # UnicodeError: a model file not in UTF-8, or a name stdout cannot encode
-    except (QLogicError, OSError, UnicodeError, json.JSONDecodeError) as exc:
+    except (QLogicError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

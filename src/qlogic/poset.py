@@ -87,13 +87,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _extreme(mask: int, masks: list[int]) -> int | None:
     """The member g of mask whose masks[g] holds all of mask, or None."""
-    rest = mask
-    while rest:
-        g = (rest & -rest).bit_length() - 1
-        if masks[g] & mask == mask:
-            return g
-        rest &= rest - 1
-    return None
+    return next((g for g in _bits(mask) if masks[g] & mask == mask), None)
 
 
 def _compose(ab: Sequence[int], bc: Sequence[int]) -> tuple[int, ...]:
@@ -108,13 +102,19 @@ def _compose(ab: Sequence[int], bc: Sequence[int]) -> tuple[int, ...]:
     return tuple(ac)
 
 
+def _turned(succ: list[list[int]]) -> list[list[int]]:
+    """succ with every pair turned round: per node, the nodes that list it."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for i, js in enumerate(succ):
+        for j in js:
+            pred[j].append(i)
+    return pred
+
+
 def _topological(succ: list[list[int]]) -> list[int] | None:
     """The nodes with each one before its successors (Kahn), or None when
     succ has a cycle."""
-    into = [0] * len(succ)
-    for js in succ:
-        for j in js:
-            into[j] += 1
+    into = [len(js) for js in _turned(succ)]
     order = [i for i, k in enumerate(into) if not k]
     for i in order:  # grows while it is walked
         for j in succ[i]:
@@ -124,12 +124,13 @@ def _topological(succ: list[list[int]]) -> list[int] | None:
     return order if len(order) == len(succ) else None
 
 
-def _reach(succ: list[list[int]], walk: list[int] | None) -> list[int]:
-    """Per node, the mask of the nodes reachable from it along succ, itself
-    included.  One pass over walk, which holds each node after all its
-    successors, finds them; on a cycle there is no such order (walk is
-    None), and passes over every node repeat until none changes."""
-    reach = [1 << i for i in range(len(succ))]
+def _reach(succ: list[list[int]], walk: list[int] | None, seeds: Sequence[int] = ()) -> list[int]:
+    """Per node, the union of the seeds (by default, their own bits) of the
+    nodes reachable from it along succ, itself included.  One pass over
+    walk, which holds each node after all its successors, finds them; on a
+    cycle there is no such order (walk is None), and passes over every node
+    repeat until none changes."""
+    reach = list(seeds) or [1 << i for i in range(len(succ))]
     again = True
     while again:
         again = False
@@ -179,13 +180,15 @@ class ContextPoset:
     over every comparable pair, as the quantum one does, thus sees a
     tolerance that breaks transitivity.
 
-    The i-th id of ``context_ids`` (sorted) is bit i of three masks per
-    context: ``_given[i]`` holds i and the contexts given above it,
-    ``_up[i]`` the contexts above i in the closure, ``_down[i]`` those
-    below it (made on first use), both including i.  ``_succ[i]`` lists the contexts given
-    above i, and ``_order`` all contexts with each before those given
-    above it (None on a cycle).  ``_images[i, j]`` holds the embedding of
-    i into j for each given pair and for i == j; _image composes the rest.
+    The i-th id of ``context_ids`` (sorted) is bit i of two masks per
+    context: ``_up[i]`` holds the contexts above i in the closure,
+    ``_down[i]`` those below it (made on first use), both including i.
+    ``_succ[i]`` lists the contexts given above i, and ``_order`` all
+    contexts with each before those given above it (None on a cycle).
+    Every relation, of contexts or of points, is closed by _reach, along
+    the given pairs or along them turned round, in ``_order``.
+    ``_images[i, j]`` holds the embedding of i into j for each given pair
+    and for i == j; _image composes the rest.
     """
 
     def __init__(
@@ -196,7 +199,6 @@ class ContextPoset:
         self._contexts = dict(contexts)
         self._ids = tuple(sorted(self._contexts))
         self._bit = {c: i for i, c in enumerate(self._ids)}
-        self._given = [1 << i for i in range(len(self._ids))]
         self._succ = [[] for _ in self._ids]
         widths = [len(self._contexts[c].atoms) for c in self._ids]
         self._images = {}
@@ -205,7 +207,6 @@ class ContextPoset:
             if len(got) != widths[i] or min(got) < 0 or max(got) >> widths[j]:
                 raise StructureError(f"embedding {a!r} -> {b!r} cannot be applied")
             if i != j:
-                self._given[i] |= 1 << j
                 self._succ[i].append(j)
                 self._images[i, j] = tuple(got)
         for i, n in enumerate(widths):
@@ -250,13 +251,9 @@ class ContextPoset:
 
     @cached_property
     def _down(self) -> list[int]:
-        """Per context, the mask of the contexts below it, itself included:
-        ``_up`` transposed, on first use."""
-        down = [0] * len(self._ids)
-        for i, up in enumerate(self._up):
-            for j in _bits(up):
-                down[j] |= 1 << i
-        return down
+        """Per context, the mask of the contexts below it, itself included,
+        on first use: the given pairs turned round, closed in ``_order``."""
+        return _reach(_turned(self._succ), self._order)
 
     def meet_contexts(self, c1: str, c2: str) -> str:
         """Greatest lower bound; always exists (worst case the least element)."""
@@ -359,16 +356,12 @@ class ContextPoset:
     def point_table(self) -> PointTable:
         """The (context, atom) point poset, built on first use from the
         embeddings.  ``down`` is found by the same walk as the rows, over
-        the given pairs turned round, from the least context upward."""
+        the point pairs turned round, from the least context upward."""
         first, up = self._rows
         atoms = [self._contexts[c].atoms for c in self._ids]
         points = [(c, x) for c, a in zip(self._ids, atoms) for x in a]
         index = {p: b for b, p in enumerate(points)}
-        below: list[list[int]] = [[] for _ in points]
-        for p, qs in enumerate(self._point_pairs(first)):
-            for q in qs:
-                below[q].append(p)
-        down = _reach(below, self._point_walk(first, up=False))
+        down = _reach(_turned(self._point_pairs(first)), self._point_walk(first, up=False))
         spans = [(c, (1 << f + len(a)) - (1 << f)) for c, f, a in zip(self._ids, first, atoms)]
         return PointTable(
             tuple(points), index, tuple(up), tuple(down), (1 << len(points)) - 1, tuple(spans)
@@ -398,8 +391,9 @@ class ContextPoset:
         violations, reading the composed image of a pair that was not
         given."""
         issues: list[str] = []
-        ids, up, down, given, images = self._ids, self._up, self._down, self._given, self._images
+        ids, up, down, images = self._ids, self._up, self._down, self._images
         hasse = len(self._covers) == sum(map(len, self._succ))
+        given = [1 << i | sum(1 << j for j in js) for i, js in enumerate(self._succ)]
         for i, a in enumerate(ids):
             for j in self._succ[i]:
                 b = ids[j]
@@ -437,24 +431,23 @@ class ContextPoset:
                         ]
         # closure under pairwise meets: a comparable pair has one, its
         # lower member, so only incomparable pairs i < j are searched and
-        # each missing meet is reported for both orders of the pair.  The
-        # down-sets are also kept with the contexts renumbered by down-set
-        # size: in a partial order a meet has the largest down-set of the
-        # lower bounds (the least context is always one), so the highest
-        # of them is tried first, and the scan of every lower bound runs
-        # only when it fails.
-        rank = sorted(range(len(ids)), key=lambda g: (down[g].bit_count(), g))
-        position = {g: r for r, g in enumerate(rank)}
-        ranked = [sum(1 << position[x] for x in _bits(down[g])) for g in range(len(ids))]
-        by_rank = [ranked[g] for g in rank]
+        # each missing meet is reported for both orders of the pair.
+        # ``ranked`` holds the down-sets by position in _order, a linear
+        # extension: a meet lies above every other lower bound, so it is the
+        # last of them, and the pair has one iff its last lower bound holds
+        # them all.  On a cycle the positions are the indices, and where the
+        # last lower bound fails every one is tried.
+        order = self._order or range(len(ids))
+        bit = {g: 1 << r for r, g in enumerate(order)}
+        ranked = _reach(_turned(self._succ), self._order, [bit[g] for g in range(len(ids))])
+        last = [ranked[g] for g in order]
         missing = []
         for i in range(len(ids)):
             for j in _bits(~(up[i] | down[i]) & ~((2 << i) - 1) & (1 << len(ids)) - 1):
                 lower = ranked[i] & ranked[j]
-                if by_rank[lower.bit_length() - 1] & lower == lower:
-                    continue
-                if _extreme(down[i] & down[j], down) is None:
-                    missing += [(i, j), (j, i)]
+                if last[lower.bit_length() - 1] & lower != lower:
+                    if self._order or _extreme(lower, down) is None:
+                        missing += [(i, j), (j, i)]
         issues += [f"no meet for {ids[i]!r}, {ids[j]!r}" for i, j in sorted(missing)]
         return issues
 

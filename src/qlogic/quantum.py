@@ -451,17 +451,26 @@ class QuantumModel:
 
     def __post_init__(self):
         for option in TOLERANCES:
-            tau = getattr(self, option)
+            value = getattr(self, option)
+            try:
+                tau = float(value)
+            except OverflowError:  # an int past the float range
+                raise DomainError(f"option {option!r} is past the float range") from None
             if not 0 <= tau < math.inf:  # NaN fails too
-                raise DomainError(f"option {option!r} must be finite and at least 0, got {tau!r}")
+                raise DomainError(f"option {option!r} must be finite and at least 0, got {value!r}")
+            setattr(self, option, tau)
         # an observable name is a formula identifier, so none spells a
         # generated context id ("1", "(a^b)", "a*b") and overwrites its context
         for name in self.observables:
             if not (isinstance(name, str) and re.fullmatch(WORD, name)):
                 raise DomainError(f"observable name {name!r} is not an identifier ({WORD})")
-        mats = {k: np.asarray(v, dtype=complex) for k, v in self.observables.items()}
-        for k, m in mats.items():
-            if not np.isfinite(m).all():
+        mats = {}
+        for k, v in self.observables.items():
+            try:
+                mats[k] = np.asarray(v, dtype=complex)
+            except OverflowError:  # an int past the float range
+                raise DomainError(f"observable {k!r} has an entry past the float range") from None
+            if not np.isfinite(mats[k]).all():
                 raise DomainError(f"observable {k!r} has a non-finite entry")
         dims = {m.shape for m in mats.values()}
         if len(dims) > 1:

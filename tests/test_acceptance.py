@@ -321,23 +321,37 @@ def test_criterion_7_chsh_violation():
           f"{terms.rhs:.6f}); maximally mixed satisfies ({budget.elapsed:.2f}s)")
 
 
+def check_tightrope(chsh):
+    """B1 & ~B2 = B1, while B1 & (A2 v ~A2) lies strictly below B1 and
+    differs from it at B1's context."""
+    frame = chsh.frame
+    b1 = chsh.sections["B1"]
+    not_b2 = frame.neg(chsh.sections["B2"])
+    assert frame.meet([b1, not_b2]) == b1
+
+    a2 = chsh.sections["A2"]
+    em_a2 = frame.join([a2, frame.neg(a2)])
+    assert em_a2 != frame.top()
+
+    weakened = frame.meet([b1, em_a2])
+    assert frame.leq(weakened, b1) and weakened != b1
+    ctx_b1 = chsh.model.obs_context["B1"]
+    assert frame.evaluate_at(weakened, ctx_b1) != frame.evaluate_at(b1, ctx_b1)
+
+
 def test_criterion_8_logical_tightrope(chsh):
     with Budget(2.0) as budget:
-        frame = chsh.frame
-        b1 = chsh.sections["B1"]
-        not_b2 = frame.neg(chsh.sections["B2"])
-        assert frame.meet([b1, not_b2]) == b1
-
-        a2 = chsh.sections["A2"]
-        em_a2 = frame.join([a2, frame.neg(a2)])
-        assert em_a2 != frame.top()
-
-        weakened = frame.meet([b1, em_a2])
-        assert frame.leq(weakened, b1) and weakened != b1
-        ctx_b1 = chsh.model.obs_context["B1"]
-        assert frame.evaluate_at(weakened, ctx_b1) != frame.evaluate_at(b1, ctx_b1)
+        check_tightrope(chsh)
     print(f"ACCEPTANCE 8 PASS: B1 & ~B2 = B1 but B1 & (A2 v ~A2) < B1 "
           f"strictly at context B1 ({budget.elapsed:.2f}s)")
+
+
+@settings(max_examples=10, deadline=None)
+@given(angles=st.tuples(*[st.integers(0, 359)] * 4).filter(lambda a: (a[2] - a[3]) % 180))
+def test_criterion_8_on_chsh_models(angles):
+    """b1 = b2 (mod 180) is left out: B2 is then B1 or ~B1, and
+    B1 & ~B2 = B1 fails by design."""
+    check_tightrope(build_chsh_frame(BellScenario.from_angles(*angles)))
 
 
 def test_criterion_9_classical_bridge(figure1_model, crossing_model):

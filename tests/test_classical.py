@@ -18,6 +18,7 @@ from qlogic import (
 )
 from qlogic.classical import _close, _Points, build_classical_frame, cell_id
 from qlogic.cli import load_model
+from qlogic.poset import _bits
 
 from conftest import GOLDEN, loaded
 from partitions import (
@@ -452,10 +453,18 @@ def scan_comparable(family) -> list:
     ]
 
 
+def order_pairs(down) -> list:
+    """(coarser, finer) for each strictly comparable pair that _close's
+    down-set masks hold, in index order."""
+    return [(i, j) for i, d in enumerate(down) for j in _bits(d) if j != i]
+
+
 def check_close_pairs(omega, observables):
+    """Each member's mask holds itself and exactly the members finer than it."""
     points = _Points(omega)
-    family, pairs = _close(points, [points.pack(points.fibers(o).values()) for o in observables])
-    assert sorted(pairs) == scan_comparable(family)
+    family, down = _close(points, [points.pack(points.fibers(o).values()) for o in observables])
+    assert all(d >> i & 1 for i, d in enumerate(down))
+    assert order_pairs(down) == scan_comparable(family)
 
 
 @settings(max_examples=60, deadline=None)
@@ -511,15 +520,14 @@ def value_maps(draw):
 
 
 def check_close_against_pairwise(points, inputs):
-    """The same family as a set, and the same comparable pairs as (coarser,
-    finer) partitions, each pair exactly once."""
-    family, pairs = _close(points, inputs)
+    """The same family as a set, and the order masks hold the same
+    comparable pairs as (coarser, finer) partitions."""
+    family, down = _close(points, inputs)
     want_family, want_pairs = pairwise_close(points, inputs)
     assert len(family) == len(set(family))
     assert set(family) == set(want_family)
-    got = [(family[i], family[j]) for i, j in pairs]
-    assert len(got) == len(set(got))
-    assert set(got) == {(want_family[i], want_family[j]) for i, j in want_pairs}
+    got = {(family[i], family[j]) for i, j in order_pairs(down)}
+    assert got == {(want_family[i], want_family[j]) for i, j in want_pairs}
 
 
 @settings(max_examples=100, deadline=None)

@@ -583,6 +583,32 @@ MALFORMED = {
             tmp, b'{"kind":"quantum","observables":{"A":[[[0,0],[1.7e308,0]],[[-1.7e308,0],[0,0]]]}}'
         ),
     ],
+    # the parser's recursion limit, on every Python: a classical value of nested lists
+    "model nested too deeply": lambda tmp: [
+        "build",
+        _model_file(
+            tmp, b'{"kind": "classical", "points": ["a"], "observables": {"A": {"a": %s}}}'
+            % (b"[" * 100_000 + b"]" * 100_000),
+        ),
+    ],
+    # int()'s digit limit; its wording varies across Python releases
+    "integer past the digit limit": lambda tmp: [
+        "build",
+        _model_file(
+            tmp, b'{"kind": "classical", "points": ["a"], "observables": {"A": {"a": %s}}}' % (b"1" * 5000)
+        ),
+    ],
+    "matrix entry past the float range": lambda tmp: [
+        "build", _model_file(tmp, NON_FINITE_TEXT % (b"1" + b"0" * 400))
+    ],
+    "tolerance past the float range": lambda tmp: [
+        "build",
+        _model_file(tmp, QUBIT_TEXT.replace(b'"dim"', b'"options": {"tau_proj": 1%s}, "dim"' % (b"0" * 400))),
+    ],
+    "eigenvalue tolerance past the float range": lambda tmp: [
+        "build",
+        _model_file(tmp, QUBIT_TEXT.replace(b'"dim"', b'"options": {"tau_eig": -1%s}, "dim"' % (b"0" * 400))),
+    ],
     "enumeration guard not an integer": lambda tmp: ["decidable", QUBIT],
     "lone surrogate in a name": lambda tmp: [
         "build",
@@ -618,6 +644,9 @@ MALFORMED_MESSAGES = {
         "error: eigenvalue inf exceeds max_float / (2 dim) = 4.49e+307 in magnitude"
     ),
     "Hermitian difference past the float range": "error: matrix is not Hermitian within tolerance",
+    "matrix entry past the float range": "error: observable 'Sz' has an entry past the float range",
+    "tolerance past the float range": "error: option 'tau_proj' is past the float range",
+    "eigenvalue tolerance past the float range": "error: option 'tau_eig' is past the float range",
     "sweep with angles": "error: --sweep takes no --angles: it sweeps theta * (0, 2, 3, 1)",
     "angles empty": "error: --angles needs four comma-separated degrees",
     "angle NaN": "error: angle must be finite, got nan",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlogic import ContextPoset, DomainError, LocalAlgebra, StructureError, UnknownContextError
-from qlogic.poset import _bits
+from qlogic.poset import _bits, _extreme
 
 from conftest import GOLDEN, loaded
 from named_embeddings import encode
@@ -786,3 +786,51 @@ def test_point_table_down_is_the_transpose_of_up(drawn):
 )
 def test_golden_point_table_down_is_the_transpose_of_up(name):
     check_point_table(loaded(GOLDEN / f"{name}.json").poset)
+
+
+# -- every walk against its definition -----------------------------------------
+
+
+def exhaustive_missing_meets(poset) -> list[str]:
+    """Oracle: validate()'s missing meets from an _extreme scan of the lower
+    bounds of every ordered incomparable pair, with the down-sets read off
+    _up transposed."""
+    ids, up = poset._ids, poset._up
+    down = transpose(up)
+    return [
+        f"no meet for {ids[i]!r}, {ids[j]!r}"
+        for i, j in itertools.permutations(range(len(ids)), 2)
+        if not up[i] >> j & 1 and not up[j] >> i & 1 and _extreme(down[i] & down[j], down) is None
+    ]
+
+
+@st.composite
+def diamond_orders(draw):
+    """drawn_orders() with a diamond added above its root t: w and x below
+    both y and z, so that y and z have two greatest lower bounds, then
+    0-3 random pairs among all the contexts, which may close cycles."""
+    contexts, embeddings = draw(drawn_orders())
+    contexts = {**contexts, **{c: LocalAlgebra((c + "0",)) for c in "wxyz"}}
+    pairs = [("t", "w"), ("t", "x"), *itertools.product("wx", "yz")]
+    names = sorted(contexts)
+    pairs += [p for p in draw(st.lists(st.tuples(*[st.sampled_from(names)] * 2), max_size=3)) if p[0] != p[1]]
+    embeddings = {**embeddings, **{(a, b): {a + "0": frozenset({b + "0"})} for a, b in pairs}}
+    return contexts, embeddings
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.one_of(drawn_posets(), exchanged_posets(), drawn_orders(), diamond_orders()))
+def test_walks_match_their_definitions(drawn):
+    """On cycles, diamonds and missing meets: the contexts' down-sets are
+    their up-sets transposed, so are the points', and the meet scan over
+    positions in a linear extension misses the meets the exhaustive scan
+    does."""
+    contexts, embeddings = drawn
+    try:
+        poset = ContextPoset(contexts, encode(contexts, embeddings))
+    except StructureError:
+        return
+    assert tuple(poset._down) == transpose(poset._up)
+    check_point_table(poset)
+    issues = poset.validate()
+    assert [v for v in issues if v.startswith("no meet")] == exhaustive_missing_meets(poset)

@@ -210,6 +210,25 @@ def test_unusable_tolerance_rejected(option, tau):
         QuantumModel({"Sz": SZ}, **{option: tau})
 
 
+@pytest.mark.parametrize("option", ["tau_herm", "tau_proj", "tau_eig"])
+@pytest.mark.parametrize("tau", [10**400, -(10**400)])
+def test_tolerance_past_the_float_range_rejected(option, tau):
+    with pytest.raises(DomainError, match=f"^option '{option}' is past the float range$"):
+        QuantumModel({"Sz": SZ}, **{option: tau})
+
+
+@pytest.mark.parametrize("entry", [10**400, -(10**400)])
+def test_matrix_entry_past_the_float_range_rejected(entry):
+    with pytest.raises(DomainError, match="^observable 'A' has an entry past the float range$"):
+        QuantumModel({"A": [[0.5, entry], [entry, 1j]]})
+
+
+def test_tolerances_are_held_as_floats():
+    m = QuantumModel({"Sz": SZ}, tau_herm=0, tau_proj=np.float32(0.25), tau_eig=1)
+    taus = (m.tau_herm, m.tau_proj, m.tau_eig)
+    assert [(type(t), t) for t in taus] == [(float, 0.0), (float, 0.25), (float, 1.0)]
+
+
 def test_zero_tolerance_accepted():
     m = QuantumModel({"Sz": SZ}, tau_herm=0, tau_proj=0, tau_eig=0)
     assert len(m.poset.context_ids) == 2
