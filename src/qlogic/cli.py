@@ -79,6 +79,12 @@ def _check_text(doc) -> None:
                 raise QLogicError(f"model text {node!r} holds a lone surrogate") from None
 
 
+def _scalar(value) -> bool:
+    """A JSON number, string, null or boolean: what may name a point or be
+    an observable's value."""
+    return not isinstance(value, (list, dict))
+
+
 def _require(doc: dict, *keys: str) -> None:
     missing = [k for k in keys if k not in doc]
     if missing:
@@ -109,6 +115,8 @@ def load_model(path: str):
         _require(doc, "points", "observables")
         if not isinstance(doc["points"], list):
             raise QLogicError("'points' must be a list of point names")
+        if not all(map(_scalar, doc["points"])):
+            raise QLogicError("'points' must be a list of scalar point names")
         names = [str(p) for p in doc["points"]]
         for k, count in collections.Counter(names).items():
             if count > 1:
@@ -118,7 +126,7 @@ def load_model(path: str):
         for name, vm in _observables(doc).items():
             if not isinstance(vm, dict):
                 raise QLogicError(f"observable {name!r} must map points to values")
-            if any(isinstance(v, (list, dict)) for v in vm.values()):
+            if not all(map(_scalar, vm.values())):
                 raise QLogicError(f"observable {name!r} must map points to scalar values")
             observables[name] = ClassicalObservable.from_dict(
                 name, {str(k): v for k, v in vm.items()}

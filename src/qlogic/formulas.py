@@ -1,6 +1,7 @@
 """Propositional formulas over measurement atoms.
 
-Grammar (loosest to tightest binding):
+Grammar (loosest to tightest binding), read from the one table _BINARY
+by the parser and by the formatter alike:
 
     imp  := or ('->' imp)?             right-associative
     or   := and ('|' and)*
@@ -70,10 +71,17 @@ class Imp:
 
 # an identifier: a name a formula can spell
 WORD = r"[A-Za-z_][A-Za-z_0-9]*"
+# one token after optional whitespace; any other character is a bad one
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<arrow>->)|(?P<punct>[~&|(){{}},])|(?P<word>{WORD})"
-    r"|(?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?))"
+    r"|(?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<bad>\S))"
 )
+
+# the binary operators, loosest first: '->' nests to the right, '|' and
+# '&' to the left.  A node's rank is its operator's place here; Not binds
+# tighter than all of them, and TOP, BOT and atoms tightest.
+_BINARY = (("->", Imp), ("|", Or), ("&", And))
+_RANK = {kind: rank for rank, (_, kind) in enumerate(_BINARY)} | {Not: len(_BINARY)}
 
 
 @dataclass(frozen=True)
@@ -91,23 +99,11 @@ def _position(text: str, pos: int) -> tuple[int, int]:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    line, col_base = 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            raise ParseError(f"unexpected character {rest.strip()[0]!r}", *_position(text, pos))
-        start = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
-        line = text.count("\n", 0, start) + 1
-        column = start - (text.rfind("\n", 0, start) + 1) + 1
-        for kind in ("arrow", "punct", "word", "number"):
-            if m.group(kind) is not None:
-                tokens.append(_Token(kind, m.group(kind), line, column))
-                break
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":  # placed where the whitespace before it starts
+            raise ParseError(f"unexpected character {m.group(kind)!r}", *_position(text, m.start()))
+        tokens.append(_Token(kind, m.group(kind), *_position(text, m.start(kind))))
     return tokens
 
 
@@ -138,40 +134,32 @@ class _Parser:
             self._error(f"expected {text!r}")
 
     def parse(self):
-        node = self.imp()
+        node = self.binary()
         if self._peek() is not None:
             self._error("trailing input")
         return node
 
-    def imp(self):
-        left = self.or_()
-        if self._accept("->"):
-            return Imp(left, self.imp())
-        return left
-
-    def or_(self):
-        node = self.and_()
-        while self._accept("|"):
-            node = Or(node, self.and_())
+    def binary(self, level: int = 0):
+        """A formula whose operators bind at least as tightly as _BINARY[level];
+        past the table's end, a negation or a primary."""
+        if level == len(_BINARY):
+            if self._accept("~"):
+                return Not(self.binary(level))
+            return self.primary()
+        op, kind = _BINARY[level]
+        node = self.binary(level + 1)
+        if kind is Imp:
+            return Imp(node, self.binary(level)) if self._accept(op) else node
+        while self._accept(op):
+            node = kind(node, self.binary(level + 1))
         return node
-
-    def and_(self):
-        node = self.not_()
-        while self._accept("&"):
-            node = And(node, self.not_())
-        return node
-
-    def not_(self):
-        if self._accept("~"):
-            return Not(self.not_())
-        return self.primary()
 
     def primary(self):
         tok = self._peek()
         if tok is None:
             self._error("expected a formula")
         if self._accept("("):
-            node = self.imp()
+            node = self.binary()
             self._expect(")")
             return node
         if tok.text == "TOP":
@@ -234,20 +222,20 @@ def _format(node) -> str:
         return "BOT"
     if isinstance(node, Atom):
         return f"M({node.name},{{{','.join(node.values)}}})"
-    if isinstance(node, Not):
-        return f"~{_wrap(node.arg, (Atom, Top, Bot, Not))}"
-    if isinstance(node, And):
-        return f"{_wrap(node.left, (Atom, Top, Bot, Not, And))} & {_wrap(node.right, (Atom, Top, Bot, Not))}"
-    if isinstance(node, Or):
-        return f"{_wrap(node.left, (Atom, Top, Bot, Not, And, Or))} | {_wrap(node.right, (Atom, Top, Bot, Not, And))}"
-    if isinstance(node, Imp):
-        return f"{_wrap(node.left, (Atom, Top, Bot, Not, And, Or))} -> {_wrap(node.right, (Atom, Top, Bot, Not, And, Or, Imp))}"
-    raise TypeError(f"not a formula node: {node!r}")
+    rank = _RANK.get(type(node))
+    if rank is None:
+        raise TypeError(f"not a formula node: {node!r}")
+    if rank == len(_BINARY):
+        return f"~{_wrap(node.arg, rank)}"
+    op, kind = _BINARY[rank]
+    left, right = (rank + 1, rank) if kind is Imp else (rank, rank + 1)
+    return f"{_wrap(node.left, left)} {op} {_wrap(node.right, right)}"
 
 
-def _wrap(node, allowed) -> str:
+def _wrap(node, rank: int) -> str:
+    """node formatted in a place that needs rank at least `rank`."""
     text = _format(node)
-    return text if isinstance(node, allowed) else f"({text})"
+    return text if _RANK.get(type(node), len(_RANK)) >= rank else f"({text})"
 
 
 def eval_formula(model, node) -> Section:

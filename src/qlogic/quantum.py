@@ -76,7 +76,8 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .formulas import WORD
-from .gram import _GRAM_ENTRIES, _Basis, _bases_of, _certificates, _row_masks, _runs
+from . import gram
+from .gram import _Basis, _bases_of, _certificates, _row_masks, _runs
 from .poset import ContextPoset, LocalAlgebra, _bits
 from .sections import BOTTOM, ElementaryProposition, Frame
 
@@ -263,12 +264,12 @@ def _issues(a: np.ndarray, tol: float) -> list[list[str]]:
     zero = np.abs(flat).max(axis=(1, 2))
     whole = np.abs(a.sum(axis=1) - np.eye(dim)).max(axis=(1, 2))
     idem = np.empty(k * n)
-    for run in _runs(range(k * n), lambda _: dim * dim, _GRAM_ENTRIES):
+    for run in _runs(range(k * n), lambda _: dim * dim, gram._GRAM_ENTRIES):
         p = flat[run[0] : run[-1] + 1]
         idem[run] = np.abs(p @ p - p).max(axis=(1, 2))
     left, right = _upper(k, n)
     apart = np.empty(len(left))
-    for run in _runs(range(len(left)), lambda _: dim * dim, _GRAM_ENTRIES):
+    for run in _runs(range(len(left)), lambda _: dim * dim, gram._GRAM_ENTRIES):
         apart[run] = np.abs(flat[left[run]] @ flat[right[run]]).max(axis=(1, 2))
     proj = ((herm <= tol) & (idem <= tol)).reshape(k, n).tolist()
     zero = (zero <= tol).reshape(k, n).tolist()
@@ -306,7 +307,7 @@ def _batches(stacks: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarr
     for s, atoms in enumerate(stacks):
         groups.setdefault(len(atoms), []).append(s)
     for members in groups.values():
-        for batch in _runs(members, lambda s: stacks[s].size, _GRAM_ENTRIES):
+        for batch in _runs(members, lambda s: stacks[s].size, gram._GRAM_ENTRIES):
             yield batch, _stacked([stacks[s] for s in batch])
 
 
@@ -633,7 +634,7 @@ class QuantumModel:
         runs = _runs(
             [(a, b) for a, b, _, join in todo if join],
             lambda ab: self.contexts[ab[0]].atoms.size * len(self.contexts[ab[1]].atoms),
-            _GRAM_ENTRIES,
+            gram._GRAM_ENTRIES,
         )
         run: dict = {}
         for a, b, comps, join in todo:

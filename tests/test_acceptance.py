@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from qlogic.bell import (
     BellScenario,
@@ -171,17 +171,19 @@ def check_decidables_by_context(frame):
         assert set(got) == want, c
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_criterion_4_on_classical_models(data):
-    """1-12 points, up to 3 observables of up to 3 values."""
-    n = data.draw(st.integers(1, 12))
+def draw_classical_model(data, max_points):
+    """1 to max_points points, up to 3 observables of up to 3 values."""
+    n = data.draw(st.integers(1, max_points))
     points = [f"w{i}" for i in range(n)]
     labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
     k = data.draw(st.integers(0, 3))
-    check_decidables_by_context(
-        _model(points, {f"O{j}": dict(zip(points, data.draw(labels))) for j in range(k)}).frame
-    )
+    return _model(points, {f"O{j}": dict(zip(points, data.draw(labels))) for j in range(k)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_criterion_4_on_classical_models(data):
+    check_decidables_by_context(draw_classical_model(data, 12).frame)
 
 
 @settings(max_examples=15, deadline=None)
@@ -362,6 +364,18 @@ def test_criterion_9_classical_bridge(figure1_model, crossing_model):
             assert report.section_count_classical == report.section_count_quantum
     print(f"ACCEPTANCE 9 PASS: diagonal commutative frames order-isomorphic "
           f"to classical frames (5 and 48 sections) ({budget.elapsed:.2f}s)")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_criterion_9_on_classical_models(data):
+    """A model whose enumeration bound the guard refuses is left out."""
+    try:
+        _, report = classical_bridge(draw_classical_model(data, 5))
+    except ResourceLimitError:
+        reject()
+    assert report.isomorphic, report.detail
+    assert report.section_count_classical == report.section_count_quantum
 
 
 def test_criterion_10_numerical_hygiene():

@@ -525,6 +525,24 @@ MALFORMED = {
     "duplicate point": lambda tmp: [
         "build", _model_file(tmp, b'{"kind": "classical", "points": ["a", "a", "b"], "observables": {}}')
     ],
+    "point a list": lambda tmp: [
+        "build",
+        _model_file(
+            tmp,
+            b'{"kind": "classical", "points": [[[]], null, true],'
+            b' "observables": {"A": {"[[]]": 1, "None": 2, "True": 1}}}',
+        ),
+    ],
+    "point an object": lambda tmp: [
+        "build", _model_file(tmp, b'{"kind": "classical", "points": ["a", {"b": 1}], "observables": {}}')
+    ],
+    # deep, yet within the JSON decoder's recursion limit under the test runner's own stack
+    "point nested deep": lambda tmp: [
+        "build",
+        _model_file(
+            tmp, b'{"kind": "classical", "points": [%s], "observables": {}}' % (b"[" * 500 + b"]" * 500)
+        ),
+    ],
     "duplicate point after str()": lambda tmp: [
         "build", _model_file(tmp, b'{"kind": "classical", "points": [1, "1"], "observables": {}}')
     ],
@@ -653,6 +671,9 @@ MALFORMED_MESSAGES = {
     "angle infinite": "error: angle must be finite, got inf",
     "lone surrogate in a name": "error: model text '\\ud800' holds a lone surrogate",
     "enumeration guard not an integer": "error: QLOGIC_ENUM_GUARD must be an integer, got 'abc'",
+    "point a list": "error: 'points' must be a list of scalar point names",
+    "point an object": "error: 'points' must be a list of scalar point names",
+    "point nested deep": "error: 'points' must be a list of scalar point names",
     "point name spells a cell id": (
         "error: point 'a,b': a point name may not hold ',', '{', '}' or '/', which spell cell ids"
     ),

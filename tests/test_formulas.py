@@ -19,6 +19,8 @@ from qlogic.formulas import (
     parse_formula,
 )
 
+from conftest import GOLDEN
+
 
 def test_parse_atom_and_not():
     ast = parse_formula("M(Sz,{1}) & ~M(Sx,{1})")
@@ -206,3 +208,102 @@ def test_eval_value_outside_spectrum(one_qubit_model):
 
     with pytest.raises(DomainError):
         eval_formula(one_qubit_model, parse_formula("M(Sz,{3})"))
+
+
+def depth_asts(depth):
+    """Every AST of depth at most `depth` over TOP and M(A,{0}), in a fixed
+    order: the leaves, the negations, then &, | and -> over every pair."""
+    leaves = [Top(), Atom("A", ("0",))]
+    if depth == 0:
+        return leaves
+    inner = depth_asts(depth - 1)
+    pairs = [kind(left, right) for kind in (And, Or, Imp) for left in inner for right in inner]
+    return leaves + [Not(arg) for arg in inner] + pairs
+
+
+def format_lines():
+    """The golden formulas.format.txt: one formatted AST a line."""
+    return [format_formula(ast) for ast in depth_asts(2)]
+
+
+# every token kind, and multi-line input; error_lines adds each with one
+# character replaced by a stray character, a minus, or two kinds of whitespace
+# that are no line break
+ERROR_FORMULAS = [
+    "TOP",
+    "BOT",
+    "M(A,{0})",
+    "M(A,{})",
+    "M(Sz,{1,-1})",
+    "M(Sx,{0.5, 2.5e-3, -1E+2})",
+    "M(obs_1,{up,down_2})",
+    "~M(A,{0})",
+    "~~TOP",
+    "TOP & BOT",
+    "TOP | BOT & TOP",
+    "TOP -> BOT -> TOP",
+    "(TOP -> BOT) -> TOP",
+    "~(M(A,{0}) | M(B,{1})) & TOP",
+    "M(A,{0}) & (M(B,{1}) | M(C,{2}))",
+    "TOP &\n  BOT",
+    "(TOP\n&\nBOT)",
+    "M(Sz,\n{1,\n-1})\n",
+    "\n\n  TOP ->\n  ~ BOT\n",
+    "  TOP  ",
+    "\tM ( A , { 0 } )",
+    "TOP\r\n& BOT",
+    "M(A,{0})\x0c|\x0bTOP",
+    "TOP BOT",
+    "M(1,{0})",
+    "M(A,{~})",
+    "M(A {0})",
+    "M(A,{0,})",
+    "M(A,{0)",
+    "-> TOP",
+    "TOP - > BOT",
+    "M(A,{-})",
+    "M(A,{1.})",
+    "M(A,{1e})",
+    "X(A,{0})",
+    "top",
+    "((TOP)",
+    "TOP))",
+    "M(A,{0}) @ TOP",
+    "TOP\u00a0& BOT",
+    "TOP\x1c& BOT",
+    "TOP & \u00e9",
+    "M(A,{\u0663})",
+]
+
+
+def error_lines():
+    """The golden formulas.errors.txt: for every prefix of every formula in
+    ERROR_FORMULAS and of its variants, the prefix and what parse_formula
+    makes of it, "ok" or the ParseError's line, column and text."""
+    lines = []
+    for text in ERROR_FORMULAS:
+        mid = len(text) // 2
+        for formula in [text] + [text[:mid] + c + text[mid + 1 :] for c in "@-\u00a0\x1c"]:
+            for end in range(len(formula) + 1):
+                try:
+                    parse_formula(formula[:end])
+                    result = "ok"
+                except ParseError as exc:
+                    result = f"{exc.line}:{exc.column} {exc}"
+                lines.append(f"{formula[:end]!r}\t{result}")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "name, lines",
+    [("formulas.format.txt", format_lines), ("formulas.errors.txt", error_lines)],
+)
+def test_matches_golden(name, lines):
+    assert lines() == (GOLDEN / name).read_text(encoding="utf-8").split("\n")[:-1]
+
+
+def test_format_golden_parses_back():
+    asts = depth_asts(2)
+    assert len(asts) == 786
+    for ast, line in zip(asts, format_lines()):
+        assert parse_formula(line) == ast

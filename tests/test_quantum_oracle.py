@@ -1107,7 +1107,7 @@ def test_batched_checks_match_the_loop_on_each_stack(entries, run):
     want = [loop_validate_resolution(list(a), tol) for a in stacks]
     with pytest.MonkeyPatch.context() as m:
         if entries is not None:
-            m.setattr(quantum, "_GRAM_ENTRIES", entries)
+            m.setattr(gram, "_GRAM_ENTRIES", entries)
         got = [None] * len(stacks)
         for batch, a in _batches(stacks):
             for s, issues in zip(batch, _issues(a, tol)):
@@ -1242,7 +1242,7 @@ def test_batches_keep_to_the_memory_rule():
     tracemalloc.start()
     try:
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(quantum, "_GRAM_ENTRIES", limit)
+            m.setattr(gram, "_GRAM_ENTRIES", limit)
             m.setattr(quantum, "_products", products)
             m.setattr(quantum, "_issues", issues)
             model = load_model(str(GOLDEN / "xz4_seed0.json"))
@@ -1336,7 +1336,6 @@ def test_bases_and_check_batches_are_the_loops_chunks(counts, dim, entries):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gram, "_GRAM_ENTRIES", entries)
-        m.setattr(quantum, "_GRAM_ENTRIES", entries)
         m.setattr(gram, "_measured_bases", measured)
         assert _bases_of(ctxs) == [None] * len(ctxs)
         batches = [batch for batch, _ in _batches([c.atoms for c in ctxs])]
@@ -1370,7 +1369,7 @@ def test_check_products_are_the_loops_slices(run):
             return iter(runs)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(quantum, "_GRAM_ENTRIES", entries)
+            m.setattr(gram, "_GRAM_ENTRIES", entries)
             m.setattr(quantum, "_runs", spy)
             got = [_issues(a, tol) for a in batches]
         assert got == want
@@ -1384,8 +1383,8 @@ def test_check_products_are_the_loops_slices(run):
 
 @pytest.mark.parametrize("entries", [3 * 8**2, 16 * 8**2, 4096])
 def test_a_build_makes_the_three_loops_chunks(entries):
-    """On the xz3 golden (dim 8) with _GRAM_ENTRIES at `entries` in both
-    modules: each round's join candidates multiplied, run by run, are the
+    """On the xz3 golden (dim 8) with gram._GRAM_ENTRIES at `entries`, the one
+    binding the library reads: each round's join candidates multiplied, run by run, are the
     runs that _run's scans made of them, and the bases measured and the
     contexts checked are the loops' chunks, call by call; the build is the
     default one."""
@@ -1416,7 +1415,6 @@ def test_a_build_makes_the_three_loops_chunks(entries):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gram, "_GRAM_ENTRIES", entries)
-        m.setattr(quantum, "_GRAM_ENTRIES", entries)
         m.setattr(quantum, "_products", spy_products)
         m.setattr(quantum, "_bases_of", spy_bases)
         m.setattr(gram, "_measured_bases", spy_measured)
