@@ -101,9 +101,10 @@ def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "bad":  # placed where the whitespace before it starts
-            raise ParseError(f"unexpected character {m.group(kind)!r}", *_position(text, m.start()))
-        tokens.append(_Token(kind, m.group(kind), *_position(text, m.start(kind))))
+        where = _position(text, m.start(kind))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", *where)
+        tokens.append(_Token(kind, m.group(kind), *where))
     return tokens
 
 

@@ -22,7 +22,7 @@ p q that make the graph also decide commutation: for Hermitian p and q,
 
 That one decision, and the commutation of a pair, are read where they
 can be certified from small Gram blocks instead of the products (see
-qlogic.gram).  A context that enters a closure round of at least
+qlogic.gram).  A context that enters a run (see below) of at least
 _MIN_GRAM_PAIRS non-trivial pairs gets an orthonormal basis whose column
 groups span its atoms' ranges, from one eigh of sum_k k p_k, with a
 residual measured once.  A pair with a block the Gram matrix leaves
@@ -31,18 +31,22 @@ multiplied (see _products), so every decision equals the products'.  The
 trivial context takes no matrix work: it lies below every other context,
 its one atom mapping to all.
 
-Each closure round runs in two passes over its pairs, fixed when it
-starts (see QuantumModel._round): the first reads the graphs from their
-certificates, records the comparable pairs' embeddings and lists the
-meets and join candidates in pair order; the second settles them in that
-order.  The round's numpy work is done in bounded batches, a few calls
-over many small matrices instead of many calls over one each, as in
-batched BLAS (Dongarra et al., 2017): the join candidates' products,
-graphs and commutation, and at the round's end the check of its new
-contexts as resolutions of the identity (see _issues).  Every such batch,
-and every batch of the Gram blocks, is cut by one rule (see gram._runs):
-the items in order, in runs of at most _GRAM_ENTRIES complex entries or
-one item alone, one run alive at a time.
+Each closure round pairs the contexts stored when it starts, keeping the
+pairs with a member that the last round stored, and takes them in runs of
+at most _GRAM_ENTRIES pairs.  Each run has two passes over its pairs (see
+QuantumModel._round): the first reads the graphs from their certificates,
+records the comparable pairs' embeddings and lists the meets and join
+candidates in pair order; the second settles them in that order.  Only
+the second stores contexts, and no pair of the round holds one it stored,
+so the runs settle in the round's pair order whatever their size.  The
+numpy work is done in bounded batches, a few calls over many small
+matrices instead of many calls over one each, as in batched BLAS
+(Dongarra et al., 2017): the join candidates' products, graphs and
+commutation, and at the round's end the check of its new contexts as
+resolutions of the identity (see _issues).  Every such batch, every batch
+of the Gram blocks, and the round's runs of pairs are cut by one rule
+(see gram._runs): the items in order, in runs of at most _GRAM_ENTRIES
+complex entries (or pairs) or one item alone, one run alive at a time.
 
 A context with n atoms p_k is looked up among the stored ones in a grid
 hash on (n, f // w) with f = sum_k x_k^2 over its probe values
@@ -84,7 +88,7 @@ from .sections import BOTTOM, ElementaryProposition, Frame
 TAU_HERM = 1e-8
 TAU_PROJ = 1e-8
 TAU_EIG = 1e-6
-# the fewest non-trivial pairs of a closure round read from Gram blocks: with
+# the fewest non-trivial pairs of a round's run read from Gram blocks: with
 # the bases they need, the blocks cost a fixed 50-60 numpy calls, as much as
 # about five pairs' exact products, and in a first round most pairs commute
 # and need their products anyway
@@ -587,7 +591,7 @@ class QuantumModel:
     ) -> dict[tuple[str, str], tuple[list[int] | None, bool]]:
         """The certificates (see _certificates) of the pairs whose contexts
         both have a basis, each basis measured when its context first needs
-        it.  A round of fewer than _MIN_GRAM_PAIRS pairs gets none."""
+        it.  A run of fewer than _MIN_GRAM_PAIRS pairs gets none."""
         if len(pairs) < _MIN_GRAM_PAIRS:
             return {}
         if fresh := sorted({c for ab in pairs for c in ab} - self._bases.keys()):
@@ -601,7 +605,7 @@ class QuantumModel:
         return dict(zip(based, certs))
 
     def _round(self, pairs: list[tuple[str, str]], images: dict) -> None:
-        """One closure round over its pairs, in two passes.  The first reads
+        """One run of a closure round's pairs, in two passes.  The first reads
         each pair's graph from its certificate, records a comparable pair's
         embeddings, and lists the meet (by components) and whether the pair
         is a join candidate, not certified apart; a pair without a certified
@@ -690,23 +694,26 @@ class QuantumModel:
             self._cluster_atoms[name] = tuple(stored.atom_names[k] for k in ks)
         self._check(1)
         # close under pairwise meets and commuting joins; a pair taken once
-        # yields no new context when taken again, so each pair is taken once,
-        # in sorted order, and a round's pairs are fixed when it starts: a
-        # context it stores is checked at its end before any product is
-        # made of it.  The trivial context lies below every other, its one
-        # atom mapping to all of theirs.  A comparable pair has the pair
-        # itself as meet and join, both stored already; its embedding is read
-        # off the overlap graph's row masks
+        # yields no new context when taken again, so a round pairs the
+        # contexts stored when it starts, in sorted order, and keeps the
+        # pairs with a member the last round stored (the first round keeps
+        # every pair).  It takes them in runs of at most _GRAM_ENTRIES pairs
+        # (see _runs); a context it stores is checked at its end, before any
+        # product is made of it.  The trivial context lies below every
+        # other, its one atom mapping to all of theirs.  A comparable pair
+        # has the pair itself as meet and join, both stored already; its
+        # embedding is read off the overlap graph's row masks
         self._meets = {}
         self._bases = {}
-        taken: set[tuple[str, str]] = set()
         images = {}
-        while pairs := [
-            ab for ab in itertools.combinations(sorted(self.contexts), 2) if ab not in taken
-        ]:
-            taken.update(pairs)
+        start = 0
+        while start < len(self.contexts):
+            fresh = set(itertools.islice(self.contexts, start, None))
             start = len(self.contexts)
-            self._round(pairs, images)
+            pairs = itertools.combinations(sorted(self.contexts), 2)
+            kept = (ab for ab in pairs if not fresh.isdisjoint(ab))
+            for run in _runs(kept, lambda _: 1, gram._GRAM_ENTRIES):
+                self._round(run, images)
             self._check(start)
         contexts = {
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()

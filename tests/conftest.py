@@ -15,6 +15,13 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+def haar_unitary(g: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random unitary: the Q of a complex Gaussian, its phases fixed."""
+    q, r = np.linalg.qr(g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
 @functools.cache
 def loaded(path):
     """The model at path, loaded once for the whole session: the oracle

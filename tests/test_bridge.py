@@ -5,20 +5,33 @@ atom maps (a cell goes to the twin atom with the same diagonal support),
 then requires the maps to biject, the context order to agree both ways,
 the mapped sections to be the twin's sections, one to one, and the
 section order to agree on every pair.
+
+The commuting twin makes the classical closure an exact oracle for the
+quantum one: the classical observables alone, as U diag(v) U^dagger with
+one dense unitary U, must close to the classical model's point poset.
 """
 
 import functools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qlogic import QuantumModel, ResourceLimitError, bridge
-from qlogic.bridge import classical_bridge
+from qlogic import (
+    ClassicalModel,
+    ClassicalObservable,
+    OutcomeSpace,
+    QuantumModel,
+    ResourceLimitError,
+    bridge,
+)
+from qlogic.bridge import _SUPPORT_CUT, classical_bridge
 from qlogic.classical import cell_id, partition_meet
 from qlogic.cli import main
 from qlogic.quantum import QuantumContext
 from qlogic.sections import Section
 
-from conftest import FIXTURES
+from conftest import FIXTURES, GOLDEN, haar_unitary, loaded
 from partitions import model_partitions
 
 
@@ -123,3 +136,82 @@ def test_bridge_guard_fails_before_the_twin_is_built(figure1_model, monkeypatch)
     with pytest.raises(ResourceLimitError, match="exceeds guard 3"):
         classical_bridge(figure1_model)
     assert built == []
+
+
+# -- the commuting twin --------------------------------------------------------------
+
+
+def commuting_twin(model: ClassicalModel, u: np.ndarray) -> QuantumModel:
+    """The quantum model of the classical observables alone: each one is
+    U diag(v) U^dagger, v numbering its values 1, 2, ... in sorted order
+    over the points in bit order, so the closure finds every meet and join
+    itself, on dense matrices."""
+    observables = {}
+    for name, obs in model.observables.items():
+        values = obs.values()
+        number = {v: k for k, v in enumerate(sorted(set(values.values())), 1)}
+        v = np.array([number[values[x]] for x in model.omega.order()], float)
+        observables[name] = (u * v) @ u.conj().T
+    return QuantumModel(observables)
+
+
+def point_keys(poset, masks: dict) -> list:
+    """Each point of the poset's table, in bit order, as (the set of its
+    context's atom masks, its own mask); masks maps (context, atom) to the
+    mask of the coordinates the atom covers."""
+    spans = {}
+    for (c, _), mask in masks.items():
+        spans.setdefault(c, set()).add(mask)
+    return [(frozenset(spans[c]), masks[c, a]) for c, a in poset.point_table.points]
+
+
+def check_twin(model: ClassicalModel, u: np.ndarray) -> QuantumModel:
+    """The twin's point poset is the classical one's, as classical_bridge
+    checks it: a classical cell covers its block's points, a twin atom p
+    the coordinates where diag(U^dagger p U) passes _SUPPORT_CUT; keyed so,
+    the points must biject, and the map must carry every classical up-set
+    onto the up-set of its image."""
+    twin = commuting_twin(model, u)
+    cells = {
+        (c, a): block
+        for c, blocks in model.blocks.items()
+        for block, a in zip(blocks, model.poset.algebra(c).atoms)
+    }
+    supports = {}
+    for c, ctx in twin.contexts.items():
+        diag = np.diagonal(u.conj().T @ ctx.atoms @ u, axis1=1, axis2=2)
+        for a, row in zip(ctx.atom_names, np.abs(diag) > _SUPPORT_CUT):
+            supports[c, a] = sum(1 << i for i in np.flatnonzero(row).tolist())
+    classical, quantum = point_keys(model.poset, cells), point_keys(twin.poset, supports)
+    assert len(set(quantum)) == len(quantum) and set(classical) == set(quantum)
+    bit = {key: b for b, key in enumerate(quantum)}
+    image = [bit[key] for key in classical]
+
+    def carry(mask: int) -> int:
+        return sum(1 << q for p, q in enumerate(image) if mask >> p & 1)
+
+    up, twin_up = model.poset.point_table.up, twin.poset.point_table.up
+    assert len(image) == len(twin_up)
+    assert all(carry(m) == twin_up[image[p]] for p, m in enumerate(up))
+    return twin
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_commuting_twin_closes_to_the_classical_poset(data):
+    """1-6 points, 1-3 observables of degenerate values, and one Haar U."""
+    n = data.draw(st.integers(1, 6))
+    points = [f"w{i}" for i in range(n)]
+    observables = {}
+    for j in range(data.draw(st.integers(1, 3))):
+        values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        observables[f"O{j}"] = ClassicalObservable.from_dict(f"O{j}", dict(zip(points, values)))
+    model = ClassicalModel(OutcomeSpace(frozenset(points)), observables)
+    check_twin(model, haar_unitary(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n))
+
+
+def test_classical8_twin_closes_to_the_classical_poset():
+    """230 contexts and 999 points on C^8, from the five observables alone."""
+    model = loaded(GOLDEN / "classical8_seed0.json")
+    twin = check_twin(model, haar_unitary(np.random.default_rng(0), 8))
+    assert len(twin.contexts) == 230 and len(twin.poset.point_table.points) == 999

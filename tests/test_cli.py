@@ -15,6 +15,7 @@ from qlogic.poset import ContextPoset
 from qlogic.sections import Frame
 
 from conftest import FIXTURES, GOLDEN
+from test_formulas import ERROR_FORMULAS
 from test_quantum_oracle import local_pauli_model
 
 FIG1 = str(FIXTURES / "figure1.json")
@@ -721,11 +722,14 @@ JUNK = st.recursive(
     | st.booleans()
     | st.integers(-3, 3)
     | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10**30, -(10**30), ""])
     | st.text(max_size=3)
     | st.sampled_from(["\ud800", "a\udfff"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
+# past any recursion limit, and deeper than json.dumps can write
+DEEP = 100_000
 
 
 @st.composite
@@ -743,8 +747,9 @@ def hermitian(draw, k: int) -> list:
 @st.composite
 def model_documents(draw):
     """A small well-formed classical or quantum model, then, half the time,
-    one value anywhere in it replaced by junk (a point, an outcome, a matrix
-    entry, a tolerance, a whole field...), or plain junk one time in eight."""
+    one entry anywhere in it replaced by junk (a point, an outcome, a matrix
+    entry, a tolerance, a whole field...), deleted or duplicated, or plain
+    junk one time in eight."""
     if draw(st.integers(0, 7)) == 0:
         return draw(JUNK)
     # a JSON escape such as \ud800 spells a lone surrogate, which no output encodes
@@ -770,6 +775,7 @@ def model_documents(draw):
         if draw(st.booleans()):
             doc["dim"] = k
     if draw(st.booleans()):
+        keys = st.sampled_from(["kind", "points", "observables", "options", "dim", "x", "a", "tau"])
         node = doc
         while True:
             key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
@@ -777,23 +783,82 @@ def model_documents(draw):
             if isinstance(child, (dict, list)) and child and draw(st.booleans()):
                 node = child
                 continue
-            if isinstance(node, dict) and draw(st.booleans()):
-                key = draw(st.sampled_from(["kind", "points", "observables", "options", "dim", "x", "a", "tau"]))
-            node[key] = draw(JUNK)
+            edit = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+            if edit == "delete":
+                del node[key]
+            elif isinstance(node, list) and edit == "duplicate":
+                node.insert(key, child)
+            else:
+                if isinstance(node, dict) and draw(st.booleans()):
+                    key = draw(keys)
+                node[key] = child if edit == "duplicate" else draw(JUNK)
             break
     return doc
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=model_documents())
-def test_build_on_generated_documents_never_raises(tmp_path, capsys, doc):
-    """Every document gives exit 0, 1 or 2, output that a UTF-8 stream can
-    write, and an error as one line."""
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "build", str(path))
+@st.composite
+def model_texts(draw):
+    """A generated document (see model_documents) as JSON text, one time in
+    eight nested DEEP lists down."""
+    text = json.dumps(draw(model_documents()))
+    if draw(st.integers(0, 7)) == 0:
+        text = "[" * DEEP + text + "]" * DEEP
+    return text
+
+
+# every command that loads a model, and eval on an atom of the observables drawn
+LOADING = [
+    ["build"], ["check"], ["decidable"], ["hasse"], ["bridge"], ["eval", "-f=M(A,{0}) | ~TOP"]
+]
+
+
+def check_one_error_line(code: int, err: str):
+    """Exit 0, 1 or 2, never a traceback, and exit 2 as one error line."""
     assert code in (0, 1, 2)
-    out.encode("utf-8"), err.encode("utf-8")
+    assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=model_texts())
+def test_build_on_generated_documents_never_raises(tmp_path, capsys, monkeypatch, text):
+    """Every command that loads a model, on every document, under a small
+    enumeration guard: exit 0, 1 or 2, output that a UTF-8 stream can
+    write, and an error as one line."""
+    monkeypatch.setenv("QLOGIC_ENUM_GUARD", "1024")
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    for command in LOADING:
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        out.encode("utf-8"), err.encode("utf-8")
+        check_one_error_line(code, err)
+
+
+@st.composite
+def mutated_formulas(draw):
+    """A formula of ERROR_FORMULAS after up to three edits, each a character
+    or token inserted or put in place of a character, a character deleted,
+    or a slice repeated up to 300 times."""
+    text = draw(st.sampled_from(ERROR_FORMULAS))
+    chars = st.sampled_from(list("()~&|->{},.@ \n\u00a0\x1c\u00e9M01AS") + ["TOP", "BOT", "Sz"])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "repeat"]))
+        if edit == "repeat":
+            end = draw(st.integers(at, len(text)))
+            text = text[:at] + text[at:end] * draw(st.integers(2, 300)) + text[end:]
+        else:
+            cut = at + (edit != "insert")
+            text = text[:at] + ("" if edit == "delete" else draw(chars)) + text[cut:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(formula=mutated_formulas())
+def test_eval_on_mutated_formulas_never_raises(capsys, formula):
+    """Passed as -f=TEXT, so that a formula starting with '-' reaches the
+    formula parser, not argparse's usage error."""
+    for model in (QUBIT, FIG1):
+        code, _, err = run(capsys, "eval", model, f"-f={formula}")
+        check_one_error_line(code, err)

@@ -23,6 +23,7 @@ propositions, looked up from the clusters' atoms fixed at build, are
 checked against the atoms under the summed spectral projections.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -62,8 +63,8 @@ from qlogic.quantum import (
 )
 from qlogic.sections import ElementaryProposition
 
-from conftest import FIXTURES, GOLDEN, SZ, loaded
-from test_bridge import oracle_isomorphic
+from conftest import FIXTURES, GOLDEN, SZ, haar_unitary, loaded
+from test_bridge import commuting_twin, oracle_isomorphic
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -158,12 +159,6 @@ def check_closure(model: QuantumModel):
                     join = model.contexts[poset.try_join_contexts(a, b)]
                     assert same_atoms(join.atoms, oracle_join_atoms(ca, cb)), (a, b)
     assert poset.validate() == []
-
-
-def haar_unitary(g: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim)))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def local_pauli_model(sites: int, paulis: str, seed: int) -> QuantumModel:
@@ -1250,6 +1245,70 @@ def test_batches_keep_to_the_memory_rule():
         tracemalloc.stop()
     assert calls["products"] > 20 and calls["issues"] > 5
     assert built(model) == want
+
+
+def classical8_twin() -> QuantumModel:
+    """The commuting twin of the classical8 golden (230 contexts on C^8)."""
+    u = haar_unitary(np.random.default_rng(0), 8)
+    return commuting_twin(loaded(GOLDEN / "classical8_seed0.json"), u)
+
+
+ROUND_MODELS = {
+    **{
+        name: functools.partial(load_model, str(GOLDEN / f"{name}.json"))
+        for name in ("xz3_seed0", "xyz2_seed0", "degenerate5_tau1e-3_seed13")
+    },
+    "classical8_twin": classical8_twin,
+}
+
+
+@functools.cache
+def default_build(name: str):
+    return built(ROUND_MODELS[name]())
+
+
+@pytest.mark.parametrize("entries", [1, 7, 768, 4096])
+@pytest.mark.parametrize("name", sorted(ROUND_MODELS))
+def test_rounds_reach_round_in_runs_of_the_rule(name, entries):
+    """With gram._GRAM_ENTRIES at `entries`, a round is handed to _round in
+    runs (the calls between two checks of the store) of at most `entries`
+    pairs, each run but the last full.  Concatenated, they are the pairs
+    that the record of taken pairs once gave: every pair of the contexts
+    stored when the round starts, in sorted order, that no earlier round
+    took; after the last round no pair is left.  At the default bound the
+    classical8 twin's rounds 4, 5 and 6 take 2, 4 and 2 runs.  The build is
+    the default one, bit for bit."""
+    rounds = []  # per check of the store: [the contexts at the next round's start, its runs]
+    round_, check = QuantumModel._round, QuantumModel._check
+
+    def spy_round(self, pairs, images):
+        if rounds[-1][0] is None:
+            rounds[-1][0] = sorted(self.contexts)
+        rounds[-1][1].append(list(pairs))
+        return round_(self, pairs, images)
+
+    def spy_check(self, start):
+        rounds.append([None, []])
+        return check(self, start)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gram, "_GRAM_ENTRIES", entries)
+        m.setattr(QuantumModel, "_round", spy_round)
+        m.setattr(QuantumModel, "_check", spy_check)
+        model = ROUND_MODELS[name]()
+    taken: set = set()
+    for ids, runs in rounds:
+        assert all(len(run) == entries for run in runs[:-1])
+        assert all(1 <= len(run) <= entries for run in runs)
+        want = [ab for ab in itertools.combinations(ids or [], 2) if ab not in taken]
+        taken.update(want)
+        assert [ab for run in runs for ab in run] == want
+    assert taken == set(itertools.combinations(sorted(model.contexts), 2))
+    counts = [len(runs) for _, runs in rounds]
+    assert entries > 7 or max(counts) > 1
+    if name == "classical8_twin" and entries == 4096:
+        assert counts[3:6] == [2, 4, 2]
+    assert built(model) == default_build(name)
 
 
 # -- the one chunker against the three loops it replaced ---------------------------
