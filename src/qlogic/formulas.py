@@ -98,10 +98,18 @@ def _position(text: str, pos: int) -> tuple[int, int]:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text in one pass.  Each match starts where the last one
+    ended, and only the whitespace before a token can hold a newline, so the
+    line and the offset where it begins are carried from token to token."""
     tokens = []
+    line, begins = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        where = _position(text, m.start(kind))
+        start = m.start(kind)
+        if breaks := text.count("\n", m.start(), start):
+            line += breaks
+            begins = text.rfind("\n", m.start(), start) + 1
+        where = line, start - begins + 1
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group(kind)!r}", *where)
         tokens.append(_Token(kind, m.group(kind), *where))
@@ -244,8 +252,10 @@ def eval_formula(model, node) -> Section:
 
     The model must expose ``frame``, ``coerce(name, tokens)`` and
     ``elementary(name, values)``; both the classical and the quantum model
-    qualify.  A formula nested past the interpreter's recursion limit
-    raises DomainError.
+    qualify.  A chain of '&' or '|', which the parser nests down the left,
+    is one meet or join of its operands, evaluated left to right; a formula
+    otherwise nested past the interpreter's recursion limit raises
+    DomainError.
     """
     frame = model.frame
     try:
@@ -259,10 +269,14 @@ def eval_formula(model, node) -> Section:
             )
         if isinstance(node, Not):
             return frame.neg(eval_formula(model, node.arg))
-        if isinstance(node, And):
-            return frame.meet([eval_formula(model, node.left), eval_formula(model, node.right)])
-        if isinstance(node, Or):
-            return frame.join([eval_formula(model, node.left), eval_formula(model, node.right)])
+        if isinstance(node, (And, Or)):
+            kind, operands = type(node), []
+            while isinstance(node, kind):
+                operands.append(node.right)
+                node = node.left
+            operands.append(node)
+            sections = [eval_formula(model, x) for x in reversed(operands)]
+            return (frame.meet if kind is And else frame.join)(sections)
         if isinstance(node, Imp):
             return frame.implies(eval_formula(model, node.left), eval_formula(model, node.right))
     except RecursionError:

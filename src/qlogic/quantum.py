@@ -36,17 +36,20 @@ pairs with a member that the last round stored, and takes them in runs of
 at most _GRAM_ENTRIES pairs.  Each run has two passes over its pairs (see
 QuantumModel._round): the first reads the graphs from their certificates,
 records the comparable pairs' embeddings and lists the meets and join
-candidates in pair order; the second settles them in that order.  Only
-the second stores contexts, and no pair of the round holds one it stored,
-so the runs settle in the round's pair order whatever their size.  The
-numpy work is done in bounded batches, a few calls over many small
-matrices instead of many calls over one each, as in batched BLAS
+candidates in pair order; the second walks that list in order and settles
+it.  Only the second stores contexts, and no pair of the round holds one
+it stored, so the runs settle in the round's pair order whatever their
+size.  The numpy work is done in bounded batches, a few calls over many
+small matrices instead of many calls over one each, as in batched BLAS
 (Dongarra et al., 2017): the join candidates' products, graphs and
 commutation, and at the round's end the check of its new contexts as
-resolutions of the identity (see _issues).  Every such batch, every batch
-of the Gram blocks, and the round's runs of pairs are cut by one rule
-(see gram._runs): the items in order, in runs of at most _GRAM_ENTRIES
-complex entries (or pairs) or one item alone, one run alive at a time.
+resolutions of the identity (see _issues).  Every batch walks its own list
+in order and is cut by one rule (see gram._runs): the items in runs of at
+most _GRAM_ENTRIES complex entries (or pairs) or one item alone, one run
+alive at a time.  So the round's pairs, the Gram bases and blocks, the
+second pass's list (a pair that is no join candidate holding no entries)
+and the new contexts in store order each fall into runs of their own list,
+and nothing regroups a list by atom count but the products within a run.
 
 A context with n atoms p_k is looked up among the stored ones in a grid
 hash on (n, f // w) with f = sum_k x_k^2 over its probe values
@@ -74,7 +77,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -252,67 +255,57 @@ def validate_resolution(atoms: Sequence[np.ndarray], tol: float = TAU_PROJ) -> l
     """What keeps the atoms from being non-zero, pairwise orthogonal
     projections that sum to the identity, each within tol in max-abs: the
     one-stack call of _issues."""
-    return _issues(np.asarray(atoms)[None], tol)[0]
+    return _issues([np.asarray(atoms)], tol)[0]
 
 
-def _issues(a: np.ndarray, tol: float) -> list[list[str]]:
-    """validate_resolution's issues of each stack a[s] of a (k, n, dim, dim)
-    batch, in its order: per atom i, not a projection (Hermitian and
-    p_i p_i = p_i), zero, then not orthogonal to each later atom j
-    (p_i p_j = 0); last, not summing to the identity.  The products p_i p_i
-    and p_i p_j, i < j, of all the stacks are made in runs (see _runs) of
-    at most _GRAM_ENTRIES entries, or one product, never as one (n, n) table."""
-    k, n, dim = a.shape[:3]
-    flat = a.reshape(k * n, dim, dim)
+def _issues(stacks: Sequence[np.ndarray], tol: float) -> list[list[str]]:
+    """validate_resolution's issues of each stack of atoms, all of one
+    dimension and of any atom counts, in order: per atom i, not a projection
+    (Hermitian and p_i p_i = p_i), zero, then not orthogonal to each later
+    atom j (p_i p_j = 0); last, not summing to the identity.  The atoms are
+    concatenated once; their products p_i p_i, then p_i p_j, i < j, are made
+    in runs (see _runs) of at most _GRAM_ENTRIES entries, or one product,
+    never as one (n, n) table, and each stack is summed on its own."""
+    dim = stacks[0].shape[-1]
+    counts = [len(a) for a in stacks]
+    flat = np.concatenate(stacks)
     herm = np.abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    zero = np.abs(flat).max(axis=(1, 2))
-    whole = np.abs(a.sum(axis=1) - np.eye(dim)).max(axis=(1, 2))
-    idem = np.empty(k * n)
-    for run in _runs(range(k * n), lambda _: dim * dim, gram._GRAM_ENTRIES):
+    zero = iter((np.abs(flat).max(axis=(1, 2)) <= tol).tolist())
+    idem = np.empty(len(flat))
+    for run in _runs(range(len(flat)), lambda _: dim * dim, gram._GRAM_ENTRIES):
         p = flat[run[0] : run[-1] + 1]
         idem[run] = np.abs(p @ p - p).max(axis=(1, 2))
-    left, right = _upper(k, n)
+    proj = iter(((herm <= tol) & (idem <= tol)).tolist())
+    # each stack's pairs, shifted to where its atoms start in flat
+    starts = [0, *itertools.accumulate(counts[:-1])]
+    upper = [_upper(n) for n in counts]
+    left, right = np.concatenate(upper, axis=1) + np.repeat(starts, [u.shape[1] for u in upper])
     apart = np.empty(len(left))
     for run in _runs(range(len(left)), lambda _: dim * dim, gram._GRAM_ENTRIES):
         apart[run] = np.abs(flat[left[run]] @ flat[right[run]]).max(axis=(1, 2))
-    proj = ((herm <= tol) & (idem <= tol)).reshape(k, n).tolist()
-    zero = (zero <= tol).reshape(k, n).tolist()
-    apart = (apart > tol).reshape(k, -1).tolist()
+    apart = iter((apart > tol).tolist())
+    sums = np.stack([a.sum(axis=0) for a in stacks])
+    whole = (np.abs(sums - np.eye(dim)).max(axis=(1, 2)) > tol).tolist()
     out = []
-    for s in range(k):
+    for n, bad in zip(counts, whole):
         issues = []
-        pairs = iter(apart[s])
         for i in range(n):
-            if not proj[s][i]:
+            if not next(proj):
                 issues.append(f"atom {i} is not a projection")
-            if zero[s][i]:
+            if next(zero):
                 issues.append(f"atom {i} is zero")
-            issues += [f"atoms {i},{j} are not orthogonal" for j in range(i + 1, n) if next(pairs)]
-        if whole[s] > tol:
+            issues += [f"atoms {i},{j} are not orthogonal" for j in range(i + 1, n) if next(apart)]
+        if bad:
             issues.append("atoms do not sum to the identity")
         out.append(issues)
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def _upper(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The atom indices i < j of the pairs within each of k stacks of n atoms
-    held one after another, row by row: (0, 1), (0, 2), ..., (1, 2), ..."""
-    i, j = np.triu_indices(n, 1)
-    at = n * np.arange(k)[:, None]
-    return (at + i).ravel(), (at + j).ravel()
-
-
-def _batches(stacks: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]:
-    """(indices, batch) for stacks of atoms of one dimension: stacks of the
-    same atom count, stacked as a (k, n, dim, dim) batch of at most
-    _GRAM_ENTRIES entries, or one stack alone, as _issues takes them."""
-    groups: dict[int, list[int]] = {}
-    for s, atoms in enumerate(stacks):
-        groups.setdefault(len(atoms), []).append(s)
-    for members in groups.values():
-        for batch in _runs(members, lambda s: stacks[s].size, gram._GRAM_ENTRIES):
-            yield batch, _stacked([stacks[s] for s in batch])
+def _upper(n: int) -> np.ndarray:
+    """(2, n (n - 1) / 2): the atom indices i < j of the pairs of a stack of
+    n atoms, row by row: (0, 1), (0, 2), ..., (1, 2), ..."""
+    return np.array(np.triu_indices(n, 1))
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -550,16 +543,15 @@ class QuantumModel:
 
     def _check(self, start: int) -> None:
         """Checks the contexts stored from insertion index `start` on as
-        resolutions of the identity, in bounded batches (see _batches);
-        raises the first issue of the first failing context in store order."""
-        fresh = list(self.contexts)[start:]
-        found: list = [None] * len(fresh)
-        for batch, a in _batches([self.contexts[c].atoms for c in fresh]):
-            for s, issues in zip(batch, _issues(a, self.tau_proj)):
-                found[s] = issues
-        for cid, issues in zip(fresh, found):
-            if issues:
-                raise StructureError(f"context {cid!r}: {issues[0]}")
+        resolutions of the identity, walked in store order in runs of at most
+        _GRAM_ENTRIES entries of atoms, or one context alone, as
+        gram._bases_of cuts them (see _runs and _issues); raises the first
+        issue of the first failing context as it comes to it."""
+        fresh = itertools.islice(self.contexts.items(), start, None)
+        for run in _runs(fresh, lambda item: item[1].atoms.size, gram._GRAM_ENTRIES):
+            for (cid, _), issues in zip(run, _issues([ctx.atoms for _, ctx in run], self.tau_proj)):
+                if issues:
+                    raise StructureError(f"context {cid!r}: {issues[0]}")
 
     def _add_meet(self, a: str, b: str, comps: tuple[int, ...]) -> str:
         """The id of the meet of contexts a and b, whose overlap graph has the
@@ -609,10 +601,11 @@ class QuantumModel:
         each pair's graph from its certificate, records a comparable pair's
         embeddings, and lists the meet (by components) and whether the pair
         is a join candidate, not certified apart; a pair without a certified
-        graph is listed for its products.  The second settles the list in
-        order, the join candidates' products made a run of at most
-        _GRAM_ENTRIES entries of products at a time (see _runs), one run
-        alive at once."""
+        graph is listed for its products.  The second walks the list in
+        order, in runs (see _runs) of at most _GRAM_ENTRIES entries of join
+        candidates' products, a pair that is no candidate counting none: a
+        run's candidates are multiplied in one _products call, none for a run
+        without one, and the run is settled in order before the next is made."""
 
         def ordered(a: str, b: str, rows: list[int]) -> bool:
             up, down = _embeddings(rows, len(self.contexts[b].atoms))
@@ -621,6 +614,29 @@ class QuantumModel:
             if down is not None:
                 images[b, a] = down
             return up is not None or down is not None
+
+        def settle(run: list) -> None:
+            """Settles one run of the list; its products die with the call."""
+            joins = [(self.contexts[a], self.contexts[b]) for a, b, _, join in run if join]
+            made = iter(_products(joins, self.tau_proj) if joins else ())
+            for a, b, comps, join in run:
+                if join:
+                    prods, edges, commute = next(made)
+                if comps is None:
+                    rows = _row_masks(edges)
+                    if ordered(a, b, rows):
+                        continue
+                    comps = _components(rows)
+                self._add_meet(a, b, comps)
+                if join and commute:
+                    atoms = prods[edges]
+
+                    def new() -> tuple[str, QuantumContext]:
+                        na, nb = self.contexts[a].atom_names, self.contexts[b].atom_names
+                        names = tuple(f"{na[i]}.{nb[j]}" for i, j in np.argwhere(edges).tolist())
+                        return f"{a}*{b}", QuantumContext(names, atoms)
+
+                    self._settle(self._key(atoms), atoms, new)
 
         certified = self._certify([ab for ab in pairs if TRIVIAL_ID not in ab])
         todo = []  # (a, b, components or None for a graph still to make, products needed)
@@ -634,36 +650,14 @@ class QuantumModel:
                 todo.append((a, b, None, True))
             elif not ordered(a, b, rows):
                 todo.append((a, b, _components(rows), not apart))
-        # a pair's products hold n_a n_b dim^2 entries
-        runs = _runs(
-            [(a, b) for a, b, _, join in todo if join],
-            lambda ab: self.contexts[ab[0]].atoms.size * len(self.contexts[ab[1]].atoms),
-            gram._GRAM_ENTRIES,
-        )
-        run: dict = {}
-        for a, b, comps, join in todo:
-            if join:
-                if (a, b) not in run:
-                    prods = edges = None  # the last run goes before the next is made
-                    keys = next(runs)
-                    ctxs = [(self.contexts[c], self.contexts[d]) for c, d in keys]
-                    run = dict(zip(keys, _products(ctxs, self.tau_proj)))
-                prods, edges, commute = run.pop((a, b))
-            if comps is None:
-                rows = _row_masks(edges)
-                if ordered(a, b, rows):
-                    continue
-                comps = _components(rows)
-            self._add_meet(a, b, comps)
-            if join and commute:
-                atoms = prods[edges]
 
-                def new() -> tuple[str, QuantumContext]:
-                    na, nb = self.contexts[a].atom_names, self.contexts[b].atom_names
-                    names = tuple(f"{na[i]}.{nb[j]}" for i, j in np.argwhere(edges).tolist())
-                    return f"{a}*{b}", QuantumContext(names, atoms)
+        def entries(item: tuple) -> int:
+            """A join candidate's products hold n_a n_b dim^2 entries, a meet none."""
+            a, b, _, join = item
+            return self.contexts[a].atoms.size * len(self.contexts[b].atoms) if join else 0
 
-                self._settle(self._key(atoms), atoms, new)
+        for run in _runs(todo, entries, gram._GRAM_ENTRIES):
+            settle(run)
 
     def _build(self):
         self.contexts = {}

@@ -8,10 +8,14 @@ section order to agree on every pair.
 
 The commuting twin makes the classical closure an exact oracle for the
 quantum one: the classical observables alone, as U diag(v) U^dagger with
-one dense unitary U, must close to the classical model's point poset.
+one dense unitary U, must close to the classical model's point poset, and
+the twin's frame must carry out the classical Heyting operations on the
+images of drawn up-sets.
 """
 
 import functools
+import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -165,12 +169,23 @@ def point_keys(poset, masks: dict) -> list:
     return [(frozenset(spans[c]), masks[c, a]) for c, a in poset.point_table.points]
 
 
-def check_twin(model: ClassicalModel, u: np.ndarray) -> QuantumModel:
+# the frame operations on two sections, the second unread by neg
+HEYTING = {
+    "meet": lambda frame, s, t: frame.meet([s, t]),
+    "join": lambda frame, s, t: frame.join([s, t]),
+    "implies": lambda frame, s, t: frame.implies(s, t),
+    "neg": lambda frame, s, _: frame.neg(s),
+}
+
+
+def check_twin(model: ClassicalModel, u: np.ndarray, g: np.random.Generator) -> QuantumModel:
     """The twin's point poset is the classical one's, as classical_bridge
     checks it: a classical cell covers its block's points, a twin atom p
     the coordinates where diag(U^dagger p U) passes _SUPPORT_CUT; keyed so,
     the points must biject, and the map must carry every classical up-set
-    onto the up-set of its image."""
+    onto the up-set of its image.  On four up-sets drawn by g, each
+    generated by 0-3 points, the twin frame's meet, join, implies and neg of
+    their images are the images of the classical results."""
     twin = commuting_twin(model, u)
     cells = {
         (c, a): block
@@ -193,6 +208,16 @@ def check_twin(model: ClassicalModel, u: np.ndarray) -> QuantumModel:
     up, twin_up = model.poset.point_table.up, twin.poset.point_table.up
     assert len(image) == len(twin_up)
     assert all(carry(m) == twin_up[image[p]] for p, m in enumerate(up))
+    drawn = [
+        functools.reduce(operator.or_, (up[p] for p in g.choice(len(up), k).tolist()), 0)
+        for k in g.integers(0, 4, size=4).tolist()
+    ]
+    frame, twin_frame = model.frame, twin.frame
+    for s, t in itertools.product(drawn, repeat=2):
+        for name, op in HEYTING.items():
+            want = frame._mask(op(frame, frame._section(s), frame._section(t)))
+            got = op(twin_frame, twin_frame._section(carry(s)), twin_frame._section(carry(t)))
+            assert twin_frame._mask(got) == carry(want), name
     return twin
 
 
@@ -207,11 +232,13 @@ def test_commuting_twin_closes_to_the_classical_poset(data):
         values = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         observables[f"O{j}"] = ClassicalObservable.from_dict(f"O{j}", dict(zip(points, values)))
     model = ClassicalModel(OutcomeSpace(frozenset(points)), observables)
-    check_twin(model, haar_unitary(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    check_twin(model, haar_unitary(g, n), g)
 
 
 def test_classical8_twin_closes_to_the_classical_poset():
     """230 contexts and 999 points on C^8, from the five observables alone."""
     model = loaded(GOLDEN / "classical8_seed0.json")
-    twin = check_twin(model, haar_unitary(np.random.default_rng(0), 8))
+    g = np.random.default_rng(0)
+    twin = check_twin(model, haar_unitary(g, 8), g)
     assert len(twin.contexts) == 230 and len(twin.poset.point_table.points) == 999

@@ -258,6 +258,15 @@ def test_eval_value_not_in_spectrum(capsys):
     assert "not in the spectrum" in err
 
 
+@pytest.mark.parametrize("op", ["&", "|"], ids=["conjunctions", "disjunctions"])
+def test_eval_of_a_long_chain(capsys, op):
+    """A flat chain of 3,000 operands, past the recursion limit as nested
+    binary nodes, evaluates as one meet or join: x & x and x | x are x."""
+    code, out, err = run(capsys, "eval", QUBIT, "-f", f" {op} ".join(["M(Sz,{1})"] * 3000))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "eval", QUBIT, "-f", "M(Sz,{1})")[1]
+
+
 def test_eval_parse_error(capsys):
     code, _, err = run(capsys, "eval", QUBIT, "-f", "M(Sz,{1}) &")
     assert code == 2
@@ -510,9 +519,6 @@ MALFORMED = {
     "value not in spectrum": lambda tmp: ["eval", QUBIT, "-f", "M(Sz,{3})"],
     "formula parse error": lambda tmp: ["eval", QUBIT, "-f", "M(Sz,{1}) &"],
     "formula nested too deeply": lambda tmp: ["eval", QUBIT, "-f", "(" * 300 + "TOP" + ")" * 300],
-    "formula too deep to evaluate": lambda tmp: [
-        "eval", QUBIT, "-f", " & ".join(["M(Sz,{1})"] * 3000)
-    ],
     "unknown context": lambda tmp: ["quotient", FIG1, "--context", "nope"],
     "unknown refined context": lambda tmp: ["quotient", QUBIT, "--context", "nope", "--refined"],
     "angles not numbers": lambda tmp: ["bell", "--angles", "1,2,x,4"],

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import sys
 
 import pytest
@@ -18,6 +19,7 @@ from qlogic.formulas import (
     format_formula,
     parse_formula,
 )
+from qlogic.formulas import _TOKEN_RE, _Token, _position, _tokenize
 
 from conftest import GOLDEN
 
@@ -95,6 +97,39 @@ def test_parse_error_at_the_end_of_the_input(text, expected, line, column):
     assert (info.value.line, info.value.column) == (line, column)
 
 
+def oracle_tokens(text: str) -> list[_Token] | tuple[int, int]:
+    """The tokens of text, each placed by _position of its own start, or the
+    place of the first unexpected character."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        where = _position(text, m.start(m.lastgroup))
+        if m.lastgroup == "bad":
+            return where
+        tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), *where))
+    return tokens
+
+
+# token pieces, line breaks and whitespace that is no line break, and stray characters
+TEXT_PIECES = ["M", "(", "Sz", ",", "{", "1", "-2.5e3", "}", ")", "&", "|", "->", "~", "TOP"]
+TEXT_PIECES += [" ", "\n", "\n\n", "\t", "\r\n", "\x1c", "\u2028", "@", "-", "\u00a0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(TEXT_PIECES), max_size=40))
+def test_tokens_are_placed_by_their_own_start(pieces):
+    """On generated multi-line texts, each token's line and column, carried
+    from token to token, are _position of its start; an unexpected character
+    is placed so too."""
+    text = "".join(pieces)
+    want = oracle_tokens(text)
+    if isinstance(want, tuple):
+        with pytest.raises(ParseError) as info:
+            _tokenize(text)
+        assert (info.value.line, info.value.column) == want
+    else:
+        assert _tokenize(text) == want
+
+
 @pytest.mark.parametrize(
     "text",
     ["(" * 300 + "TOP" + ")" * 300, "~" * 3000 + "TOP", " -> ".join(["TOP"] * 3000)],
@@ -166,16 +201,82 @@ def test_eval_excluded_middle_witness(one_qubit_model):
 
 
 @pytest.mark.parametrize(
-    "node",
-    [
-        parse_formula(" & ".join(["M(Sz,{1})"] * 3000)),  # the parser's loop, left-deep
-        functools.reduce(lambda node, _: Not(node), range(3000), Top()),
-    ],
-    ids=["conjunctions", "negations"],
+    "node", [functools.reduce(lambda node, _: Not(node), range(3000), Top())], ids=["negations"]
 )
 def test_eval_refuses_a_formula_nested_too_deeply(one_qubit_model, node):
     with pytest.raises(DomainError, match="^formula nested too deeply to evaluate$"):
         eval_formula(one_qubit_model, node)
+
+
+def nested_eval(model, node):
+    """The evaluation one binary node at a time, recursing into both sides."""
+    frame = model.frame
+    if isinstance(node, Not):
+        return frame.neg(nested_eval(model, node.arg))
+    if isinstance(node, Imp):
+        return frame.implies(nested_eval(model, node.left), nested_eval(model, node.right))
+    if isinstance(node, (And, Or)):
+        pair = [nested_eval(model, node.left), nested_eval(model, node.right)]
+        return frame.meet(pair) if isinstance(node, And) else frame.join(pair)
+    return eval_formula(model, node)
+
+
+def outcome(evaluate, model, node):
+    """The section, or the message of the DomainError raised."""
+    try:
+        return evaluate(model, node)
+    except DomainError as exc:
+        return str(exc)
+
+
+# operands of a chain on one_qubit: mostly in its spectrum, some not, some unknown
+qubit_formulas = st.recursive(
+    st.just(Top())
+    | st.just(Bot())
+    | st.builds(
+        Atom,
+        st.sampled_from(["Sz", "Sx", "Sz", "Sx", "Sy"]),
+        st.sampled_from([("1",), ("-1",), ("1", "-1"), ("3",)]),
+    ),
+    lambda inner: st.builds(Not, inner)
+    | st.builds(And, inner, inner)
+    | st.builds(Or, inner, inner)
+    | st.builds(Imp, inner, inner),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from([And, Or]),
+    operands=st.lists(qubit_formulas, min_size=1, max_size=8),
+)
+def test_eval_of_a_chain_matches_the_nested_evaluation(one_qubit_model, kind, operands):
+    """A chain as the parser nests it, down the left, evaluates to the
+    section of the nested evaluation, or fails with its first error."""
+    chain = functools.reduce(kind, operands)
+    assert outcome(eval_formula, one_qubit_model, chain) == outcome(nested_eval, one_qubit_model, chain)
+
+
+@pytest.mark.parametrize("op", ["&", "|"], ids=["conjunctions", "disjunctions"])
+def test_eval_takes_a_flat_chain_as_one_operation(one_qubit_model, op):
+    """A chain of 10,000 operands, the parser's loop nested down the left,
+    evaluates to the fold of its operands' sections; of 300, to the nested
+    evaluation too, which fits the stack there."""
+    frame = one_qubit_model.frame
+    operands = ["M(Sz,{1})", "~M(Sx,{-1})", "M(Sz,{1,-1})", "M(Sx,{1}) -> M(Sz,{-1})"]
+    sections = [eval_formula(one_qubit_model, parse_formula(x)) for x in operands]
+    combine = frame.meet if op == "&" else frame.join
+
+    def chain(count: int):
+        cycled = itertools.islice(itertools.cycle(operands), count)
+        return parse_formula(f" {op} ".join(f"({x})" for x in cycled))
+
+    want = functools.reduce(
+        lambda s, t: combine([s, t]), itertools.islice(itertools.cycle(sections), 10_000)
+    )
+    assert eval_formula(one_qubit_model, chain(10_000)) == want
+    assert eval_formula(one_qubit_model, chain(300)) == nested_eval(one_qubit_model, chain(300))
 
 
 def test_eval_noncommuting_conjunction(one_qubit_model):

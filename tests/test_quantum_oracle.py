@@ -18,7 +18,7 @@ component masks against a reachability closure, the tabled same_atoms
 and batched validate_resolution against their pairwise loops, the
 overlap graphs and non-commutation certified from Gram blocks against the
 products of _overlap and _commute they replace, and the one chunker of
-the closure's batches against the three loops it replaced.  The elementary
+the closure's batches against the loops it replaced.  The elementary
 propositions, looked up from the clusters' atoms fixed at build, are
 checked against the atoms under the summed spectral projections.
 """
@@ -28,6 +28,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ from qlogic.quantum import (
     TAU_PROJ,
     QuantumContext,
     _atom_order,
-    _batches,
     _components,
     _embeddings,
     _issues,
@@ -1094,20 +1094,18 @@ def resolution_runs(draw):
 @settings(max_examples=40, deadline=None)
 @given(run=resolution_runs())
 def test_batched_checks_match_the_loop_on_each_stack(entries, run):
-    """Each stack's issues from its batch equal the loop's, whatever the
-    batch bound (None: the default); the check at the end of a round raises
-    the first issue of the first failing stack in store order."""
+    """Each stack's issues, from one _issues call over all the stacks of
+    mixed atom counts and from one call per stack, equal the loop's, whatever
+    the batch bound (None: the default); the check at the end of a round
+    raises the first issue of the first failing stack in store order."""
     stacks, tol = run
     dim = stacks[0].shape[1]
     want = [loop_validate_resolution(list(a), tol) for a in stacks]
     with pytest.MonkeyPatch.context() as m:
         if entries is not None:
             m.setattr(gram, "_GRAM_ENTRIES", entries)
-        got = [None] * len(stacks)
-        for batch, a in _batches(stacks):
-            for s, issues in zip(batch, _issues(a, tol)):
-                got[s] = issues
-        assert got == want
+        assert _issues(stacks, tol) == want
+        assert [_issues([a], tol)[0] for a in stacks] == want
         model = QuantumModel({"A": np.diag(np.arange(dim, dtype=float))}, tau_proj=tol)
         start = len(model.contexts)
         for s, a in enumerate(stacks):
@@ -1233,7 +1231,7 @@ def test_batches_keep_to_the_memory_rule():
     products = spy(
         quantum._products, "products", lambda pairs, *_: [a.atoms.size * len(b.atoms) for a, b in pairs]
     )
-    issues = spy(quantum._issues, "issues", lambda a, _: [a[0].size] * len(a))
+    issues = spy(quantum._issues, "issues", lambda stacks, _: [a.size for a in stacks])
     tracemalloc.start()
     try:
         with pytest.MonkeyPatch.context() as m:
@@ -1328,20 +1326,6 @@ def oracle_base_chunks(counts: list[int], dim: int, entries: int) -> list[list[i
     return out + [chunk]
 
 
-def oracle_check_batches(counts: list[int], dim: int, entries: int) -> list[list[int]]:
-    """quantum._batches' step once: stacks of these atom counts grouped by
-    count, in order of first appearance, each group cut every
-    entries // (n dim^2) stacks, or at every stack."""
-    groups: dict[int, list[int]] = {}
-    for s, n in enumerate(counts):
-        groups.setdefault(n, []).append(s)
-    out = []
-    for members in groups.values():
-        per = max(1, entries // max(1, counts[members[0]] * dim**2))
-        out += [members[lo : lo + per] for lo in range(0, len(members), per)]
-    return out
-
-
 def oracle_join_runs(todo: list[tuple[int, int, bool]], dim: int, entries: int) -> list[list[int]]:
     """QuantumModel._run's scans of a round's list as _round once made them,
     todo holding (n_a, n_b, join): at each join candidate not in the last
@@ -1383,23 +1367,29 @@ def test_runs_keep_the_order_and_the_bound(sizes, limit):
     entries=st.sampled_from([1, 16, 100, 256, 4096]),
 )
 def test_bases_and_check_batches_are_the_loops_chunks(counts, dim, entries):
-    """_bases_of measures, and _batches stacks, exactly the chunks of the
-    loops they replaced, at every bound."""
+    """_bases_of measures, and _check checks, exactly the chunks of the loop
+    that _bases_of replaced, at every bound: the contexts in store order,
+    whatever their atom counts."""
     ctxs = [QuantumContext(tuple(map(str, range(n))), np.zeros((n, dim, dim))) for n in counts]
-    index = {id(c): i for i, c in enumerate(ctxs)}
-    chunks = []
+    index = {id(c.atoms): i for i, c in enumerate(ctxs)}
+    chunks, checked = [], []
 
     def measured(run, _):
-        chunks.append([index[id(c)] for c in run])
+        chunks.append([index[id(c.atoms)] for c in run])
         return [None] * len(run)
 
+    def issues(stacks, _):
+        checked.append([index[id(a)] for a in stacks])
+        return [[]] * len(stacks)
+
+    store = SimpleNamespace(contexts={f"c{i}": c for i, c in enumerate(ctxs)}, tau_proj=TAU_PROJ)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gram, "_GRAM_ENTRIES", entries)
         m.setattr(gram, "_measured_bases", measured)
+        m.setattr(quantum, "_issues", issues)
         assert _bases_of(ctxs) == [None] * len(ctxs)
-        batches = [batch for batch, _ in _batches([c.atoms for c in ctxs])]
-    assert chunks == oracle_base_chunks(counts, dim, entries)
-    assert batches == oracle_check_batches(counts, dim, entries)
+        QuantumModel._check(store, 0)
+    assert chunks == checked == oracle_base_chunks(counts, dim, entries)
 
 
 def oracle_product_slices(count: int, dim: int, entries: int) -> list[list[int]]:
@@ -1412,13 +1402,16 @@ def oracle_product_slices(count: int, dim: int, entries: int) -> list[list[int]]
 @settings(max_examples=20, deadline=None)
 @given(run=resolution_runs())
 def test_check_products_are_the_loops_slices(run):
-    """_issues cuts its products p_i p_i, then p_i p_j (i < j), with _runs
-    into exactly the slices of the step loop it replaced, at every bound
-    from 1 to 4096 entries, and finds the same issues."""
+    """_issues cuts its products p_i p_i, then p_i p_j (i < j), of all its
+    stacks of mixed atom counts with _runs into exactly the slices of the
+    step loop it replaced, at every bound from 1 to 4096 entries, and finds
+    the same issues; a stack's pairs may share a slice with the last
+    stack's."""
     stacks, tol = run
     dim = stacks[0].shape[1]
-    batches = [a for _, a in _batches(stacks)]
-    want = [_issues(a, tol) for a in batches]
+    want = _issues(stacks, tol)
+    atoms = sum(len(a) for a in stacks)
+    pairs = sum(len(a) * (len(a) - 1) // 2 for a in stacks)
     for entries in [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1000, 1024, 4095, 4096]:
         calls = []
 
@@ -1430,26 +1423,25 @@ def test_check_products_are_the_loops_slices(run):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(gram, "_GRAM_ENTRIES", entries)
             m.setattr(quantum, "_runs", spy)
-            got = [_issues(a, tol) for a in batches]
+            got = _issues(stacks, tol)
         assert got == want
-        slices = []
-        for a in batches:
-            k, n = a.shape[:2]
-            slices += [oracle_product_slices(k * n, dim, entries)]
-            slices += [oracle_product_slices(k * n * (n - 1) // 2, dim, entries)]
-        assert calls == slices
+        assert calls == [
+            oracle_product_slices(atoms, dim, entries),
+            oracle_product_slices(pairs, dim, entries),
+        ]
 
 
 @pytest.mark.parametrize("entries", [3 * 8**2, 16 * 8**2, 4096])
 def test_a_build_makes_the_three_loops_chunks(entries):
     """On the xz3 golden (dim 8) with gram._GRAM_ENTRIES at `entries`, the one
-    binding the library reads: each round's join candidates multiplied, run by run, are the
-    runs that _run's scans made of them, and the bases measured and the
-    contexts checked are the loops' chunks, call by call; the build is the
-    default one."""
+    binding the library reads: each round's join candidates multiplied, run
+    by run, are the runs that _run's scans made of them, and no run without
+    a candidate is multiplied; the bases measured and the contexts checked,
+    in store order, are the chunks of _bases_of's loop, call by call; the
+    build is the default one."""
     rounds, bases, checks = [], [], []
-    products, bases_of, batches = quantum._products, quantum._bases_of, quantum._batches
-    measured, round_ = gram._measured_bases, QuantumModel._round
+    products, bases_of, issues = quantum._products, quantum._bases_of, quantum._issues
+    measured, round_, check = gram._measured_bases, QuantumModel._round, QuantumModel._check
 
     def spy_round(self, pairs, images):
         rounds.append([])
@@ -1467,17 +1459,22 @@ def test_a_build_makes_the_three_loops_chunks(entries):
         bases[-1][1].append(len(run))
         return measured(run, dim)
 
-    def spy_batches(stacks):
-        out = list(batches(stacks))
-        checks.append(([len(a) for a in stacks], [batch for batch, _ in out]))
-        return iter(out)
+    def spy_check(self, start):
+        fresh = itertools.islice(self.contexts.values(), start, None)
+        checks.append(([len(c.atoms) for c in fresh], []))
+        return check(self, start)
+
+    def spy_issues(stacks, tol):
+        checks[-1][1].append([len(a) for a in stacks])
+        return issues(stacks, tol)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gram, "_GRAM_ENTRIES", entries)
         m.setattr(quantum, "_products", spy_products)
         m.setattr(quantum, "_bases_of", spy_bases)
         m.setattr(gram, "_measured_bases", spy_measured)
-        m.setattr(quantum, "_batches", spy_batches)
+        m.setattr(quantum, "_issues", spy_issues)
+        m.setattr(QuantumModel, "_check", spy_check)
         m.setattr(QuantumModel, "_round", spy_round)
         model = load_model(str(GOLDEN / "xz3_seed0.json"))
     assert built(model) == built(loaded(GOLDEN / "xz3_seed0.json"))
@@ -1487,10 +1484,12 @@ def test_a_build_makes_the_three_loops_chunks(entries):
         got = [list(range(end - len(run), end)) for run, end in zip(runs, ends)]
         assert got == oracle_join_runs(todo, 8, entries)
     assert sum(map(len, rounds)) > len(rounds) and bases and checks
+    assert all(run for runs in rounds for run in runs)
     for counts, chunks in bases:
         assert chunks == [len(chunk) for chunk in oracle_base_chunks(counts, 8, entries)]
-    for counts, got in checks:
-        assert got == oracle_check_batches(counts, 8, entries)
+    for counts, runs in checks:
+        want = oracle_base_chunks(counts, 8, entries) if counts else []
+        assert runs == [[counts[i] for i in chunk] for chunk in want]
 
 
 # -- elementary propositions against the spectral products -----------------------
