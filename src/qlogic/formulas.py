@@ -3,19 +3,24 @@
 Grammar (loosest to tightest binding), read from the one table _BINARY
 by the parser and by the formatter alike:
 
-    imp  := or ('->' imp)?             right-associative
-    or   := and ('|' and)*
-    and  := not ('&' not)*
+    imp  := or ('->' or)*              folded to the right
+    or   := and ('|' and)*             folded to the left
+    and  := not ('&' not)*             folded to the left
     not  := '~' not | primary
     primary := 'TOP' | 'BOT' | atom | '(' imp ')'
     atom := 'M' '(' name ',' '{' values '}' ')'
 
-Values are comma-separated numbers or identifiers; their interpretation
-is left to the model that evaluates the formula.
+Values are comma-separated numbers or identifiers, interpreted by the
+model that evaluates the formula.  A chain is read in one loop and read
+back as one list (_chain), so only parentheses and '~' nest.  The nodes
+keep the dataclass == and hash, which recurse per node: on Python 3.11,
+== raises RecursionError from 334 chain operands or 333 '~' in a run,
+and hash from 500 operands or 499 '~'.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -77,9 +82,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<bad>\S))"
 )
 
-# the binary operators, loosest first: '->' nests to the right, '|' and
-# '&' to the left.  A node's rank is its operator's place here; Not binds
-# tighter than all of them, and TOP, BOT and atoms tightest.
+# the binary operators, loosest first; a node's rank is its operator's place
+# here.  Not binds tighter than all of them, and TOP, BOT and atoms tightest.
 _BINARY = (("->", Imp), ("|", Or), ("&", And))
 _RANK = {kind: rank for rank, (_, kind) in enumerate(_BINARY)} | {Not: len(_BINARY)}
 
@@ -88,8 +92,7 @@ _RANK = {kind: rank for rank, (_, kind) in enumerate(_BINARY)} | {Not: len(_BINA
 class _Token:
     kind: str
     text: str
-    line: int
-    column: int
+    start: int
 
 
 def _position(text: str, pos: int) -> tuple[int, int]:
@@ -98,21 +101,13 @@ def _position(text: str, pos: int) -> tuple[int, int]:
 
 
 def _tokenize(text: str) -> list[_Token]:
-    """The tokens of text in one pass.  Each match starts where the last one
-    ended, and only the whitespace before a token can hold a newline, so the
-    line and the offset where it begins are carried from token to token."""
+    """The tokens of text in one pass, each placed by its offset alone."""
     tokens = []
-    line, begins = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        start = m.start(kind)
-        if breaks := text.count("\n", m.start(), start):
-            line += breaks
-            begins = text.rfind("\n", m.start(), start) + 1
-        where = line, start - begins + 1
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", *where)
-        tokens.append(_Token(kind, m.group(kind), *where))
+            raise ParseError(f"unexpected character {m.group(kind)!r}", *_position(text, m.start(kind)))
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
     return tokens
 
 
@@ -129,7 +124,7 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise ParseError(message + " (unexpected end of input)", *_position(self.text, len(self.text)))
-        raise ParseError(message + f", got {tok.text!r}", tok.line, tok.column)
+        raise ParseError(message + f", got {tok.text!r}", *_position(self.text, tok.start))
 
     def _accept(self, text: str) -> bool:
         tok = self._peek()
@@ -149,19 +144,19 @@ class _Parser:
         return node
 
     def binary(self, level: int = 0):
-        """A formula whose operators bind at least as tightly as _BINARY[level];
-        past the table's end, a negation or a primary."""
+        """A formula whose operators bind at least as tightly as _BINARY[level],
+        its operands read in one loop; past the table's end, ~ or a primary."""
         if level == len(_BINARY):
             if self._accept("~"):
                 return Not(self.binary(level))
             return self.primary()
         op, kind = _BINARY[level]
-        node = self.binary(level + 1)
-        if kind is Imp:
-            return Imp(node, self.binary(level)) if self._accept(op) else node
+        operands = [self.binary(level + 1)]
         while self._accept(op):
-            node = kind(node, self.binary(level + 1))
-        return node
+            operands.append(self.binary(level + 1))
+        if kind is Imp:
+            return functools.reduce(lambda right, left: Imp(left, right), reversed(operands))
+        return functools.reduce(kind, operands)
 
     def primary(self):
         tok = self._peek()
@@ -215,9 +210,8 @@ def parse_formula(text: str):
 
 
 def format_formula(node) -> str:
-    """Render an AST back to source; parses back to an identical AST.  A
-    formula nested past the interpreter's recursion limit raises
-    DomainError."""
+    """Render an AST back to source; parses back to an identical AST.  Nested
+    past the recursion limit other than by a chain or a ~ run: DomainError."""
     try:
         return _format(node)
     except RecursionError:
@@ -234,11 +228,12 @@ def _format(node) -> str:
     rank = _RANK.get(type(node))
     if rank is None:
         raise TypeError(f"not a formula node: {node!r}")
-    if rank == len(_BINARY):
-        return f"~{_wrap(node.arg, rank)}"
-    op, kind = _BINARY[rank]
-    left, right = (rank + 1, rank) if kind is Imp else (rank, rank + 1)
-    return f"{_wrap(node.left, left)} {op} {_wrap(node.right, right)}"
+    if rank == len(_BINARY):  # a run of '~', written as one prefix
+        run = 0
+        while isinstance(node, Not):
+            node, run = node.arg, run + 1
+        return "~" * run + _wrap(node, rank)
+    return f" {_BINARY[rank][0]} ".join(_wrap(x, rank + 1) for x in _chain(node))
 
 
 def _wrap(node, rank: int) -> str:
@@ -247,15 +242,25 @@ def _wrap(node, rank: int) -> str:
     return text if _RANK.get(type(node), len(_RANK)) >= rank else f"({text})"
 
 
+def _chain(node) -> list:
+    """The operands of node's chain in text order: down its left spine for
+    '&' and '|', down its right for '->', as the parser folds them."""
+    kind, operands = type(node), []
+    while type(node) is kind:
+        operands.append(node.left if kind is Imp else node.right)
+        node = node.right if kind is Imp else node.left
+    operands.append(node)
+    return operands if kind is Imp else operands[::-1]
+
+
 def eval_formula(model, node) -> Section:
     """Evaluate a formula to a section of the model's frame.
 
     The model must expose ``frame``, ``coerce(name, tokens)`` and
     ``elementary(name, values)``; both the classical and the quantum model
-    qualify.  A chain of '&' or '|', which the parser nests down the left,
-    is one meet or join of its operands, evaluated left to right; a formula
-    otherwise nested past the interpreter's recursion limit raises
-    DomainError.
+    qualify.  A chain's operands are evaluated left to right, then met, joined
+    or, for '->', implied from the right.  A formula otherwise nested past
+    the interpreter's recursion limit raises DomainError.
     """
     frame = model.frame
     try:
@@ -269,16 +274,11 @@ def eval_formula(model, node) -> Section:
             )
         if isinstance(node, Not):
             return frame.neg(eval_formula(model, node.arg))
-        if isinstance(node, (And, Or)):
-            kind, operands = type(node), []
-            while isinstance(node, kind):
-                operands.append(node.right)
-                node = node.left
-            operands.append(node)
-            sections = [eval_formula(model, x) for x in reversed(operands)]
-            return (frame.meet if kind is And else frame.join)(sections)
-        if isinstance(node, Imp):
-            return frame.implies(eval_formula(model, node.left), eval_formula(model, node.right))
+        if isinstance(node, (And, Or, Imp)):
+            sections = [eval_formula(model, x) for x in _chain(node)]
+            if isinstance(node, Imp):
+                return functools.reduce(lambda right, left: frame.implies(left, right), reversed(sections))
+            return (frame.meet if isinstance(node, And) else frame.join)(sections)
     except RecursionError:
         raise DomainError("formula nested too deeply to evaluate") from None
     raise TypeError(f"not a formula node: {node!r}")

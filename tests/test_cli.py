@@ -258,13 +258,17 @@ def test_eval_value_not_in_spectrum(capsys):
     assert "not in the spectrum" in err
 
 
-@pytest.mark.parametrize("op", ["&", "|"], ids=["conjunctions", "disjunctions"])
-def test_eval_of_a_long_chain(capsys, op):
+@pytest.mark.parametrize(
+    "op, same", [("&", "M(Sz,{1})"), ("|", "M(Sz,{1})"), ("->", "TOP")],
+    ids=["conjunctions", "disjunctions", "implications"],
+)
+def test_eval_of_a_long_chain(capsys, op, same):
     """A flat chain of 3,000 operands, past the recursion limit as nested
-    binary nodes, evaluates as one meet or join: x & x and x | x are x."""
+    binary nodes, evaluates as one fold: x & x and x | x are x, and
+    x -> x -> x is TOP."""
     code, out, err = run(capsys, "eval", QUBIT, "-f", f" {op} ".join(["M(Sz,{1})"] * 3000))
     assert (code, err) == (0, "")
-    assert out == run(capsys, "eval", QUBIT, "-f", "M(Sz,{1})")[1]
+    assert out == run(capsys, "eval", QUBIT, "-f", same)[1]
 
 
 def test_eval_parse_error(capsys):

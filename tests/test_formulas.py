@@ -98,14 +98,17 @@ def test_parse_error_at_the_end_of_the_input(text, expected, line, column):
 
 
 def oracle_tokens(text: str) -> list[_Token] | tuple[int, int]:
-    """The tokens of text, each placed by _position of its own start, or the
-    place of the first unexpected character."""
-    tokens = []
+    """The tokens of text, each starting at the first character after the
+    last token that is not whitespace, or the line and column (_position)
+    of the first unexpected character."""
+    tokens, end = [], 0
     for m in _TOKEN_RE.finditer(text):
-        where = _position(text, m.start(m.lastgroup))
+        start = len(text) - len(text[end:].lstrip())
+        assert text.startswith(m.group(m.lastgroup), start)
         if m.lastgroup == "bad":
-            return where
-        tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), *where))
+            return _position(text, start)
+        tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), start))
+        end = start + len(m.group(m.lastgroup))
     return tokens
 
 
@@ -117,9 +120,9 @@ TEXT_PIECES += [" ", "\n", "\n\n", "\t", "\r\n", "\x1c", "\u2028", "@", "-", "\u
 @settings(max_examples=300, deadline=None)
 @given(pieces=st.lists(st.sampled_from(TEXT_PIECES), max_size=40))
 def test_tokens_are_placed_by_their_own_start(pieces):
-    """On generated multi-line texts, each token's line and column, carried
-    from token to token, are _position of its start; an unexpected character
-    is placed so too."""
+    """On generated multi-line texts, each token starts where the oracle
+    finds it, and an unexpected character is placed at _position of its
+    own start."""
     text = "".join(pieces)
     want = oracle_tokens(text)
     if isinstance(want, tuple):
@@ -131,13 +134,26 @@ def test_tokens_are_placed_by_their_own_start(pieces):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["(" * 300 + "TOP" + ")" * 300, "~" * 3000 + "TOP", " -> ".join(["TOP"] * 3000)],
-    ids=["parentheses", "negations", "implications"],
+    "text", ["(" * 300 + "TOP" + ")" * 300, "~" * 3000 + "TOP"], ids=["parentheses", "negations"]
 )
 def test_parse_refuses_a_formula_nested_too_deeply(text):
     with pytest.raises(ParseError, match="^formula nested too deeply, got .* at line 1, column "):
         parse_formula(text)
+
+
+def fold(kind, operands):
+    """A chain as the parser folds it: '->' to the right, '&' and '|' to the left."""
+    if kind is Imp:
+        return functools.reduce(lambda right, left: Imp(left, right), reversed(operands))
+    return functools.reduce(kind, operands)
+
+
+def test_parse_folds_a_long_implication_chain_to_the_right():
+    """3,000 operands of '->' parse to the right fold, compared as formatted
+    text: the dataclass == of so deep an AST runs out of stack."""
+    text = " -> ".join(f"M(A,{{{i}}})" for i in range(3000))
+    want = fold(Imp, [Atom("A", (str(i),)) for i in range(3000)])
+    assert format_formula(parse_formula(text)) == format_formula(want) == text
 
 
 def test_parse_runs_out_of_stack_at_the_end_of_the_input():
@@ -179,10 +195,57 @@ def test_format_parse_roundtrip(ast):
     assert parse_formula(format_formula(ast)) == ast
 
 
+@pytest.mark.parametrize("op", ["&", "|", "->"], ids=["conjunctions", "disjunctions", "implications"])
+def test_format_writes_a_long_chain_back(op):
+    """A chain of 10,000 operands formats back to its text."""
+    operands = ["M(A,{0})", "~TOP", "(BOT -> TOP)", "~(TOP | BOT)", "BOT"]
+    text = f" {op} ".join(itertools.islice(itertools.cycle(operands), 10_000))
+    assert format_formula(parse_formula(text)) == text
+
+
 def test_format_refuses_a_formula_nested_too_deeply():
-    ast = parse_formula(" & ".join(["TOP"] * 3000))  # the parser's loop, left-deep
+    """Alternating '&' and '|' nest one level per node, past the recursion
+    limit: refused, where a chain of one operator is not."""
+    ast = functools.reduce(lambda node, i: (And, Or)[i % 2](node, Top()), range(3000), Bot())
     with pytest.raises(DomainError, match="^formula nested too deeply to format$"):
         format_formula(ast)
+
+
+def nested_limit(depth) -> int:
+    """The largest n for which parse_formula(depth(n)) still parses, found
+    by binary search at one stack depth; past it, the parser's refusal."""
+    lo, hi = 0, 2 * sys.getrecursionlimit()  # lo parses, hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse_formula(depth(mid))
+            lo = mid
+        except ParseError as exc:
+            assert str(exc).startswith("formula nested too deeply, got ")
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize(
+    "depth, formatted",
+    [
+        (lambda n: "~" * n + "M(Sz,{1})", lambda n: "~" * n + "M(Sz,{1})"),
+        (lambda n: "(" * n + "M(Sz,{1})" + ")" * n, lambda n: "M(Sz,{1})"),
+        (lambda n: "~(" * n + "M(Sz,{1})" + ")" * n, lambda n: "~" * n + "M(Sz,{1})"),
+    ],
+    ids=["negations", "parentheses", "negated-parentheses"],
+)
+def test_eval_and_format_take_what_the_parser_takes_at_its_limit(one_qubit_model, depth, formatted):
+    """At the parser's own limit for each kind of nesting, found in this
+    process, eval and format succeed at the same stack depth."""
+    n = nested_limit(depth)
+    assert n > 100
+    want = eval_formula(one_qubit_model, parse_formula("M(Sz,{1})"))
+    for _ in range(depth(n).count("~")):
+        want = one_qubit_model.frame.neg(want)
+    ast = parse_formula(depth(n))
+    assert eval_formula(one_qubit_model, ast) == want
+    assert format_formula(ast) == formatted(n)
 
 
 def test_eval_constants(one_qubit_model):
@@ -248,33 +311,35 @@ qubit_formulas = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from([And, Or]),
+    kind=st.sampled_from([And, Or, Imp]),
     operands=st.lists(qubit_formulas, min_size=1, max_size=8),
 )
 def test_eval_of_a_chain_matches_the_nested_evaluation(one_qubit_model, kind, operands):
-    """A chain as the parser nests it, down the left, evaluates to the
-    section of the nested evaluation, or fails with its first error."""
-    chain = functools.reduce(kind, operands)
+    """A chain as the parser folds it evaluates to the section of the nested
+    evaluation, or fails with its first error."""
+    chain = fold(kind, operands)
     assert outcome(eval_formula, one_qubit_model, chain) == outcome(nested_eval, one_qubit_model, chain)
 
 
-@pytest.mark.parametrize("op", ["&", "|"], ids=["conjunctions", "disjunctions"])
+@pytest.mark.parametrize("op", ["&", "|", "->"], ids=["conjunctions", "disjunctions", "implications"])
 def test_eval_takes_a_flat_chain_as_one_operation(one_qubit_model, op):
-    """A chain of 10,000 operands, the parser's loop nested down the left,
-    evaluates to the fold of its operands' sections; of 300, to the nested
-    evaluation too, which fits the stack there."""
+    """A chain of 10,000 operands, as the parser folds it, evaluates to the
+    fold of its operands' sections (to the right for '->'); of 300, to the
+    nested evaluation too, which fits the stack there."""
     frame = one_qubit_model.frame
     operands = ["M(Sz,{1})", "~M(Sx,{-1})", "M(Sz,{1,-1})", "M(Sx,{1}) -> M(Sz,{-1})"]
     sections = [eval_formula(one_qubit_model, parse_formula(x)) for x in operands]
-    combine = frame.meet if op == "&" else frame.join
 
     def chain(count: int):
         cycled = itertools.islice(itertools.cycle(operands), count)
         return parse_formula(f" {op} ".join(f"({x})" for x in cycled))
 
-    want = functools.reduce(
-        lambda s, t: combine([s, t]), itertools.islice(itertools.cycle(sections), 10_000)
-    )
+    cycled = list(itertools.islice(itertools.cycle(sections), 10_000))
+    if op == "->":
+        want = functools.reduce(lambda right, left: frame.implies(left, right), reversed(cycled))
+    else:
+        combine = frame.meet if op == "&" else frame.join
+        want = functools.reduce(lambda s, t: combine([s, t]), cycled)
     assert eval_formula(one_qubit_model, chain(10_000)) == want
     assert eval_formula(one_qubit_model, chain(300)) == nested_eval(one_qubit_model, chain(300))
 
