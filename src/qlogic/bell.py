@@ -51,7 +51,7 @@ class BellScenario:
 
     def __post_init__(self):
         if not all(map(_is_unit, (self.a1, self.a2, self.b1, self.b2))):
-            raise DomainError("measurement axes must be unit vectors")
+            raise DomainError("measurement axes must be real unit 3-vectors")
 
     @staticmethod
     def from_angles(a1: float, a2: float, b1: float, b2: float) -> "BellScenario":
@@ -65,7 +65,9 @@ DEFAULT_ANGLES = (0.0, 60.0, 90.0, 30.0)
 
 
 def _is_unit(v: np.ndarray) -> bool:
-    return abs(np.linalg.norm(v) - 1.0) <= TAU_UNIT  # NaN fails too
+    """Whether v is a real 3-vector of 2-norm 1 within TAU_UNIT; NaN fails."""
+    v = np.asarray(v)
+    return v.shape == (3,) and v.dtype.kind in "iuf" and abs(np.linalg.norm(v) - 1.0) <= TAU_UNIT
 
 
 def spin_operator(axis: np.ndarray) -> np.ndarray:
@@ -75,7 +77,7 @@ def spin_operator(axis: np.ndarray) -> np.ndarray:
 def spin_projection(axis: np.ndarray, sign: int) -> np.ndarray:
     """Projection onto the +-1 eigenspace of the spin along the axis."""
     if not _is_unit(axis):
-        raise DomainError("axis must be a unit vector")
+        raise DomainError("axis must be a real unit 3-vector")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     return (np.eye(2, dtype=complex) + sign * spin_operator(axis)) / 2
@@ -94,6 +96,8 @@ def maximally_mixed_state() -> np.ndarray:
 
 def validate_density_matrix(rho: np.ndarray) -> None:
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DomainError(f"density matrix must be square, got shape {rho.shape}")
     # each check is written so that NaN fails it, and so does a difference
     # or a sum past the float range, which reads inf
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,16 +36,17 @@ _GRAM_ENTRIES = 2**12
 _T = TypeVar("_T")
 
 
-def _runs(items: Iterable[_T], entries: Callable[[_T], int], limit: int) -> Iterator[list[_T]]:
-    """The items, in order, in runs of at most `limit` entries in all, an
-    item holding entries(item), or of one item alone that holds more.  Each
-    run takes every item that still fits, so the runs are fixed by the
-    sizes alone; the next run is made only when it is asked for."""
+def _runs(items: Iterable[_T], entries: Callable[[_T], int]) -> Iterator[list[_T]]:
+    """The items, in order, in runs of at most _GRAM_ENTRIES entries in all,
+    an item holding entries(item), or of one item alone that holds more.
+    Each run takes every item that still fits, so the runs are fixed by the
+    sizes alone; the next run is made only when it is asked for.  The bound
+    is read as the runs are made, so the one binding rules every batch."""
     run: list[_T] = []
     size = 0
     for item in items:
         n = entries(item)
-        if run and size + n > limit:
+        if run and size + n > _GRAM_ENTRIES:
             yield run
             run, size = [], 0
         run.append(item)
@@ -83,7 +84,7 @@ def _bases_of(ctxs: Sequence[QuantumContext]) -> list[_Basis | None]:
     """The bases of contexts of one dimension, measured in runs of at most
     _GRAM_ENTRIES entries of atoms (see _runs and _measured_bases)."""
     dim = ctxs[0].atoms.shape[1]
-    runs = _runs(ctxs, lambda ctx: ctx.atoms.size, _GRAM_ENTRIES)
+    runs = _runs(ctxs, lambda ctx: ctx.atoms.size)
     return [basis for run in runs for basis in _measured_bases(run, dim)]
 
 
@@ -177,7 +178,7 @@ def _certificates(
     labels = np.stack([x.labels for x in index])
     groups = _groups(labels)
     out = []
-    for batch in _runs(pairs, lambda _: dim * dim, _GRAM_ENTRIES):
+    for batch in _runs(pairs, lambda _: dim * dim):
         ia, ib = np.array([(index[a], index[b]) for a, b in batch]).T
         ga = groups[ia]
         g = u[ia].conj().swapaxes(1, 2) @ u[ib]

@@ -23,25 +23,26 @@ p q that make the graph also decide commutation: for Hermitian p and q,
 That one decision, and the commutation of a pair, are read where they
 can be certified from small Gram blocks instead of the products (see
 qlogic.gram).  A context that enters a run (see below) of at least
-_MIN_GRAM_PAIRS non-trivial pairs gets an orthonormal basis whose column
-groups span its atoms' ranges, from one eigh of sum_k k p_k, with a
-residual measured once.  A pair with a block the Gram matrix leaves
-undecided, and a join candidate, which needs the products anyway, are
-multiplied (see _products), so every decision equals the products'.  The
-trivial context takes no matrix work: it lies below every other context,
-its one atom mapping to all.
+_MIN_GRAM_PAIRS pairs gets an orthonormal basis whose column groups span
+its atoms' ranges, from one eigh of sum_k k p_k, with a residual measured
+once.  A pair with a block the Gram matrix leaves undecided, and a join
+candidate, which needs the products anyway, are multiplied (see
+_products), so every decision equals the products'.  The trivial context
+is never paired: it lies below every other context, its one atom mapping
+to all, so its embeddings are written once the rounds are done, and no
+round, run, certificate or product ever holds it.
 
-Each closure round pairs the contexts stored when it starts, keeping the
-pairs with a member that the last round stored, and takes them in runs of
-at most _GRAM_ENTRIES pairs.  Each run has two passes over its pairs (see
-QuantumModel._round): the first reads the graphs from their certificates,
-records the comparable pairs' embeddings and lists the meets and join
-candidates in pair order; the second walks that list in order and settles
-it.  Only the second stores contexts, and no pair of the round holds one
-it stored, so the runs settle in the round's pair order whatever their
-size.  The numpy work is done in bounded batches, a few calls over many
-small matrices instead of many calls over one each, as in batched BLAS
-(Dongarra et al., 2017): the join candidates' products, graphs and
+Each closure round pairs the other contexts stored when it starts, keeping
+the pairs with a member that the last round stored, and takes them in runs
+of at most _GRAM_ENTRIES pairs.  Each run has two passes over its pairs
+(see QuantumModel._round): the first reads the graphs from their
+certificates, records the comparable pairs' embeddings and lists the meets
+and join candidates in pair order; the second walks that list in order and
+settles it.  Only the second stores contexts, and no pair of the round
+holds one it stored, so the runs settle in the round's pair order whatever
+their size.  The numpy work is done in bounded batches, a few calls over
+many small matrices instead of many calls over one each, as in batched
+BLAS (Dongarra et al., 2017): the join candidates' products, graphs and
 commutation, and at the round's end the check of its new contexts as
 resolutions of the identity (see _issues).  Every batch walks its own list
 in order and is cut by one rule (see gram._runs): the items in runs of at
@@ -62,12 +63,12 @@ is held as its atoms alone.  The closure settles every candidate (the
 trivial context, an observable's, a meet or a join) the same way before
 it builds it: the stored contexts in its key's cells are compared with
 its atoms, and only a candidate that matches none is sorted, named and
-stored, to be checked at the end of its round (see QuantumModel._settle
-and _check).  A meet is settled once per (context, component masks): the
-same key always forms the same candidate, bit for bit, and the store only
-appends, so the memo returns what settling again would (see
-QuantumModel._add_meet).  The closure records each comparable pair's
-embedding as it finds the pair.
+stored, to be checked at the end of its round, the trivial context and the
+observables' before the first (see QuantumModel._settle and _check).  A
+meet is settled once per (context, component masks): the same key always
+forms the same candidate, bit for bit, and the store only appends, so the
+memo returns what settling again would (see QuantumModel._add_meet).  The
+closure records each comparable pair's embedding as it finds the pair.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .formulas import WORD
-from . import gram
 from .gram import _Basis, _bases_of, _certificates, _row_masks, _runs
 from .poset import ContextPoset, LocalAlgebra, _bits
 from .sections import BOTTOM, ElementaryProposition, Frame
@@ -272,7 +272,7 @@ def _issues(stacks: Sequence[np.ndarray], tol: float) -> list[list[str]]:
     herm = np.abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2))
     zero = iter((np.abs(flat).max(axis=(1, 2)) <= tol).tolist())
     idem = np.empty(len(flat))
-    for run in _runs(range(len(flat)), lambda _: dim * dim, gram._GRAM_ENTRIES):
+    for run in _runs(range(len(flat)), lambda _: dim * dim):
         p = flat[run[0] : run[-1] + 1]
         idem[run] = np.abs(p @ p - p).max(axis=(1, 2))
     proj = iter(((herm <= tol) & (idem <= tol)).tolist())
@@ -281,7 +281,7 @@ def _issues(stacks: Sequence[np.ndarray], tol: float) -> list[list[str]]:
     upper = [_upper(n) for n in counts]
     left, right = np.concatenate(upper, axis=1) + np.repeat(starts, [u.shape[1] for u in upper])
     apart = np.empty(len(left))
-    for run in _runs(range(len(left)), lambda _: dim * dim, gram._GRAM_ENTRIES):
+    for run in _runs(range(len(left)), lambda _: dim * dim):
         apart[run] = np.abs(flat[left[run]] @ flat[right[run]]).max(axis=(1, 2))
     apart = iter((apart > tol).tolist())
     sums = np.stack([a.sum(axis=0) for a in stacks])
@@ -306,11 +306,6 @@ def _upper(n: int) -> np.ndarray:
     """(2, n (n - 1) / 2): the atom indices i < j of the pairs of a stack of
     n atoms, row by row: (0, 1), (0, 2), ..., (1, 2), ..."""
     return np.array(np.triu_indices(n, 1))
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays stacked along a new first axis; a lone one as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,8 +362,8 @@ def _products(
     for t, (c1, c2) in enumerate(pairs):
         groups.setdefault((len(c1.atoms), len(c2.atoms)), []).append(t)
     for ts in groups.values():
-        a = _stacked([pairs[t][0].atoms for t in ts])
-        b = _stacked([pairs[t][1].atoms for t in ts])
+        a = np.stack([pairs[t][0].atoms for t in ts])
+        b = np.stack([pairs[t][1].atoms for t in ts])
         prods = a[:, :, None] @ b[:, None]
         edges = np.abs(prods).max(axis=(3, 4)) > tol
         # the adjoints copied out contiguous, which a subtraction of the
@@ -465,10 +460,14 @@ class QuantumModel:
         mats = {}
         for k, v in self.observables.items():
             try:
-                mats[k] = np.asarray(v, dtype=complex)
+                m = mats[k] = np.asarray(v, dtype=complex)
             except OverflowError:  # an int past the float range
                 raise DomainError(f"observable {k!r} has an entry past the float range") from None
-            if not np.isfinite(mats[k]).all():
+            except (TypeError, ValueError):  # a ragged list, a string, an object
+                raise DomainError(f"observable {k!r} is not an array of numbers") from None
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+                raise DomainError(f"observable {k!r} must be a non-empty square matrix, got shape {m.shape}")
+            if not np.isfinite(m).all():
                 raise DomainError(f"observable {k!r} has a non-finite entry")
         dims = {m.shape for m in mats.values()}
         if len(dims) > 1:
@@ -526,13 +525,12 @@ class QuantumModel:
         f = sum(min(max(xk, 0.0), 1.0) ** 2 for xk in x)
         return n, math.floor(f / (4 * n * self.dim * self.tau_proj + self.dim**3 * 2**-44))
 
-    def _settle(
-        self, key: tuple[int, int], atoms: np.ndarray, new: Callable[[], tuple[str, QuantumContext]]
-    ) -> str:
+    def _settle(self, atoms: np.ndarray, new: Callable[[], tuple[str, QuantumContext]]) -> str:
         """The id of the earliest stored context whose atoms match `atoms`,
-        looked up under their key; only when none does, new() gives the
-        (id, context) with these atoms, which is stored, and checked with the
-        rest of its round (see _check)."""
+        looked up under their key (see _key); only when none does, new()
+        gives the (id, context) with these atoms, which is stored under that
+        key, and checked with the rest of its round (see _check)."""
+        key = self._key(atoms)
         found = self._find_equal(atoms, key)
         if found is not None:
             return found
@@ -548,7 +546,7 @@ class QuantumModel:
         gram._bases_of cuts them (see _runs and _issues); raises the first
         issue of the first failing context as it comes to it."""
         fresh = itertools.islice(self.contexts.items(), start, None)
-        for run in _runs(fresh, lambda item: item[1].atoms.size, gram._GRAM_ENTRIES):
+        for run in _runs(fresh, lambda item: item[1].atoms.size):
             for (cid, _), issues in zip(run, _issues([ctx.atoms for _, ctx in run], self.tau_proj)):
                 if issues:
                     raise StructureError(f"context {cid!r}: {issues[0]}")
@@ -575,7 +573,7 @@ class QuantumModel:
                 k = _atom_order(meet)
                 return f"({a}^{b})", QuantumContext(tuple(f"m{i}" for i in range(len(k))), meet[k])
 
-            cid = self._meets[key] = self._settle(self._key(meet), meet, new)
+            cid = self._meets[key] = self._settle(meet, new)
         return cid
 
     def _certify(
@@ -636,15 +634,11 @@ class QuantumModel:
                         names = tuple(f"{na[i]}.{nb[j]}" for i, j in np.argwhere(edges).tolist())
                         return f"{a}*{b}", QuantumContext(names, atoms)
 
-                    self._settle(self._key(atoms), atoms, new)
+                    self._settle(atoms, new)
 
-        certified = self._certify([ab for ab in pairs if TRIVIAL_ID not in ab])
+        certified = self._certify(pairs)
         todo = []  # (a, b, components or None for a graph still to make, products needed)
         for a, b in pairs:
-            if TRIVIAL_ID in (a, b):
-                other = b if a == TRIVIAL_ID else a
-                images[TRIVIAL_ID, other] = [(1 << len(self.contexts[other].atoms)) - 1]
-                continue
             rows, apart = certified.get((a, b), (None, False))
             if rows is None:
                 todo.append((a, b, None, True))
@@ -656,7 +650,7 @@ class QuantumModel:
             a, b, _, join = item
             return self.contexts[a].atoms.size * len(self.contexts[b].atoms) if join else 0
 
-        for run in _runs(todo, entries, gram._GRAM_ENTRIES):
+        for run in _runs(todo, entries):
             settle(run)
 
     def _build(self):
@@ -668,47 +662,46 @@ class QuantumModel:
         self._probe = probe / np.linalg.norm(probe)
         self._cells = {}
         trivial = _trivial_context(self.dim)
-        self._settle(self._key(trivial.atoms), trivial.atoms, lambda: (TRIVIAL_ID, trivial))
-        # the identity's check in closed form: its one issue as a resolution
-        # is that its atom counts as zero within tol >= 1
-        if self.tau_proj >= 1:
-            raise StructureError(f"context {TRIVIAL_ID!r}: atom 0 is zero")
+        self._settle(trivial.atoms, lambda: (TRIVIAL_ID, trivial))
         # an observable's eigenvalue cluster k is atom k of its own context,
         # or the atom that _find_equal's match paired it with
         self._cluster_atoms = {}
         for name in sorted(self.observables):
             ctx = _spectral_context(self.spectra[name], name, self.dim)
-            key = self._key(ctx.atoms)
-            cid = self.obs_context[name] = self._settle(key, ctx.atoms, lambda: (name, ctx))
+            cid = self.obs_context[name] = self._settle(ctx.atoms, lambda: (name, ctx))
             stored = self.contexts[cid]
             if stored is ctx:
                 ks = range(len(ctx.atoms))
             else:
                 ks = _pairing(ctx.atoms, stored.atoms, self.tau_proj)
             self._cluster_atoms[name] = tuple(stored.atom_names[k] for k in ks)
-        self._check(1)
+        self._check(0)
         # close under pairwise meets and commuting joins; a pair taken once
         # yields no new context when taken again, so a round pairs the
         # contexts stored when it starts, in sorted order, and keeps the
         # pairs with a member the last round stored (the first round keeps
         # every pair).  It takes them in runs of at most _GRAM_ENTRIES pairs
         # (see _runs); a context it stores is checked at its end, before any
-        # product is made of it.  The trivial context lies below every
-        # other, its one atom mapping to all of theirs.  A comparable pair
-        # has the pair itself as meet and join, both stored already; its
-        # embedding is read off the overlap graph's row masks
+        # product is made of it.  A comparable pair has the pair itself as
+        # meet and join, both stored already; its embedding is read off the
+        # overlap graph's row masks.  The trivial context, stored first, is
+        # never paired: it lies below every other, its meet with any is
+        # itself and its join the other, so it enters the order once the
+        # rounds are done, its one atom mapping to all of each other's
         self._meets = {}
         self._bases = {}
         images = {}
-        start = 0
+        start = 1
         while start < len(self.contexts):
             fresh = set(itertools.islice(self.contexts, start, None))
             start = len(self.contexts)
-            pairs = itertools.combinations(sorted(self.contexts), 2)
+            pairs = itertools.combinations(sorted(self.contexts.keys() - {TRIVIAL_ID}), 2)
             kept = (ab for ab in pairs if not fresh.isdisjoint(ab))
-            for run in _runs(kept, lambda _: 1, gram._GRAM_ENTRIES):
+            for run in _runs(kept, lambda _: 1):
                 self._round(run, images)
             self._check(start)
+        for cid, ctx in itertools.islice(self.contexts.items(), 1, None):
+            images[TRIVIAL_ID, cid] = [(1 << len(ctx.atoms)) - 1]
         contexts = {
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()
         }

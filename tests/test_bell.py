@@ -50,14 +50,48 @@ def test_non_finite_angle_rejected(theta):
 
 def test_nan_fails_the_unit_and_state_checks():
     nan_axis = np.array([np.nan, 0.0, 1.0])
-    with pytest.raises(DomainError, match="^measurement axes must be unit vectors$"):
+    with pytest.raises(DomainError, match="^measurement axes must be real unit 3-vectors$"):
         BellScenario(nan_axis, Z, Z, Z)
-    with pytest.raises(DomainError, match="^axis must be a unit vector$"):
+    with pytest.raises(DomainError, match="^axis must be a real unit 3-vector$"):
         spin_projection(nan_axis, 1)
     rho = singlet_state()
     rho[0, 0] = np.nan
     with pytest.raises(DomainError, match="^density matrix must be Hermitian$"):
         validate_density_matrix(rho)
+
+
+# unit in the 2-norm but not a real 3-vector: a 4-vector was once read as its
+# first three entries, the zero operator here
+NOT_REAL_3_VECTORS = {
+    "unit 4-vector": np.array([0.0, 0.0, 0.0, 1.0]),
+    "unit 2-vector": np.array([0.0, 1.0]),
+    "(1, 3) array": np.array([[0.0, 0.0, 1.0]]),
+    "complex 3-vector": np.array([0.0, 0.0, 1j]),
+    "scalar": np.array(1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REAL_3_VECTORS))
+def test_axis_that_is_no_real_3_vector_rejected(case):
+    axis = NOT_REAL_3_VECTORS[case]
+    with pytest.raises(DomainError, match="^measurement axes must be real unit 3-vectors$"):
+        BellScenario(Z, Z, axis, Z)
+    with pytest.raises(DomainError, match="^axis must be a real unit 3-vector$"):
+        spin_projection(axis, 1)
+
+
+def test_axis_given_as_a_list_is_accepted():
+    assert np.allclose(spin_projection([0, 0, 1], 1), np.diag([1.0, 0.0]))
+    BellScenario([0.0, 0.0, 1.0], Z, X, X)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4,), (1, 4, 4), ()])
+def test_non_square_state_rejected(shape):
+    rho = np.zeros(shape, dtype=complex)
+    with pytest.raises(DomainError, match=r"^density matrix must be square, got shape \("):
+        validate_density_matrix(rho)
+    with pytest.raises(DomainError, match=r"^density matrix must be square, got shape \("):
+        chsh_terms(rho, BellScenario.from_angles(*DEFAULT_ANGLES))
 
 
 def test_singlet_state():

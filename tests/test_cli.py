@@ -612,6 +612,11 @@ MALFORMED = {
             tmp, b'{"kind":"quantum","observables":{"A":[[[0,0],[1.7e308,0]],[[-1.7e308,0],[0,0]]]}}'
         ),
     ],
+    # rectangular, so load_model hands it on, and QuantumModel refuses its shape
+    "matrix not square": lambda tmp: [
+        "build",
+        _model_file(tmp, b'{"kind":"quantum","observables":{"A":[[[1,0],[0,0],[0,0]],[[0,0],[1,0],[0,0]]]}}'),
+    ],
     # the parser's recursion limit, on every Python: a classical value of nested lists
     "model nested too deeply": lambda tmp: [
         "build",
@@ -674,6 +679,7 @@ MALFORMED_MESSAGES = {
     ),
     "Hermitian difference past the float range": "error: matrix is not Hermitian within tolerance",
     "matrix entry past the float range": "error: observable 'Sz' has an entry past the float range",
+    "matrix not square": "error: observable 'A' must be a non-empty square matrix, got shape (2, 3)",
     "tolerance past the float range": "error: option 'tau_proj' is past the float range",
     "eigenvalue tolerance past the float range": "error: option 'tau_eig' is past the float range",
     "sweep with angles": "error: --sweep takes no --angles: it sweeps theta * (0, 2, 3, 1)",

@@ -223,6 +223,39 @@ def test_matrix_entry_past_the_float_range_rejected(entry):
         QuantumModel({"A": [[0.5, entry], [entry, 1j]]})
 
 
+# observables numpy cannot read as a complex array, or whose array is no
+# non-empty square matrix; each once raised a bare numpy error or, for the
+# 1x1x1 array, built a model
+UNREADABLE_OBSERVABLES = {
+    "ragged list": [[1, 0], [0]],
+    "string": "abc",
+    "object": {"a": 1},
+}
+MISSHAPEN_OBSERVABLES = {
+    "0x0 array": np.zeros((0, 0)),
+    "scalar": 1.0,
+    "numeric string": "1",
+    "1-D list": [1.0, -1.0],
+    "2x3 array": np.zeros((2, 3)),
+    "2x2x2 array": np.zeros((2, 2, 2)),
+    "1x1x1 array": np.ones((1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_OBSERVABLES))
+def test_unreadable_observable_rejected(case):
+    with pytest.raises(DomainError, match="^observable 'A' is not an array of numbers$"):
+        QuantumModel({"A": UNREADABLE_OBSERVABLES[case]})
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN_OBSERVABLES))
+def test_observable_that_is_no_non_empty_square_matrix_rejected(case):
+    shape = np.shape(MISSHAPEN_OBSERVABLES[case])
+    with pytest.raises(DomainError) as raised:
+        QuantumModel({"Sz": SZ, "A": MISSHAPEN_OBSERVABLES[case]})
+    assert str(raised.value) == f"observable 'A' must be a non-empty square matrix, got shape {shape}"
+
+
 def test_tolerances_are_held_as_floats():
     m = QuantumModel({"Sz": SZ}, tau_herm=0, tau_proj=np.float32(0.25), tau_eig=1)
     taus = (m.tau_herm, m.tau_proj, m.tau_eig)

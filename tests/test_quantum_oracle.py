@@ -381,9 +381,9 @@ def test_find_equal_matches_a_scan_of_every_context(monkeypatch, name):
         m.setattr(QuantumModel, "_find_equal", lambda self, atoms, key: None)
         for cid, ctx in stored:
             copy = rotation(ctx, g)(0.6 * tau)
-            model._settle(model._key(copy.atoms), copy.atoms, lambda: (f"{cid}#copy", copy))
+            model._settle(copy.atoms, lambda: (f"{cid}#copy", copy))
             inside, outside = across_a_wall(model, ctx, g)
-            settled = model._settle(model._key(inside.atoms), inside.atoms, lambda: (f"{cid}#wall", inside))
+            settled = model._settle(inside.atoms, lambda: (f"{cid}#wall", inside))
             walls.append((settled, outside))
     for q in queries:
         assert model._find_equal(q.atoms, model._key(q.atoms)) == oracle_find_equal(model, q)
@@ -591,7 +591,7 @@ def check_dedup_before_build(model):
         if commute:
             join = QuantumContext(tuple(map(str, range(e.sum()))), prods[e])
             new = lambda: (f"{a}*{b}#new", join)
-            settled = model._settle(model._key(got[edges]), got[edges], new)
+            settled = model._settle(got[edges], new)
             assert settled == oracle_find_equal(model, join), (a, b)
     assert list(model.contexts) == ids
 
@@ -1128,11 +1128,14 @@ def test_a_join_without_atoms_fails_its_round_check():
     assert str(raised.value) == "context 'X0*Z0*Z1': atoms do not sum to the identity"
 
 
-@pytest.mark.parametrize("tau", [0.0, 0.5, 0.999, 1.0, 10.0])
+@pytest.mark.parametrize("tau", [0.0, 0.5, 0.999, 1.0, 2.0, 10.0])
 def test_trivial_context_is_checked_in_closed_form(tau):
-    """The identity's one issue as a resolution is a zero atom, within
-    tol >= 1: the build raises it exactly when validate_resolution finds it."""
+    """The identity is checked with the observables' contexts, as every
+    context is: its one issue as a resolution is a zero atom, within
+    tol >= 1, and the build raises it, before any other, exactly when
+    validate_resolution finds it."""
     issues = validate_resolution(np.eye(2, dtype=complex)[None], tau)
+    assert issues == (["atom 0 is zero"] if tau >= 1 else [])
     observables = {"Z": np.diag([1.0, -1.0])}
     if not issues:
         assert "1" in QuantumModel(observables, tau_proj=tau).contexts
@@ -1271,17 +1274,18 @@ def test_rounds_reach_round_in_runs_of_the_rule(name, entries):
     """With gram._GRAM_ENTRIES at `entries`, a round is handed to _round in
     runs (the calls between two checks of the store) of at most `entries`
     pairs, each run but the last full.  Concatenated, they are the pairs
-    that the record of taken pairs once gave: every pair of the contexts
-    stored when the round starts, in sorted order, that no earlier round
-    took; after the last round no pair is left.  At the default bound the
-    classical8 twin's rounds 4, 5 and 6 take 2, 4 and 2 runs.  The build is
-    the default one, bit for bit."""
+    that the record of taken pairs once gave, less the trivial context's,
+    which is never paired: every pair of the other contexts stored when the
+    round starts, in sorted order, that no earlier round took; after the
+    last round no pair is left.  At the default bound the classical8 twin's
+    rounds 4, 5 and 6 take 2, 4 and 2 runs.  The build is the default one,
+    bit for bit."""
     rounds = []  # per check of the store: [the contexts at the next round's start, its runs]
     round_, check = QuantumModel._round, QuantumModel._check
 
     def spy_round(self, pairs, images):
         if rounds[-1][0] is None:
-            rounds[-1][0] = sorted(self.contexts)
+            rounds[-1][0] = sorted(self.contexts.keys() - {"1"})
         rounds[-1][1].append(list(pairs))
         return round_(self, pairs, images)
 
@@ -1301,12 +1305,53 @@ def test_rounds_reach_round_in_runs_of_the_rule(name, entries):
         want = [ab for ab in itertools.combinations(ids or [], 2) if ab not in taken]
         taken.update(want)
         assert [ab for run in runs for ab in run] == want
-    assert taken == set(itertools.combinations(sorted(model.contexts), 2))
+    assert taken == set(itertools.combinations(sorted(model.contexts.keys() - {"1"}), 2))
     counts = [len(runs) for _, runs in rounds]
     assert entries > 7 or max(counts) > 1
     if name == "classical8_twin" and entries == 4096:
         assert counts[3:6] == [2, 4, 2]
     assert built(model) == default_build(name)
+
+
+def check_identity_unpaired(make) -> QuantumModel:
+    """The model make() builds, with _round and _certify spied on: no pair
+    handed to either holds the trivial context '1', and its image in every
+    other context is that context's whole top, (1 << n) - 1 for n atoms."""
+    handed = []
+    round_, certify = QuantumModel._round, QuantumModel._certify
+
+    def spy_round(self, pairs, images):
+        handed.extend(pairs)
+        return round_(self, pairs, images)
+
+    def spy_certify(self, pairs):
+        handed.extend(pairs)
+        return certify(self, pairs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(QuantumModel, "_round", spy_round)
+        m.setattr(QuantumModel, "_certify", spy_certify)
+        model = make()
+    assert not [ab for ab in handed if "1" in ab]
+    poset = model.poset
+    assert poset.least == "1"
+    for cid, ctx in model.contexts.items():
+        if cid != "1":
+            got = poset._images[poset._bit["1"], poset._bit[cid]]
+            assert got == ((1 << len(ctx.atoms)) - 1,), cid
+    return model
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_MODELS))
+def test_identity_is_never_paired_on_the_goldens(name):
+    model = check_identity_unpaired(ROUND_MODELS[name])
+    assert built(model) == default_build(name)
+
+
+@settings(max_examples=8, deadline=None)
+@given(observables=degenerate_families(), tau=st.sampled_from([1e-8, 1e-3]))
+def test_identity_is_never_paired_on_random_families(observables, tau):
+    check_identity_unpaired(lambda: QuantumModel(observables, tau_proj=tau))
 
 
 # -- the one chunker against the three loops it replaced ---------------------------
@@ -1350,9 +1395,12 @@ def oracle_join_runs(todo: list[tuple[int, int, bool]], dim: int, entries: int) 
 @given(sizes=st.lists(st.integers(0, 60), max_size=30), limit=st.integers(1, 150))
 def test_runs_keep_the_order_and_the_bound(sizes, limit):
     """The runs concatenate to the items in order; each holds at most the
-    limit or is one item, and takes every item that still fits."""
+    bound, gram._GRAM_ENTRIES read at the call, or is one item, and takes
+    every item that still fits."""
     items = list(enumerate(sizes))
-    runs = list(_runs(items, lambda item: item[1], limit))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gram, "_GRAM_ENTRIES", limit)
+        runs = list(_runs(items, lambda item: item[1]))
     assert [item for run in runs for item in run] == items
     for run, after in zip(runs, runs[1:] + [None]):
         total = sum(n for _, n in run)
@@ -1415,8 +1463,8 @@ def test_check_products_are_the_loops_slices(run):
     for entries in [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1000, 1024, 4095, 4096]:
         calls = []
 
-        def spy(items, size, limit):
-            runs = list(_runs(items, size, limit))
+        def spy(items, size):
+            runs = list(_runs(items, size))
             calls.append(runs)
             return iter(runs)
 
