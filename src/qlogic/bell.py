@@ -65,8 +65,12 @@ DEFAULT_ANGLES = (0.0, 60.0, 90.0, 30.0)
 
 
 def _is_unit(v: np.ndarray) -> bool:
-    """Whether v is a real 3-vector of 2-norm 1 within TAU_UNIT; NaN fails."""
-    v = np.asarray(v)
+    """Whether v is a real 3-vector of 2-norm 1 within TAU_UNIT; NaN fails,
+    and so does a ragged list, which numpy makes no array of."""
+    try:
+        v = np.asarray(v)
+    except (TypeError, ValueError):
+        return False
     return v.shape == (3,) and v.dtype.kind in "iuf" and abs(np.linalg.norm(v) - 1.0) <= TAU_UNIT
 
 
@@ -95,7 +99,12 @@ def maximally_mixed_state() -> np.ndarray:
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except OverflowError:  # an int past the float range
+        raise DomainError("density matrix has an entry past the float range") from None
+    except (TypeError, ValueError):  # a ragged list, a string, an object
+        raise DomainError("density matrix is not an array of numbers") from None
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DomainError(f"density matrix must be square, got shape {rho.shape}")
     # each check is written so that NaN fails it, and so does a difference

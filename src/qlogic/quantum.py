@@ -64,11 +64,17 @@ trivial context, an observable's, a meet or a join) the same way before
 it builds it: the stored contexts in its key's cells are compared with
 its atoms, and only a candidate that matches none is sorted, named and
 stored, to be checked at the end of its round, the trivial context and the
-observables' before the first (see QuantumModel._settle and _check).  A
-meet is settled once per (context, component masks): the same key always
-forms the same candidate, bit for bit, and the store only appends, so the
-memo returns what settling again would (see QuantumModel._add_meet).  The
-closure records each comparable pair's embedding as it finds the pair.
+observables' before the first (see QuantumModel._settle and _check).
+
+A meet is read off the order before any candidate is formed (see
+QuantumModel._add_meet).  A graph with one component gives the trivial
+context, exactly: its one sum is bit for bit the sum that _check held within
+tau_proj of the identity.  The closure records each comparable pair's
+embedding x <= y as it finds the pair, and with it x as the meet keyed by y
+and the partition of y's atoms that x's atoms make.  Only a meet that
+neither gives is stacked and settled, once per (context, component masks):
+the same key always forms the same candidate, bit for bit, and the store
+only appends, so the memo returns what settling again would.
 """
 
 from __future__ import annotations
@@ -414,7 +420,13 @@ def _components(rows: Sequence[int]) -> tuple[int, ...]:
             else:
                 apart.append((c1, c2))
         comps = apart + [(own, linked)]
-    return tuple(sorted((c1 for c1, _ in comps), key=lambda m: m & -m))
+    return _partition(c1 for c1, _ in comps)
+
+
+def _partition(masks: Iterable[int]) -> tuple[int, ...]:
+    """Disjoint masks in order of their least index: the meet memo's key
+    (see QuantumModel._add_meet), from _components or from an embedding."""
+    return tuple(sorted(masks, key=lambda m: m & -m))
 
 
 @dataclass(eq=False)
@@ -434,7 +446,8 @@ class QuantumModel:
     _probe: np.ndarray = field(init=False, repr=False)
     # (number of atoms, cell) -> [(insertion index, context id)], see _key
     _cells: dict[tuple[int, int], list[tuple[int, str]]] = field(init=False, repr=False)
-    # (context, its atoms' component masks) -> the id of that meet, see _add_meet
+    # (context, a partition of its atoms as masks) -> the id of the meet with
+    # those atom sums, settled or read off a recorded embedding, see _add_meet
     _meets: dict[tuple[str, tuple[int, ...]], str] = field(init=False, repr=False)
     # observable -> the atom of its context for each of its eigenvalue clusters
     _cluster_atoms: dict[str, tuple[str, ...]] = field(init=False, repr=False)
@@ -555,14 +568,27 @@ class QuantumModel:
         """The id of the meet of contexts a and b, whose overlap graph has the
         components `comps` (masks of a's atoms, see _components): its atoms
         are the sums of a's atoms over the components, keyed in that order,
-        sorted and named only for a new context.
+        sorted and named only for a new context.  It is read off the order
+        where it can be, and only a meet that is not is stacked and settled.
 
-        Settled once per (a, comps): the candidate is stacked from a's stored
-        atoms, summed in index order, so the same key always forms a
-        bitwise-identical array, and the store only ever appends, so the
-        earliest stored match that _settle returned the first time is still
-        the earliest.  The memo returns exactly the id a fresh _settle would.
-        """
+        One component: the meet is the trivial context.  The candidate would
+        be the one sum of all of a's atoms in index order, 0 + p_0 + p_1 +
+        ..., bit for bit the a.atoms.sum(axis=0) that _check held within
+        tau_proj of the identity before a was paired; so _settle would find
+        the trivial context, which is stored first, the earliest of all.
+
+        Otherwise the memo: a meet is settled once per (a, comps), since the
+        same key always stacks a bitwise-identical candidate from a's stored
+        atoms and the store only ever appends, so the earliest stored match
+        that _settle returned the first time is still the earliest.  The
+        memo is also seeded by the order: each recorded x <= y puts x under
+        (y, x's atoms as masks of y's, see _partition), so a meet already
+        placed below a is read from its embedding, not stacked again.  A
+        seed can differ from a fresh settle only near tau_proj, where the
+        settle would find an earlier near match of x or store a near
+        duplicate of it, one the order could not tell from x."""
+        if len(comps) == 1:
+            return TRIVIAL_ID
         key = (a, comps)
         cid = self._meets.get(key)
         if cid is None:
@@ -606,11 +632,15 @@ class QuantumModel:
         without one, and the run is settled in order before the next is made."""
 
         def ordered(a: str, b: str, rows: list[int]) -> bool:
+            """Records the embeddings of a comparable pair, each also as the
+            meet of its upper context with the partition it makes there."""
             up, down = _embeddings(rows, len(self.contexts[b].atoms))
             if up is not None:
                 images[a, b] = up
+                self._meets.setdefault((b, _partition(up)), a)
             if down is not None:
                 images[b, a] = down
+                self._meets.setdefault((a, _partition(down)), b)
             return up is not None or down is not None
 
         def settle(run: list) -> None:

@@ -61,13 +61,16 @@ def test_nan_fails_the_unit_and_state_checks():
 
 
 # unit in the 2-norm but not a real 3-vector: a 4-vector was once read as its
-# first three entries, the zero operator here
+# first three entries, the zero operator here; and ragged lists, which numpy
+# makes no array of
 NOT_REAL_3_VECTORS = {
     "unit 4-vector": np.array([0.0, 0.0, 0.0, 1.0]),
     "unit 2-vector": np.array([0.0, 1.0]),
     "(1, 3) array": np.array([[0.0, 0.0, 1.0]]),
     "complex 3-vector": np.array([0.0, 0.0, 1j]),
     "scalar": np.array(1.0),
+    "ragged": [1, [0], 0],
+    "ragged first": [[0, 0], 0, 1],
 }
 
 
@@ -91,6 +94,23 @@ def test_non_square_state_rejected(shape):
     with pytest.raises(DomainError, match=r"^density matrix must be square, got shape \("):
         validate_density_matrix(rho)
     with pytest.raises(DomainError, match=r"^density matrix must be square, got shape \("):
+        chsh_terms(rho, BellScenario.from_angles(*DEFAULT_ANGLES))
+
+
+NO_ARRAYS_OF_NUMBERS = {
+    "ragged": ([[1, 0], [0]], "^density matrix is not an array of numbers$"),
+    "string": ([["a", 0], [0, 1]], "^density matrix is not an array of numbers$"),
+    "dict": ([[{}, 0], [0, 1]], "^density matrix is not an array of numbers$"),
+    "huge int": ([[10**400, 0], [0, 0]], "^density matrix has an entry past the float range$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_ARRAYS_OF_NUMBERS))
+def test_state_that_is_no_array_of_numbers_rejected(case):
+    rho, message = NO_ARRAYS_OF_NUMBERS[case]
+    with pytest.raises(DomainError, match=message):
+        validate_density_matrix(rho)
+    with pytest.raises(DomainError, match=message):
         chsh_terms(rho, BellScenario.from_angles(*DEFAULT_ANGLES))
 
 

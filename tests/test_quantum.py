@@ -16,6 +16,8 @@ from qlogic.quantum import (
     validate_resolution,
 )
 
+from conftest import FIXTURES, GOLDEN, loaded
+
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 PZ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -300,3 +302,26 @@ def test_classical_bridge_crossing(crossing_model):
     assert report.isomorphic
     assert report.section_count_classical == report.section_count_quantum == 48
     assert len(qmodel.poset.context_ids) == 4
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        GOLDEN / "xz3_seed0.json",
+        GOLDEN / "xyz2_seed0.json",
+        GOLDEN / "degenerate5_tau1e-3_seed13.json",
+        FIXTURES / "one_qubit.json",
+    ],
+    ids=lambda p: p.stem,
+)
+def test_counts_hold_across_the_tolerance_range(path):
+    """The same contexts, points and covers, and a poset that validates,
+    at every tau_proj from 1e-14 to 1e-1."""
+    observables = loaded(path).observables
+    counts = set()
+    for tau in (1e-14, 1e-12, 1e-8, 1e-4, 1e-2, 1e-1):
+        model = QuantumModel(observables, tau_proj=tau)
+        poset = model.poset
+        assert poset.validate() == [], tau
+        counts.add((len(model.contexts), len(poset.point_table.points), len(poset.covers())))
+    assert len(counts) == 1, counts

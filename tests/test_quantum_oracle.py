@@ -12,9 +12,10 @@ against a scan of every stored context, the commutation read from the
 overlap products against the pairwise commutators, the vectorised meet
 atom order against a per-atom sort key, the meet and join dedup, which
 settles a candidate before building it, against the scan, the meet memo
-against the fresh settle it skips, the order and embeddings read from the
-overlap graph's row masks against the graph's row and column sums, the
-component masks against a reachability closure, the tabled same_atoms
+and the meets read off the order against the fresh settle they skip, the
+order and embeddings read from the overlap graph's row masks against the
+graph's row and column sums, the component masks against a reachability
+closure, the tabled same_atoms
 and batched validate_resolution against their pairwise loops, the
 overlap graphs and non-commutation certified from Gram blocks against the
 products of _overlap and _commute they replace, and the one chunker of
@@ -46,6 +47,7 @@ from qlogic.bell import BellScenario, build_chsh_frame
 from qlogic.cli import load_model
 from qlogic.errors import StructureError
 from qlogic.gram import _bases_of, _certificates, _runs
+from qlogic.poset import _bits
 from qlogic.quantum import (
     TAU_PROJ,
     QuantumContext,
@@ -576,8 +578,9 @@ def check_dedup_before_build(model):
     """Each meet and join candidate of a closed model is stored already: the
     dedup, keyed from the candidate's own atoms as the closure keys it (a
     meet's unsorted sums, a join's products), must return what a scan of
-    every context does and store nothing.  The meet memo is
-    emptied before each meet, so that the dedup itself answers."""
+    every context does and store nothing.  The meet memo, seeds and all, is
+    emptied before each meet, so that the dedup itself answers every meet
+    of more than one component."""
     ids = list(model.contexts)
     for a, b, prods, e in incomparable_pairs(model):
         ca = model.contexts[a]
@@ -621,16 +624,33 @@ def built(model: QuantumModel):
     )
 
 
+def meet_candidate(model: QuantumModel, a: str, comps: tuple[int, ...]) -> np.ndarray:
+    """The atoms the closure stacks for the meet keyed (a, comps): the sums
+    of a's atoms over each component, in index order."""
+    atoms = model.contexts[a].atoms
+    return np.stack([sum(atoms[i] for i in _bits(m)) for m in comps])
+
+
+def stored_already(a: str, comps: tuple[int, ...]):
+    def new():
+        raise AssertionError(f"the meet keyed {(a, comps)} is not stored")
+
+    return new
+
+
 def check_meet_memo(make):
     """The model that make() builds equals the one built with the meet memo
-    emptied before each meet, which settles every candidate afresh; the memo
-    holds one entry per distinct (context, components) the closure met."""
+    emptied before each meet, which settles every candidate afresh, and each
+    (context, components) the closure met, whether read off a one-component
+    graph, the memo or a recorded embedding, has the id that a fresh _settle
+    of its candidate returns on the built model, storing nothing."""
     add_meet = QuantumModel._add_meet
-    keys = []
+    keys, got = [], {}
 
     def spy(self, a, b, comps):
         keys.append((a, comps))
-        return add_meet(self, a, b, comps)
+        got[a, comps] = add_meet(self, a, b, comps)
+        return got[a, comps]
 
     def fresh(self, a, b, comps):
         self._meets.clear()
@@ -642,7 +662,10 @@ def check_meet_memo(make):
         m.setattr(QuantumModel, "_add_meet", fresh)
         unmemoised = make()
     assert built(model) == built(unmemoised)
-    assert len(model._meets) == len(set(keys))
+    ids = list(model.contexts)
+    for (a, comps), cid in got.items():
+        assert model._settle(meet_candidate(model, a, comps), stored_already(a, comps)) == cid, (a, comps)
+    assert list(model.contexts) == ids
     return keys
 
 
@@ -658,6 +681,33 @@ def test_meet_memo_matches_the_fresh_settle(name):
 def test_meet_memo_matches_the_fresh_settle_on_random_families(observables):
     """At tau_proj = 1e-3, where a near match is found most often."""
     check_meet_memo(lambda: QuantumModel(observables, tau_proj=1e-3))
+
+
+@pytest.mark.parametrize("name, settles", [("xyz2_seed0", 16), ("xz3_seed0", 67)])
+def test_goldens_settle_no_meet_candidate(name, settles):
+    """On the goldens every meet is the trivial context or one the order has
+    recorded: _settle runs once per stored context and once per commuting
+    join candidate, and never inside _add_meet."""
+    add_meet, settle = QuantumModel._add_meet, QuantumModel._settle
+    in_meet, calls = [False], []  # whether each _settle call came from _add_meet
+
+    def spy_meet(self, a, b, comps):
+        in_meet[0] = True
+        try:
+            return add_meet(self, a, b, comps)
+        finally:
+            in_meet[0] = False
+
+    def spy_settle(self, atoms, new):
+        calls.append(in_meet[0])
+        return settle(self, atoms, new)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(QuantumModel, "_add_meet", spy_meet)
+        m.setattr(QuantumModel, "_settle", spy_settle)
+        ROUND_MODELS[name]()
+    assert len(calls) == settles
+    assert not any(calls)
 
 
 def test_meet_dedup_finds_its_match_across_a_cell_wall():
