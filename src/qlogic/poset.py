@@ -13,9 +13,10 @@ use.  An embedding maps each coarse atom to the fine atoms refining it, in
 one format, in and out: per atom of the lower context, in its
 ``LocalAlgebra.atoms`` order, an int whose bit s is the upper context's
 atom s.  A map of the wrong length, or naming an atom the upper context
-lacks, is no embedding and is refused on construction.  The order,
-validate(), embed() and the (context, atom) point poset, whose up-sets are
-the sections (Birkhoff), are all read from these masks.
+lacks, is no embedding, and a cycle of given pairs makes no partial order:
+both are refused on construction.  The order, validate(), embed() and the
+(context, atom) point poset, whose up-sets are the sections (Birkhoff),
+are all read from these masks.
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ def _turned(succ: list[list[int]]) -> list[list[int]]:
     return pred
 
 
-def _topological(succ: list[list[int]]) -> list[int] | None:
-    """The nodes with each one before its successors (Kahn), or None when
-    succ has a cycle."""
+def _topological(succ: list[list[int]]) -> list[int]:
+    """The nodes with each one before its successors (Kahn).  On a cycle
+    the nodes on it, and those above it, are left out."""
     into = [len(js) for js in _turned(succ)]
     order = [i for i, k in enumerate(into) if not k]
     for i in order:  # grows while it is walked
@@ -121,26 +122,17 @@ def _topological(succ: list[list[int]]) -> list[int] | None:
             into[j] -= 1
             if not into[j]:
                 order.append(j)
-    return order if len(order) == len(succ) else None
+    return order
 
 
-def _reach(succ: list[list[int]], walk: list[int] | None, seeds: Sequence[int] = ()) -> list[int]:
+def _reach(succ: list[list[int]], walk: list[int], seeds: Sequence[int] = ()) -> list[int]:
     """Per node, the union of the seeds (by default, their own bits) of the
-    nodes reachable from it along succ, itself included.  One pass over
-    walk, which holds each node after all its successors, finds them; on a
-    cycle there is no such order (walk is None), and passes over every node
-    repeat until none changes."""
+    nodes reachable from it along succ, itself included, in one pass over
+    walk, which holds each node after all its successors."""
     reach = list(seeds) or [1 << i for i in range(len(succ))]
-    again = True
-    while again:
-        again = False
-        for i in range(len(succ)) if walk is None else walk:
-            m = reach[i]
-            for j in succ[i]:
-                m |= reach[j]
-            if m != reach[i]:
-                reach[i] = m
-                again = walk is None
+    for i in walk:
+        for j in succ[i]:
+            reach[i] |= reach[j]
     return reach
 
 
@@ -171,20 +163,20 @@ class ContextPoset:
         pair.  An embedding whose length is not lower's atom count, or
         with a negative mask or a mask bit at or past upper's atom count,
         raises StructureError.  A pair (c, c) is the identity, whatever
-        is given for it.
+        is given for it.  A cycle of given pairs raises StructureError
+        "order not antisymmetric: 'a' ~ 'b'", naming one given pair on it.
 
-    A cycle of given pairs is kept, and validate() reports it.  It also
-    reports a chain of given pairs whose end pair was not given, unless
-    every given pair is a cover: that is the Hasse form, a covers-only
-    hand-over, whose closure is the order by design.  A builder that hands
-    over every comparable pair, as the quantum one does, thus sees a
-    tolerance that breaks transitivity.
+    validate() reports a chain of given pairs whose end pair was not
+    given, unless every given pair is a cover: that is the Hasse form, a
+    covers-only hand-over, whose closure is the order by design.  A
+    builder that hands over every comparable pair, as the quantum one
+    does, thus sees a tolerance that breaks transitivity.
 
     The i-th id of ``context_ids`` (sorted) is bit i of two masks per
     context: ``_up[i]`` holds the contexts above i in the closure,
     ``_down[i]`` those below it (made on first use), both including i.
     ``_succ[i]`` lists the contexts given above i, and ``_order`` all
-    contexts with each before those given above it (None on a cycle).
+    contexts with each before those given above it.
     Every relation, of contexts or of points, is closed by _reach, along
     the given pairs or along them turned round, in ``_order``.
     ``_images[i, j]`` holds the embedding of i into j for each given pair
@@ -213,12 +205,20 @@ class ContextPoset:
             self._images[i, i] = tuple(1 << t for t in range(n))
             self._succ[i].sort()
         self._order = _topological(self._succ)
-        self._up = _reach(self._succ, None if self._order is None else self._order[::-1])
+        if len(self._order) < len(self._ids):
+            # each context left out has one left out given below it; n steps
+            # down, for the n contexts left out, revisit one, so the last two
+            # lie on a cycle and the last step is a given pair on it
+            out = set(range(len(self._ids))).difference(self._order)
+            pred, j = _turned(self._succ), min(out)
+            for _ in out:
+                i, j = j, next(k for k in pred[j] if k in out)
+            raise StructureError(f"order not antisymmetric: {self._ids[j]!r} ~ {self._ids[i]!r}")
+        self._up = _reach(self._succ, self._order[::-1])
         everything = (1 << len(self._ids)) - 1
-        minima = [c for c, up in zip(self._ids, self._up) if up == everything]
-        if len(minima) != 1:
-            raise StructureError(f"poset must have a unique least element, got {minima}")
-        self._least = minima[0]
+        if everything not in self._up:
+            raise StructureError("poset must have a least element")
+        self._least = self._ids[self._up.index(everything)]
 
     # -- basic access ---------------------------------------------------
 
@@ -332,25 +332,18 @@ class ContextPoset:
                         m ^= low
         return above
 
-    def _point_walk(self, first: list[int], up: bool) -> list[int] | None:
-        """The points context by context in ``_order``, reversed if up, so
-        that _reach finds a point's up-set (or its down-set) in one pass;
-        None on a cycle."""
-        if self._order is None:
-            return None
-        order = self._order[::-1] if up else self._order
-        return [p for i in order for p in range(first[i], first[i + 1])]
-
     @cached_property
     def _rows(self) -> tuple[list[int], list[int]]:
         """Each context's first point bit, then the number of points; and
         each point's row, the mask of its up-set in the point table.  The
         row of point (c, t) is its own bit or-ed with the rows of the images
-        of t in each context given above c."""
+        of t in each context given above c, found in one pass over the
+        points context by context in ``_order`` reversed."""
         first = [0]
         for c in self._ids:
             first.append(first[-1] + len(self._contexts[c].atoms))
-        return first, _reach(self._point_pairs(first), self._point_walk(first, up=True))
+        walk = [p for i in reversed(self._order) for p in range(first[i], first[i + 1])]
+        return first, _reach(self._point_pairs(first), walk)
 
     @cached_property
     def point_table(self) -> PointTable:
@@ -361,7 +354,8 @@ class ContextPoset:
         atoms = [self._contexts[c].atoms for c in self._ids]
         points = [(c, x) for c, a in zip(self._ids, atoms) for x in a]
         index = {p: b for b, p in enumerate(points)}
-        down = _reach(_turned(self._point_pairs(first)), self._point_walk(first, up=False))
+        walk = [p for i in self._order for p in range(first[i], first[i + 1])]
+        down = _reach(_turned(self._point_pairs(first)), walk)
         spans = [(c, (1 << f + len(a)) - (1 << f)) for c, f, a in zip(self._ids, first, atoms)]
         return PointTable(
             tuple(points), index, tuple(up), tuple(down), (1 << len(points)) - 1, tuple(spans)
@@ -371,25 +365,29 @@ class ContextPoset:
 
     def validate(self) -> list[str]:
         """Check every structural invariant; return a list of violations,
-        in sorted-id order.
+        in sorted-id order, found on the first call and kept (a copy each
+        call).  The order is a partial order by construction.
 
-        The per-pair checks run on the given pairs: a cycle (a given pair
-        whose upper context lies below its lower one in the closure), a
-        chain of given pairs whose end pair was not given (unless every
-        given pair is a cover), and an embedding that drops an atom, makes
-        two images overlap or misses part of the target.
+        The per-pair checks run on the given pairs: a chain of given pairs
+        whose end pair was not given (unless every given pair is a cover),
+        and an embedding that drops an atom, makes two images overlap or
+        misses part of the target.
 
         Composition is then one test per context, _disjoint: the rows of
         its atoms are pairwise disjoint.  Once the per-pair checks find
-        nothing, the order is a partial order and every given embedding
-        maps the atoms to non-empty, disjoint images that cover the target,
-        so every path of given pairs from a to d splits d's atoms by the
-        images of a's atoms along it.  A row holds, at d, the union of an
-        atom's images over all those paths; the unions are disjoint iff
-        every path gives the same split, which is composition.  When a
-        per-pair check or the test fails, the per-chain loop words the
-        violations, reading the composed image of a pair that was not
-        given."""
+        nothing, every given embedding maps the atoms to non-empty,
+        disjoint images that cover the target, so every path of given
+        pairs from a to d splits d's atoms by the images of a's atoms
+        along it.  A row holds, at d, the union of an atom's images over
+        all those paths; the unions are disjoint iff every path gives the
+        same split, which is composition.  When a per-pair check or the
+        test fails, the per-chain loop words the violations, reading the
+        composed image of a pair that was not given."""
+        return list(self._issues)
+
+    @cached_property
+    def _issues(self) -> list[str]:
+        """validate()'s violations, found on its first call."""
         issues: list[str] = []
         ids, up, down, images = self._ids, self._up, self._down, self._images
         hasse = len(self._covers) == sum(map(len, self._succ))
@@ -397,8 +395,6 @@ class ContextPoset:
         for i, a in enumerate(ids):
             for j in self._succ[i]:
                 b = ids[j]
-                if up[j] >> i & 1:
-                    issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
                 for k in () if hasse else _bits(given[j] & ~given[i]):
                     issues.append(f"order not transitive at {a!r} <= {b!r} <= {ids[k]!r}")
                 got = images[i, j]
@@ -417,7 +413,7 @@ class ContextPoset:
             # or the row test fails: on a partial order this covers every
             # path, by induction on the interval from a to c.  Atom t of a
             # composes iff its image in c is the union of the images in c of
-            # the atoms of b it maps to.  On a cycle of the order c may be a.
+            # the atoms of b it maps to.
             for i, j in self._covers:
                 a, b = ids[i], ids[j]
                 for k in _bits(up[i] & up[j] & ~(1 << j)):
@@ -435,19 +431,16 @@ class ContextPoset:
         # ``ranked`` holds the down-sets by position in _order, a linear
         # extension: a meet lies above every other lower bound, so it is the
         # last of them, and the pair has one iff its last lower bound holds
-        # them all.  On a cycle the positions are the indices, and where the
-        # last lower bound fails every one is tried.
-        order = self._order or range(len(ids))
-        bit = {g: 1 << r for r, g in enumerate(order)}
+        # them all.
+        bit = {g: 1 << r for r, g in enumerate(self._order)}
         ranked = _reach(_turned(self._succ), self._order, [bit[g] for g in range(len(ids))])
-        last = [ranked[g] for g in order]
+        last = [ranked[g] for g in self._order]
         missing = []
         for i in range(len(ids)):
             for j in _bits(~(up[i] | down[i]) & ~((2 << i) - 1) & (1 << len(ids)) - 1):
                 lower = ranked[i] & ranked[j]
                 if last[lower.bit_length() - 1] & lower != lower:
-                    if self._order or _extreme(lower, down) is None:
-                        missing += [(i, j), (j, i)]
+                    missing += [(i, j), (j, i)]
         issues += [f"no meet for {ids[i]!r}, {ids[j]!r}" for i, j in sorted(missing)]
         return issues
 

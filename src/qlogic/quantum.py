@@ -736,6 +736,11 @@ class QuantumModel:
             cid: LocalAlgebra(ctx.atom_names) for cid, ctx in self.contexts.items()
         }
         self.poset = ContextPoset(contexts, embeddings=images)
+        # equality and order are two decisions, which a large tau_proj can
+        # set at odds: refuse a closure that fails its own check
+        issues = self.poset.validate()
+        if issues:
+            raise StructureError(issues[0])
         self.frame = Frame(self.poset)
 
     # -- propositions -------------------------------------------------------

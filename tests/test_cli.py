@@ -16,7 +16,7 @@ from qlogic.sections import Frame
 
 from conftest import FIXTURES, GOLDEN
 from test_formulas import ERROR_FORMULAS
-from test_quantum_oracle import local_pauli_model
+from test_quantum_oracle import local_pauli_model, turned_fourier_model
 
 FIG1 = str(FIXTURES / "figure1.json")
 QUBIT = str(FIXTURES / "one_qubit.json")
@@ -42,6 +42,17 @@ def test_build_quantum(capsys):
     code, out, _ = run(capsys, "build", QUBIT)
     assert code == 0
     assert "Sz" in out and "Sx" in out
+
+
+@pytest.mark.parametrize("path", [GOLDEN / "xz3_seed0.json", FIXTURES / "figure1.json"], ids=lambda p: p.stem)
+def test_build_validates_once(capsys, monkeypatch, path):
+    """A quantum build validates its poset, and `build` prints the same
+    check: the composition test runs once, on the first call."""
+    calls = []
+    disjoint = ContextPoset._disjoint
+    monkeypatch.setattr(ContextPoset, "_disjoint", lambda self: calls.append(1) or disjoint(self))
+    code, out, _ = run(capsys, "build", str(path))
+    assert code == 0 and out.endswith("poset valid\n") and len(calls) == 1
 
 
 def test_build_xz3_matches_golden(capsys):
@@ -143,6 +154,30 @@ def test_build_context_with_more_atoms_than_dim(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(capsys, "build", str(path)) == (
         2, "", "error: context 'X0*X1*Z0*X0*X1*Z0*Z1': atoms do not sum to the identity\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build"], ["eval", "-f", "M(A,{1})"], ["hasse"], ["decidable"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_closure_that_is_no_partial_order_is_refused(tmp_path, capsys, argv):
+    """The turned-Fourier pair at dim 8, sine 5e-3 and tau_proj 1e-3: the
+    order puts A and B below each other while dedup keeps them apart, so
+    every command exits 2 with one error line, and answers nothing."""
+    doc = {
+        "kind": "quantum",
+        "observables": {
+            name: [[[z.real, z.imag] for z in row] for row in m]
+            for name, m in turned_fourier_model(8, 5e-3).items()
+        },
+        "options": {"tau_proj": 1e-3},
+    }
+    path = tmp_path / "turned.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (
+        2, "", "error: order not antisymmetric: 'A' ~ 'B'\n"
     )
 
 

@@ -159,24 +159,23 @@ def test_validate_clean_chain_given_as_its_covers():
     assert p.embed("t", "c", frozenset({"*"})) == frozenset({"c0", "c1", "c2", "c3"})
 
 
-def test_a_cycle_of_given_pairs_is_kept_and_reported():
-    # t below a -> b -> c -> a: the closure puts a, b and c above each
-    # other; each given pair on the cycle is reported, and so is each chain
-    # of given pairs whose end pair was not given
-    contexts = {c: LocalAlgebra((c + "0",)) for c in "tabc"}
-    order = [("t", "a"), ("a", "b"), ("b", "c"), ("c", "a")]
-    p = ContextPoset(contexts, encode(contexts, {(l, u): {l + "0": {u + "0"}} for l, u in order}))
-    assert p.upset("b") == frozenset("abc") and p.least == "t"
-    assert p.covers() == []
-    assert p.validate() == [
-        "order not antisymmetric: 'a' ~ 'b'",
-        "order not transitive at 'a' <= 'b' <= 'c'",
-        "order not antisymmetric: 'b' ~ 'c'",
-        "order not transitive at 'b' <= 'c' <= 'a'",
-        "order not antisymmetric: 'c' ~ 'a'",
-        "order not transitive at 'c' <= 'a' <= 'b'",
-        "order not transitive at 't' <= 'a' <= 'b'",
-    ]
+@pytest.mark.parametrize(
+    "order, pair",
+    [
+        ([("t", "a"), ("a", "b"), ("b", "c"), ("c", "a")], "'a' ~ 'b'"),
+        ([("t", "x"), ("x", "y"), ("y", "x"), ("y", "a")], "'y' ~ 'x'"),
+    ],
+    ids=["three contexts", "a context above a cycle of two"],
+)
+def test_a_cycle_of_given_pairs_is_refused(order, pair):
+    # the closure of a cycle puts its contexts above each other: no partial
+    # order, refused naming one given pair on the cycle; a is left out of
+    # the topological sort in both, and in the second it is not on the cycle
+    contexts = {c: LocalAlgebra((c + "0",)) for c in {c for p in order for c in p}}
+    embeddings = encode(contexts, {(l, u): {l + "0": {u + "0"}} for l, u in order})
+    with pytest.raises(StructureError) as info:
+        ContextPoset(contexts, embeddings)
+    assert str(info.value) == f"order not antisymmetric: {pair}"
 
 
 def test_validate_dropped_atom_in_embedding():
@@ -243,19 +242,29 @@ def test_missing_meet_reported():
         p.meet_contexts("a", "b")
     assert p.try_join_contexts("x", "y") is None
     assert p.validate() == ["no meet for 'a', 'b'", "no meet for 'b', 'a'"]
+    # the list is kept, and each call hands out a copy of it
+    p.validate().append("changed")
+    assert p.validate() == ["no meet for 'a', 'b'", "no meet for 'b', 'a'"]
 
 
 def test_validate_order_independent_of_hash_seed():
-    # a relation whose violations the old pair-set loops listed in hash order
+    # a relation whose violations the old pair-set loops listed in hash
+    # order: a and b each lie below c and d, with c -> e and d -> e given
+    # but not a -> e or b -> e, so that c, d have no meet and the chains
+    # a <= c <= e miss their end pairs; then a cycle, refused by name
     script = (
-        "from qlogic import ContextPoset, LocalAlgebra\n"
+        "from qlogic import ContextPoset, LocalAlgebra, StructureError\n"
         "from named_embeddings import encode\n"
-        "ids = 'tabcdefg'\n"
-        "contexts = {c: LocalAlgebra((c + '0',)) for c in ids}\n"
-        "order = [('t', c) for c in ids[1:]] + list(zip(ids[1:], ids[2:]))\n"
-        "order += [(b, a) for a, b in zip(ids[1:], ids[2:])]\n"
+        "contexts = {c: LocalAlgebra((c + '0',)) for c in 'tabcdefg'}\n"
+        "order = [('t', c) for c in 'abcdefg'] + [(l, u) for l in 'ab' for u in 'cd']\n"
+        "order += [('c', 'e'), ('d', 'e'), ('e', 'f'), ('f', 'g')]\n"
         "embeddings = {(a, b): {a + '0': {b + '0'}} for a, b in order}\n"
         "print(ContextPoset(contexts, encode(contexts, embeddings)).validate())\n"
+        "cycle = {**embeddings, ('g', 'e'): {'g0': {'e0'}}}\n"
+        "try:\n"
+        "    ContextPoset(contexts, encode(contexts, cycle))\n"
+        "except StructureError as exc:\n"
+        "    print(exc)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
     outputs = {
@@ -269,6 +278,10 @@ def test_validate_order_independent_of_hash_seed():
         for seed in ("0", "1", "2")
     }
     assert len(outputs) == 1
+    [output] = outputs
+    issues, refusal = output.splitlines()
+    assert "not transitive" in issues and "no meet" in issues
+    assert refusal == "order not antisymmetric: 'e' ~ 'f'"
 
 
 # -- the mask poset against the pair-set algorithms it replaced ------------
@@ -276,7 +289,9 @@ def test_validate_order_independent_of_hash_seed():
 
 class PairPoset:
     """Oracle: the order as a set of (lower, upper) pairs, the given ones
-    closed reflexively and transitively (Warshall), every query a scan."""
+    closed reflexively and transitively (Warshall), every query a scan; a
+    given pair whose turned pair is in the closure, a cycle, is refused,
+    naming every such pair."""
 
     def __init__(self, contexts, embeddings):
         self.contexts = dict(contexts)
@@ -284,6 +299,11 @@ class PairPoset:
         order = {(c, c) for c in self.contexts} | self.given
         for k in self.contexts:
             order |= {(i, j) for i, kk in order if kk == k for kk2, j in order if kk2 == k}
+        cycle = sorted((a, b) for a, b in self.given if (b, a) in order)
+        if cycle:
+            raise StructureError(
+                "order not antisymmetric: " + ", ".join(f"{a!r} ~ {b!r}" for a, b in cycle)
+            )
         self.order = order
         self.embeddings = embeddings
         minima = [
@@ -344,16 +364,14 @@ class PairPoset:
         return found
 
     def validate(self):
-        """Per given pair: a cycle through it, a missing end pair of a chain
-        of given pairs (unless every given pair is a cover), a broken
-        embedding; then, at each a < b < c, each atom of a whose images in c
-        along the walks of given pairs differ; then each missing meet."""
+        """Per given pair: a missing end pair of a chain of given pairs
+        (unless every given pair is a cover), a broken embedding; then, at
+        each a < b < c, each atom of a whose images in c along the walks of
+        given pairs differ; then each missing meet."""
         issues = []
         hasse = self.given <= set(self.covers())
         given = self.given | {(c, c) for c in self.contexts}
         for a, b in self.given:
-            if (b, a) in self.order:
-                issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
             for b2, c in given:
                 if not hasse and b2 == b and (a, c) not in given:
                     issues.append(f"order not transitive at {a!r} <= {b!r} <= {c!r}")
@@ -461,9 +479,15 @@ def test_mask_poset_matches_pair_oracle(drawn):
     contexts, embeddings = drawn
     try:
         oracle = PairPoset(contexts, embeddings)
-    except StructureError:
-        with pytest.raises(StructureError):
+    except StructureError as refused:
+        with pytest.raises(StructureError) as info:
             ContextPoset(contexts, encode(contexts, embeddings))
+        # both refuse a cycle before a missing least element, and the
+        # poset names one of the given pairs on it
+        kind, _, pairs = str(refused).partition(": ")
+        if kind == "order not antisymmetric":
+            got_kind, _, pair = str(info.value).partition(": ")
+            assert got_kind == kind and pair in pairs.split(", ")
         return
     poset = ContextPoset(contexts, encode(contexts, embeddings))
     ids = poset.context_ids
@@ -485,8 +509,7 @@ def test_mask_poset_matches_pair_oracle(drawn):
     got, want = poset.validate(), oracle.validate()
     assert set(got) - _composition(got) == set(want) - _composition(want)
     assert _composition(got) <= _composition(want)
-    if not any("antisymmetric" in v for v in want):
-        assert bool(_composition(got)) == bool(_composition(want))
+    assert bool(_composition(got)) == bool(_composition(want))
 
 
 # -- validate on atom masks against the string-embedding loops it replaced --
@@ -523,8 +546,6 @@ def embed_validate(poset, embeddings):
     given = {(a, b) for a, b in embeddings if a != b}
     hasse = given <= set(poset.covers())
     for a, b in sorted(given):
-        if up[ids.index(b)] >> ids.index(a) & 1:
-            issues.append(f"order not antisymmetric: {a!r} ~ {b!r}")
         for c in ids:
             if not hasse and c != a and (b, c) in given and (a, c) not in given:
                 issues.append(f"order not transitive at {a!r} <= {b!r} <= {c!r}")
@@ -558,18 +579,21 @@ def embed_validate(poset, embeddings):
 
 @st.composite
 def drawn_orders(draw):
-    """2-8 one-atom contexts above a root t with random further pairs, in
-    topological order or either way round, so that pairs with two greatest
-    lower bounds, and cycles, are common; optionally closed transitively."""
+    """2-8 one-atom contexts above a root t with random further pairs, each
+    from a lower to a higher rank of a random ranking, so that pairs with
+    two greatest lower bounds are common and the ids' order is seldom a
+    linear extension; optionally closed transitively.  A cycle is refused
+    on construction, so none is drawn here (diamond_orders() and
+    drawn_posets() may close one)."""
     n = draw(st.integers(2, 8))
     names = "tabcdefg"[:n]
-    acyclic = draw(st.booleans())
+    rank = [0, *draw(st.permutations(range(1, n)))]
     pairs = {(0, j) for j in range(1, n)}
     pairs |= {
         (i, j)
         for i in range(1, n)
         for j in range(1, n)
-        if (i < j if acyclic else i != j) and draw(st.integers(0, 2)) == 0
+        if rank[i] < rank[j] and draw(st.integers(0, 2)) == 0
     }
     if draw(st.booleans()):
         for k in range(n):
@@ -584,7 +608,7 @@ def drawn_orders(draw):
 @given(drawn=st.one_of(drawn_posets(), drawn_orders()))
 def test_validate_matches_embed_oracle(drawn):
     """The same issues in the same order: broken, dropped and swapped
-    embeddings, cycles, missing transitive pairs and missing meets."""
+    embeddings, missing transitive pairs and missing meets."""
     contexts, embeddings = drawn
     try:
         poset = ContextPoset(contexts, encode(contexts, embeddings))
@@ -771,8 +795,8 @@ def check_point_table(poset):
 @settings(max_examples=200, deadline=None)
 @given(drawn=st.one_of(drawn_posets(), exchanged_posets(), drawn_orders()))
 def test_point_table_down_is_the_transpose_of_up(drawn):
-    """On broken embeddings and on cycles too: both are walked over the
-    same point pairs, up from the top and down from the least context."""
+    """On broken embeddings too: both are walked over the same point
+    pairs, up from the top and down from the least context."""
     contexts, embeddings = drawn
     try:
         poset = ContextPoset(contexts, encode(contexts, embeddings))
@@ -808,7 +832,8 @@ def exhaustive_missing_meets(poset) -> list[str]:
 def diamond_orders(draw):
     """drawn_orders() with a diamond added above its root t: w and x below
     both y and z, so that y and z have two greatest lower bounds, then
-    0-3 random pairs among all the contexts, which may close cycles."""
+    0-3 random pairs among all the contexts, which may close a cycle and
+    be refused."""
     contexts, embeddings = draw(drawn_orders())
     contexts = {**contexts, **{c: LocalAlgebra((c + "0",)) for c in "wxyz"}}
     pairs = [("t", "w"), ("t", "x"), *itertools.product("wx", "yz")]
@@ -821,7 +846,7 @@ def diamond_orders(draw):
 @settings(max_examples=300, deadline=None)
 @given(drawn=st.one_of(drawn_posets(), exchanged_posets(), drawn_orders(), diamond_orders()))
 def test_walks_match_their_definitions(drawn):
-    """On cycles, diamonds and missing meets: the contexts' down-sets are
+    """On diamonds and missing meets: the contexts' down-sets are
     their up-sets transposed, so are the points', and the meet scan over
     positions in a linear extension misses the meets the exhaustive scan
     does."""

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qlogic import BOTTOM, DomainError, QuantumModel, classical_bridge
+from qlogic import BOTTOM, DomainError, QuantumModel, StructureError, classical_bridge
 from qlogic.bell import (
     DEFAULT_ANGLES, BellScenario, build_chsh_frame, orthodox_distributivity_witness
 )
@@ -16,7 +17,7 @@ from qlogic.quantum import (
     validate_resolution,
 )
 
-from conftest import FIXTURES, GOLDEN, loaded
+from conftest import FIXTURES, GOLDEN, haar_unitary, loaded
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -325,3 +326,31 @@ def test_counts_hold_across_the_tolerance_range(path):
         assert poset.validate() == [], tau
         counts.add((len(model.contexts), len(poset.point_table.points), len(poset.covers())))
     assert len(counts) == 1, counts
+
+
+@st.composite
+def projection_families(draw) -> dict:
+    """2-3 observables U diag(v) U^dagger on C^3..C^5 with 0/1 eigenvalues v,
+    each with its own Haar-random U.  At tau_proj = 0.3 about one closure
+    in twelve is no partial order, equality and order being two decisions
+    there, and its build must be refused."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = int(g.integers(3, 6))
+    observables = {}
+    for k in range(int(g.integers(2, 4))):
+        u = haar_unitary(g, dim)
+        observables[f"O{k}"] = u @ np.diag(g.integers(0, 2, dim).astype(float)) @ u.conj().T
+    return observables
+
+
+@settings(max_examples=200, deadline=None)
+@given(observables=projection_families())
+def test_a_build_is_refused_or_valid_at_every_tolerance(observables):
+    """No build hands over a poset that fails its own check: at each
+    tau_proj it raises StructureError or validates."""
+    for tau in (1e-8, 1e-2, 0.1, 0.3):
+        try:
+            model = QuantumModel(observables, tau_proj=tau)
+        except StructureError:
+            continue
+        assert model.poset.validate() == [], tau

@@ -955,15 +955,19 @@ def test_residual_measures_columns_not_orthogonal(monkeypatch):
     assert basis.rho >= 0.9e-6
 
 
-def turned_fourier_model(dim: int, sine: float) -> dict:
-    """Two non-degenerate observables, diagonal in the Fourier basis and in
-    that basis with its first two vectors turned by the angle of that sine:
-    the block of p_1 and q_0 has F = sine spread evenly over its dim^2
-    entries, so max|p_1 q_0| is about sine / dim."""
+def turned_fourier_model(dim: int, sine: float, merge_top: bool = False) -> dict:
+    """Two observables with spectrum 0..dim-1, diagonal in the Fourier basis
+    and in that basis with its first two vectors turned by the angle of that
+    sine: the block of p_1 and q_0 has F = sine spread evenly over its dim^2
+    entries, so max|p_1 q_0| is about sine / dim.  With merge_top, the
+    second one's top eigenvalue is merged into the one below it, away from
+    the turned pair."""
     k = np.arange(dim)
     u = np.exp(2j * np.pi * np.outer(k, k) / dim) / math.sqrt(dim)
-    spectrum = np.diag(k.astype(float))
-    return {w: v @ spectrum @ v.conj().T for w, v in (("A", u), ("B", turn(u, 0, sine)))}
+    a = np.diag(k.astype(float))
+    b = np.diag(np.minimum(k, dim - 2).astype(float)) if merge_top else a
+    v = turn(u, 0, sine)
+    return {"A": u @ a @ u.conj().T, "B": v @ b @ v.conj().T}
 
 
 def closure_calls(make, gram_pairs: float) -> tuple[QuantumModel, Counter]:
@@ -1020,12 +1024,15 @@ def test_gram_closure_matches_the_exact_closure_on_random_families(observables, 
 def test_blocks_between_tol_and_dim_tol_take_the_exact_path(times):
     """At dim 8 and tol 1e-3, p_1 q_0 has F = 5-7 tol, inside the band
     (tol, dim tol] that certifies neither way, while max|p_1 q_0| is under
-    tol: the pair must be multiplied, and its products find no edge there."""
+    tol: the pair must be multiplied, and its products find no edge there.
+    B's top two eigenvalues are merged, so that B is no refinement of A and
+    the closure, with its trivial context, is a partial order."""
     tol, dim = 1e-3, 8
-    observables = turned_fourier_model(dim, times * tol)
+    observables = turned_fourier_model(dim, times * tol, merge_top=True)
     make = lambda: QuantumModel(observables, tau_proj=tol)
     model, calls = closure_calls(make, 1)
     assert sorted(model.obs_context.values()) == ["A", "B"]
+    assert model.poset.context_ids == ("1", "A", "B") and model.poset.validate() == []
     a, b = model.contexts["A"], model.contexts["B"]
     [(rows, _)] = _certificates([tuple(_bases_of([a, b]))], tol)
     assert rows is None
