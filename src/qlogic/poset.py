@@ -7,20 +7,25 @@ a measurement in ``c2`` settles every question ``c1`` can answer, that is,
 c1's algebra embeds in c2's.  A poset is given by the embeddings of some
 of its pairs, and those pairs generate the order: it is their
 reflexive-transitive closure, so a builder may hand over the covers alone,
-as the classical one does, or every pair, as the quantum one does.  A pair
-that was not given embeds along a path of given pairs, composed on first
-use.  An embedding maps each coarse atom to the fine atoms refining it, in
-one format, in and out: per atom of the lower context, in its
+as the classical one does, or every pair, as the quantum one does.  An
+embedding maps each coarse atom to the fine atoms refining it, in one
+format, in and out: per atom of the lower context, in its
 ``LocalAlgebra.atoms`` order, an int whose bit s is the upper context's
-atom s.  A map of the wrong length, or naming an atom the upper context
-lacks, is no embedding, and a cycle of given pairs makes no partial order:
-both are refused on construction.  The order, validate(), embed() and the
-(context, atom) point poset, whose up-sets are the sections (Birkhoff),
-are all read from these masks.
+atom s.
+
+Construction refuses what has no (context, atom) point poset: a given
+map whose masks do not partition the upper context's atoms, so no
+Boolean-algebra embedding; a cycle of given pairs; a missing least
+context; and two paths of given pairs that embed a context differently in
+one above it.  It then holds the point poset's up-sets, whose unions are
+the sections (Birkhoff), and embed() reads them; validate() is left with
+the one check that is not about a pair or a path, closure under meets.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,16 +96,16 @@ def _extreme(mask: int, masks: list[int]) -> int | None:
     return next((g for g in _bits(mask) if masks[g] & mask == mask), None)
 
 
-def _compose(ab: Sequence[int], bc: Sequence[int]) -> tuple[int, ...]:
-    """The embedding a -> c through b: per atom of a, the union of the
-    images in c of the atoms of b it maps to."""
-    ac = []
-    for m in ab:
-        image = 0
-        for s in _bits(m):
-            image |= bc[s]
-        ac.append(image)
-    return tuple(ac)
+def _partitions(masks: Sequence[int], n: int, width: int) -> bool:
+    """Whether masks are n positive ints that partition the bits below
+    width: no two share a bit, and together they hold every one of them
+    and no other."""
+    if len(masks) != n or not all(isinstance(m, int) and m > 0 for m in masks):
+        return False
+    union = 0
+    for m in masks:
+        union |= m
+    return union == (1 << width) - 1 and sum(map(int.bit_count, masks)) == width
 
 
 def _turned(succ: list[list[int]]) -> list[list[int]]:
@@ -160,27 +165,28 @@ class ContextPoset:
         mask of upper's atom indices it maps to.  The given pairs generate
         the order (c1 <= c2 iff c1's algebra embeds in c2's): it is their
         reflexive-transitive closure, and every cover of it is a given
-        pair.  An embedding whose length is not lower's atom count, or
-        with a negative mask or a mask bit at or past upper's atom count,
-        raises StructureError.  A pair (c, c) is the identity, whatever
-        is given for it.  A cycle of given pairs raises StructureError
-        "order not antisymmetric: 'a' ~ 'b'", naming one given pair on it.
+        pair.  A pair (c, c) is the identity, whatever partition is given
+        for it.
 
-    validate() reports a chain of given pairs whose end pair was not
-    given, unless every given pair is a cover: that is the Hasse form, a
-    covers-only hand-over, whose closure is the order by design.  A
-    builder that hands over every comparable pair, as the quantum one
-    does, thus sees a tolerance that breaks transitivity.
+    Construction raises StructureError, in this order, for:
+
+    - a map that is not one positive mask per atom of lower, the masks
+      partitioning upper's atoms: "embedding 'a' -> 'b' cannot be applied";
+    - a cycle of given pairs: "order not antisymmetric: 'a' ~ 'b'", naming
+      one given pair on it;
+    - no least context;
+    - two paths of given pairs from a to d that send an atom x of a to
+      different atoms of d: "embedding paths 'a' -> 'd' disagree at 'x'".
 
     The i-th id of ``context_ids`` (sorted) is bit i of two masks per
     context: ``_up[i]`` holds the contexts above i in the closure,
     ``_down[i]`` those below it (made on first use), both including i.
-    ``_succ[i]`` lists the contexts given above i, and ``_order`` all
-    contexts with each before those given above it.
-    Every relation, of contexts or of points, is closed by _reach, along
-    the given pairs or along them turned round, in ``_order``.
-    ``_images[i, j]`` holds the embedding of i into j for each given pair
-    and for i == j; _image composes the rest.
+    ``_succ[i]`` lists the contexts given above i, ``_images[i, j]`` holds
+    the embedding of each given pair i < j, and ``_order`` all contexts
+    with each before those given above it.  Every relation of contexts is
+    closed by _reach, along the given pairs or along them turned round, in
+    ``_order``.  Context i's points are the bits from ``_first[i]`` up to
+    ``_first[i + 1]``, one per atom, and ``_rows[p]`` is point p's up-set.
     """
 
     def __init__(
@@ -196,14 +202,13 @@ class ContextPoset:
         self._images = {}
         for (a, b), got in embeddings.items():
             i, j = self._index(a), self._index(b)
-            if len(got) != widths[i] or min(got) < 0 or max(got) >> widths[j]:
+            if not _partitions(got, widths[i], widths[j]):
                 raise StructureError(f"embedding {a!r} -> {b!r} cannot be applied")
             if i != j:
                 self._succ[i].append(j)
                 self._images[i, j] = tuple(got)
-        for i, n in enumerate(widths):
-            self._images[i, i] = tuple(1 << t for t in range(n))
-            self._succ[i].sort()
+        for js in self._succ:
+            js.sort()
         self._order = _topological(self._succ)
         if len(self._order) < len(self._ids):
             # each context left out has one left out given below it; n steps
@@ -219,6 +224,38 @@ class ContextPoset:
         if everything not in self._up:
             raise StructureError("poset must have a least element")
         self._least = self._ids[self._up.index(everything)]
+        self._first = [0, *itertools.accumulate(widths)]
+        self._rows = self._point_rows()
+
+    def _point_rows(self) -> list[int]:
+        """Each point's row, the mask of its up-set: the point's own bit
+        or-ed with the rows of its images in each context given above its
+        own, found context by context in ``_order`` reversed.
+
+        Every given map partitions its target's atoms, so its composite
+        along any path does too, and a row holds, at each context d above,
+        the union of the point's images along all the paths to d.  The rows
+        of one context's atoms are thus disjoint iff every path gives the
+        same images, which is composition.  At the first context whose rows
+        overlap, the atom whose row meets an earlier one's is refused, with
+        the context of the overlap's lowest point, where its paths disagree."""
+        first, ids, images = self._first, self._ids, self._images
+        rows = [1 << p for p in range(first[-1])]
+        for i in reversed(self._order):
+            seen = 0
+            for t, p in enumerate(range(first[i], first[i + 1])):
+                row = rows[p]
+                for j in self._succ[i]:
+                    for s in _bits(images[i, j][t]):
+                        row |= rows[first[j] + s]
+                shared = row & seen
+                if shared:
+                    d = ids[bisect.bisect_right(first, (shared & -shared).bit_length() - 1) - 1]
+                    atom = self._contexts[ids[i]].atoms[t]
+                    raise StructureError(f"embedding paths {ids[i]!r} -> {d!r} disagree at {atom!r}")
+                rows[p] = row
+                seen |= row
+        return rows
 
     # -- basic access ---------------------------------------------------
 
@@ -286,76 +323,36 @@ class ContextPoset:
     # -- embeddings -----------------------------------------------------
 
     def embed(self, c1: str, c2: str, x: Element) -> Element:
-        """Image of an element of c1 inside c2 (requires c1 <= c2)."""
+        """Image of an element of c1 inside c2 (requires c1 <= c2): the
+        points of c2 in the rows of x's atoms."""
         if not self.leq(c1, c2):
             raise UnknownContextError(f"{c1!r} is not below {c2!r}")
-        images, algebra = self._image(self._bit[c1], self._bit[c2]), self._contexts[c1]
+        algebra, atoms = self._contexts[c1], self._contexts[c2].atoms
         if not algebra.contains(x):
             raise DomainError(f"value not in the local algebra of {c1!r}")
+        f, g = self._first[self._bit[c1]], self._first[self._bit[c2]]
         m = 0
         for a in x:
-            m |= images[algebra.atoms.index(a)]
-        return frozenset(self._contexts[c2].atoms[s] for s in _bits(m))
-
-    def _image(self, i: int, j: int) -> tuple[int, ...]:
-        """The embedding of i into j, for i <= j: the given one, or else the
-        composite along the first shortest path of given pairs, searched
-        breadth first from i with each context's successors in sorted-id
-        order.  Each composite the search makes is kept."""
-        images = self._images
-        got = images.get((i, j))
-        reached, frontier = 1 << i, [i]
-        while got is None:
-            ahead = []
-            for a in frontier:
-                for b in self._succ[a]:
-                    if not reached >> b & 1:
-                        reached |= 1 << b
-                        ahead.append(b)
-                        if (i, b) not in images:
-                            images[i, b] = _compose(images[i, a], images[a, b])
-            frontier = ahead
-            got = images.get((i, j))
-        return got
-
-    def _point_pairs(self, first: list[int]) -> list[list[int]]:
-        """Per point, the points directly above it: (c, t) lies below
-        (d, s) for each given pair c < d whose image of t holds s."""
-        above: list[list[int]] = [[] for _ in range(first[-1])]
-        for i, js in enumerate(self._succ):
-            for j in js:
-                f = first[j]
-                for p, m in enumerate(self._images[i, j], first[i]):
-                    while m:
-                        low = m & -m
-                        above[p].append(f + low.bit_length() - 1)
-                        m ^= low
-        return above
-
-    @cached_property
-    def _rows(self) -> tuple[list[int], list[int]]:
-        """Each context's first point bit, then the number of points; and
-        each point's row, the mask of its up-set in the point table.  The
-        row of point (c, t) is its own bit or-ed with the rows of the images
-        of t in each context given above c, found in one pass over the
-        points context by context in ``_order`` reversed."""
-        first = [0]
-        for c in self._ids:
-            first.append(first[-1] + len(self._contexts[c].atoms))
-        walk = [p for i in reversed(self._order) for p in range(first[i], first[i + 1])]
-        return first, _reach(self._point_pairs(first), walk)
+            m |= self._rows[f + algebra.atoms.index(a)]
+        return frozenset(atoms[s] for s in _bits(m >> g & (1 << len(atoms)) - 1))
 
     @cached_property
     def point_table(self) -> PointTable:
-        """The (context, atom) point poset, built on first use from the
-        embeddings.  ``down`` is found by the same walk as the rows, over
-        the point pairs turned round, from the least context upward."""
-        first, up = self._rows
+        """The (context, atom) point poset, built on first use: ``up`` is
+        the rows.  ``down`` starts at each point's own bit, and each
+        context in ``_order`` or-s its points' down-sets into those of their
+        images in each context given above it, so that a down-set is whole
+        before it is passed on."""
+        first, up = self._first, self._rows
         atoms = [self._contexts[c].atoms for c in self._ids]
         points = [(c, x) for c, a in zip(self._ids, atoms) for x in a]
         index = {p: b for b, p in enumerate(points)}
-        walk = [p for i in self._order for p in range(first[i], first[i + 1])]
-        down = _reach(_turned(self._point_pairs(first)), walk)
+        down = [1 << p for p in range(len(points))]
+        for i in self._order:
+            for j in self._succ[i]:
+                for p, m in enumerate(self._images[i, j], first[i]):
+                    for s in _bits(m):
+                        down[first[j] + s] |= down[p]
         spans = [(c, (1 << f + len(a)) - (1 << f)) for c, f, a in zip(self._ids, first, atoms)]
         return PointTable(
             tuple(points), index, tuple(up), tuple(down), (1 << len(points)) - 1, tuple(spans)
@@ -364,74 +361,22 @@ class ContextPoset:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check every structural invariant; return a list of violations,
-        in sorted-id order, found on the first call and kept (a copy each
-        call).  The order is a partial order by construction.
-
-        The per-pair checks run on the given pairs: a chain of given pairs
-        whose end pair was not given (unless every given pair is a cover),
-        and an embedding that drops an atom, makes two images overlap or
-        misses part of the target.
-
-        Composition is then one test per context, _disjoint: the rows of
-        its atoms are pairwise disjoint.  Once the per-pair checks find
-        nothing, every given embedding maps the atoms to non-empty,
-        disjoint images that cover the target, so every path of given
-        pairs from a to d splits d's atoms by the images of a's atoms
-        along it.  A row holds, at d, the union of an atom's images over
-        all those paths; the unions are disjoint iff every path gives the
-        same split, which is composition.  When a per-pair check or the
-        test fails, the per-chain loop words the violations, reading the
-        composed image of a pair that was not given."""
+        """The pairs of incomparable contexts without a meet, each as
+        "no meet for 'a', 'b'", in sorted-id order, found on the first call
+        and kept (a copy each call).  Everything else a poset must be, a
+        partial order whose embeddings compose, it is by construction."""
         return list(self._issues)
 
     @cached_property
     def _issues(self) -> list[str]:
-        """validate()'s violations, found on its first call."""
-        issues: list[str] = []
-        ids, up, down, images = self._ids, self._up, self._down, self._images
-        hasse = len(self._covers) == sum(map(len, self._succ))
-        given = [1 << i | sum(1 << j for j in js) for i, js in enumerate(self._succ)]
-        for i, a in enumerate(ids):
-            for j in self._succ[i]:
-                b = ids[j]
-                for k in () if hasse else _bits(given[j] & ~given[i]):
-                    issues.append(f"order not transitive at {a!r} <= {b!r} <= {ids[k]!r}")
-                got = images[i, j]
-                if not all(got):
-                    issues.append(f"embedding {a!r} -> {b!r} drops an atom")
-                seen = 0
-                for m in got:
-                    if m & seen:
-                        issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
-                        break
-                    seen |= m
-                if seen != (1 << len(self._contexts[b].atoms)) - 1:
-                    issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
-        if issues or not self._disjoint():
-            # composition along chains a <. b < c, worded when a pair check
-            # or the row test fails: on a partial order this covers every
-            # path, by induction on the interval from a to c.  Atom t of a
-            # composes iff its image in c is the union of the images in c of
-            # the atoms of b it maps to.
-            for i, j in self._covers:
-                a, b = ids[i], ids[j]
-                for k in _bits(up[i] & up[j] & ~(1 << j)):
-                    c = ids[k]
-                    ac, via = self._image(i, k), _compose(images[i, j], self._image(j, k))
-                    if via != ac:
-                        issues += [
-                            f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}"
-                            for atom, direct, composed in zip(self._contexts[a].atoms, ac, via)
-                            if direct != composed
-                        ]
-        # closure under pairwise meets: a comparable pair has one, its
-        # lower member, so only incomparable pairs i < j are searched and
-        # each missing meet is reported for both orders of the pair.
-        # ``ranked`` holds the down-sets by position in _order, a linear
-        # extension: a meet lies above every other lower bound, so it is the
-        # last of them, and the pair has one iff its last lower bound holds
-        # them all.
+        """validate()'s missing meets, found on its first call.  A
+        comparable pair has one, its lower member, so only incomparable
+        pairs i < j are searched and each missing meet is reported for both
+        orders of the pair.  ``ranked`` holds the down-sets by position in
+        _order, a linear extension: a meet lies above every other lower
+        bound, so it is the last of them, and the pair has one iff its last
+        lower bound holds them all."""
+        ids, up, down = self._ids, self._up, self._down
         bit = {g: 1 << r for r, g in enumerate(self._order)}
         ranked = _reach(_turned(self._succ), self._order, [bit[g] for g in range(len(ids))])
         last = [ranked[g] for g in self._order]
@@ -441,23 +386,7 @@ class ContextPoset:
                 lower = ranked[i] & ranked[j]
                 if last[lower.bit_length() - 1] & lower != lower:
                     missing += [(i, j), (j, i)]
-        issues += [f"no meet for {ids[i]!r}, {ids[j]!r}" for i, j in sorted(missing)]
-        return issues
-
-    def _disjoint(self) -> bool:
-        """True iff the rows of each context's atoms are pairwise disjoint,
-        that is, their bit counts sum to the bit count of their union: at
-        each context d above, the atoms' images along all paths of given
-        pairs never share an atom of d."""
-        first, rows = self._rows
-        for f, g in zip(first, first[1:]):
-            union = total = 0
-            for row in rows[f:g]:
-                union |= row
-                total += row.bit_count()
-            if union.bit_count() != total:
-                return False
-        return True
+        return [f"no meet for {ids[i]!r}, {ids[j]!r}" for i, j in sorted(missing)]
 
     def __repr__(self):
         return f"ContextPoset({len(self._contexts)} contexts, least={self._least!r})"

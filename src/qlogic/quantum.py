@@ -82,6 +82,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -123,6 +124,24 @@ def is_projection(m: np.ndarray, tol: float = TAU_PROJ) -> bool:
         return is_hermitian(m, tol) and _maxabs(m @ m - m) <= tol
 
 
+def _matrices(value, what: str, ndim: int = 2) -> np.ndarray:
+    """value as a complex array of one non-empty square matrix (ndim 2) or a
+    stack of them (ndim 3, empty too), all entries finite; else
+    DomainError, naming `what`."""
+    try:
+        m = np.asarray(value, dtype=complex)
+    except OverflowError:  # an int past the float range
+        raise DomainError(f"{what} has an entry past the float range") from None
+    except (TypeError, ValueError):  # a ragged list, a string, an object
+        raise DomainError(f"{what} is not an array of numbers") from None
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or not m.shape[-1]:
+        kind = "a non-empty square matrix" if ndim == 2 else "a stack of non-empty square matrices"
+        raise DomainError(f"{what} must be {kind}, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError(f"{what} has a non-finite entry")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralData:
     """Clustered eigenvalues with matching spectral projections.
@@ -136,7 +155,7 @@ class SpectralData:
 def spectral_decompose(
     h: np.ndarray, tau_herm: float = TAU_HERM, tau_eig: float = TAU_EIG
 ) -> SpectralData:
-    h = np.asarray(h, dtype=complex)
+    h = _matrices(h, "matrix")
     if not is_hermitian(h, tau_herm):
         raise DomainError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
@@ -172,10 +191,13 @@ def _match_clusters(
     sd: SpectralData, delta: Iterable[float], tau_eig: float, what: str
 ) -> set[int]:
     """The indices of the eigenvalue clusters of the values in delta; each
-    value must lie within tau_eig * scale of exactly one cluster."""
+    value must be a real number within tau_eig * scale of exactly one
+    cluster."""
     scale = max(1.0, max(abs(e) for e in sd.eigenvalues))
     out = set()
     for x in delta:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise DomainError(f"value {x!r} is not a real number")
         matches = [
             i
             for i, e in enumerate(sd.eigenvalues)
@@ -261,7 +283,7 @@ def validate_resolution(atoms: Sequence[np.ndarray], tol: float = TAU_PROJ) -> l
     """What keeps the atoms from being non-zero, pairwise orthogonal
     projections that sum to the identity, each within tol in max-abs: the
     one-stack call of _issues."""
-    return _issues([np.asarray(atoms)], tol)[0]
+    return _issues([_matrices(atoms, "atoms", 3)], tol)[0]
 
 
 def _issues(stacks: Sequence[np.ndarray], tol: float) -> list[list[str]]:
@@ -350,7 +372,8 @@ def generated_context(
     tau_eig: float = TAU_EIG,
 ) -> QuantumContext:
     """The context generated by one observable."""
-    return _spectral_context(spectral_decompose(h, tau_herm, tau_eig), name, h.shape[0])
+    sd = spectral_decompose(h, tau_herm, tau_eig)
+    return _spectral_context(sd, name, sd.projections.shape[-1])
 
 
 def _products(
@@ -458,6 +481,8 @@ class QuantumModel:
     def __post_init__(self):
         for option in TOLERANCES:
             value = getattr(self, option)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"option {option!r} must be a number, got {value!r}")
             try:
                 tau = float(value)
             except OverflowError:  # an int past the float range
@@ -470,18 +495,7 @@ class QuantumModel:
         for name in self.observables:
             if not (isinstance(name, str) and re.fullmatch(WORD, name)):
                 raise DomainError(f"observable name {name!r} is not an identifier ({WORD})")
-        mats = {}
-        for k, v in self.observables.items():
-            try:
-                m = mats[k] = np.asarray(v, dtype=complex)
-            except OverflowError:  # an int past the float range
-                raise DomainError(f"observable {k!r} has an entry past the float range") from None
-            except (TypeError, ValueError):  # a ragged list, a string, an object
-                raise DomainError(f"observable {k!r} is not an array of numbers") from None
-            if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-                raise DomainError(f"observable {k!r} must be a non-empty square matrix, got shape {m.shape}")
-            if not np.isfinite(m).all():
-                raise DomainError(f"observable {k!r} has a non-finite entry")
+        mats = {k: _matrices(v, f"observable {k!r}") for k, v in self.observables.items()}
         dims = {m.shape for m in mats.values()}
         if len(dims) > 1:
             raise DomainError("observables have mismatched dimensions")
@@ -737,7 +751,19 @@ class QuantumModel:
         }
         self.poset = ContextPoset(contexts, embeddings=images)
         # equality and order are two decisions, which a large tau_proj can
-        # set at odds: refuse a closure that fails its own check
+        # set at odds: refuse a closure that fails its own check.  The poset
+        # refuses maps that are no embeddings and paths that do not compose;
+        # the closure gives every comparable pair, so a chain of given pairs
+        # whose end pair it left out breaks transitivity; then the meets
+        ids = sorted(contexts)
+        bit = {c: 1 << k for k, c in enumerate(ids)}
+        given = dict(bit)
+        for a, b in images:
+            given[a] |= bit[b]
+        for a in ids:
+            for b in (ids[k] for k in _bits(given[a] & ~bit[a])):
+                for c in (ids[k] for k in _bits(given[b] & ~given[a])):
+                    raise StructureError(f"order not transitive at {a!r} <= {b!r} <= {c!r}")
         issues = self.poset.validate()
         if issues:
             raise StructureError(issues[0])

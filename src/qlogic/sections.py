@@ -274,7 +274,9 @@ class Frame:
 
         ~S is the complement of S's down-closure, so S v ~S = TOP iff S is
         also a down-set: a union of connected components of Q's order.
-        ``_upsets`` lists its masks in binary counting order over
+        Each point of Q lies above exactly one point of the least context,
+        as the poset's paths compose, so the components are those points'
+        up-sets.  ``_upsets`` lists its masks in binary counting order over
         the decision order, the point decided last the most significant,
         so a union of components sorts as if each component were its last
         decided point.  Walking that order backwards meets each component
@@ -282,19 +284,12 @@ class Frame:
         gives the enumeration's order.
         """
         t = self._table
+        least = dict(t.spans)[self.least]
         components, seen = [], 0
         for p in reversed(self._decision_order()):
-            if seen >> p & 1:
-                continue
-            component, new = 0, 1 << p
-            while new:
-                component |= new
-                reach = 0
-                for q in _bits(new):
-                    reach |= (t.up[q] | t.down[q]) & t.top
-                new = reach & ~component
-            components.append(component)
-            seen |= component
+            if not seen >> p & 1:
+                components.append(t.up[(t.down[p] & least).bit_length() - 1])
+                seen |= components[-1]
         check_enumeration(1 << len(components))
         masks = [0]
         for component in reversed(components):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -47,10 +48,12 @@ def test_build_quantum(capsys):
 @pytest.mark.parametrize("path", [GOLDEN / "xz3_seed0.json", FIXTURES / "figure1.json"], ids=lambda p: p.stem)
 def test_build_validates_once(capsys, monkeypatch, path):
     """A quantum build validates its poset, and `build` prints the same
-    check: the composition test runs once, on the first call."""
+    check: the meet scan runs once, on the first call."""
     calls = []
-    disjoint = ContextPoset._disjoint
-    monkeypatch.setattr(ContextPoset, "_disjoint", lambda self: calls.append(1) or disjoint(self))
+    scan = ContextPoset._issues.func
+    issues = functools.cached_property(lambda self: calls.append(1) or scan(self))
+    issues.__set_name__(ContextPoset, "_issues")
+    monkeypatch.setattr(ContextPoset, "_issues", issues)
     code, out, _ = run(capsys, "build", str(path))
     assert code == 0 and out.endswith("poset valid\n") and len(calls) == 1
 

@@ -9,7 +9,8 @@ each context's ``restrict_upset`` frame reads.  The refined frame is also
 checked against the frame of a second ContextPoset on the contexts of the
 up-set, the way it was once built.  The mask forms the frame replaced are
 kept as oracles too: implication as a scan of every point's up-set, and
-the decidable sections as the enumerated up-sets m with m | ~m = TOP.
+the decidable sections as the enumerated up-sets m with m | ~m = TOP, and
+as the unions of the components found by walking up and down.
 """
 
 import itertools
@@ -22,18 +23,21 @@ from hypothesis import assume, given, settings, strategies as st
 from qlogic import (
     ClassicalModel, ClassicalObservable, ContextPoset, LocalAlgebra, OutcomeSpace, QuantumModel
 )
-from qlogic.errors import ResourceLimitError
+from qlogic.errors import ResourceLimitError, StructureError
 from qlogic.hasse import hasse_edges
 from qlogic.poset import PointTable, _bits
 from qlogic.sections import ElementaryProposition, Frame, Section
 
 from conftest import FIXTURES, GOLDEN, loaded
+from named_embeddings import embedding
 from test_classical import _model, classical_models
 
 PAIR_SAMPLE = 150
 MASK_SAMPLE = 60
-# the decidables are compared with the enumeration's filter up to 2^FILTER_POINTS
+# the decidables are compared with the enumeration's filter up to 2^FILTER_POINTS,
+# and with the component walk up to 2^WALK_COMPONENTS
 FILTER_POINTS = 12
+WALK_COMPONENTS = 10
 # the refined frames are enumerated against their oracle up to 2^ENUM_POINTS,
 # and SECTION_SAMPLE points and sections each are drawn for the rest
 ENUM_POINTS = 12
@@ -148,11 +152,37 @@ def filter_decidables(frame) -> list[int]:
     return [m for m in frame._upsets() if m | scan_implies(t, m, 0) == t.top]
 
 
+def walked_decidables(frame) -> list[Section]:
+    """The decidables as the unions of Q's connected components, each
+    found by walking up and down from a point not yet in one; the points
+    are taken in the decision order reversed, and the components counted
+    over in reverse, which gives the enumeration's order."""
+    t = frame._table
+    components, seen = [], 0
+    for p in reversed(frame._decision_order()):
+        if seen >> p & 1:
+            continue
+        component, new = 0, 1 << p
+        while new:
+            component |= new
+            reach = 0
+            for q in _bits(new):
+                reach |= (t.up[q] | t.down[q]) & t.top
+            new = reach & ~component
+        components.append(component)
+        seen |= component
+    masks = [0]
+    for component in reversed(components):
+        masks += [m | component for m in masks]
+    return [frame._section(m) for m in masks]
+
+
 def check_masks(frame, seed=0):
     """``_implies`` against the scan on drawn masks inside the frame's TOP:
     any subsets, and the up-sets and down-sets of a few points;
     ``decidable_elements`` against the filter, as the same list, where the
-    enumeration is small."""
+    enumeration is small, and against the component walk where the least
+    context has few atoms, one component each."""
     t = frame._table
     rng = random.Random(seed)
     points = list(_bits(t.top))
@@ -173,6 +203,8 @@ def check_masks(frame, seed=0):
     if n <= FILTER_POINTS:
         want = [frame._section(m) for m in filter_decidables(frame)]
         assert frame.decidable_elements() == want
+    if len(frame.poset.algebra(frame.least).atoms) <= WALK_COMPONENTS:
+        assert frame.decidable_elements() == walked_decidables(frame)
 
 
 def check_masks_and_restrictions(frame):
@@ -184,12 +216,12 @@ def check_masks_and_restrictions(frame):
 
 def oracle_restrict_upset(frame, c: str) -> Frame:
     """The frame over c's up-set as a second ContextPoset: the contexts of
-    upset(c), each pair of them given with its embedding, as given to the
-    parent or composed."""
+    upset(c), each pair of them given with its embedding, read through the
+    parent's embed."""
     poset = frame.poset
     ups = poset.upset(c)
     images = {
-        (a, b): poset._image(poset._bit[a], poset._bit[b])
+        (a, b): embedding(poset, a, b)
         for a in ups
         for b in ups
         if a != b and poset.leq(a, b)
@@ -374,19 +406,17 @@ def test_implies_and_decidables_match_scan_and_filter(path):
 
 
 def test_masks_on_components_without_a_least_point():
-    """In a built model each component of the point poset is the up-set of
-    a point of the least context.  Here two coarse atoms share a fine one,
-    which validate() rejects, so the component {a, b, x, y, z} has two
-    minimal points and is found only by walking down as well as up."""
-    poset = ContextPoset(
-        {"L": LocalAlgebra(("a", "b", "c")), "C": LocalAlgebra(("w", "x", "y", "z"))},
-        {("L", "C"): [0b0110, 0b1100, 0b0001]},
-    )
-    assert poset.validate()
-    assert poset.point_table == oracle_point_table(poset)
-    frame = Frame(poset)
-    check_masks(frame)
-    assert len(frame.decidable_elements()) == 4
+    """Each component of a poset's point poset is the up-set of a point of
+    the least context, which is how decidable_elements reads it.  Two
+    coarse atoms that share a fine one would make a component
+    {a, b, x, y, z} with two minimal points; that map is no embedding, and
+    the poset refuses it."""
+    with pytest.raises(StructureError) as info:
+        ContextPoset(
+            {"L": LocalAlgebra(("a", "b", "c")), "C": LocalAlgebra(("w", "x", "y", "z"))},
+            {("L", "C"): [0b0110, 0b1100, 0b0001]},
+        )
+    assert str(info.value) == "embedding 'L' -> 'C' cannot be applied"
 
 
 @settings(max_examples=40, deadline=None)

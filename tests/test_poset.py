@@ -109,7 +109,10 @@ def test_validate_clean_chain():
 
 
 def test_validate_missing_transitive_edge():
-    # chain t <= a <= b <= c with the composite edge (a, c) omitted
+    # chain t <= a <= b <= c with the composite edge (a, c) omitted: the
+    # given pairs generate the order, so a <= c all the same, embedded
+    # through b, and the poset is valid; a builder that promises every
+    # comparable pair, as the quantum one does, checks that promise itself
     contexts = {
         "t": LocalAlgebra(("*",)),
         "a": LocalAlgebra(("a0", "a1")),
@@ -123,8 +126,9 @@ def test_validate_missing_transitive_edge():
         ("a", "b"): {"a0": frozenset({"b0", "b1"}), "a1": frozenset({"b2", "b3"})},
         ("b", "c"): {f"b{i}": frozenset({f"c{i}"}) for i in range(4)},
     }
-    broken = ContextPoset(contexts, encode(contexts, embeddings))
-    assert any("not transitive" in v for v in broken.validate())
+    given = ContextPoset(contexts, encode(contexts, embeddings))
+    assert given.validate() == [] and given.leq("a", "c")
+    assert given.embed("a", "c", frozenset({"a1"})) == frozenset({"c2", "c3"})
 
     fixed = ContextPoset(
         contexts,
@@ -140,6 +144,7 @@ def test_validate_missing_transitive_edge():
         ),
     )
     assert fixed.validate() == []
+    assert fixed.covers() == given.covers()
 
 
 def test_validate_clean_chain_given_as_its_covers():
@@ -183,11 +188,12 @@ def test_validate_dropped_atom_in_embedding():
         "t": LocalAlgebra(("*",)),
         "a": LocalAlgebra(("a0", "a1")),
     }
-    bad = ContextPoset(
-        contexts,
-        encode(contexts, {("t", "a"): {"*": frozenset({"a0"})}}),  # misses a1: not covering
-    )
-    assert any("cover" in v for v in bad.validate())
+    # misses a1, so the image does not cover a: no embedding, refused
+    with pytest.raises(StructureError, match="^embedding 't' -> 'a' cannot be applied$"):
+        ContextPoset(contexts, encode(contexts, {("t", "a"): {"*": frozenset({"a0"})}}))
+    # t's image in a holds no atom at all
+    with pytest.raises(StructureError, match="^embedding 'a' -> 'b' cannot be applied$"):
+        chain_masks(("a", "b"), (0b1111, 0))
 
 
 def test_validate_reports_image_outside_target():
@@ -250,8 +256,8 @@ def test_missing_meet_reported():
 def test_validate_order_independent_of_hash_seed():
     # a relation whose violations the old pair-set loops listed in hash
     # order: a and b each lie below c and d, with c -> e and d -> e given
-    # but not a -> e or b -> e, so that c, d have no meet and the chains
-    # a <= c <= e miss their end pairs; then a cycle, refused by name
+    # but not a -> e or b -> e, so that c, d have no meet; then a cycle,
+    # and paths x < y < z against a swapped x -> z, each refused by name
     script = (
         "from qlogic import ContextPoset, LocalAlgebra, StructureError\n"
         "from named_embeddings import encode\n"
@@ -261,10 +267,15 @@ def test_validate_order_independent_of_hash_seed():
         "embeddings = {(a, b): {a + '0': {b + '0'}} for a, b in order}\n"
         "print(ContextPoset(contexts, encode(contexts, embeddings)).validate())\n"
         "cycle = {**embeddings, ('g', 'e'): {'g0': {'e0'}}}\n"
-        "try:\n"
-        "    ContextPoset(contexts, encode(contexts, cycle))\n"
-        "except StructureError as exc:\n"
-        "    print(exc)\n"
+        "swap = {c: LocalAlgebra((c + '0', c + '1')) for c in 'xyz'}\n"
+        "swapped = {(a, b): {a + k: {b + k} for k in '01'} for a, b in ['xy', 'yz']}\n"
+        "swapped['x', 'z'] = {'x0': {'z1'}, 'x1': {'z0'}}\n"
+        "swapped.update({('t', c): {'t0': {c + '0', c + '1'}} for c in 'xyz'})\n"
+        "for contexts, embeddings in [(contexts, cycle), ({'t': contexts['t'], **swap}, swapped)]:\n"
+        "    try:\n"
+        "        ContextPoset(contexts, encode(contexts, embeddings))\n"
+        "    except StructureError as exc:\n"
+        "        print(exc)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
     outputs = {
@@ -279,9 +290,10 @@ def test_validate_order_independent_of_hash_seed():
     }
     assert len(outputs) == 1
     [output] = outputs
-    issues, refusal = output.splitlines()
-    assert "not transitive" in issues and "no meet" in issues
-    assert refusal == "order not antisymmetric: 'e' ~ 'f'"
+    issues, cycle, paths = output.splitlines()
+    assert issues == "[\"no meet for 'c', 'd'\", \"no meet for 'd', 'c'\"]"
+    assert cycle == "order not antisymmetric: 'e' ~ 'f'"
+    assert paths == "embedding paths 'x' -> 'z' disagree at 'x1'"
 
 
 # -- the mask poset against the pair-set algorithms it replaced ------------
@@ -289,29 +301,50 @@ def test_validate_order_independent_of_hash_seed():
 
 class PairPoset:
     """Oracle: the order as a set of (lower, upper) pairs, the given ones
-    closed reflexively and transitively (Warshall), every query a scan; a
-    given pair whose turned pair is in the closure, a cycle, is refused,
-    naming every such pair."""
+    closed reflexively and transitively (Warshall), every query a scan.
+    ``refusals`` lists what construction must refuse, every instance of
+    the first kind found in this order: a given map that is no partition of
+    the upper context's atoms, by name; a given pair whose turned pair is in
+    the closure, a cycle; a missing least element; an atom whose images in
+    a context above differ along the walks of given pairs."""
 
     def __init__(self, contexts, embeddings):
         self.contexts = dict(contexts)
+        self.embeddings = embeddings
         self.given = {(a, b) for a, b in embeddings if a != b}
         order = {(c, c) for c in self.contexts} | self.given
         for k in self.contexts:
             order |= {(i, j) for i, kk in order if kk == k for kk2, j in order if kk2 == k}
-        cycle = sorted((a, b) for a, b in self.given if (b, a) in order)
-        if cycle:
-            raise StructureError(
-                "order not antisymmetric: " + ", ".join(f"{a!r} ~ {b!r}" for a, b in cycle)
-            )
         self.order = order
-        self.embeddings = embeddings
         minima = [
             c for c in self.contexts if all((c, d) in self.order for d in self.contexts)
         ]
-        if len(minima) != 1:
-            raise StructureError(f"no unique least element: {minima}")
-        self.least = minima[0]
+        self.least = minima[0] if len(minima) == 1 else None
+        ids = sorted(self.contexts)
+        self.refusals = (
+            [f"embedding {a!r} -> {b!r} cannot be applied" for a, b in embeddings if not self.partitions(a, b)]
+            or [f"order not antisymmetric: {a!r} ~ {b!r}" for a, b in sorted(self.given) if (b, a) in order]
+            or ["poset must have a least element"] * (self.least is None)
+            or [
+                f"embedding paths {a!r} -> {c!r} disagree at {atom!r}"
+                for a in ids
+                for c, found in sorted(self.walks(a).items())
+                for t, atom in enumerate(self.contexts[a].atoms)
+                if len({images[t] for images in found}) > 1
+            ]
+        )
+
+    def partitions(self, a, b):
+        """Whether the map a -> b sends every atom of a, and nothing else,
+        to non-empty, pairwise disjoint sets of b's atoms that cover them."""
+        emb, atoms = self.embeddings[a, b], set(self.contexts[b].atoms)
+        images = [set(y) for y in emb.values()]
+        return (
+            emb.keys() == set(self.contexts[a].atoms)
+            and all(images)
+            and set().union(*images) == atoms
+            and sum(map(len, images)) == len(atoms)
+        )
 
     def leq(self, c1, c2):
         return (c1, c2) in self.order
@@ -364,36 +397,9 @@ class PairPoset:
         return found
 
     def validate(self):
-        """Per given pair: a missing end pair of a chain of given pairs
-        (unless every given pair is a cover), a broken embedding; then, at
-        each a < b < c, each atom of a whose images in c along the walks of
-        given pairs differ; then each missing meet."""
-        issues = []
-        hasse = self.given <= set(self.covers())
-        given = self.given | {(c, c) for c in self.contexts}
-        for a, b in self.given:
-            for b2, c in given:
-                if not hasse and b2 == b and (a, c) not in given:
-                    issues.append(f"order not transitive at {a!r} <= {b!r} <= {c!r}")
-            images = [self.embeddings[a, b][x] for x in self.contexts[a].atoms]
-            if any(not img for img in images):
-                issues.append(f"embedding {a!r} -> {b!r} drops an atom")
-            seen = set()
-            for img in images:
-                if img & seen:
-                    issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
-                    break
-                seen |= img
-            if seen != set(self.contexts[b].atoms):
-                issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
+        """Each ordered pair without a meet."""
         ids = sorted(self.contexts)
-        walks = {a: self.walks(a) for a in ids}
-        for a, b, c in itertools.product(ids, repeat=3):
-            if a == b or b == c or not (self.leq(a, b) and self.leq(b, c)):
-                continue
-            for t, atom in enumerate(self.contexts[a].atoms):
-                if len({images[t] for images in walks[a][c]}) > 1:
-                    issues.append(f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}")
+        issues = []
         for a in ids:
             for b in ids:
                 try:
@@ -469,52 +475,6 @@ def drawn_posets(draw):
     return contexts, embeddings
 
 
-def _composition(issues) -> set:
-    return {v for v in issues if v.startswith("embedding composition")}
-
-
-@settings(max_examples=200, deadline=None)
-@given(drawn=drawn_posets())
-def test_mask_poset_matches_pair_oracle(drawn):
-    contexts, embeddings = drawn
-    try:
-        oracle = PairPoset(contexts, embeddings)
-    except StructureError as refused:
-        with pytest.raises(StructureError) as info:
-            ContextPoset(contexts, encode(contexts, embeddings))
-        # both refuse a cycle before a missing least element, and the
-        # poset names one of the given pairs on it
-        kind, _, pairs = str(refused).partition(": ")
-        if kind == "order not antisymmetric":
-            got_kind, _, pair = str(info.value).partition(": ")
-            assert got_kind == kind and pair in pairs.split(", ")
-        return
-    poset = ContextPoset(contexts, encode(contexts, embeddings))
-    ids = poset.context_ids
-    assert ids == tuple(sorted(contexts))
-    assert poset.least == oracle.least
-    assert poset.covers() == oracle.covers()
-    for c1 in ids:
-        assert poset.upset(c1) == oracle.upset(c1)
-        for c2 in ids:
-            assert poset.leq(c1, c2) == oracle.leq(c1, c2)
-            assert poset.try_join_contexts(c1, c2) == oracle.try_join_contexts(c1, c2)
-            try:
-                want = oracle.meet_contexts(c1, c2)
-            except StructureError:
-                with pytest.raises(StructureError):
-                    poset.meet_contexts(c1, c2)
-            else:
-                assert poset.meet_contexts(c1, c2) == want
-    got, want = poset.validate(), oracle.validate()
-    assert set(got) - _composition(got) == set(want) - _composition(want)
-    assert _composition(got) <= _composition(want)
-    assert bool(_composition(got)) == bool(_composition(want))
-
-
-# -- validate on atom masks against the string-embedding loops it replaced --
-
-
 def name_embed(embeddings, a, b, x):
     """The image of x under the name-keyed embedding a -> b: x for a == b,
     the given embedding, or else the composite along the first shortest
@@ -535,46 +495,6 @@ def name_embed(embeddings, a, b, x):
     for u, v in zip(path[:0:-1], path[-2::-1]):
         x = frozenset().union(*(embeddings[u, v][y] for y in x))
     return x
-
-
-def embed_validate(poset, embeddings):
-    """Oracle: validate() with every given name-keyed embedding applied to
-    atom names, a pair that was not given composed by name_embed, and the
-    meet searched for every ordered pair."""
-    issues = []
-    ids, up, down, contexts = poset._ids, poset._up, poset._down, poset._contexts
-    given = {(a, b) for a, b in embeddings if a != b}
-    hasse = given <= set(poset.covers())
-    for a, b in sorted(given):
-        for c in ids:
-            if not hasse and c != a and (b, c) in given and (a, c) not in given:
-                issues.append(f"order not transitive at {a!r} <= {b!r} <= {c!r}")
-        images = [embeddings[a, b][x] for x in contexts[a].atoms]
-        if any(not img for img in images):
-            issues.append(f"embedding {a!r} -> {b!r} drops an atom")
-        seen = set()
-        for img in images:
-            if img & seen:
-                issues.append(f"embedding {a!r} -> {b!r} atom images overlap")
-                break
-            seen |= img
-        if seen != set(contexts[b].atoms):
-            issues.append(f"embedding {a!r} -> {b!r} does not cover the target top")
-    for a, b in poset.covers():
-        i, j = ids.index(a), ids.index(b)
-        for k in _bits(up[i] & up[j] & ~(1 << j)):
-            c = ids[k]
-            for atom in contexts[a].atoms:
-                direct = name_embed(embeddings, a, c, frozenset({atom}))
-                via = name_embed(embeddings, b, c, name_embed(embeddings, a, b, frozenset({atom})))
-                if direct != via:
-                    issues.append(f"embedding composition fails {a!r}->{b!r}->{c!r} at {atom!r}")
-    for i in range(len(ids)):
-        for j in range(len(ids)):
-            lower = down[i] & down[j]
-            if not any(down[g] & lower == lower for g in _bits(lower)):
-                issues.append(f"no meet for {ids[i]!r}, {ids[j]!r}")
-    return issues
 
 
 @st.composite
@@ -604,39 +524,6 @@ def drawn_orders(draw):
     return {c: LocalAlgebra((c + "0",)) for c in names}, embeddings
 
 
-@settings(max_examples=300, deadline=None)
-@given(drawn=st.one_of(drawn_posets(), drawn_orders()))
-def test_validate_matches_embed_oracle(drawn):
-    """The same issues in the same order: broken, dropped and swapped
-    embeddings, missing transitive pairs and missing meets."""
-    contexts, embeddings = drawn
-    try:
-        poset = ContextPoset(contexts, encode(contexts, embeddings))
-    except StructureError:
-        return
-    assert poset.validate() == embed_validate(poset, embeddings)
-
-
-def chain_composition(poset):
-    """Oracle: the composition violations along each chain a <. b < c, in
-    sorted-id order, each atom t of a composed through the atoms of b it
-    maps to and compared with its image in c, composed by _image where the
-    pair was not given."""
-    issues = []
-    ids, up, image, contexts = poset._ids, poset._up, poset._image, poset._contexts
-    for a, b in poset.covers():
-        i, j = ids.index(a), ids.index(b)
-        for k in _bits(up[i] & up[j] & ~(1 << j)):
-            bc, ac = image(j, k), image(i, k)
-            for t, atom in enumerate(contexts[a].atoms):
-                via = 0
-                for s in _bits(image(i, j)[t]):
-                    via |= bc[s]
-                if via != ac[t]:
-                    issues.append(f"embedding composition fails {a!r}->{b!r}->{ids[k]!r} at {atom!r}")
-    return issues
-
-
 @st.composite
 def exchanged_posets(draw):
     """drawn_posets() with one fine atom of an image exchanged for one of
@@ -655,27 +542,98 @@ def exchanged_posets(draw):
     return contexts, embeddings
 
 
+@st.composite
+def diamond_orders(draw):
+    """drawn_orders() with a diamond added above its root t: w and x below
+    both y and z, so that y and z have two greatest lower bounds, then
+    0-3 random pairs among all the contexts, which may close a cycle and
+    be refused."""
+    contexts, embeddings = draw(drawn_orders())
+    contexts = {**contexts, **{c: LocalAlgebra((c + "0",)) for c in "wxyz"}}
+    pairs = [("t", "w"), ("t", "x"), *itertools.product("wx", "yz")]
+    names = sorted(contexts)
+    pairs += [p for p in draw(st.lists(st.tuples(*[st.sampled_from(names)] * 2), max_size=3)) if p[0] != p[1]]
+    embeddings = {**embeddings, **{(a, b): {a + "0": frozenset({b + "0"})} for a, b in pairs}}
+    return contexts, embeddings
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.one_of(drawn_posets(), exchanged_posets(), drawn_orders(), diamond_orders()))
+def test_mask_poset_matches_pair_oracle(drawn):
+    """Construction refuses exactly the draws the oracle refuses, naming
+    one of its refusals; on the rest, every query answers as the oracle's
+    scans do, and embed sends each atom to its one image along the walks."""
+    contexts, embeddings = drawn
+    oracle = PairPoset(contexts, embeddings)
+    if oracle.refusals:
+        with pytest.raises(StructureError) as info:
+            ContextPoset(contexts, encode(contexts, embeddings))
+        assert str(info.value) in oracle.refusals
+        return
+    poset = ContextPoset(contexts, encode(contexts, embeddings))
+    ids = poset.context_ids
+    assert ids == tuple(sorted(contexts))
+    assert poset.least == oracle.least
+    assert poset.covers() == oracle.covers()
+    for c1 in ids:
+        assert poset.upset(c1) == oracle.upset(c1)
+        for c2 in ids:
+            assert poset.leq(c1, c2) == oracle.leq(c1, c2)
+            assert poset.try_join_contexts(c1, c2) == oracle.try_join_contexts(c1, c2)
+            try:
+                want = oracle.meet_contexts(c1, c2)
+            except StructureError:
+                with pytest.raises(StructureError):
+                    poset.meet_contexts(c1, c2)
+            else:
+                assert poset.meet_contexts(c1, c2) == want
+        for c2, [images] in oracle.walks(c1).items():
+            for atom, image in zip(contexts[c1].atoms, images):
+                assert poset.embed(c1, c2, frozenset({atom})) == image
+    assert poset.validate() == oracle.validate()
+
+
+def chain_composition(oracle):
+    """Oracle: the (a, b, c, atom) at which a chain a <. b < c of the
+    closure fails to compose, in sorted-id order: the atom's image in c
+    against its image in b sent on to c, each image along the first
+    shortest path of given pairs (name_embed)."""
+    emb, failures = oracle.embeddings, []
+    for a, b in oracle.covers():
+        for c in sorted(oracle.upset(b) - {b}):
+            for atom in oracle.contexts[a].atoms:
+                x = frozenset({atom})
+                if name_embed(emb, a, c, x) != name_embed(emb, b, c, name_embed(emb, a, b, x)):
+                    failures.append((a, b, c, atom))
+    return failures
+
+
 @settings(max_examples=300, deadline=None)
 @given(drawn=st.one_of(drawn_posets(), exchanged_posets(), drawn_orders()))
 def test_composition_matches_the_per_chain_oracle(drawn):
-    """validate() words the same composition issues in the same order; and
-    where no per-pair check finds a fault, the test that each context's
-    point rows are disjoint passes exactly when no chain fails to compose."""
+    """Where every given map is a partition and the order has a least
+    element, construction refuses disagreeing paths exactly when some
+    chain a <. b < c fails to compose: on a partial order the chains of
+    covers reach every path, by induction on the interval from a to c."""
     contexts, embeddings = drawn
-    try:
-        poset = ContextPoset(contexts, encode(contexts, embeddings))
-    except StructureError:
+    oracle = PairPoset(contexts, embeddings)
+    if oracle.refusals and not oracle.refusals[0].startswith("embedding paths"):
         return
-    issues, want = poset.validate(), chain_composition(poset)
-    assert [v for v in issues if v.startswith("embedding composition")] == want
-    if all(v.startswith(("embedding composition", "no meet")) for v in issues):
-        assert poset._disjoint() == (not want)
+    try:
+        ContextPoset(contexts, encode(contexts, embeddings))
+    except StructureError as exc:
+        assert str(exc).startswith("embedding paths")
+        assert chain_composition(oracle)
+    else:
+        assert not chain_composition(oracle)
 
 
 def test_composition_fails_past_the_first_atom_of_each_image():
     # t < a <. b <. c: a's atoms map to {b0, b1} and {b2, b3}, and b -> c is
     # the identity, but a -> c crosses b1 and b3, which are neither first
-    # in their image; every embedding is well formed
+    # in their image; every embedding is well formed.  The rows hold every
+    # point of each image, so a1's meets a0's at c1, where the paths from a
+    # to c disagree
     contexts = {**CHAIN_CONTEXTS, "c": LocalAlgebra(("c0", "c1", "c2", "c3"))}
     embeddings = {
         **CHAIN_EMBEDDINGS,
@@ -683,12 +641,9 @@ def test_composition_fails_past_the_first_atom_of_each_image():
         ("b", "c"): {f"b{s}": frozenset({f"c{s}"}) for s in range(4)},
         ("a", "c"): {"a0": frozenset({"c0", "c3"}), "a1": frozenset({"c1", "c2"})},
     }
-    poset = ContextPoset(contexts, encode(contexts, embeddings))
-    assert not poset._disjoint()
-    assert poset.validate() == [
-        "embedding composition fails 'a'->'b'->'c' at 'a0'",
-        "embedding composition fails 'a'->'b'->'c' at 'a1'",
-    ]
+    with pytest.raises(StructureError) as info:
+        ContextPoset(contexts, encode(contexts, embeddings))
+    assert str(info.value) == "embedding paths 'a' -> 'c' disagree at 'a1'"
 
 
 @settings(max_examples=200, deadline=None)
@@ -795,8 +750,9 @@ def check_point_table(poset):
 @settings(max_examples=200, deadline=None)
 @given(drawn=st.one_of(drawn_posets(), exchanged_posets(), drawn_orders()))
 def test_point_table_down_is_the_transpose_of_up(drawn):
-    """On broken embeddings too: both are walked over the same point
-    pairs, up from the top and down from the least context."""
+    """Both are walked over the images of the given pairs: the rows
+    pulled down from the top, the down-sets pushed up from the least
+    context."""
     contexts, embeddings = drawn
     try:
         poset = ContextPoset(contexts, encode(contexts, embeddings))
@@ -826,21 +782,6 @@ def exhaustive_missing_meets(poset) -> list[str]:
         for i, j in itertools.permutations(range(len(ids)), 2)
         if not up[i] >> j & 1 and not up[j] >> i & 1 and _extreme(down[i] & down[j], down) is None
     ]
-
-
-@st.composite
-def diamond_orders(draw):
-    """drawn_orders() with a diamond added above its root t: w and x below
-    both y and z, so that y and z have two greatest lower bounds, then
-    0-3 random pairs among all the contexts, which may close a cycle and
-    be refused."""
-    contexts, embeddings = draw(drawn_orders())
-    contexts = {**contexts, **{c: LocalAlgebra((c + "0",)) for c in "wxyz"}}
-    pairs = [("t", "w"), ("t", "x"), *itertools.product("wx", "yz")]
-    names = sorted(contexts)
-    pairs += [p for p in draw(st.lists(st.tuples(*[st.sampled_from(names)] * 2), max_size=3)) if p[0] != p[1]]
-    embeddings = {**embeddings, **{(a, b): {a + "0": frozenset({b + "0"})} for a, b in pairs}}
-    return contexts, embeddings
 
 
 @settings(max_examples=300, deadline=None)

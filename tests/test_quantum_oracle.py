@@ -66,6 +66,7 @@ from qlogic.quantum import (
 from qlogic.sections import ElementaryProposition
 
 from conftest import FIXTURES, GOLDEN, SZ, haar_unitary, loaded
+from named_embeddings import embedding
 from test_bridge import commuting_twin, oracle_isomorphic
 
 PAULI = {
@@ -620,7 +621,7 @@ def built(model: QuantumModel):
     return (
         [(cid, ctx.atom_names, ctx.atoms.tobytes()) for cid, ctx in model.contexts.items()],
         order,
-        [poset._images[poset._bit[a], poset._bit[b]] for a, b in order],
+        [embedding(poset, a, b) for a, b in order],
     )
 
 
@@ -1394,7 +1395,7 @@ def check_identity_unpaired(make) -> QuantumModel:
     assert poset.least == "1"
     for cid, ctx in model.contexts.items():
         if cid != "1":
-            got = poset._images[poset._bit["1"], poset._bit[cid]]
+            got = embedding(poset, "1", cid)
             assert got == ((1 << len(ctx.atoms)) - 1,), cid
     return model
 
